@@ -1,0 +1,115 @@
+"""Golden digests of trace CSVs: the parity oracle for refactors of the loop.
+
+Each case writes trace_seed*.csv through run_experiment and compares their
+sha256 digests with values recorded before any such refactor.  A change to
+the optimizers, the direction draws, the stepsize rules or the CSV format
+that moves a single bit of a trace fails here.  Refresh a digest only with a
+change that means to alter traces and says so.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from threepoint.harness import parse_config, run_experiment
+
+BASE = "\n".join([
+    "objective = quadratic",
+    "dimension = 10",
+    "coord_L = logspace:1,10",
+    "max_iters = 1500",  # past the first chunk of directions drawn ahead
+    "seeds = 0,1",
+    "track_grad_norm = true",
+])
+
+WEIGHTS = "0.05,0.05,0.05,0.05,0.1,0.1,0.1,0.1,0.2,0.2"
+
+DISTRIBUTIONS = {
+    "sphere": "distribution = sphere",
+    "coord_weighted": f"distribution = coord_weighted\nweights = {WEIGHTS}",
+    "orthonormal_weighted": ("distribution = orthonormal_weighted\n"
+                             f"weights = {WEIGHTS}\nbasis = random:3"),
+}
+
+SCHEDULES = {
+    "constant": "schedule.kind = constant\nschedule.gamma = 0.01",
+    "solution_free": "schedule.kind = solution_free\nschedule.t = 0.001",
+}
+
+DIGESTS = {
+    "smtp-coord_weighted-constant": (
+        "f200a16482bbfaedb473702c437bc99c4ebea0f9552f81f5ea653328ac977d17",
+        "0fc41b4246e0b60ce3a225cba985c7c945d07ed24064054aeea629995f7b3f5f"),
+    "smtp-coord_weighted-solution_free": (
+        "df082e4a1c9c899a9f191dd33888f27b50cac3c90a04ed43e66cea429b79a6fa",
+        "0f82eeb718c5573ffd1d062d20ca10a2701e0ce3a4082711b3d8829ae5733808"),
+    "smtp-orthonormal_weighted-constant": (
+        "23bdb6227834e6ad7dcde31ddeee61b25503b92ec59334ff1d2b209fbc788af6",
+        "61c72da9fbe90cd48d9ef90b7c407792136c01a0c03170497fd1cf02fcc061c9"),
+    "smtp-orthonormal_weighted-solution_free": (
+        "767493230655cee9903456a665759e1ec690ebd584f0d44de641a07afc98cf74",
+        "691f9090af126adf37cc90ef26aae3adc783d1909a20dd3a3f73931863726a18"),
+    "smtp-sphere-constant": (
+        "e15989f77ed220399cb6302457979e750b1592696f90af27efbe345ebd7a498f",
+        "d78c7996648c97b3e74e5fe1af2352b450c5c7c9d58df0b94d7e84da6f987ee5"),
+    "smtp-sphere-solution_free": (
+        "3b5bc7f64e2ab349f3e3cf907671e6dc4fe0f7a12067672aa66715fc867ac636",
+        "460223efbe8c874013f8d48c3c21999b44c5cc8a057b75e63ec6c87a1cfaf17b"),
+    "smtp_is-prop_L-constant": (
+        "076db70f74908c1c901f2e040a00d2e354743b2537154e76ce73b29d823d6a2c",
+        "7c16333cea5c85cd45dbf3408befbb7dafd1e4bcb638e180443add67e43a4435"),
+    "smtp_is-prop_L-solution_free": (
+        "04f9f069021ed281d3dad90f9bc23ad8c92d22645dace7cca9d3439eb6f0ed1a",
+        "5a96d5978b4404a60f18e60e99632cb0ec29b4043f2b731c211dbcc52fe6a2d8"),
+    "smtp_is-uniform-constant": (
+        "555fad8502e357763e8482004cb39857dbb60312a93582a617da9f6b3ecbb6c8",
+        "468cdfa4d31d4eb6215f150035a122312a012e15554b3c24d1ea604efb05152b"),
+    "smtp_is-uniform-solution_free": (
+        "a7589601067cef6e4e85b130e52b329647c2f13e08f80e6496f68da47e268195",
+        "a2795b01be426c5152a339400af70ebe037d8d74464322296e2b9bc05c7124d6"),
+    "stp-coord_weighted-constant": (
+        "f355c81b1b01ad318e3cb676d1674b7636f3e308851673ddd99b4a0daa687b68",
+        "9bde3c965b42020b305c67021e816887ce631e4bda6b8df1e64d5f9b430ee442"),
+    "stp-coord_weighted-solution_free": (
+        "c6daf2d6cb4a23acdb166bbdf9d45f31034b5b625fb3b9015661253cfaa207f0",
+        "1a689fa4c98440fdeed4193fe6e269f0705dd75140da1f59ad9852e437aca7b6"),
+    "stp-orthonormal_weighted-constant": (
+        "c235714ef119ad713573290e99cd5c0d30c4ecb431252a6b55e3f4c7b4d4cfa5",
+        "2d636b905543f455e791044dd46f4c720051c596c19192a7075cab4b0827f479"),
+    "stp-orthonormal_weighted-solution_free": (
+        "6f5392cbf672f1491671ed1d98fef509bca476c7e742b4b39b78058b7b4c3d90",
+        "8f0e084074bd84432d6d13ed0fc047943d44aa954697940e3660cf8038659735"),
+    "stp-sphere-constant": (
+        "686f4b2ae4886915cc6ed4b68eb5671f869d5f1abc1dbada216e5aaab988f0a6",
+        "af1a0235de22308752c68eb3a74c0ef67a054ed7c984104f84ec22d171c1c261"),
+    "stp-sphere-solution_free": (
+        "144c71bc1187112c6a97ca08050bc8087f0c1d02b51016960c1b1a586693d95b",
+        "969504cb95a79eae64099f84d9963cb3120b1540ecf5f04daec2f205687cc248"),
+}
+
+
+def _cases():
+    for method, beta in (("smtp", 0.5), ("stp", 0.0)):
+        for dist, dist_lines in DISTRIBUTIONS.items():
+            for sched, sched_lines in SCHEDULES.items():
+                text = f"method = {method}\nbeta = {beta}\n{dist_lines}\n{sched_lines}"
+                yield f"{method}-{dist}-{sched}", text
+    for p in ("uniform", "prop_L"):
+        for sched, sched_lines in SCHEDULES.items():
+            text = f"method = smtp_is\nbeta = 0.5\nis.p = {p}\nis.w = coord_L\n{sched_lines}"
+            yield f"smtp_is-{p}-{sched}", text
+
+
+CASES = dict(_cases())
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_trace_digests(label, tmp_path):
+    cfg = parse_config(BASE + "\n" + CASES[label], label=label)
+    run_experiment(cfg, out_dir=str(tmp_path), jobs=1)
+    got = tuple(
+        hashlib.sha256((tmp_path / label / f"trace_seed{seed}.csv").read_bytes()).hexdigest()
+        for seed in cfg.seeds)
+    assert got == DIGESTS[label], label
