@@ -57,7 +57,6 @@ from .optimizers import (
     init_state,
     select_uniform_random_iterate,
     smtp_is_run,
-    smtp_is_step,
     smtp_run,
     smtp_step,
     stp_run,
@@ -134,7 +133,6 @@ __all__ = [
     "sample",
     "select_uniform_random_iterate",
     "smtp_is_run",
-    "smtp_is_step",
     "smtp_run",
     "smtp_step",
     "solution_free_t_max",

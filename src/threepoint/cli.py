@@ -60,13 +60,7 @@ def _cmd_validate(args) -> int:
     # building one seed end to end catches metadata problems parsing cannot
     obj = harness.build_objective(cfg, cfg.seeds[0])
     x0 = harness.build_x0(cfg, obj.dimension)
-    if cfg.method == "smtp_is":
-        p, w = harness.build_is_vectors(cfg, obj)
-        harness.build_schedule(cfg, obj, x0, p=p, w=w)
-    else:
-        dist = harness.build_distribution(cfg, obj.dimension)
-        from .directions import constants
-        harness.build_schedule(cfg, obj, x0, norm_constants=constants(dist))
+    harness.build_run(cfg, obj, x0)
     print(f"ok label={cfg.label} fingerprint={cfg.fingerprint()}")
     return 0
 

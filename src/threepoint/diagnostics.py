@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimizers import RunTrace
-from .schedules import is_min_ratio, is_sum_weighted_L
+from .schedules import is_substitution
 
 SLACK_TOL = -1e-10
 
@@ -29,17 +29,12 @@ class BoundEnvelope:
 
 def _envelope_values(theorem_id: str, params: dict, n_iters: int) -> np.ndarray:
     ks = np.arange(n_iters + 1, dtype=float)
+    theorem_id, params = is_substitution(theorem_id, params)
     get = params.__getitem__
 
-    if theorem_id in ("NC", "IS-NC"):
-        gap = get("gap")
-        if theorem_id == "NC":
-            scale = math.sqrt(2.0 * gap * get("L") * get("gamma_d")) / get("mu_d")
-        else:
-            s_w = is_sum_weighted_L(get("p"), get("w"), get("coord_L"))
-            scale = math.sqrt(2.0 * gap * s_w) / is_min_ratio(get("p"), get("w"))
-        vals = scale / np.sqrt(np.maximum(ks, 1.0))
-        return vals
+    if theorem_id == "NC":
+        scale = math.sqrt(2.0 * get("gap") * get("L") * get("gamma_d")) / get("mu_d")
+        return scale / np.sqrt(np.maximum(ks, 1.0))
 
     gap = get("gap")
     if theorem_id == "CVX-CONST":
@@ -51,26 +46,9 @@ def _envelope_values(theorem_id: str, params: dict, n_iters: int) -> np.ndarray:
         floor = L * gamma * gamma_d * r0 / (2.0 * (1.0 - beta) * mu_d)
         return rate**ks * gap + floor
 
-    if theorem_id == "IS-CVX-CONST":
-        beta, r0, gamma = get("beta"), get("r0"), get("gamma")
-        m = is_min_ratio(get("p"), get("w"))
-        s_w = is_sum_weighted_L(get("p"), get("w"), get("coord_L"))
-        rate = 1.0 - gamma * m / ((1.0 - beta) * r0)
-        if not (0.0 <= rate < 1.0):
-            raise ValueError(f"stepsize gamma = {gamma!r} outside the contractive range")
-        floor = gamma * r0 * s_w / (2.0 * (1.0 - beta) * m)
-        return rate**ks * gap + floor
-
     if theorem_id == "CVX-DEC":
         beta, alpha, theta = get("beta"), get("alpha"), get("theta")
         cap = max(gap, 2.0 * get("L") * get("gamma_d") / (alpha * theta * (1.0 - beta) ** 2))
-        eta = alpha / theta
-        return cap / (eta * ks + 1.0)
-
-    if theorem_id == "IS-CVX-DEC":
-        beta, alpha, theta = get("beta"), get("alpha"), get("theta")
-        s_w = is_sum_weighted_L(get("p"), get("w"), get("coord_L"))
-        cap = max(gap, 2.0 * s_w / (alpha * theta * (1.0 - beta) ** 2))
         eta = alpha / theta
         return cap / (eta * ks + 1.0)
 
@@ -92,19 +70,6 @@ def _envelope_values(theorem_id: str, params: dict, n_iters: int) -> np.ndarray:
             raise ValueError(f"contraction factor {rate!r} outside [0,1)")
         floor = L**2 * t**2 / (8.0 * mu_d**2 * mu)
         return rate**ks * gap + floor
-
-    if theorem_id == "IS-SC-DEP":
-        mu = get("mu")
-        m = is_min_ratio(get("p"), get("w"))
-        s_w = is_sum_weighted_L(get("p"), get("w"), get("coord_L"))
-        theta = params.get("theta")
-        if theta is None:
-            theta_k = get("theta_k")
-            theta = 2.0 * theta_k - theta_k**2
-        rate = 1.0 - theta * mu * m**2 / s_w
-        if not (0.0 <= rate < 1.0):
-            raise ValueError(f"contraction factor {rate!r} outside [0,1)")
-        return rate**ks * gap
 
     if theorem_id == "IS-SC-FREE":
         mu, t = get("mu"), get("t")

@@ -277,9 +277,3 @@ def mc_validate(
     ok = inner_hat >= c.mu_d * gnorm * (1.0 - 3.0 / math.sqrt(n_samples))
     return MCValidation(n_samples, gamma_hat, inner_hat, gnorm, ok)
 
-
-def from_config(kind: str, dim: int, weights=None, basis=None) -> DirectionDistribution:
-    """Build a distribution from config-level values (lists accepted)."""
-    w = None if weights is None else np.asarray(weights, dtype=float)
-    b = None if basis is None else np.asarray(basis, dtype=float)
-    return DirectionDistribution(kind, dim, weights=w, basis=b)

@@ -173,6 +173,9 @@ def parse_config(text: str, label: str | None = None) -> ExperimentConfig:
         if not raw:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
         field_name = _KEY_TO_FIELD[key]
+        if field_name in seen_lines:
+            raise ConfigError(
+                f"line {lineno}: duplicate key {key!r}, first set on line {seen_lines[field_name]}")
         setattr(cfg, field_name, _parse_scalar(field_name, raw, lineno))
         seen_lines[field_name] = lineno
     if label is not None and "label" not in seen_lines:
@@ -193,46 +196,49 @@ def _line_of(seen: dict, name: str) -> str:
 
 
 def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
+    def fail(name: str, message: str):
+        raise ConfigError(f"{_line_of(seen, name)}{message}")
+
     if cfg.method not in METHODS:
-        raise ConfigError(f"{_line_of(seen, 'method')}unknown method {cfg.method!r}")
+        fail("method", f"unknown method {cfg.method!r}")
     if not (0.0 <= cfg.beta < 1.0):
-        raise ConfigError(f"{_line_of(seen, 'beta')}beta must lie in [0,1)")
+        fail("beta", "beta must lie in [0,1)")
     if cfg.objective not in ("quadratic", "rosenbrock", "lqr"):
-        raise ConfigError(f"{_line_of(seen, 'objective')}unknown objective {cfg.objective!r}")
+        fail("objective", f"unknown objective {cfg.objective!r}")
     if cfg.objective in ("quadratic", "rosenbrock") and cfg.dimension is None:
-        raise ConfigError(f"objective {cfg.objective!r} needs dimension")
+        fail("objective", f"objective {cfg.objective!r} needs dimension")
     if cfg.objective == "lqr":
         for key in ("horizon", "d_state", "d_ctrl"):
             if getattr(cfg, key) is None:
-                raise ConfigError(f"objective lqr needs {key}")
+                fail("objective", f"objective lqr needs {key}")
     if cfg.schedule_kind not in schedules.SCHEDULE_KINDS:
-        raise ConfigError(
-            f"{_line_of(seen, 'schedule_kind')}unknown schedule.kind {cfg.schedule_kind!r}")
+        fail("schedule_kind", f"unknown schedule.kind {cfg.schedule_kind!r}")
     if cfg.method == "smtp_is":
         if cfg.distribution is not None and cfg.distribution not in COORD_KINDS:
-            raise ConfigError(
-                f"{_line_of(seen, 'distribution')}method smtp_is requires a coordinate "
-                f"distribution, not {cfg.distribution!r}")
+            fail("distribution", "method smtp_is requires a coordinate distribution, "
+                 f"not {cfg.distribution!r}")
     else:
         if cfg.distribution is None:
-            raise ConfigError(f"method {cfg.method!r} needs a distribution")
+            fail("method", f"method {cfg.method!r} needs a distribution")
         if cfg.distribution not in directions.KINDS:
-            raise ConfigError(
-                f"{_line_of(seen, 'distribution')}unknown distribution {cfg.distribution!r}")
+            fail("distribution", f"unknown distribution {cfg.distribution!r}")
         if cfg.schedule_kind == "solution_free" and cfg.distribution == "gaussian":
-            raise ConfigError(
-                f"{_line_of(seen, 'schedule_kind')}solution_free needs unit-norm directions; "
-                "the gaussian distribution does not provide them")
+            fail("schedule_kind", "solution_free needs unit-norm directions; "
+                 "the gaussian distribution does not provide them")
     if cfg.max_iters < 0:
-        raise ConfigError("max_iters must be >= 0")
+        fail("max_iters", "max_iters must be >= 0")
     if len(cfg.seeds) < 1:
-        raise ConfigError("need at least one seed")
+        fail("seeds", "need at least one seed")
     if cfg.noise_sigma is not None and cfg.noise_sigma < 0:
-        raise ConfigError("noise.sigma must be >= 0")
-    if cfg.theorem is not None and cfg.theorem not in schedules.THEOREM_IDS:
-        raise ConfigError(f"{_line_of(seen, 'theorem')}unknown theorem {cfg.theorem!r}")
+        fail("noise_sigma", "noise.sigma must be >= 0")
+    if cfg.theorem is not None:
+        if cfg.theorem not in schedules.THEOREM_IDS:
+            fail("theorem", f"unknown theorem {cfg.theorem!r}")
+        if cfg.theorem.startswith("IS-") != (cfg.method == "smtp_is"):
+            fail("theorem", f"theorem {cfg.theorem!r} does not apply to method {cfg.method!r}; "
+                 "the IS- theorems are smtp_is's, the others stp's and smtp's")
     if cfg.jobs < 1:
-        raise ConfigError("jobs must be >= 1")
+        fail("jobs", "jobs must be >= 1")
 
 
 def _parse_vector(spec: str, dimension: int, what: str) -> np.ndarray:
@@ -332,104 +338,116 @@ def _gap0(obj: objectives.Objective, x0) -> float:
     return obj.value(x0) - obj.smoothness.f_star
 
 
+def _beta(cfg: ExperimentConfig) -> float:
+    """The momentum the rules and envelopes assume: stp has none."""
+    return 0.0 if cfg.method == "stp" else cfg.beta
+
+
+@dataclass
+class RunParts:
+    """What a run is built from, for every method.
+
+    smtp_is runs over coord_weighted(p), so its norm constants are that
+    law's; p and w are set for smtp_is only.
+    """
+
+    dist: directions.DirectionDistribution
+    norm_constants: directions.DistributionConstants
+    schedule: object
+    p: np.ndarray | None = None
+    w: np.ndarray | None = None
+
+
+def build_run(cfg: ExperimentConfig, obj: objectives.Objective, x0) -> RunParts:
+    """Direction law, norm constants, stepsize rule and IS vectors of a run."""
+    p = w = None
+    if cfg.method == "smtp_is":
+        p, w = build_is_vectors(cfg, obj)
+        try:
+            dist = directions.DirectionDistribution("coord_weighted", obj.dimension, weights=p)
+        except ValueError as exc:
+            raise ConfigError(f"bad is.p: {exc}") from None
+    else:
+        dist = build_distribution(cfg, obj.dimension)
+    nc = directions.constants(dist)
+    return RunParts(dist, nc, build_schedule(cfg, obj, x0, nc, p, w), p, w)
+
+
 def build_schedule(cfg: ExperimentConfig, obj: objectives.Objective, x0,
                    norm_constants=None, p=None, w=None):
     """Construct the stepsize rule a config describes.
 
-    Derived choices ('auto'/'optimal') may evaluate f(x0) once; those
-    evaluations happen before the run starts and are counted like any query.
+    Given w (smtp_is), each kind builds its importance-sampling rule, with
+    S_w and m = min p_i / w_i standing in for L gamma_d and mu_d.  Derived
+    choices ('auto'/'optimal') may evaluate f(x0) once; those evaluations
+    happen before the run starts and are counted like any query.
     """
     info = obj.smoothness
     kind = cfg.schedule_kind
-    beta = cfg.beta if cfg.method != "stp" else 0.0
-    is_mode = cfg.method == "smtp_is"
-    horizon = cfg.schedule_horizon if cfg.schedule_horizon is not None else cfg.max_iters
+    beta = _beta(cfg)
+    is_mode = w is not None
+
+    def need(value, what: str):
+        if value is None:
+            raise ConfigError(f"objective {cfg.objective!r} has no {what}")
+        return value
 
     def need_L() -> float:
-        if info.L is None:
-            raise ConfigError(f"objective {cfg.objective!r} has no smoothness constant L")
-        return info.L
-
-    def need_mu() -> float:
-        if info.mu is None:
-            raise ConfigError(f"objective {cfg.objective!r} has no strong convexity constant mu")
-        return info.mu
+        return need(info.L, "smoothness constant L")
 
     def need_coord_L() -> np.ndarray:
-        if info.coord_L is None:
-            raise ConfigError(f"objective {cfg.objective!r} has no coordinate smoothness constants")
-        return info.coord_L
-
-    if is_mode:
-        if kind in ("constant", "fixed_horizon"):
-            if kind == "constant":
-                if cfg.schedule_gamma is None:
-                    raise ConfigError("schedule.kind = constant needs schedule.gamma")
-                base = cfg.schedule_gamma
-            else:
-                if cfg.schedule_gamma0 is None:
-                    raise ConfigError("schedule.kind = fixed_horizon needs schedule.gamma0")
-                if cfg.schedule_gamma0 == "optimal":
-                    s_w = schedules.is_sum_weighted_L(p, w, need_coord_L())
-                    g0 = schedules.optimal_gamma0(beta, _gap0(obj, x0), s_w, 1.0)
-                else:
-                    g0 = float(cfg.schedule_gamma0)
-                base = g0 / math.sqrt(horizon)
-            return schedules.ISConstant(base, w)
-        if kind == "decreasing":
-            alpha, theta = _resolve_alpha_theta(
-                cfg, obj, x0, mu_like=schedules.is_min_ratio(p, w), norm_constants=norm_constants,
-                p=p)
-            return schedules.ISDecreasing(alpha, theta, w)
-        if kind == "solution_dependent":
-            if info.f_star is None:
-                raise ConfigError("solution_dependent needs a known f_star")
-            return schedules.ISSolutionDependent(
-                need_mu(), p, w, need_coord_L(), info.f_star, beta, cfg.schedule_theta_k)
-        if kind == "solution_free":
-            t = _resolve_t_is(cfg, obj, p)
-            return schedules.ISSolutionFree(need_coord_L(), t, beta)
-        raise ConfigError(f"unsupported schedule kind {kind!r} for smtp_is")
+        return need(info.coord_L, "coordinate smoothness constants")
 
     if kind == "constant":
         if cfg.schedule_gamma is None:
             raise ConfigError("schedule.kind = constant needs schedule.gamma")
+        if is_mode:
+            return schedules.ISConstant(cfg.schedule_gamma, w)
         return schedules.Constant(cfg.schedule_gamma)
     if kind == "fixed_horizon":
         if cfg.schedule_gamma0 is None:
             raise ConfigError("schedule.kind = fixed_horizon needs schedule.gamma0")
         if cfg.schedule_gamma0 == "optimal":
-            g0 = schedules.optimal_gamma0(
-                beta, _gap0(obj, x0), need_L(), norm_constants.gamma_d)
+            if is_mode:
+                L, gamma_d = schedules.is_sum_weighted_L(p, w, need_coord_L()), 1.0
+            else:
+                L, gamma_d = need_L(), norm_constants.gamma_d
+            g0 = schedules.optimal_gamma0(beta, _gap0(obj, x0), L, gamma_d)
         else:
             g0 = float(cfg.schedule_gamma0)
+        horizon = cfg.schedule_horizon if cfg.schedule_horizon is not None else cfg.max_iters
+        if is_mode:
+            return schedules.ISConstant(g0 / math.sqrt(horizon), w)
         return schedules.FixedHorizon(g0, horizon)
     if kind == "decreasing":
-        alpha, theta = _resolve_alpha_theta(
-            cfg, obj, x0, mu_like=norm_constants.mu_d, norm_constants=norm_constants)
+        mu_like = schedules.is_min_ratio(p, w) if is_mode else norm_constants.mu_d
+        alpha, theta = _resolve_alpha_theta(cfg, obj, x0, mu_like, norm_constants)
+        if is_mode:
+            return schedules.ISDecreasing(alpha, theta, w)
         return schedules.Decreasing(alpha, theta)
     if kind == "solution_dependent":
         if info.f_star is None:
             raise ConfigError("solution_dependent needs a known f_star")
+        mu = need(info.mu, "strong convexity constant mu")
+        if is_mode:
+            return schedules.ISSolutionDependent(
+                mu, p, w, need_coord_L(), info.f_star, beta, cfg.schedule_theta_k)
         return schedules.SolutionDependent(
-            need_mu(), need_L(), norm_constants.mu_d, info.f_star, beta, cfg.schedule_theta_k)
+            mu, need_L(), norm_constants.mu_d, info.f_star, beta, cfg.schedule_theta_k)
     if kind == "solution_free":
-        t = _resolve_t(cfg, obj, norm_constants)
+        t = _resolve_t(cfg, obj, norm_constants, p)
+        if is_mode:
+            return schedules.ISSolutionFree(need_coord_L(), t, beta)
         return schedules.SolutionFree(need_L(), t, beta)
     raise ConfigError(f"unsupported schedule kind {kind!r}")
 
 
-def _resolve_alpha_theta(cfg, obj, x0, mu_like, norm_constants, p=None):
-    beta = cfg.beta if cfg.method != "stp" else 0.0
+def _resolve_alpha_theta(cfg, obj, x0, mu_like, norm_constants):
     if cfg.schedule_alpha is None:
         raise ConfigError("schedule.kind = decreasing needs schedule.alpha")
     if cfg.schedule_alpha == "auto":
-        if p is not None:
-            nc = directions.DistributionConstants(1.0, 1.0, directions.WEIGHTED_L1, weights=p)
-        else:
-            nc = norm_constants
-        r0 = _resolve_r0(cfg, obj, x0, nc)
-        alpha = mu_like / ((1.0 - beta) * r0)
+        r0 = _resolve_r0(cfg, obj, x0, norm_constants)
+        alpha = mu_like / ((1.0 - _beta(cfg)) * r0)
     else:
         alpha = float(cfg.schedule_alpha)
     if cfg.schedule_theta is None or cfg.schedule_theta == "auto":
@@ -439,30 +457,21 @@ def _resolve_alpha_theta(cfg, obj, x0, mu_like, norm_constants, p=None):
     return alpha, theta
 
 
-def _resolve_t(cfg, obj, norm_constants) -> float:
+def _resolve_t(cfg, obj, norm_constants, p=None) -> float:
     if cfg.schedule_t is None:
         raise ConfigError("schedule.kind = solution_free needs schedule.t")
-    if cfg.schedule_t == "auto":
-        if cfg.epsilon is None:
-            raise ConfigError("schedule.t = auto needs epsilon")
-        info = obj.smoothness
-        if info.mu is None or info.L is None:
-            raise ConfigError("schedule.t = auto needs mu and L metadata")
-        return schedules.solution_free_t_max(cfg.epsilon, norm_constants.mu_d, info.mu, info.L)
-    return float(cfg.schedule_t)
-
-
-def _resolve_t_is(cfg, obj, p) -> float:
-    if cfg.schedule_t is None:
-        raise ConfigError("schedule.kind = solution_free needs schedule.t")
-    if cfg.schedule_t == "auto":
-        if cfg.epsilon is None:
-            raise ConfigError("schedule.t = auto needs epsilon")
-        info = obj.smoothness
+    if cfg.schedule_t != "auto":
+        return float(cfg.schedule_t)
+    if cfg.epsilon is None:
+        raise ConfigError("schedule.t = auto needs epsilon")
+    info = obj.smoothness
+    if p is not None:
         if info.mu is None or info.coord_L is None:
             raise ConfigError("schedule.t = auto needs mu and coord_L metadata")
         return schedules.solution_free_t_max_is(cfg.epsilon, info.mu, p, info.coord_L)
-    return float(cfg.schedule_t)
+    if info.mu is None or info.L is None:
+        raise ConfigError("schedule.t = auto needs mu and L metadata")
+    return schedules.solution_free_t_max(cfg.epsilon, norm_constants.mu_d, info.mu, info.L)
 
 
 def _format(x) -> str:
@@ -506,24 +515,18 @@ def run_once(cfg: ExperimentConfig, seed: int) -> tuple[optimizers.RunTrace, obj
     """Build everything a seed needs and run it; returns the trace."""
     obj = build_objective(cfg, seed)
     x0 = build_x0(cfg, obj.dimension)
-    fingerprint = cfg.fingerprint()
+    parts = build_run(cfg, obj, x0)
     common = dict(
         max_iters=cfg.max_iters, seed=seed, epsilon_gap=cfg.epsilon,
         eval_budget=cfg.eval_budget, retain_internals=cfg.retain_internals,
-        track_grad_norm=cfg.track_grad_norm, config_fingerprint=fingerprint,
+        track_grad_norm=cfg.track_grad_norm, config_fingerprint=cfg.fingerprint(),
     )
     if cfg.method == "smtp_is":
-        p, w = build_is_vectors(cfg, obj)
-        schedule = build_schedule(cfg, obj, x0, p=p, w=w)
-        trace = optimizers.smtp_is_run(obj, p, schedule, cfg.beta, x0, **common)
+        trace = optimizers.smtp_is_run(obj, parts.p, parts.schedule, cfg.beta, x0, **common)
+    elif cfg.method == "smtp":
+        trace = optimizers.smtp_run(obj, parts.dist, parts.schedule, cfg.beta, x0, **common)
     else:
-        dist = build_distribution(cfg, obj.dimension)
-        nc = directions.constants(dist)
-        schedule = build_schedule(cfg, obj, x0, norm_constants=nc)
-        if cfg.method == "smtp":
-            trace = optimizers.smtp_run(obj, dist, schedule, cfg.beta, x0, **common)
-        else:
-            trace = optimizers.stp_run(obj, dist, schedule, x0, **common)
+        trace = optimizers.stp_run(obj, parts.dist, parts.schedule, x0, **common)
     return trace, obj
 
 
@@ -542,47 +545,29 @@ def _grad_running_mean(trace: optimizers.RunTrace, k: int) -> float:
     return float(np.mean(vals))
 
 
-def _envelope_params(cfg: ExperimentConfig, obj, x0, norm_constants, p, w, schedule) -> dict:
+def _envelope_params(cfg: ExperimentConfig, obj, x0, parts: RunParts) -> dict:
+    """The constants a theorem's envelope reads; an IS theorem maps p, w and
+    coord_L onto L, gamma_d and mu_d itself, so one set serves both kinds."""
     info = obj.smoothness
     if info.f_star is None:
         raise ConfigError("envelope checks need a known f_star")
-    params: dict = {"gap": obj.value(x0) - info.f_star}
-    beta = cfg.beta if cfg.method != "stp" else 0.0
-    params["beta"] = beta
-    if cfg.method == "smtp_is":
-        params["p"] = p
-        params["w"] = w
-        params["coord_L"] = info.coord_L
-        params["mu"] = info.mu
-        params["t"] = getattr(schedule, "t", None)
-        params["theta_k"] = cfg.schedule_theta_k
-        if isinstance(schedule, schedules.ISConstant):
-            params["gamma"] = schedule.gamma
-        if isinstance(schedule, schedules.ISDecreasing):
-            params["alpha"] = schedule.alpha
-            params["theta"] = schedule.theta
-    else:
-        params["L"] = info.L
-        params["mu"] = info.mu
-        params["mu_d"] = norm_constants.mu_d
-        params["gamma_d"] = norm_constants.gamma_d
-        params["t"] = getattr(schedule, "t", None)
-        params["theta_k"] = cfg.schedule_theta_k
-        if isinstance(schedule, schedules.Constant):
-            params["gamma"] = schedule.gamma
-        if isinstance(schedule, schedules.FixedHorizon):
-            params["gamma"] = schedule.gamma0 / math.sqrt(schedule.horizon)
-        if isinstance(schedule, schedules.Decreasing):
-            params["alpha"] = schedule.alpha
-            params["theta"] = schedule.theta
+    nc = parts.norm_constants
+    schedule = parts.schedule
+    params = {
+        "gap": obj.value(x0) - info.f_star, "beta": _beta(cfg), "L": info.L, "mu": info.mu,
+        "mu_d": nc.mu_d, "gamma_d": nc.gamma_d, "p": parts.p, "w": parts.w,
+        "coord_L": info.coord_L, "t": getattr(schedule, "t", None), "theta_k": cfg.schedule_theta_k,
+    }
+    if isinstance(schedule, (schedules.Constant, schedules.ISConstant)):
+        params["gamma"] = schedule.gamma
+    if isinstance(schedule, schedules.FixedHorizon):
+        params["gamma"] = schedule.gamma0 / math.sqrt(schedule.horizon)
+    if isinstance(schedule, (schedules.Decreasing, schedules.ISDecreasing)):
+        params["alpha"] = schedule.alpha
+        params["theta"] = schedule.theta
     if cfg.theorem in ("CVX-CONST", "CVX-DEC", "IS-CVX-CONST", "IS-CVX-DEC"):
-        if cfg.method == "smtp_is":
-            nc = directions.DistributionConstants(1.0, 1.0, directions.WEIGHTED_L1, weights=p)
-        else:
-            nc = norm_constants
         params["r0"] = _resolve_r0(cfg, obj, x0, nc)
-    params = {k: v for k, v in params.items() if v is not None}
-    return params
+    return {k: v for k, v in params.items() if v is not None}
 
 
 def _checkpoints(cfg: ExperimentConfig) -> list[int]:
@@ -612,14 +597,14 @@ def _seed_worker(cfg: ExperimentConfig, seed: int, out_dir: str | None):
             contraction, r_squared = fit.rate, fit.r_squared
         except ValueError:
             pass
-    gaps = None
-    grad_means = None
+    # the NC guarantees bound the running mean gradient norm, the others the gap
+    checked = None
     if cfg.theorem is not None:
         ks = _checkpoints(cfg)
         if cfg.theorem in ("NC", "IS-NC"):
-            grad_means = [_grad_running_mean(trace, k) for k in ks]
+            checked = [_grad_running_mean(trace, k) for k in ks]
         else:
-            gaps = [_gap_at(trace, f_star, k) for k in ks]
+            checked = [_gap_at(trace, f_star, k) for k in ks]
     result = SeedResult(
         seed=seed,
         iterations=len(trace.records),
@@ -631,7 +616,7 @@ def _seed_worker(cfg: ExperimentConfig, seed: int, out_dir: str | None):
         envelope_ok=None,
         wall_time=wall,
     )
-    return result, gaps, grad_means
+    return result, checked
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
@@ -655,15 +640,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     if cfg.theorem is not None:
         obj = build_objective(cfg, cfg.seeds[0])
         x0 = build_x0(cfg, obj.dimension)
-        if cfg.method == "smtp_is":
-            p, w = build_is_vectors(cfg, obj)
-            schedule = build_schedule(cfg, obj, x0, p=p, w=w)
-            params = _envelope_params(cfg, obj, x0, None, p, w, schedule)
-        else:
-            dist = build_distribution(cfg, obj.dimension)
-            nc = directions.constants(dist)
-            schedule = build_schedule(cfg, obj, x0, norm_constants=nc)
-            params = _envelope_params(cfg, obj, x0, nc, None, None, schedule)
+        params = _envelope_params(cfg, obj, x0, build_run(cfg, obj, x0))
         ks = _checkpoints(cfg)
         envelope = diagnostics.bound_envelope(cfg.theorem, params, cfg.max_iters)
 
@@ -678,7 +655,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     envelope_ok = None
     if envelope is not None:
         tol = 1.05
-        series = np.array([p[2] if cfg.theorem in ("NC", "IS-NC") else p[1] for p in payloads])
+        series = np.array([p[1] for p in payloads])
         means = series.mean(axis=0)
         bounds = envelope.values[list(ks)]
         envelope_ok = bool(np.all(means <= tol * bounds))

@@ -18,7 +18,7 @@ import numpy as np
 from .directions import (
     DirectionDistribution,
     DistributionConstants,
-    categorical_index,
+    categorical_index,  # noqa: F401 - perfbench's traced runs wrap this name here
     constants,
     d_norm,
     draws,
@@ -121,14 +121,23 @@ def _unit(d: int, i: int) -> np.ndarray:
     return s
 
 
-def _rule_stepsize(objective, schedule, k: int, z, f_z: float, s) -> float:
-    """Stepsize for iteration k, probing f(z + t s) first if the rule needs it."""
+def _rule_stepsize(objective, schedule, k: int, z, f_z: float, s, index: int | None) -> float:
+    """Stepsize for iteration k, probing f(z + t s) first if the rule needs it.
+
+    index = i says s = e_i: the probe point then changes coordinate i alone,
+    and the rule sees i (the importance-sampling rules scale by it).
+    """
     probe = None
     if schedule.needs_probe:
-        probe = objective.value(z + schedule.t * s)
+        if index is None:
+            zt = z + schedule.t * s
+        else:
+            zt = z.copy()
+            zt[index] += schedule.t
+        probe = objective.value(zt)
         if not math.isfinite(probe):
             raise NonFiniteObjectiveError(k, probe)
-    return stepsize(schedule, StepContext(k, f_z, probe, None, s))
+    return stepsize(schedule, StepContext(k, f_z, probe, index, s))
 
 
 def smtp_step(
@@ -161,7 +170,7 @@ def smtp_step(
     if gamma is None:
         if s is None:
             s = _unit(z.shape[0], index)
-        gamma = _rule_stepsize(objective, schedule, k, z, f_z, s)
+        gamma = _rule_stepsize(objective, schedule, k, z, f_z, s, index)
 
     grad_norm = None
     if track_grad_norm:
@@ -232,7 +241,7 @@ def stp_step(
     if gamma is None:
         if s is None:
             s = _unit(x.shape[0], index)
-        gamma = _rule_stepsize(objective, schedule, k, x, f_x, s)
+        gamma = _rule_stepsize(objective, schedule, k, x, f_x, s, index)
 
     grad_norm = None
     if track_grad_norm:
@@ -268,52 +277,16 @@ def stp_step(
     return state, IterationRecord(k, f_new, gamma, branch, objective.eval_counter, grad_norm)
 
 
-def smtp_is_step(
-    state: OptimizerState,
-    objective,
-    schedule,
-    p: np.ndarray,
-    rng: np.random.Generator,
-    index: int | None = None,
-    cdf: np.ndarray | None = None,
-    track_grad_norm: bool = False,
-) -> tuple[OptimizerState, IterationRecord]:
-    """One coordinate-importance-sampled iteration; direction e_{i}, i ~ p."""
-    if index is None:
-        if cdf is None:
-            cdf = np.cumsum(p)
-        index = categorical_index(cdf, rng.random())
-    z = state.z
-    k = state.k
-    s = _unit(z.shape[0], index)
-
-    probe = None
-    if schedule.needs_probe:
-        zt = z.copy()
-        zt[index] += schedule.t
-        probe = objective.value(zt)
-        if not math.isfinite(probe):
-            raise NonFiniteObjectiveError(k, probe)
-    gamma = stepsize(schedule, StepContext(k, state.f_z, probe, index, s))
-
-    grad_norm = None
-    if track_grad_norm:
-        grad_norm = float(np.sum(np.abs(objective.gradient(z))))
-
-    # the move itself is the smtp update along e_index with this gamma
-    state, rec = smtp_step(state, objective, None, schedule, rng, s, index=index, gamma=gamma)
-    rec.grad_norm_D = grad_norm
-    rec.direction_index = index
-    return state, rec
-
-
 def _run_loop(step, objective, dist, schedule, beta, x0, max_iters, seed, epsilon_gap,
-              eval_budget, retain_internals, track_grad_norm, config_fingerprint):
+              eval_budget, retain_internals, track_grad_norm, config_fingerprint,
+              norm_constants, record_index=False):
     """Drive step (smtp_step's signature) over max_iters directions of dist.
 
     Directions come from draws(), a bounded chunk at a time.  A context-free
     rule is evaluated once, still through stepsize() so its validity check
-    holds, and its value is handed to every step.
+    holds, and its value is handed to every step.  norm_constants measure
+    the tracked gradient norm; record_index stores each drawn coordinate in
+    its record.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
@@ -330,13 +303,15 @@ def _run_loop(step, objective, dist, schedule, beta, x0, max_iters, seed, epsilo
     if max_iters > 0 and getattr(schedule, "context_free", False):
         gamma = stepsize(schedule, StepContext(0, f0))
     rng = np.random.default_rng(seed)
-    nc = constants(dist) if track_grad_norm else None
     stop_reason = "max_iters"
     for s, i in draws(dist, rng, max_iters):
         if retain_internals:
             z_before.append(state.z)
             s_kept.append(_unit(dist.dim, i) if s is None else s)
-        state, rec = step(state, objective, dist, schedule, rng, s, nc, track_grad_norm, i, gamma)
+        state, rec = step(state, objective, dist, schedule, rng, s, norm_constants,
+                          track_grad_norm, i, gamma)
+        if record_index:
+            rec.direction_index = i
         records.append(rec)
         if epsilon_gap is not None and state.f_z - f_star <= epsilon_gap:
             stop_reason = "epsilon_gap"
@@ -368,7 +343,8 @@ def smtp_run(
     this run reach eval_budget.
     """
     return _run_loop(smtp_step, objective, dist, schedule, beta, x0, max_iters, seed, epsilon_gap,
-                     eval_budget, retain_internals, track_grad_norm, config_fingerprint)
+                     eval_budget, retain_internals, track_grad_norm, config_fingerprint,
+                     constants(dist))
 
 
 def stp_run(
@@ -386,7 +362,8 @@ def stp_run(
 ) -> RunTrace:
     """Run the momentum-free baseline; trace-compatible with smtp at beta=0."""
     return _run_loop(stp_step, objective, dist, schedule, 0.0, x0, max_iters, seed, epsilon_gap,
-                     eval_budget, retain_internals, track_grad_norm, config_fingerprint)
+                     eval_budget, retain_internals, track_grad_norm, config_fingerprint,
+                     constants(dist))
 
 
 def smtp_is_run(
@@ -403,21 +380,22 @@ def smtp_is_run(
     track_grad_norm: bool = False,
     config_fingerprint: str = "",
 ) -> RunTrace:
-    """Run smtp_is with coordinate probabilities p (importance sampling)."""
+    """Run smtp_is with coordinate probabilities p (importance sampling).
+
+    This is smtp over coord_weighted(p): the direction is e_i with i ~ p, and
+    an importance-sampling rule scales the step by coordinate i.  Records
+    carry the drawn index, and the tracked gradient norm is the plain L1 norm.
+    """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.shape[0] != objective.dimension:
         raise ValueError(f"p must have shape ({objective.dimension},)")
     if np.any(p <= 0.0) or abs(float(np.sum(p)) - 1.0) > 1e-12:
         raise ValueError("p must be strictly positive and sum to 1")
-    # the index i ~ p is a coord_weighted(p) draw: same cdf, same stream
     dist = DirectionDistribution("coord_weighted", objective.dimension, weights=p)
-
-    def step(state, objective, dist, schedule, rng, s, nc, track_grad_norm, i, gamma):
-        return smtp_is_step(state, objective, schedule, p, rng, index=i,
-                            track_grad_norm=track_grad_norm)
-
-    return _run_loop(step, objective, dist, schedule, beta, x0, max_iters, seed, epsilon_gap,
-                     eval_budget, retain_internals, track_grad_norm, config_fingerprint)
+    l1 = constants(DirectionDistribution("coord_uniform", objective.dimension))
+    return _run_loop(smtp_step, objective, dist, schedule, beta, x0, max_iters, seed, epsilon_gap,
+                     eval_budget, retain_internals, track_grad_norm, config_fingerprint,
+                     l1, record_index=True)
 
 
 def select_uniform_random_iterate(trace: RunTrace, rng: np.random.Generator) -> tuple[int, np.ndarray]:

@@ -166,6 +166,13 @@ class SolutionFree:
         return (1.0 - self.beta) * abs(probe - ctx.f_z) / (self.L * self.t)
 
 
+def _positive(v, name: str) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if np.any(v <= 0.0):
+        raise ValueError(f"{name} must be strictly positive")
+    return v
+
+
 def _check_pw(p, w, coord_L=None):
     p = np.asarray(p, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -176,11 +183,9 @@ def _check_pw(p, w, coord_L=None):
     if abs(float(np.sum(p)) - 1.0) > 1e-12:
         raise ValueError("p must sum to 1")
     if coord_L is not None:
-        coord_L = np.asarray(coord_L, dtype=float)
-        if coord_L.shape != p.shape:
+        if np.shape(coord_L) != p.shape:
             raise ValueError("coord_L must match p in length")
-        if np.any(coord_L <= 0.0):
-            raise ValueError("coord_L must be strictly positive")
+        coord_L = _positive(coord_L, "coord_L")
     return p, w, coord_L
 
 
@@ -207,10 +212,7 @@ class ISConstant:
     def __post_init__(self):
         if self.gamma <= 0.0:
             raise ValueError("gamma must be > 0")
-        w = np.asarray(self.w, dtype=float)
-        if np.any(w <= 0.0):
-            raise ValueError("w must be strictly positive")
-        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w", _positive(self.w, "w"))
 
     def stepsize(self, ctx: StepContext) -> float:
         return self.gamma / self.w[_require_index(ctx)]
@@ -230,10 +232,7 @@ class ISDecreasing:
             raise ValueError("alpha must be > 0")
         if self.theta < 2.0 / self.alpha:
             raise ValueError("theta must be >= 2/alpha")
-        w = np.asarray(self.w, dtype=float)
-        if np.any(w <= 0.0):
-            raise ValueError("w must be strictly positive")
-        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w", _positive(self.w, "w"))
 
     def stepsize(self, ctx: StepContext) -> float:
         return 2.0 / (self.alpha * ctx.k + self.theta) / self.w[_require_index(ctx)]
@@ -260,8 +259,8 @@ class ISSolutionDependent:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "coord_L", coord_L)
-        object.__setattr__(self, "_m", float(np.min(p / w)))
-        object.__setattr__(self, "_s_w", float(np.sum(coord_L * p / (w * w))))
+        object.__setattr__(self, "_m", is_min_ratio(p, w))
+        object.__setattr__(self, "_s_w", is_sum_weighted_L(p, w, coord_L))
         if not callable(self.theta_k):
             _theta_k_value(self.theta_k, 0)
 
@@ -286,10 +285,7 @@ class ISSolutionFree:
     def __post_init__(self):
         if self.t <= 0.0:
             raise ValueError("t must be > 0")
-        coord_L = np.asarray(self.coord_L, dtype=float)
-        if np.any(coord_L <= 0.0):
-            raise ValueError("coord_L must be strictly positive")
-        object.__setattr__(self, "coord_L", coord_L)
+        object.__setattr__(self, "coord_L", _positive(self.coord_L, "coord_L"))
         _check_beta(self.beta)
 
     def stepsize(self, ctx: StepContext) -> float:
@@ -354,9 +350,7 @@ def solution_free_t_max_is(epsilon: float, mu: float, p, coord_L) -> float:
 def quadratic_level_radius(coord_L, f0_gap: float, c: DistributionConstants) -> float:
     """R0 = max dual-norm distance to x_star over the f(x0) level set of the
     separable quadratic 1/2 sum L_i (x_i - shift_i)^2."""
-    coord_L = np.asarray(coord_L, dtype=float)
-    if np.any(coord_L <= 0.0):
-        raise ValueError("coord_L must be strictly positive")
+    coord_L = _positive(coord_L, "coord_L")
     if f0_gap < 0.0:
         raise ValueError("f0_gap must be >= 0")
     if c.norm_tag in (L2, L1):
@@ -406,6 +400,27 @@ def _count(value: float) -> int:
     return max(0, math.ceil(value))
 
 
+IS_SUBSTITUTED = ("IS-NC", "IS-CVX-CONST", "IS-CVX-DEC", "IS-SC-DEP")
+
+
+def is_substitution(theorem_id: str, params: dict) -> tuple[str, dict]:
+    """Map an importance-sampling guarantee onto the plain one it restates.
+
+    IS-NC, IS-CVX-CONST, IS-CVX-DEC and IS-SC-DEP are the smtp guarantees
+    with L gamma_d replaced by S_w and mu_d by m: the plain id is returned
+    with params carrying L = S_w, gamma_d = 1, mu_d = m (and no kappa, which
+    would override L).  Other ids, IS-SC-FREE among them, pass through.
+    A missing p, w or coord_L raises KeyError.
+    """
+    if theorem_id not in IS_SUBSTITUTED:
+        return theorem_id, params
+    p, w = params["p"], params["w"]
+    mapped = {k: v for k, v in params.items() if k != "kappa"}
+    mapped.update(L=is_sum_weighted_L(p, w, params["coord_L"]), gamma_d=1.0,
+                  mu_d=is_min_ratio(p, w))
+    return theorem_id[3:], mapped
+
+
 def required_iterations(theorem_id: str, params: dict) -> int:
     """Iterations sufficient for accuracy epsilon under the named guarantee.
 
@@ -421,63 +436,37 @@ def required_iterations(theorem_id: str, params: dict) -> int:
     gap = float(_need(params, theorem_id, "gap")[0])
     if gap < 0.0:
         raise ValueError("gap must be >= 0")
+    try:
+        kind, params = is_substitution(theorem_id, params)
+    except KeyError as exc:
+        raise ValueError(f"required_iterations({theorem_id!r}) missing parameter {exc}") from None
 
-    if theorem_id == "NC":
+    if kind == "NC":
         L, gamma_d, mu_d = _need(params, theorem_id, "L", "gamma_d", "mu_d")
         return _count(2.0 * gap * L * gamma_d / (mu_d**2 * eps**2))
 
-    if theorem_id == "CVX-CONST":
+    if kind == "CVX-CONST":
         L, gamma_d, mu_d, r0 = _need(params, theorem_id, "L", "gamma_d", "mu_d", "r0")
         cap = L * gamma_d * r0**2 / mu_d**2
         if eps > cap:
             raise ValueError(f"epsilon = {eps!r} above admissible bound {cap!r}")
         return _count(cap / eps * _pos_log(2.0 * gap / eps))
 
-    if theorem_id == "CVX-DEC":
+    if kind == "CVX-DEC":
         L, gamma_d, mu_d, r0, beta = _need(params, theorem_id, "L", "gamma_d", "mu_d", "r0", "beta")
         lead = 2.0 * r0**2 / mu_d**2
         return _count(lead / eps * max((1.0 - beta) ** 2 * gap, L * gamma_d) - lead * (1.0 - beta) ** 2)
 
-    if theorem_id == "SC-DEP":
+    if kind == "SC-DEP":
         mu_d, theta = _need(params, theorem_id, "mu_d", "theta")
         return _count(_kappa(params, theorem_id) / (theta * mu_d**2) * _pos_log(gap / eps))
 
-    if theorem_id == "SC-FREE":
+    if kind == "SC-FREE":
         (mu_d,) = _need(params, theorem_id, "mu_d")
         return _count(_kappa(params, theorem_id) / mu_d**2 * _pos_log(2.0 * gap / eps))
 
-    if theorem_id == "IS-NC":
-        p, w, coord_L = _need(params, theorem_id, "p", "w", "coord_L")
-        s_w = is_sum_weighted_L(p, w, coord_L)
-        m = is_min_ratio(p, w)
-        return _count(2.0 * gap * s_w / (m**2 * eps**2))
-
-    if theorem_id == "IS-CVX-CONST":
-        p, w, coord_L, r0 = _need(params, theorem_id, "p", "w", "coord_L", "r0")
-        s_w = is_sum_weighted_L(p, w, coord_L)
-        m = is_min_ratio(p, w)
-        cap = r0**2 * s_w / m**2
-        if eps > cap:
-            raise ValueError(f"epsilon = {eps!r} above admissible bound {cap!r}")
-        return _count(cap / eps * _pos_log(2.0 * gap / eps))
-
-    if theorem_id == "IS-CVX-DEC":
-        p, w, coord_L, r0, beta = _need(params, theorem_id, "p", "w", "coord_L", "r0", "beta")
-        s_w = is_sum_weighted_L(p, w, coord_L)
-        m = is_min_ratio(p, w)
-        lead = 2.0 * r0**2 / m**2
-        return _count(lead / eps * max((1.0 - beta) ** 2 * gap, s_w) - lead * (1.0 - beta) ** 2)
-
-    if theorem_id == "IS-SC-DEP":
-        p, w, coord_L, mu, theta = _need(params, theorem_id, "p", "w", "coord_L", "mu", "theta")
-        s_w = is_sum_weighted_L(p, w, coord_L)
-        m = is_min_ratio(p, w)
-        return _count(s_w / (theta * float(mu) * m**2) * _pos_log(gap / eps))
-
-    if theorem_id == "IS-SC-FREE":
+    if kind == "IS-SC-FREE":
         p, coord_L, mu = _need(params, theorem_id, "p", "coord_L", "mu")
-        p, coord_L, _ = _check_pw(p, coord_L)
-        ratio = float(np.min(p / coord_L))
-        return _count(1.0 / (float(mu) * ratio) * _pos_log(2.0 * gap / eps))
+        return _count(1.0 / (float(mu) * is_min_ratio(p, coord_L)) * _pos_log(2.0 * gap / eps))
 
     raise AssertionError("unreachable")

@@ -14,7 +14,6 @@ from threepoint.directions import (
     d_norm,
     draws,
     dual_norm,
-    from_config,
     mc_validate,
     sample,
 )
@@ -287,9 +286,3 @@ class TestValidation:
     def test_weighted_kind_needs_weights(self):
         with pytest.raises(ValueError):
             DirectionDistribution("coord_weighted", 2)
-
-    def test_from_config_roundtrip(self):
-        w = np.array([0.25, 0.75])
-        dist = from_config("coord_weighted", 2, weights=w)
-        assert dist.kind == "coord_weighted"
-        np.testing.assert_array_equal(dist.weights, w)

@@ -146,11 +146,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown objective"):
             parse_config(QUAD_BASE.replace("objective = quadratic", "objective = cubic"))
         with pytest.raises(ConfigError, match="unknown schedule.kind"):
-            parse_config(QUAD_BASE + "\nschedule.kind = warmup")
+            parse_config(QUAD_BASE.replace("schedule.kind = solution_dependent",
+                                           "schedule.kind = warmup"))
         with pytest.raises(ConfigError, match="unknown theorem"):
             parse_config(QUAD_BASE + "\ntheorem = SC-???")
         with pytest.raises(ConfigError, match="unknown distribution"):
-            parse_config(QUAD_BASE + "\ndistribution = cauchy")
+            parse_config(QUAD_BASE.replace("distribution = sphere", "distribution = cauchy"))
 
     def test_objective_requirements(self):
         with pytest.raises(ConfigError, match="needs dimension"):
@@ -173,6 +174,36 @@ class TestParsing:
     def test_empty_seed_list(self):
         with pytest.raises(ConfigError, match="at least one seed"):
             parse_config(QUAD_BASE.replace("seeds = 3", "seeds = 0"))
+
+    def test_duplicate_key_cites_both_lines(self):
+        with pytest.raises(ConfigError, match="line 10: duplicate key 'beta', first set on line 2"):
+            parse_config(QUAD_BASE + "\nbeta = 0.9")
+
+    @pytest.mark.parametrize("old, new, line, message", [
+        ("seeds = 3", "seeds = 3\njobs = 0", 10, "jobs must be >= 1"),
+        ("max_iters = 80", "max_iters = -1", 8, "max_iters must be >= 0"),
+        ("seeds = 3", "seeds = 0", 9, "need at least one seed"),
+        ("seeds = 3", "seeds = 3\nnoise.sigma = -0.1", 10, "noise.sigma must be >= 0"),
+        ("dimension = 4\n", "", 3, "objective 'quadratic' needs dimension"),
+        ("objective = quadratic", "objective = lqr", 3, "objective lqr needs horizon"),
+        ("distribution = sphere\n", "", 1, "method 'smtp' needs a distribution"),
+    ], ids=["jobs", "max_iters", "seeds", "noise.sigma", "dimension", "lqr_size", "distribution"])
+    def test_validation_errors_name_their_line(self, old, new, line, message):
+        with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
+            parse_config(QUAD_BASE.replace(old, new))
+
+    @pytest.mark.parametrize("method, theorem", [
+        ("smtp", "IS-SC-DEP"), ("stp", "IS-NC"), ("smtp_is", "SC-DEP")])
+    def test_theorem_must_match_method(self, method, theorem, tmp_path, capsys):
+        text = QUAD_BASE.replace("method = smtp", f"method = {method}") + f"\ntheorem = {theorem}"
+        if method == "smtp_is":
+            text = text.replace("distribution = sphere", "distribution = coord_uniform")
+        with pytest.raises(ConfigError, match=f"line 10: theorem '{theorem}' does not apply"):
+            parse_config(text)
+        path = tmp_path / "mismatch.cfg"
+        path.write_text(text + "\n")
+        assert cli.main(["validate", "--config", str(path)]) == 1
+        assert "does not apply" in capsys.readouterr().err
 
     def test_fingerprint_ignores_execution_keys(self):
         a = parse_config(QUAD_BASE, label="a")
@@ -219,6 +250,17 @@ class TestBuilders:
         p, w = build_is_vectors(cfg, obj)
         np.testing.assert_array_equal(p, [0.1, 0.2, 0.3, 0.4])
         np.testing.assert_array_equal(w, [1.0, 2.0, 3.0, 4.0])
+
+    def test_is_p_must_be_a_distribution(self, tmp_path, capsys):
+        # caught by validate, before any run starts
+        text = QUAD_BASE.replace("method = smtp", "method = smtp_is")
+        text = text.replace("distribution = sphere\n", "") + "\nis.p = 0.1,0.2,0.3,0.5"
+        with pytest.raises(ConfigError, match="bad is.p: weights must sum to 1"):
+            run_once(parse_config(text), 0)
+        path = tmp_path / "bad_p.cfg"
+        path.write_text(text + "\n")
+        assert cli.main(["validate", "--config", str(path)]) == 1
+        assert "bad is.p" in capsys.readouterr().err
 
     def test_prop_L_needs_coordinate_metadata(self):
         text = "\n".join([
@@ -311,7 +353,8 @@ class TestRunExperiment:
         assert not (tmp_path / "cfgout").exists()
 
     def test_envelope_pass(self):
-        cfg = parse_config(QUAD_BASE + "\ntheorem = SC-DEP\nmax_iters = 400")
+        cfg = parse_config(QUAD_BASE.replace("max_iters = 80", "max_iters = 400")
+                           + "\ntheorem = SC-DEP")
         summary = run_experiment(cfg, write=False)
         assert summary.envelope_ok is True
         assert all(r.envelope_ok for r in summary.seed_results)
@@ -345,9 +388,9 @@ class TestCompare:
         assert rows[1]["median_evals"] < rows[0]["median_evals"]
 
     def test_beta_zero_is_identical_to_plain(self, tmp_path):
-        stp = parse_config(SHARED_STEP + "\nmethod = stp\nmax_iters = 500", label="a")
-        zero = parse_config(SHARED_STEP + "\nmethod = smtp\nbeta = 0.0\nmax_iters = 500",
-                            label="b")
+        short = SHARED_STEP.replace("max_iters = 4000", "max_iters = 500")
+        stp = parse_config(short + "\nmethod = stp", label="a")
+        zero = parse_config(short + "\nmethod = smtp\nbeta = 0.0", label="b")
         rows = compare_methods([stp, zero], out_dir=str(tmp_path))
         for key in ("n_reached", "median_evals", "min_evals", "max_evals"):
             assert rows[0][key] == rows[1][key]
@@ -441,10 +484,9 @@ class TestCli:
         capsys.readouterr()
 
     def test_compare_cli(self, tmp_path, capsys):
-        a = self._write(tmp_path, "stp.cfg", SHARED_STEP + "\nmethod = stp"
-                        + "\nmax_iters = 500")
-        b = self._write(tmp_path, "smtp0.cfg", SHARED_STEP + "\nmethod = smtp"
-                        + "\nbeta = 0.0" + "\nmax_iters = 500")
+        short = SHARED_STEP.replace("max_iters = 4000", "max_iters = 500")
+        a = self._write(tmp_path, "stp.cfg", short + "\nmethod = stp")
+        b = self._write(tmp_path, "smtp0.cfg", short + "\nmethod = smtp\nbeta = 0.0")
         code = cli.main(["compare", "--configs", a, b, "--out", str(tmp_path / "cmp")])
         assert code == 0
         out = capsys.readouterr().out.splitlines()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from threepoint.directions import DirectionDistribution, sample
+from threepoint.directions import DirectionDistribution, categorical_index, sample
 from threepoint.objectives import Objective, SmoothnessInfo, make_quadratic, make_rosenbrock
 from threepoint.optimizers import (
     NonFiniteObjectiveError,
@@ -13,7 +13,6 @@ from threepoint.optimizers import (
     init_state,
     select_uniform_random_iterate,
     smtp_is_run,
-    smtp_is_step,
     smtp_run,
     smtp_step,
     stp_run,
@@ -336,22 +335,23 @@ class TestRunLoop:
 
 class TestImportanceSampling:
     def test_step_oracle(self):
+        # an importance-sampled step is smtp_step along e_1, the index
+        # handed to the rule
         obj = make_quadratic(np.array([1.0, 4.0]))
         rule = ISConstant(0.5, np.array([1.0, 4.0]))
         state = init_state(obj, np.ones(2), beta=0.5)
-        state, rec = smtp_is_step(state, obj, rule, np.array([0.5, 0.5]),
-                                  np.random.default_rng(0), index=1)
+        state, rec = smtp_step(state, obj, None, rule, np.random.default_rng(0), index=1)
         # gamma = 0.5/4, effective step 0.25: z = (1, 0.75), f = 1.625, all dyadic
         assert rec.branch == "plus"
-        assert rec.direction_index == 1
         assert rec.gamma == 0.125
         assert rec.f_z_after == 1.625
         np.testing.assert_array_equal(state.z, np.array([1.0, 0.75]))
 
     def test_run_matches_manual_steps(self):
         # the run draws indices in chunks; the records, including the index
-        # and the L1 gradient norm, must equal one step per iteration that
-        # draws its own index, past the first chunk boundary
+        # and the L1 gradient norm, must equal a loop that draws i ~ p by its
+        # own inverse cdf and takes one smtp step along e_i, past the first
+        # chunk boundary
         coord_L = np.array([1.0, 2.0, 4.0, 8.0])
         p = coord_L / coord_L.sum()
         for rule in (ISConstant(0.05, coord_L), ISSolutionFree(coord_L, 0.01, 0.5)):
@@ -360,10 +360,14 @@ class TestImportanceSampling:
             obj = make_quadratic(coord_L)
             state = init_state(obj, np.ones(4), beta=0.5)
             rng = np.random.default_rng(8)
+            cdf = np.cumsum(p)
             manual = []
             for _ in range(1100):
-                state, rec = smtp_is_step(state, obj, rule, p, rng, cdf=np.cumsum(p),
-                                          track_grad_norm=True)
+                i = categorical_index(cdf, rng.random())
+                grad_l1 = float(np.sum(np.abs(obj.gradient(state.z))))
+                state, rec = smtp_step(state, obj, None, rule, rng, index=i)
+                rec.grad_norm_D = grad_l1
+                rec.direction_index = i
                 manual.append(rec)
             assert trace.records == manual, type(rule).__name__
             np.testing.assert_array_equal(trace.final_state.z, state.z)

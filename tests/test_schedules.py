@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from threepoint.diagnostics import bound_envelope
 from threepoint.directions import DirectionDistribution, constants
 from threepoint.schedules import (
     Constant,
@@ -20,6 +21,7 @@ from threepoint.schedules import (
     SolutionFree,
     StepContext,
     is_min_ratio,
+    is_substitution,
     is_sum_weighted_L,
     optimal_gamma0,
     quadratic_level_radius,
@@ -264,3 +266,86 @@ class TestRequiredIterations:
         with pytest.raises(ValueError, match="epsilon"):
             required_iterations("NC", dict(gap=1.0, L=1.0, gamma_d=1.0, mu_d=1.0,
                                            epsilon=0.0))
+
+
+def _is_reference(theorem_id, q, ks):
+    """The IS counts and envelopes as separate closed forms (S_w, m written
+    out), against which the substitution onto the plain forms is checked.
+    None marks a count above the admissible epsilon or a refused envelope."""
+    s_w = float(np.sum(q["coord_L"] * q["p"] / (q["w"] * q["w"])))
+    m = float(np.min(q["p"] / q["w"]))
+    gap, eps, beta, r0 = q["gap"], q["epsilon"], q["beta"], q["r0"]
+    log2 = max(0.0, math.log(2.0 * gap / eps))
+    if theorem_id == "IS-NC":
+        count = 2.0 * gap * s_w / (m**2 * eps**2)
+        env = math.sqrt(2.0 * gap * s_w) / m / np.sqrt(np.maximum(ks, 1.0))
+    elif theorem_id == "IS-CVX-CONST":
+        cap = r0**2 * s_w / m**2
+        count = cap / eps * log2 if eps <= cap else None
+        rate = 1.0 - q["gamma"] * m / ((1.0 - beta) * r0)
+        env = rate**ks * gap + q["gamma"] * r0 * s_w / (2.0 * (1.0 - beta) * m)
+        env = env if 0.0 <= rate < 1.0 else None
+    elif theorem_id == "IS-CVX-DEC":
+        lead = 2.0 * r0**2 / m**2
+        count = lead / eps * max((1.0 - beta) ** 2 * gap, s_w) - lead * (1.0 - beta) ** 2
+        cap = max(gap, 2.0 * s_w / (q["alpha"] * q["theta"] * (1.0 - beta) ** 2))
+        env = cap / (q["alpha"] / q["theta"] * ks + 1.0)
+    else:
+        count = s_w / (q["theta"] * q["mu"] * m**2) * max(0.0, math.log(gap / eps))
+        rate = 1.0 - q["theta"] * q["mu"] * m**2 / s_w
+        env = rate**ks * gap if 0.0 <= rate < 1.0 else None
+    return (None if count is None else max(0, math.ceil(count))), env
+
+
+class TestISSubstitution:
+    def test_plain_forms_reproduce_is_forms(self):
+        # IS-NC, IS-CVX-CONST, IS-CVX-DEC and IS-SC-DEP are computed as the
+        # plain guarantees with L = S_w, gamma_d = 1, mu_d = m.  Over random
+        # parameters the counts equal the IS closed forms exactly and the
+        # envelopes to rounding: IS-SC-DEP associates theta mu m^2 in another
+        # order, so its contraction factor may move by 2 ulp (4.4e-16), which
+        # k steps carry into rate^k at most k-fold
+        rng = np.random.default_rng(5)
+        ks = np.arange(41, dtype=float)
+        checked = 0
+        for _ in range(1000):
+            d = int(rng.integers(1, 9))
+            p = rng.random(d) + 0.01
+            q = dict(p=p / p.sum(), w=np.exp(rng.uniform(-3, 3, d)),
+                     coord_L=np.exp(rng.uniform(-3, 5, d)), gap=rng.uniform(0.0, 10.0),
+                     epsilon=np.exp(rng.uniform(-12, 2)), r0=np.exp(rng.uniform(-2, 3)),
+                     beta=rng.uniform(0.0, 0.95), mu=np.exp(rng.uniform(-6, 1)),
+                     gamma=np.exp(rng.uniform(-8, 0)), alpha=np.exp(rng.uniform(-3, 1)),
+                     kappa=5.0)  # ignored by the IS ids
+            q["theta"] = rng.uniform(0.01, 1.0) if rng.random() < 0.5 else 2.0 / q["alpha"]
+            for theorem_id in ("IS-NC", "IS-CVX-CONST", "IS-CVX-DEC", "IS-SC-DEP"):
+                count, ref = _is_reference(theorem_id, q, ks)
+                if count is None:
+                    with pytest.raises(ValueError, match="admissible"):
+                        required_iterations(theorem_id, q)
+                else:
+                    assert required_iterations(theorem_id, q) == count, (theorem_id, q)
+                if ref is None:
+                    with pytest.raises(ValueError):
+                        bound_envelope(theorem_id, q, 40)
+                    continue
+                env = bound_envelope(theorem_id, q, 40).values
+                if theorem_id == "IS-SC-DEP":
+                    tol = 4.5e-16 * q["gap"] * np.maximum(ks, 1.0) + 2.3e-16 * ref
+                    assert np.all(np.abs(env - ref) <= tol), q
+                else:
+                    np.testing.assert_allclose(env, ref, rtol=1e-15, atol=0.0)
+                checked += 1
+        assert checked > 3000
+
+    def test_mapping_and_passthrough(self):
+        q = dict(p=np.array([0.25, 0.75]), w=np.array([1.0, 2.0]),
+                 coord_L=np.array([2.0, 8.0]), kappa=3.0, mu=0.5)
+        name, mapped = is_substitution("IS-SC-DEP", q)
+        assert name == "SC-DEP" and "kappa" not in mapped
+        assert mapped["L"] == 0.5 + 1.5 and mapped["gamma_d"] == 1.0
+        assert mapped["mu_d"] == 0.25
+        assert is_substitution("IS-SC-FREE", q) == ("IS-SC-FREE", q)
+        assert is_substitution("SC-DEP", q) == ("SC-DEP", q)
+        with pytest.raises(ValueError, match="required_iterations\\('IS-NC'\\) missing parameter 'w'"):
+            required_iterations("IS-NC", dict(gap=1.0, epsilon=0.1, p=q["p"], coord_L=q["coord_L"]))
