@@ -68,11 +68,7 @@ def _cmd_validate(args) -> int:
 def _cmd_compare(args) -> int:
     configs = [harness.load_config(path) for path in args.configs]
     rows = harness.compare_methods(configs, out_dir=args.out)
-    print("label,n_seeds,n_reached,median_evals,min_evals,max_evals")
-    for row in rows:
-        print(f"{row['label']},{row['n_seeds']},{row['n_reached']},"
-              f"{harness._num(row['median_evals'])},{harness._num(row['min_evals'])},"
-              f"{harness._num(row['max_evals'])}")
+    print("\n".join(harness.compare_table(rows)))
     return 0
 
 

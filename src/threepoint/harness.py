@@ -26,7 +26,6 @@ DEFAULT_OUT = "runs"
 CSV_HEADER = "k,f_z,gamma,branch,evals,grad_norm_D"
 
 METHODS = ("stp", "smtp", "smtp_is")
-COORD_KINDS = ("coord_uniform", "coord_weighted")
 
 
 class ConfigError(ValueError):
@@ -84,73 +83,40 @@ class ExperimentConfig:
         return digest[:12]
 
 
-_KEY_TO_FIELD = {
-    "label": "label",
-    "method": "method",
-    "beta": "beta",
-    "seeds": "seeds",
-    "max_iters": "max_iters",
-    "epsilon": "epsilon",
-    "eval_budget": "eval_budget",
-    "track_grad_norm": "track_grad_norm",
-    "retain_internals": "retain_internals",
-    "x0": "x0",
-    "x0_scale": "x0_scale",
-    "objective": "objective",
-    "dimension": "dimension",
-    "coord_L": "coord_L",
-    "shift": "shift",
-    "horizon": "horizon",
-    "d_state": "d_state",
-    "d_ctrl": "d_ctrl",
-    "noise.sigma": "noise_sigma",
-    "noise.k": "noise_obs",
-    "distribution": "distribution",
-    "weights": "weights",
-    "basis": "basis",
-    "is.p": "is_p",
-    "is.w": "is_w",
-    "schedule.kind": "schedule_kind",
-    "schedule.gamma": "schedule_gamma",
-    "schedule.gamma0": "schedule_gamma0",
-    "schedule.alpha": "schedule_alpha",
-    "schedule.theta": "schedule_theta",
-    "schedule.t": "schedule_t",
-    "schedule.theta_k": "schedule_theta_k",
-    "schedule.horizon": "schedule_horizon",
-    "r0": "r0",
-    "theorem": "theorem",
-    "checkpoints": "checkpoints",
-    "out": "out",
-    "jobs": "jobs",
-}
+def _key(field_name: str) -> str:
+    """A field's config key: the noise_, is_ and schedule_ groups are dotted."""
+    if field_name == "noise_obs":
+        return "noise.k"
+    group, _, rest = field_name.partition("_")
+    return f"{group}.{rest}" if group in ("noise", "is", "schedule") else field_name
 
-_INT_FIELDS = {"max_iters", "eval_budget", "dimension", "horizon", "d_state", "d_ctrl",
-               "noise_obs", "schedule_horizon", "jobs"}
-_FLOAT_FIELDS = {"beta", "epsilon", "x0_scale", "noise_sigma", "schedule_gamma",
-                 "schedule_theta_k"}
-_BOOL_FIELDS = {"track_grad_norm", "retain_internals"}
+
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _parse_ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in raw.split(","))
+
+
+# annotations are strings (postponed evaluation), so convert by their text;
+# a field of any other type fails here, at import
+_CONVERTERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
+               "tuple[int, ...]": _parse_ints}
+_KEY_TO_FIELD = {_key(f.name): f.name for f in fields(ExperimentConfig)}
+_FIELD_CONVERTER = {f.name: _CONVERTERS[f.type.removesuffix(" | None")]
+                    for f in fields(ExperimentConfig)}
 
 
 def _parse_scalar(field_name: str, raw: str, lineno: int):
     try:
-        if field_name in _INT_FIELDS:
-            return int(raw)
-        if field_name in _FLOAT_FIELDS:
-            return float(raw)
-        if field_name in _BOOL_FIELDS:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(f"expected a boolean, got {raw!r}")
-        if field_name == "seeds":
-            if "," in raw:
-                return tuple(int(p) for p in raw.split(","))
-            return tuple(range(int(raw)))
-        if field_name == "checkpoints":
-            return tuple(int(p) for p in raw.split(","))
-        return raw
+        if field_name == "seeds" and "," not in raw:
+            return tuple(range(int(raw)))  # a seed count
+        return _FIELD_CONVERTER[field_name](raw)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: bad value for {field_name}: {exc}") from None
 
@@ -214,9 +180,9 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
     if cfg.schedule_kind not in schedules.SCHEDULE_KINDS:
         fail("schedule_kind", f"unknown schedule.kind {cfg.schedule_kind!r}")
     if cfg.method == "smtp_is":
-        if cfg.distribution is not None and cfg.distribution not in COORD_KINDS:
-            fail("distribution", "method smtp_is requires a coordinate distribution, "
-                 f"not {cfg.distribution!r}")
+        if cfg.distribution is not None:
+            fail("distribution", "method smtp_is takes no distribution: "
+                 "it draws coordinates by is.p")
     else:
         if cfg.distribution is None:
             fail("method", f"method {cfg.method!r} needs a distribution")
@@ -519,7 +485,7 @@ def run_once(cfg: ExperimentConfig, seed: int) -> tuple[optimizers.RunTrace, obj
     common = dict(
         max_iters=cfg.max_iters, seed=seed, epsilon_gap=cfg.epsilon,
         eval_budget=cfg.eval_budget, retain_internals=cfg.retain_internals,
-        track_grad_norm=cfg.track_grad_norm, config_fingerprint=cfg.fingerprint(),
+        track_grad_norm=cfg.track_grad_norm,
     )
     if cfg.method == "smtp_is":
         trace = optimizers.smtp_is_run(obj, parts.p, parts.schedule, cfg.beta, x0, **common)
@@ -723,25 +689,16 @@ def compare_methods(configs: list[ExperimentConfig], out_dir: str | None = None)
     rows = []
     for cfg in configs:
         evals = []
-        reached = 0
         for seed in cfg.seeds:
-            trace, obj = run_once(cfg, seed)
-            f_star = obj.smoothness.f_star
-            if f_star is None:
-                raise ValueError("compare needs objectives with known f_star")
-            hit = math.inf
-            for rec in trace.records:
-                if rec.f_z_after - f_star <= eps:
-                    hit = rec.evals_cumulative
-                    break
-            if math.isfinite(hit):
-                reached += 1
-            evals.append(hit)
+            # run_once stops at the first record within epsilon
+            trace, _ = run_once(cfg, seed)
+            reached = trace.stop_reason == "epsilon_gap"
+            evals.append(trace.records[-1].evals_cumulative if reached else math.inf)
         evals_arr = np.asarray(evals, dtype=float)
         rows.append({
             "label": cfg.label,
             "n_seeds": len(cfg.seeds),
-            "n_reached": reached,
+            "n_reached": int(np.sum(np.isfinite(evals_arr))),
             "median_evals": float(np.median(evals_arr)),
             "min_evals": float(np.min(evals_arr)),
             "max_evals": float(np.max(evals_arr)),
@@ -749,14 +706,19 @@ def compare_methods(configs: list[ExperimentConfig], out_dir: str | None = None)
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        lines = ["label,n_seeds,n_reached,median_evals,min_evals,max_evals"]
-        for row in rows:
-            lines.append(
-                f"{row['label']},{row['n_seeds']},{row['n_reached']},"
-                f"{_num(row['median_evals'])},{_num(row['min_evals'])},{_num(row['max_evals'])}")
         with open(os.path.join(out_dir, "compare.csv"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join(compare_table(rows)) + "\n")
     return rows
+
+
+def compare_table(rows: list[dict]) -> list[str]:
+    """The lines of compare.csv, header first; the CLI prints the same lines."""
+    lines = ["label,n_seeds,n_reached,median_evals,min_evals,max_evals"]
+    for row in rows:
+        lines.append(
+            f"{row['label']},{row['n_seeds']},{row['n_reached']},"
+            f"{_num(row['median_evals'])},{_num(row['min_evals'])},{_num(row['max_evals'])}")
+    return lines
 
 
 def _num(x: float) -> str:

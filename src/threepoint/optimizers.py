@@ -68,7 +68,6 @@ class IterationRecord:
 class RunTrace:
     records: list[IterationRecord]
     final_state: OptimizerState
-    config_fingerprint: str
     seed: int | None
     f0: float
     stop_reason: str
@@ -278,8 +277,8 @@ def stp_step(
 
 
 def _run_loop(step, objective, dist, schedule, beta, x0, max_iters, seed, epsilon_gap,
-              eval_budget, retain_internals, track_grad_norm, config_fingerprint,
-              norm_constants, record_index=False):
+              eval_budget, retain_internals, track_grad_norm, norm_constants,
+              record_index=False):
     """Drive step (smtp_step's signature) over max_iters directions of dist.
 
     Directions come from draws(), a bounded chunk at a time.  A context-free
@@ -319,7 +318,7 @@ def _run_loop(step, objective, dist, schedule, beta, x0, max_iters, seed, epsilo
         if eval_budget is not None and objective.eval_counter - start_evals >= eval_budget:
             stop_reason = "eval_budget"
             break
-    return RunTrace(records, state, config_fingerprint, seed, f0, stop_reason, z_before, s_kept)
+    return RunTrace(records, state, seed, f0, stop_reason, z_before, s_kept)
 
 
 def smtp_run(
@@ -334,7 +333,6 @@ def smtp_run(
     eval_budget: int | None = None,
     retain_internals: bool = False,
     track_grad_norm: bool = False,
-    config_fingerprint: str = "",
 ) -> RunTrace:
     """Run smtp from x0 for up to max_iters iterations.
 
@@ -343,8 +341,7 @@ def smtp_run(
     this run reach eval_budget.
     """
     return _run_loop(smtp_step, objective, dist, schedule, beta, x0, max_iters, seed, epsilon_gap,
-                     eval_budget, retain_internals, track_grad_norm, config_fingerprint,
-                     constants(dist))
+                     eval_budget, retain_internals, track_grad_norm, constants(dist))
 
 
 def stp_run(
@@ -358,12 +355,10 @@ def stp_run(
     eval_budget: int | None = None,
     retain_internals: bool = False,
     track_grad_norm: bool = False,
-    config_fingerprint: str = "",
 ) -> RunTrace:
     """Run the momentum-free baseline; trace-compatible with smtp at beta=0."""
     return _run_loop(stp_step, objective, dist, schedule, 0.0, x0, max_iters, seed, epsilon_gap,
-                     eval_budget, retain_internals, track_grad_norm, config_fingerprint,
-                     constants(dist))
+                     eval_budget, retain_internals, track_grad_norm, constants(dist))
 
 
 def smtp_is_run(
@@ -378,7 +373,6 @@ def smtp_is_run(
     eval_budget: int | None = None,
     retain_internals: bool = False,
     track_grad_norm: bool = False,
-    config_fingerprint: str = "",
 ) -> RunTrace:
     """Run smtp_is with coordinate probabilities p (importance sampling).
 
@@ -394,8 +388,8 @@ def smtp_is_run(
     dist = DirectionDistribution("coord_weighted", objective.dimension, weights=p)
     l1 = constants(DirectionDistribution("coord_uniform", objective.dimension))
     return _run_loop(smtp_step, objective, dist, schedule, beta, x0, max_iters, seed, epsilon_gap,
-                     eval_budget, retain_internals, track_grad_norm, config_fingerprint,
-                     l1, record_index=True)
+                     eval_budget, retain_internals, track_grad_norm, l1,
+                     record_index=True)
 
 
 def select_uniform_random_iterate(trace: RunTrace, rng: np.random.Generator) -> tuple[int, np.ndarray]:

@@ -34,7 +34,7 @@ def _synthetic_trace(gaps, beta=0.0, f_star=0.0):
     d = 1
     state = OptimizerState(np.zeros(d), np.zeros(d), np.zeros(d),
                            f_star + gaps[-1], len(records), beta)
-    return RunTrace(records, state, "", 0, f_star + gaps[0], "max_iters")
+    return RunTrace(records, state, 0, f_star + gaps[0], "max_iters")
 
 
 class TestBoundEnvelope:
@@ -195,7 +195,7 @@ class TestVerifyInequalities:
         f0 = obj._fn(z)
         rec = IterationRecord(0, f_after, gamma, "plus", 3)
         state = OptimizerState(z, np.zeros_like(z), z, f_after, 1, beta)
-        return RunTrace([rec], state, "", 0, f0, "max_iters", [z], [s])
+        return RunTrace([rec], state, 0, f0, "max_iters", [z], [s])
 
     def test_box_exit_classified_separately(self):
         obj = make_rosenbrock(2)

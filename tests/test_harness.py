@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,10 +161,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match="objective lqr needs horizon"):
             parse_config(QUAD_BASE.replace("objective = quadratic", "objective = lqr"))
 
-    def test_is_requires_coordinate_distribution(self):
+    def test_is_takes_no_distribution(self):
+        # is.p is smtp_is's coordinate law, so even a coordinate kind would go unused
         text = QUAD_BASE.replace("method = smtp", "method = smtp_is")
-        with pytest.raises(ConfigError, match="coordinate"):
-            parse_config(text)  # sphere is still configured
+        for kind in ("coord_uniform", "coord_weighted"):
+            with pytest.raises(ConfigError, match="^line 6: method smtp_is takes no distribution"):
+                parse_config(text.replace("distribution = sphere", f"distribution = {kind}"))
 
     def test_solution_free_rejects_gaussian(self):
         text = QUAD_BASE.replace("distribution = sphere", "distribution = gaussian")
@@ -187,7 +191,9 @@ class TestParsing:
         ("dimension = 4\n", "", 3, "objective 'quadratic' needs dimension"),
         ("objective = quadratic", "objective = lqr", 3, "objective lqr needs horizon"),
         ("distribution = sphere\n", "", 1, "method 'smtp' needs a distribution"),
-    ], ids=["jobs", "max_iters", "seeds", "noise.sigma", "dimension", "lqr_size", "distribution"])
+        ("method = smtp", "method = smtp_is", 6, "method smtp_is takes no distribution"),
+    ], ids=["jobs", "max_iters", "seeds", "noise.sigma", "dimension", "lqr_size", "distribution",
+            "smtp_is_distribution"])
     def test_validation_errors_name_their_line(self, old, new, line, message):
         with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
             parse_config(QUAD_BASE.replace(old, new))
@@ -196,14 +202,28 @@ class TestParsing:
         ("smtp", "IS-SC-DEP"), ("stp", "IS-NC"), ("smtp_is", "SC-DEP")])
     def test_theorem_must_match_method(self, method, theorem, tmp_path, capsys):
         text = QUAD_BASE.replace("method = smtp", f"method = {method}") + f"\ntheorem = {theorem}"
+        line = 10
         if method == "smtp_is":
-            text = text.replace("distribution = sphere", "distribution = coord_uniform")
-        with pytest.raises(ConfigError, match=f"line 10: theorem '{theorem}' does not apply"):
+            text, line = text.replace("distribution = sphere\n", ""), 9
+        with pytest.raises(ConfigError, match=f"line {line}: theorem '{theorem}' does not apply"):
             parse_config(text)
         path = tmp_path / "mismatch.cfg"
         path.write_text(text + "\n")
         assert cli.main(["validate", "--config", str(path)]) == 1
         assert "does not apply" in capsys.readouterr().err
+
+    def test_keys_match_readme_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("### Config keys", 1)[1].split("\n## ", 1)[0]
+        documented = set()
+        for row in table.splitlines():
+            if row.startswith("| `"):
+                documented.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+        assert documented == set(harness._KEY_TO_FIELD)
+        # a key is not its field's name
+        for key, value in [("schedule_gamma", "0.1"), ("noise_obs", "2"), ("is_p", "uniform")]:
+            with pytest.raises(ConfigError, match=f"^line 10: unknown key '{key}'"):
+                parse_config(f"{QUAD_BASE}\n{key} = {value}")
 
     def test_fingerprint_ignores_execution_keys(self):
         a = parse_config(QUAD_BASE, label="a")
