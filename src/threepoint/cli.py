@@ -57,10 +57,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = harness.load_config(args.config)
-    # building one seed end to end catches metadata problems parsing cannot
-    obj = harness.build_objective(cfg, cfg.seeds[0])
-    x0 = harness.build_x0(cfg, obj.dimension)
-    harness.build_run(cfg, obj, x0)
+    # run's own preparation catches metadata problems parsing cannot
+    harness.prepare(cfg)
     print(f"ok label={cfg.label} fingerprint={cfg.fingerprint()}")
     return 0
 

@@ -106,9 +106,9 @@ def bound_envelope(theorem_id: str, params: dict, n_iters: int) -> BoundEnvelope
 class RateFit:
     """Least-squares fit of log(gap) against k.
 
-    kind is "linear" (geometric decay, rate = per-iteration contraction) or
-    "sublinear" (log-log fit, rate = power exponent).  hit_zero marks traces
-    that reached gap 0 exactly, where the fit is replaced by contraction 0.
+    kind is always "linear": geometric decay, rate = per-iteration
+    contraction.  hit_zero marks traces that reached gap 0 exactly, where
+    the fit is replaced by contraction 0.
     """
 
     kind: str

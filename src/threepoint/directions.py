@@ -146,6 +146,22 @@ _DRAW_ROWS = 1024
 _DRAW_FLOATS = 1 << 16
 
 
+def _raw_chunks(dist: DirectionDistribution, rng: np.random.Generator, n: int, rows: int):
+    """Yield the raw draws of n directions, at most rows at a time: an (m, dim)
+    block of standard normals for sphere and gaussian, m indices for the
+    other kinds.  This is the one place directions consume the stream."""
+    d = dist.dim
+    while n > 0:
+        m = min(rows, n)
+        n -= m
+        if dist.kind in ("sphere", "gaussian"):
+            yield rng.standard_normal((m, d))
+        elif dist.kind == "coord_uniform":
+            yield rng.integers(d, size=m)
+        else:
+            yield np.minimum(np.searchsorted(dist.cdf, rng.random(m), side="right"), d - 1)
+
+
 def draws(dist: DirectionDistribution, rng: np.random.Generator, n: int):
     """Yield n directions as (s, index) pairs, drawn a bounded chunk at a time.
 
@@ -157,28 +173,20 @@ def draws(dist: DirectionDistribution, rng: np.random.Generator, n: int):
     """
     d = dist.dim
     kind = dist.kind
-    rows = max(1, min(_DRAW_ROWS, _DRAW_FLOATS // d))
-    while n > 0:
-        m = min(rows, n)
-        n -= m
+    scale = math.sqrt(d)
+    for raw in _raw_chunks(dist, rng, n, max(1, min(_DRAW_ROWS, _DRAW_FLOATS // d))):
         if kind == "sphere":
-            for g in rng.standard_normal((m, d)):
+            for g in raw:
                 yield g / math.sqrt(g @ g), None
         elif kind == "gaussian":
-            scale = math.sqrt(d)
-            for g in rng.standard_normal((m, d)):
+            for g in raw:
                 yield g / scale, None
-        elif kind == "coord_uniform":
-            for i in rng.integers(d, size=m).tolist():
-                yield None, i
+        elif kind == "orthonormal_weighted":
+            for i in raw.tolist():
+                yield dist.basis[:, i].copy(), None
         else:
-            idx = np.minimum(np.searchsorted(dist.cdf, rng.random(m), side="right"), d - 1)
-            if kind == "coord_weighted":
-                for i in idx.tolist():
-                    yield None, i
-            else:
-                for i in idx.tolist():
-                    yield dist.basis[:, i].copy(), None
+            for i in raw.tolist():
+                yield None, i
 
 
 def d_norm(c: DistributionConstants, g: np.ndarray) -> float:
@@ -241,35 +249,23 @@ def mc_validate(
 
     gamma_sum = 0.0
     inner_sum = 0.0
-    done = 0
-    while done < n_samples:
-        n = min(_CHUNK, n_samples - done)
-        if dist.kind == "sphere":
-            block = rng.standard_normal((n, d))
-            block /= np.sqrt(np.einsum("ij,ij->i", block, block))[:, None]
-            gamma_sum += float(np.sum(np.einsum("ij,ij->i", block, block)))
-            inner_sum += float(np.sum(np.abs(block @ g)))
-        elif dist.kind == "gaussian":
-            block = rng.standard_normal((n, d)) / math.sqrt(d)
-            gamma_sum += float(np.sum(np.einsum("ij,ij->i", block, block)))
-            inner_sum += float(np.sum(np.abs(block @ g)))
-        elif dist.kind == "coord_uniform":
-            idx = rng.integers(d, size=n)
-            gamma_sum += float(n)
-            inner_sum += float(np.sum(np.abs(g[idx])))
-        elif dist.kind == "coord_weighted":
-            idx = np.minimum(np.searchsorted(dist.cdf, rng.random(n), side="right"), d - 1)
-            gamma_sum += float(n)
-            inner_sum += float(np.sum(np.abs(g[idx])))
+    if dist.kind == "orthonormal_weighted":
+        proj = dist.basis.T @ g
+        col_sq = np.sum(dist.basis * dist.basis, axis=0)
+    for raw in _raw_chunks(dist, rng, n_samples, _CHUNK):
+        if dist.kind in ("sphere", "gaussian"):
+            if dist.kind == "sphere":
+                raw /= np.sqrt(np.einsum("ij,ij->i", raw, raw))[:, None]
+            else:
+                raw /= math.sqrt(d)
+            gamma_sum += float(np.sum(np.einsum("ij,ij->i", raw, raw)))
+            inner_sum += float(np.sum(np.abs(raw @ g)))
         elif dist.kind == "orthonormal_weighted":
-            idx = np.minimum(np.searchsorted(dist.cdf, rng.random(n), side="right"), d - 1)
-            proj = dist.basis.T @ g
-            col_sq = np.sum(dist.basis * dist.basis, axis=0)
-            gamma_sum += float(np.sum(col_sq[idx]))
-            inner_sum += float(np.sum(np.abs(proj[idx])))
+            gamma_sum += float(np.sum(col_sq[raw]))
+            inner_sum += float(np.sum(np.abs(proj[raw])))
         else:
-            raise ValueError(f"unknown kind {dist.kind!r}")
-        done += n
+            gamma_sum += float(raw.size)
+            inner_sum += float(np.sum(np.abs(g[raw])))
 
     gamma_hat = gamma_sum / n_samples
     inner_hat = inner_sum / n_samples

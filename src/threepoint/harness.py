@@ -195,6 +195,8 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
         fail("max_iters", "max_iters must be >= 0")
     if len(cfg.seeds) < 1:
         fail("seeds", "need at least one seed")
+    if len(set(cfg.seeds)) != len(cfg.seeds):
+        fail("seeds", "seeds must not repeat")
     if cfg.noise_sigma is not None and cfg.noise_sigma < 0:
         fail("noise_sigma", "noise.sigma must be >= 0")
     if cfg.theorem is not None:
@@ -203,6 +205,13 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
         if cfg.theorem.startswith("IS-") != (cfg.method == "smtp_is"):
             fail("theorem", f"theorem {cfg.theorem!r} does not apply to method {cfg.method!r}; "
                  "the IS- theorems are smtp_is's, the others stp's and smtp's")
+        if cfg.max_iters < 1:
+            fail("max_iters", "an envelope check needs max_iters >= 1")
+        if cfg.theorem in ("NC", "IS-NC") and not cfg.track_grad_norm:
+            fail("theorem", f"theorem {cfg.theorem!r} bounds the gradient norm: "
+                 "it needs track_grad_norm = true")
+    if cfg.checkpoints and not all(1 <= k <= cfg.max_iters for k in cfg.checkpoints):
+        fail("checkpoints", "checkpoints must lie in [1, max_iters]")
     if cfg.jobs < 1:
         fail("jobs", "jobs must be >= 1")
 
@@ -504,13 +513,6 @@ def _gap_at(trace: optimizers.RunTrace, f_star: float, k: int) -> float:
     return trace.records[idx].f_z_after - f_star
 
 
-def _grad_running_mean(trace: optimizers.RunTrace, k: int) -> float:
-    vals = [r.grad_norm_D for r in trace.records[:k]]
-    if not vals or any(v is None for v in vals):
-        raise ConfigError("NC envelope checks need track_grad_norm = true")
-    return float(np.mean(vals))
-
-
 def _envelope_params(cfg: ExperimentConfig, obj, x0, parts: RunParts) -> dict:
     """The constants a theorem's envelope reads; an IS theorem maps p, w and
     coord_L onto L, gamma_d and mu_d itself, so one set serves both kinds."""
@@ -536,17 +538,23 @@ def _envelope_params(cfg: ExperimentConfig, obj, x0, parts: RunParts) -> dict:
     return {k: v for k, v in params.items() if v is not None}
 
 
-def _checkpoints(cfg: ExperimentConfig) -> list[int]:
-    if cfg.checkpoints:
-        ks = sorted(set(int(k) for k in cfg.checkpoints))
-        if any(k < 1 or k > cfg.max_iters for k in ks):
-            raise ConfigError("checkpoints must lie in [1, max_iters]")
-        return ks
-    quarters = {max(1, cfg.max_iters // 4), max(1, cfg.max_iters // 2), max(1, cfg.max_iters)}
-    return sorted(quarters)
+def prepare(cfg: ExperimentConfig) -> tuple[list[int] | None, np.ndarray | None]:
+    """Do what a run does before its first seed: build that seed's objective,
+    x0 and run parts, and with a theorem its envelope.  Returns the
+    checkpoints and the envelope's values there, both None without a theorem.
+    """
+    obj = build_objective(cfg, cfg.seeds[0])
+    x0 = build_x0(cfg, obj.dimension)
+    parts = build_run(cfg, obj, x0)
+    if cfg.theorem is None:
+        return None, None
+    params = _envelope_params(cfg, obj, x0, parts)
+    m = cfg.max_iters  # default checkpoints: K/4, K/2, K
+    ks = sorted(set(cfg.checkpoints or (max(1, m // 4), max(1, m // 2), m)))
+    return ks, diagnostics.bound_envelope(cfg.theorem, params, cfg.max_iters).values[ks]
 
 
-def _seed_worker(cfg: ExperimentConfig, seed: int, out_dir: str | None):
+def _seed_worker(cfg: ExperimentConfig, seed: int, out_dir: str | None, ks: list[int] | None):
     t0 = time.perf_counter()
     trace, obj = run_once(cfg, seed)
     wall = time.perf_counter() - t0
@@ -565,10 +573,9 @@ def _seed_worker(cfg: ExperimentConfig, seed: int, out_dir: str | None):
             pass
     # the NC guarantees bound the running mean gradient norm, the others the gap
     checked = None
-    if cfg.theorem is not None:
-        ks = _checkpoints(cfg)
+    if ks is not None:
         if cfg.theorem in ("NC", "IS-NC"):
-            checked = [_grad_running_mean(trace, k) for k in ks]
+            checked = [float(np.mean([r.grad_norm_D for r in trace.records[:k]])) for k in ks]
         else:
             checked = [_gap_at(trace, f_star, k) for k in ks]
     result = SeedResult(
@@ -593,6 +600,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     otherwise the seed-mean trajectory is compared against 1.05 x envelope
     at the checkpoints.
     """
+    ks, bounds = prepare(cfg)
     if write:
         base = out_dir or cfg.out or os.environ.get(ENV_OUT) or DEFAULT_OUT
         target = os.path.join(base, cfg.label)
@@ -601,29 +609,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         target = None
     jobs = jobs if jobs is not None else cfg.jobs
 
-    envelope = None
-    ks = None
-    if cfg.theorem is not None:
-        obj = build_objective(cfg, cfg.seeds[0])
-        x0 = build_x0(cfg, obj.dimension)
-        params = _envelope_params(cfg, obj, x0, build_run(cfg, obj, x0))
-        ks = _checkpoints(cfg)
-        envelope = diagnostics.bound_envelope(cfg.theorem, params, cfg.max_iters)
-
-    if jobs > 1 and len(cfg.seeds) > 1:
+    n = len(cfg.seeds)
+    if jobs > 1 and n > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            payloads = list(pool.map(_seed_worker, [cfg] * len(cfg.seeds), cfg.seeds,
-                                     [target] * len(cfg.seeds)))
+            payloads = list(pool.map(_seed_worker, [cfg] * n, cfg.seeds, [target] * n, [ks] * n))
     else:
-        payloads = [_seed_worker(cfg, seed, target) for seed in cfg.seeds]
+        # in-process, through the module global run_once, so wrappers of it see every seed
+        payloads = [_seed_worker(cfg, seed, target, ks) for seed in cfg.seeds]
 
     results = [p[0] for p in payloads]
     envelope_ok = None
-    if envelope is not None:
+    if bounds is not None:
         tol = 1.05
         series = np.array([p[1] for p in payloads])
         means = series.mean(axis=0)
-        bounds = envelope.values[list(ks)]
         envelope_ok = bool(np.all(means <= tol * bounds))
         for result, row in zip(results, series):
             result.envelope_ok = bool(np.all(row <= tol * bounds))
@@ -673,8 +672,9 @@ def compare_methods(configs: list[ExperimentConfig], out_dir: str | None = None)
     """Evaluations-to-target table across configs sharing one objective.
 
     Every config must declare the same objective block and the same epsilon
-    (the gap target).  Rows report median/min/max evaluations over seeds;
-    seeds that never reach the target count as inf.
+    (the gap target).  Each config runs through run_experiment, unwritten.
+    Rows report median/min/max evaluations over seeds; seeds that never
+    reach the target count as inf.
     """
     if len(configs) < 2:
         raise ValueError("compare needs at least two configs")
@@ -688,13 +688,10 @@ def compare_methods(configs: list[ExperimentConfig], out_dir: str | None = None)
 
     rows = []
     for cfg in configs:
-        evals = []
-        for seed in cfg.seeds:
-            # run_once stops at the first record within epsilon
-            trace, _ = run_once(cfg, seed)
-            reached = trace.stop_reason == "epsilon_gap"
-            evals.append(trace.records[-1].evals_cumulative if reached else math.inf)
-        evals_arr = np.asarray(evals, dtype=float)
+        # a seed stops at the first record within epsilon
+        evals_arr = np.array([r.evals if r.stop_reason == "epsilon_gap" else math.inf
+                              for r in run_experiment(cfg, write=False).seed_results],
+                             dtype=float)
         rows.append({
             "label": cfg.label,
             "n_seeds": len(cfg.seeds),

@@ -17,7 +17,6 @@ import numpy as np
 
 from .directions import (
     DirectionDistribution,
-    DistributionConstants,
     categorical_index,  # noqa: F401 - perfbench's traced runs wrap this name here
     constants,
     d_norm,
@@ -123,8 +122,9 @@ def _unit(d: int, i: int) -> np.ndarray:
 def _rule_stepsize(objective, schedule, k: int, z, f_z: float, s, index: int | None) -> float:
     """Stepsize for iteration k, probing f(z + t s) first if the rule needs it.
 
-    index = i says s = e_i: the probe point then changes coordinate i alone,
-    and the rule sees i (the importance-sampling rules scale by it).
+    index = i says s = e_i, and s is then None: the probe point changes
+    coordinate i alone, and the rule sees i (the importance-sampling rules
+    scale by it).
     """
     probe = None
     if schedule.needs_probe:
@@ -146,8 +146,6 @@ def smtp_step(
     schedule,
     rng: np.random.Generator,
     s: np.ndarray | None = None,
-    norm_constants: DistributionConstants | None = None,
-    track_grad_norm: bool = False,
     index: int | None = None,
     gamma: float | None = None,
 ) -> tuple[OptimizerState, IterationRecord]:
@@ -155,9 +153,10 @@ def smtp_step(
 
     Pass a pre-sampled s to control the direction (the run loop does this);
     otherwise one direction is drawn from rng.  index = i says the direction
-    is the coordinate vector e_i: s may then be left out, and the candidates
-    change coordinate i alone.  A given gamma replaces the schedule's
-    stepsize; the run loop passes the value of a context-free rule.
+    is the coordinate vector e_i: s is then left out, and the candidates and
+    the momentum update change coordinate i alone.  A given gamma replaces
+    the schedule's stepsize; the run loop passes the value of a context-free
+    rule.
     """
     if s is None and index is None:
         s = sample(dist, rng)
@@ -167,13 +166,7 @@ def smtp_step(
     beta = state.beta
 
     if gamma is None:
-        if s is None:
-            s = _unit(z.shape[0], index)
         gamma = _rule_stepsize(objective, schedule, k, z, f_z, s, index)
-
-    grad_norm = None
-    if track_grad_norm:
-        grad_norm = d_norm(norm_constants, objective.gradient(z))
 
     h = gamma / (1.0 - beta)
     if index is None:
@@ -192,14 +185,15 @@ def smtp_step(
         raise NonFiniteObjectiveError(k, f_p if not math.isfinite(f_p) else f_m)
 
     if f_p < f_z or f_m < f_z:
-        if s is None:
-            s = _unit(z.shape[0], index)
         if f_p <= f_m:
-            branch, z_new, f_new = PLUS, z_p, f_p
-            v_new = beta * state.v + s
+            branch, z_new, f_new, sign = PLUS, z_p, f_p, 1.0
         else:
-            branch, z_new, f_new = MINUS, z_m, f_m
-            v_new = beta * state.v - s
+            branch, z_new, f_new, sign = MINUS, z_m, f_m, -1.0
+        v_new = beta * state.v
+        if index is None:
+            v_new += sign * s
+        else:
+            v_new[index] += sign
         c = gamma * beta / (1.0 - beta)
         state.x = (z + c * state.v) - gamma * v_new
         state.v = v_new
@@ -209,7 +203,7 @@ def smtp_step(
     else:
         branch, f_new = STAY, f_z
     state.k = k + 1
-    return state, IterationRecord(k, f_new, gamma, branch, objective.eval_counter, grad_norm)
+    return state, IterationRecord(k, f_new, gamma, branch, objective.eval_counter)
 
 
 def stp_step(
@@ -219,8 +213,6 @@ def stp_step(
     schedule,
     rng: np.random.Generator,
     s: np.ndarray | None = None,
-    norm_constants: DistributionConstants | None = None,
-    track_grad_norm: bool = False,
     index: int | None = None,
     gamma: float | None = None,
 ) -> tuple[OptimizerState, IterationRecord]:
@@ -238,13 +230,7 @@ def stp_step(
     k = state.k
 
     if gamma is None:
-        if s is None:
-            s = _unit(x.shape[0], index)
         gamma = _rule_stepsize(objective, schedule, k, x, f_x, s, index)
-
-    grad_norm = None
-    if track_grad_norm:
-        grad_norm = d_norm(norm_constants, objective.gradient(x))
 
     if index is None:
         gs = gamma * s
@@ -273,7 +259,7 @@ def stp_step(
     else:
         branch, f_new = STAY, f_x
     state.k = k + 1
-    return state, IterationRecord(k, f_new, gamma, branch, objective.eval_counter, grad_norm)
+    return state, IterationRecord(k, f_new, gamma, branch, objective.eval_counter)
 
 
 def _run_loop(step, objective, dist, schedule, beta, x0, max_iters, seed, epsilon_gap,
@@ -283,9 +269,9 @@ def _run_loop(step, objective, dist, schedule, beta, x0, max_iters, seed, epsilo
 
     Directions come from draws(), a bounded chunk at a time.  A context-free
     rule is evaluated once, still through stepsize() so its validity check
-    holds, and its value is handed to every step.  norm_constants measure
-    the tracked gradient norm; record_index stores each drawn coordinate in
-    its record.
+    holds, and its value is handed to every step.  The step moves; the loop
+    records: the gradient norm at z before each step, measured by
+    norm_constants, and with record_index the drawn coordinate.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
@@ -307,8 +293,11 @@ def _run_loop(step, objective, dist, schedule, beta, x0, max_iters, seed, epsilo
         if retain_internals:
             z_before.append(state.z)
             s_kept.append(_unit(dist.dim, i) if s is None else s)
-        state, rec = step(state, objective, dist, schedule, rng, s, norm_constants,
-                          track_grad_norm, i, gamma)
+        if track_grad_norm:
+            grad_norm = d_norm(norm_constants, objective.gradient(state.z))
+        state, rec = step(state, objective, dist, schedule, rng, s, i, gamma)
+        if track_grad_norm:
+            rec.grad_norm_D = grad_norm
         if record_index:
             rec.direction_index = i
         records.append(rec)

@@ -57,6 +57,8 @@ def _require_index(ctx: StepContext) -> int:
 
 
 def _require_unit(ctx: StepContext) -> None:
+    if ctx.direction is None and ctx.direction_index is not None:
+        return  # s = e_i, a unit vector
     if ctx.direction is None:
         raise ValueError("solution-free rule needs the direction in the context")
     n = float(np.dot(ctx.direction, ctx.direction))

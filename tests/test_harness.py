@@ -192,8 +192,13 @@ class TestParsing:
         ("objective = quadratic", "objective = lqr", 3, "objective lqr needs horizon"),
         ("distribution = sphere\n", "", 1, "method 'smtp' needs a distribution"),
         ("method = smtp", "method = smtp_is", 6, "method smtp_is takes no distribution"),
+        ("seeds = 3", "seeds = 3,3", 9, "seeds must not repeat"),
+        ("seeds = 3", "seeds = 3\ntheorem = NC", 10,
+         "theorem 'NC' bounds the gradient norm: it needs track_grad_norm = true"),
+        ("max_iters = 80", "max_iters = 0\ntheorem = SC-DEP", 8,
+         "an envelope check needs max_iters >= 1"),
     ], ids=["jobs", "max_iters", "seeds", "noise.sigma", "dimension", "lqr_size", "distribution",
-            "smtp_is_distribution"])
+            "smtp_is_distribution", "repeated_seeds", "nc_needs_grad_norm", "envelope_max_iters"])
     def test_validation_errors_name_their_line(self, old, new, line, message):
         with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
             parse_config(QUAD_BASE.replace(old, new))
@@ -391,9 +396,8 @@ class TestRunExperiment:
         assert summary.envelope_ok is None
 
     def test_checkpoints_validated(self):
-        cfg = parse_config(QUAD_BASE + "\ntheorem = SC-DEP\ncheckpoints = 10,5000")
-        with pytest.raises(ConfigError, match=r"checkpoints must lie in \[1, max_iters\]"):
-            run_experiment(cfg, write=False)
+        with pytest.raises(ConfigError, match=r"^line 11: checkpoints must lie in \[1, max_iters\]"):
+            parse_config(QUAD_BASE + "\ntheorem = SC-DEP\ncheckpoints = 10,5000")
 
 
 class TestCompare:
@@ -445,6 +449,24 @@ class TestCompare:
         with pytest.raises(ValueError, match="epsilon"):
             compare_methods([c, d])
 
+    def test_honours_jobs(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        short = SHARED_STEP.replace("max_iters = 4000", "max_iters = 500")
+        configs = [parse_config(short + f"\nmethod = {m}", label=m) for m in ("stp", "smtp")]
+        rows = compare_methods(configs)
+        assert pools == []
+        for cfg in configs:
+            cfg.jobs = 2
+        assert compare_methods(configs) == rows
+        assert pools == [2, 2]
+
     def test_requires_two_configs(self):
         with pytest.raises(ValueError, match="at least two"):
             compare_methods([parse_config(QUAD_BASE)])
@@ -492,6 +514,19 @@ class TestCli:
         cfg_path = self._write(tmp_path, "bad.cfg", text)
         assert cli.main(["validate", "--config", cfg_path]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("seeds = 3", "seeds = 3\ntheorem = CVX-CONST", "needs r0"),
+        ("seeds = 3", "seeds = 3\ntheorem = SC-DEP\ncheckpoints = 10,5000",
+         "line 11: checkpoints must lie in [1, max_iters]"),
+        ("seeds = 3", "seeds = 3,3", "line 9: seeds must not repeat"),
+    ], ids=["cvx_without_r0", "checkpoints_range", "repeated_seeds"])
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, old, new, message):
+        cfg_path = self._write(tmp_path, "bad.cfg", QUAD_BASE.replace(old, new))
+        assert cli.main(["validate", "--config", cfg_path]) == 1
+        assert message in capsys.readouterr().err
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1

@@ -129,6 +129,8 @@ class TestRuleValidation:
             stepsize(rule, _ctx(direction=np.array([1.0])))
         with pytest.raises(ValueError, match="1"):
             stepsize(rule, _ctx(probe=2.0, direction=np.array([2.0, 0.0])))
+        # an index alone stands for e_i, which has unit norm
+        assert stepsize(rule, _ctx(probe=1.5, index=1)) == pytest.approx(5.0)
 
     def test_is_rules_need_index(self):
         with pytest.raises(ValueError, match="direction_index"):
