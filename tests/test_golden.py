@@ -38,6 +38,13 @@ SCHEDULES = {
     "solution_free": "schedule.kind = solution_free\nschedule.t = 0.001",
 }
 
+# the remaining rules, pinned on one plain and one importance-sampling case each
+MORE_SCHEDULES = {
+    "decreasing": "schedule.kind = decreasing\nschedule.alpha = 1\nschedule.theta = 4",
+    "fixed_horizon": "schedule.kind = fixed_horizon\nschedule.gamma0 = optimal",
+    "solution_dependent": "schedule.kind = solution_dependent",
+}
+
 DIGESTS = {
     "smtp-coord_weighted-constant": (
         "f200a16482bbfaedb473702c437bc99c4ebea0f9552f81f5ea653328ac977d17",
@@ -57,12 +64,30 @@ DIGESTS = {
     "smtp-sphere-solution_free": (
         "3b5bc7f64e2ab349f3e3cf907671e6dc4fe0f7a12067672aa66715fc867ac636",
         "460223efbe8c874013f8d48c3c21999b44c5cc8a057b75e63ec6c87a1cfaf17b"),
+    "smtp-sphere-decreasing": (
+        "e8b445f37c5b26d91bc06955fd3e6343ec568ee9ad9a0bf25e9d06b3c278bb3e",
+        "98fe34eed599ea17db5a3fe594aac9a85af3a23428c276b7d22dde1288ad0177"),
+    "smtp-sphere-fixed_horizon": (
+        "dc746bb2446a8066f89c49ac74f6df22c7fb002755b28b8648cca15534a1ae8a",
+        "3dc19b6475928f400de3c5cd3aa5f71da7d360044ebf14839cce545ff44791be"),
+    "smtp-sphere-solution_dependent": (
+        "f2ea2e42205c4c46ea08bc604b17ff8eac2cc62d4998c7a34f86b4a718c5163d",
+        "f98eb1d2b3d977ab2254cd6ed34c6df91c2bee416ced77087ae69bead9326b37"),
     "smtp_is-prop_L-constant": (
         "076db70f74908c1c901f2e040a00d2e354743b2537154e76ce73b29d823d6a2c",
         "7c16333cea5c85cd45dbf3408befbb7dafd1e4bcb638e180443add67e43a4435"),
     "smtp_is-prop_L-solution_free": (
         "04f9f069021ed281d3dad90f9bc23ad8c92d22645dace7cca9d3439eb6f0ed1a",
         "5a96d5978b4404a60f18e60e99632cb0ec29b4043f2b731c211dbcc52fe6a2d8"),
+    "smtp_is-prop_L-decreasing": (
+        "d208c8c268bb6cfd1ea1b0e20bbd3400206c6347dbb8537dbe4f3a9c2d42fe64",
+        "cec79409073bd29f7c81e4780e2455384afc02cfe5f28255896ca093bc852851"),
+    "smtp_is-prop_L-fixed_horizon": (
+        "df31ec728084393f5175edda95d6f23a234c5b63a93d05b532407888f04032f7",
+        "643aa2f43fb04f4af893e1e8e3268564bb349077b1067b7baf324a6ec4a85c6f"),
+    "smtp_is-prop_L-solution_dependent": (
+        "8811801cdda18251ff38b440a8dcb806caae2de70eb4d6648c6ad3ec4474e588",
+        "69db62aa38d7ab6e3788bc3d31cc05f3a8d9214d9cffcc0b1208fe26e5c9aa85"),
     "smtp_is-uniform-constant": (
         "555fad8502e357763e8482004cb39857dbb60312a93582a617da9f6b3ecbb6c8",
         "468cdfa4d31d4eb6215f150035a122312a012e15554b3c24d1ea604efb05152b"),
@@ -100,6 +125,11 @@ def _cases():
         for sched, sched_lines in SCHEDULES.items():
             text = f"method = smtp_is\nbeta = 0.5\nis.p = {p}\nis.w = coord_L\n{sched_lines}"
             yield f"smtp_is-{p}-{sched}", text
+    for sched, sched_lines in MORE_SCHEDULES.items():
+        yield (f"smtp-sphere-{sched}",
+               f"method = smtp\nbeta = 0.5\n{DISTRIBUTIONS['sphere']}\n{sched_lines}")
+        yield (f"smtp_is-prop_L-{sched}",
+               f"method = smtp_is\nbeta = 0.5\nis.p = prop_L\nis.w = coord_L\n{sched_lines}")
 
 
 CASES = dict(_cases())
