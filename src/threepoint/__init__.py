@@ -66,10 +66,9 @@ from .schedules import (
     Constant,
     Decreasing,
     FixedHorizon,
-    ISConstant,
-    ISDecreasing,
     ISSolutionDependent,
     ISSolutionFree,
+    PerCoordinate,
     SolutionDependent,
     SolutionFree,
     StepContext,
@@ -91,8 +90,6 @@ __all__ = [
     "DistributionConstants",
     "ExperimentConfig",
     "FixedHorizon",
-    "ISConstant",
-    "ISDecreasing",
     "ISSolutionDependent",
     "ISSolutionFree",
     "InequalityReport",
@@ -102,6 +99,7 @@ __all__ = [
     "NonFiniteObjectiveError",
     "Objective",
     "OptimizerState",
+    "PerCoordinate",
     "RateFit",
     "RunSummary",
     "RunTrace",

@@ -177,6 +177,8 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
         for key in ("horizon", "d_state", "d_ctrl"):
             if getattr(cfg, key) is None:
                 fail("objective", f"objective lqr needs {key}")
+        if cfg.track_grad_norm:
+            fail("track_grad_norm", "objective lqr has no gradient oracle for track_grad_norm")
     if cfg.schedule_kind not in schedules.SCHEDULE_KINDS:
         fail("schedule_kind", f"unknown schedule.kind {cfg.schedule_kind!r}")
     if cfg.method == "smtp_is":
@@ -300,11 +302,16 @@ def _resolve_r0(cfg: ExperimentConfig, obj: objectives.Objective, x0, norm_const
     if cfg.r0 is None:
         raise ConfigError("this schedule/theorem needs r0 (set r0 = <float> or r0 = auto)")
     if cfg.r0 != "auto":
-        return float(cfg.r0)
-    if cfg.objective != "quadratic":
+        r0 = float(cfg.r0)
+    elif cfg.objective != "quadratic":
         raise ConfigError("r0 = auto is only available for the quadratic objective")
-    gap0 = obj.value(x0) - obj.smoothness.f_star
-    return schedules.quadratic_level_radius(obj.smoothness.coord_L, gap0, norm_constants)
+    else:
+        gap0 = obj.value(x0) - obj.smoothness.f_star
+        r0 = schedules.quadratic_level_radius(obj.smoothness.coord_L, gap0, norm_constants)
+    if not r0 > 0.0:
+        # the convex rules and envelopes divide by r0; auto gives 0 at a minimiser
+        raise ConfigError(f"r0 = {cfg.r0} resolves to {r0!r}; r0 must be > 0")
+    return r0
 
 
 def _gap0(obj: objectives.Objective, x0) -> float:
@@ -353,7 +360,8 @@ def build_schedule(cfg: ExperimentConfig, obj: objectives.Objective, x0,
     """Construct the stepsize rule a config describes.
 
     Given w (smtp_is), each kind builds its importance-sampling rule, with
-    S_w and m = min p_i / w_i standing in for L gamma_d and mu_d.  Derived
+    S_w and m = min p_i / w_i standing in for L gamma_d and mu_d: constant,
+    fixed_horizon and decreasing are the plain rule over the divisor w.  Derived
     choices ('auto'/'optimal') may evaluate f(x0) once; those evaluations
     happen before the run starts and are counted like any query.
     """
@@ -373,12 +381,13 @@ def build_schedule(cfg: ExperimentConfig, obj: objectives.Objective, x0,
     def need_coord_L() -> np.ndarray:
         return need(info.coord_L, "coordinate smoothness constants")
 
+    def over_w(rule):
+        return schedules.PerCoordinate(rule, w) if is_mode else rule
+
     if kind == "constant":
         if cfg.schedule_gamma is None:
             raise ConfigError("schedule.kind = constant needs schedule.gamma")
-        if is_mode:
-            return schedules.ISConstant(cfg.schedule_gamma, w)
-        return schedules.Constant(cfg.schedule_gamma)
+        return over_w(schedules.Constant(cfg.schedule_gamma))
     if kind == "fixed_horizon":
         if cfg.schedule_gamma0 is None:
             raise ConfigError("schedule.kind = fixed_horizon needs schedule.gamma0")
@@ -391,15 +400,11 @@ def build_schedule(cfg: ExperimentConfig, obj: objectives.Objective, x0,
         else:
             g0 = float(cfg.schedule_gamma0)
         horizon = cfg.schedule_horizon if cfg.schedule_horizon is not None else cfg.max_iters
-        if is_mode:
-            return schedules.ISConstant(g0 / math.sqrt(horizon), w)
-        return schedules.FixedHorizon(g0, horizon)
+        return over_w(schedules.FixedHorizon(g0, horizon))
     if kind == "decreasing":
         mu_like = schedules.is_min_ratio(p, w) if is_mode else norm_constants.mu_d
         alpha, theta = _resolve_alpha_theta(cfg, obj, x0, mu_like, norm_constants)
-        if is_mode:
-            return schedules.ISDecreasing(alpha, theta, w)
-        return schedules.Decreasing(alpha, theta)
+        return over_w(schedules.Decreasing(alpha, theta))
     if kind == "solution_dependent":
         if info.f_star is None:
             raise ConfigError("solution_dependent needs a known f_star")
@@ -521,18 +526,19 @@ def _envelope_params(cfg: ExperimentConfig, obj, x0, parts: RunParts) -> dict:
         raise ConfigError("envelope checks need a known f_star")
     nc = parts.norm_constants
     schedule = parts.schedule
+    rule = getattr(schedule, "rule", schedule)  # the plain rule under a w divisor
     params = {
         "gap": obj.value(x0) - info.f_star, "beta": _beta(cfg), "L": info.L, "mu": info.mu,
         "mu_d": nc.mu_d, "gamma_d": nc.gamma_d, "p": parts.p, "w": parts.w,
         "coord_L": info.coord_L, "t": getattr(schedule, "t", None), "theta_k": cfg.schedule_theta_k,
     }
-    if isinstance(schedule, (schedules.Constant, schedules.ISConstant)):
-        params["gamma"] = schedule.gamma
-    if isinstance(schedule, schedules.FixedHorizon):
-        params["gamma"] = schedule.gamma0 / math.sqrt(schedule.horizon)
-    if isinstance(schedule, (schedules.Decreasing, schedules.ISDecreasing)):
-        params["alpha"] = schedule.alpha
-        params["theta"] = schedule.theta
+    if isinstance(rule, schedules.Constant):
+        params["gamma"] = rule.gamma
+    if isinstance(rule, schedules.FixedHorizon):
+        params["gamma"] = rule.gamma0 / math.sqrt(rule.horizon)
+    if isinstance(rule, schedules.Decreasing):
+        params["alpha"] = rule.alpha
+        params["theta"] = rule.theta
     if cfg.theorem in ("CVX-CONST", "CVX-DEC", "IS-CVX-CONST", "IS-CVX-DEC"):
         params["r0"] = _resolve_r0(cfg, obj, x0, nc)
     return {k: v for k, v in params.items() if v is not None}
@@ -565,7 +571,9 @@ def _seed_worker(cfg: ExperimentConfig, seed: int, out_dir: str | None, ks: list
     f_star = obj.smoothness.f_star
     final_gap = None if f_star is None else trace.final_state.f_z - f_star
     contraction = r_squared = None
-    if f_star is not None and len(trace.records) >= 12 and final_gap >= 0.0:
+    # the rate fit is read by summary.txt alone, which is written with the traces
+    if (out_dir is not None and f_star is not None and len(trace.records) >= 12
+            and final_gap >= 0.0):
         try:
             fit = diagnostics.fit_linear_rate(trace, f_star)
             contraction, r_squared = fit.rate, fit.r_squared
@@ -598,7 +606,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
 
     Returns a RunSummary; envelope_ok is None when no theorem is configured,
     otherwise the seed-mean trajectory is compared against 1.05 x envelope
-    at the checkpoints.
+    at the checkpoints.  Without write, no rate is fitted: contraction and
+    r_squared stay None.
     """
     ks, bounds = prepare(cfg)
     if write:

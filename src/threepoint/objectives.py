@@ -56,7 +56,6 @@ class Objective:
         smoothness: SmoothnessInfo | None = None,
         grad: Callable[[np.ndarray], np.ndarray] | None = None,
         name: str = "",
-        deterministic: bool = True,
     ):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
@@ -65,7 +64,6 @@ class Objective:
         self.dimension = dimension
         self.smoothness = smoothness if smoothness is not None else SmoothnessInfo()
         self.name = name
-        self.deterministic = deterministic
         self.eval_counter = 0
 
     def value(self, x: np.ndarray) -> float:
@@ -214,14 +212,7 @@ def wrap_noise(objective: Objective, noise: NoiseSpec, rng: np.random.Generator)
 
     grad = objective._grad
     info = replace(objective.smoothness)
-    return Objective(
-        fn,
-        objective.dimension,
-        info,
-        grad,
-        name=f"{objective.name}+noise",
-        deterministic=noise.sigma == 0.0,
-    )
+    return Objective(fn, objective.dimension, info, grad, name=f"{objective.name}+noise")
 
 
 def coord_L_from_spec(spec: str, dimension: int) -> np.ndarray:

@@ -41,7 +41,12 @@ class NonFiniteObjectiveError(RuntimeError):
 
 @dataclass
 class OptimizerState:
-    """x: anchor iterate, v: momentum buffer, z: evaluated iterate."""
+    """x: anchor iterate, v: momentum buffer, z: evaluated iterate.
+
+    smtp_step stores its move as move = (z, v, gamma, v_new), the iterate and
+    buffer it moved from, and x is derived from it when read: nothing reads
+    the anchor while a run goes on.
+    """
 
     x: np.ndarray
     v: np.ndarray
@@ -50,6 +55,24 @@ class OptimizerState:
     k: int
     beta: float
     last_gamma: float = 0.0
+    move: tuple | None = field(default=None, repr=False, compare=False)
+
+
+def _anchor(state: OptimizerState) -> np.ndarray:
+    if state.move is not None:
+        z, v, gamma, v_new = state.move
+        c = gamma * state.beta / (1.0 - state.beta)
+        state.x = (z + c * v) - gamma * v_new
+    return state._x
+
+
+def _set_anchor(state: OptimizerState, x: np.ndarray) -> None:
+    state._x = x
+    state.move = None
+
+
+# a property after the class body, so the dataclass keeps x as a field
+OptimizerState.x = property(_anchor, _set_anchor)
 
 
 @dataclass
@@ -189,13 +212,13 @@ def smtp_step(
             branch, z_new, f_new, sign = PLUS, z_p, f_p, 1.0
         else:
             branch, z_new, f_new, sign = MINUS, z_m, f_m, -1.0
-        v_new = beta * state.v
-        if index is None:
-            v_new += sign * s
+        v = state.v
+        if index is None:  # a + (-b) == a - b exactly, signed zeros too
+            v_new = beta * v + s if sign > 0.0 else beta * v - s
         else:
+            v_new = beta * v
             v_new[index] += sign
-        c = gamma * beta / (1.0 - beta)
-        state.x = (z + c * state.v) - gamma * v_new
+        state.move = (z, v, gamma, v_new)
         state.v = v_new
         state.z = z_new
         state.f_z = f_new
@@ -269,7 +292,9 @@ def _run_loop(step, objective, dist, schedule, beta, x0, max_iters, seed, epsilo
 
     Directions come from draws(), a bounded chunk at a time.  A context-free
     rule is evaluated once, still through stepsize() so its validity check
-    holds, and its value is handed to every step.  The step moves; the loop
+    holds, and its value is handed to every step.  Over coordinate
+    directions an index-only rule is evaluated so once per coordinate, and
+    each step gets the drawn coordinate's entry.  The step moves; the loop
     records: the gradient norm at z before each step, measured by
     norm_constants, and with record_index the drawn coordinate.
     """
@@ -284,9 +309,12 @@ def _run_loop(step, objective, dist, schedule, beta, x0, max_iters, seed, epsilo
     z_before = [] if retain_internals else None
     s_kept = [] if retain_internals else None
     f0 = state.f_z
-    gamma = None
+    gamma = table = None
     if max_iters > 0 and getattr(schedule, "context_free", False):
         gamma = stepsize(schedule, StepContext(0, f0))
+    elif (max_iters > 0 and getattr(schedule, "index_only", False)
+          and dist.kind in ("coord_uniform", "coord_weighted")):
+        table = [float(stepsize(schedule, StepContext(0, f0, None, i))) for i in range(dist.dim)]
     rng = np.random.default_rng(seed)
     stop_reason = "max_iters"
     for s, i in draws(dist, rng, max_iters):
@@ -295,6 +323,8 @@ def _run_loop(step, objective, dist, schedule, beta, x0, max_iters, seed, epsilo
             s_kept.append(_unit(dist.dim, i) if s is None else s)
         if track_grad_norm:
             grad_norm = d_norm(norm_constants, objective.gradient(state.z))
+        if table is not None:
+            gamma = table[i]
         state, rec = step(state, objective, dist, schedule, rng, s, i, gamma)
         if track_grad_norm:
             rec.grad_norm_D = grad_norm

@@ -5,6 +5,9 @@ context in, same stepsize out.  Rules whose stepsize depends on a probe
 evaluation f(z + t s) set needs_probe and expose t; the optimizer supplies
 the probe value through the context.  Rules that read nothing from the
 context set context_free, and the run loops evaluate them once per run.
+An importance-sampling rule is a plain rule over a w divisor (PerCoordinate);
+over a context-free rule its value depends on the drawn coordinate alone, and
+the run loops tabulate it once per run.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,8 +24,7 @@ from .directions import DistributionConstants, L1, L2, WEIGHTED_L1
 _UNIT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class StepContext:
+class StepContext(NamedTuple):
     """Per-iteration facts a stepsize rule may consume."""
 
     k: int
@@ -204,45 +206,37 @@ def is_min_ratio(p, w) -> float:
 
 
 @dataclass(frozen=True)
-class ISConstant:
-    """gamma_i^k = gamma / w_i."""
+class PerCoordinate:
+    """gamma_i^k = gamma^k / w_i: a plain rule's step over the drawn coordinate's w_i.
 
-    gamma: float
+    Over a context-free rule (Constant, FixedHorizon) the value depends on i
+    alone, so index_only is set and the run loops tabulate it.
+    """
+
+    rule: Constant | FixedHorizon | Decreasing
     w: np.ndarray
     needs_probe = False
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be > 0")
+        if self.rule.needs_probe:
+            raise ValueError("a probing rule scales by L_i, not w_i: use ISSolutionFree")
         object.__setattr__(self, "w", _positive(self.w, "w"))
 
-    def stepsize(self, ctx: StepContext) -> float:
-        return self.gamma / self.w[_require_index(ctx)]
-
-
-@dataclass(frozen=True)
-class ISDecreasing:
-    """gamma_i^k = (2 / (alpha k + theta)) / w_i."""
-
-    alpha: float
-    theta: float
-    w: np.ndarray
-    needs_probe = False
-
-    def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be > 0")
-        if self.theta < 2.0 / self.alpha:
-            raise ValueError("theta must be >= 2/alpha")
-        object.__setattr__(self, "w", _positive(self.w, "w"))
+    @property
+    def index_only(self) -> bool:
+        return getattr(self.rule, "context_free", False)
 
     def stepsize(self, ctx: StepContext) -> float:
-        return 2.0 / (self.alpha * ctx.k + self.theta) / self.w[_require_index(ctx)]
+        return self.rule.stepsize(ctx) / self.w[_require_index(ctx)]
 
 
 @dataclass(frozen=True)
 class ISSolutionDependent:
-    """gamma_i^k = (1-beta) theta_k (m / (w_i S_w)) sqrt(2 mu (f_z - f_star))."""
+    """gamma_i^k = (1-beta) theta_k (m / (w_i S_w)) sqrt(2 mu (f_z - f_star)).
+
+    Not SolutionDependent(L = S_w, mu_d = m) over w: that divides by S_w and
+    w_i in another order, which moves about a third of the steps by an ulp.
+    """
 
     mu: float
     p: np.ndarray

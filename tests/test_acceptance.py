@@ -27,10 +27,9 @@ from threepoint.schedules import (
     Constant,
     Decreasing,
     FixedHorizon,
-    ISConstant,
-    ISDecreasing,
     ISSolutionDependent,
     ISSolutionFree,
+    PerCoordinate,
     SolutionDependent,
     SolutionFree,
     is_min_ratio,
@@ -122,8 +121,8 @@ def is_runs():
     p = QUAD_L / QUAD_L.sum()
     w = QUAD_L.copy()
     cells = [
-        ("is_constant", ISConstant(0.05, w)),
-        ("is_decreasing", ISDecreasing(0.5, 4.0, w)),
+        ("is_constant", PerCoordinate(Constant(0.05), w)),
+        ("is_decreasing", PerCoordinate(Decreasing(0.5, 4.0), w)),
         ("is_solution_dependent", ISSolutionDependent(1.0, p, w, QUAD_L, 0.0, BETA)),
         ("is_solution_free", ISSolutionFree(QUAD_L, 0.01, BETA)),
     ]

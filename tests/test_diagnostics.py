@@ -22,7 +22,7 @@ from threepoint.optimizers import (
     smtp_run,
 )
 from threepoint.directions import DirectionDistribution
-from threepoint.schedules import Constant, Decreasing, ISConstant
+from threepoint.schedules import Constant, Decreasing, PerCoordinate
 
 
 def _synthetic_trace(gaps, beta=0.0, f_star=0.0):
@@ -161,7 +161,7 @@ class TestVerifyInequalities:
         coord_L = np.array([1.0, 4.0, 9.0])
         obj = make_quadratic(coord_L)
         p = coord_L / coord_L.sum()
-        trace = smtp_is_run(obj, p, ISConstant(0.1, coord_L), 0.5, np.ones(3),
+        trace = smtp_is_run(obj, p, PerCoordinate(Constant(0.1), coord_L), 0.5, np.ones(3),
                             max_iters=300, seed=1, retain_internals=True)
         report = verify_trace_inequalities(trace, obj)
         assert report.ok

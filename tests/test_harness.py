@@ -197,8 +197,12 @@ class TestParsing:
          "theorem 'NC' bounds the gradient norm: it needs track_grad_norm = true"),
         ("max_iters = 80", "max_iters = 0\ntheorem = SC-DEP", 8,
          "an envelope check needs max_iters >= 1"),
+        ("objective = quadratic",
+         "objective = lqr\nhorizon = 3\nd_state = 2\nd_ctrl = 1\ntrack_grad_norm = true", 7,
+         "objective lqr has no gradient oracle for track_grad_norm"),
     ], ids=["jobs", "max_iters", "seeds", "noise.sigma", "dimension", "lqr_size", "distribution",
-            "smtp_is_distribution", "repeated_seeds", "nc_needs_grad_norm", "envelope_max_iters"])
+            "smtp_is_distribution", "repeated_seeds", "nc_needs_grad_norm", "envelope_max_iters",
+            "lqr_grad_norm"])
     def test_validation_errors_name_their_line(self, old, new, line, message):
         with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
             parse_config(QUAD_BASE.replace(old, new))
@@ -467,6 +471,18 @@ class TestCompare:
         assert compare_methods(configs) == rows
         assert pools == [2, 2]
 
+    def test_fits_no_rate(self, monkeypatch):
+        # compare reads evals and stop reasons; a rate fit would be thrown away
+        def no_fit(*args, **kwargs):
+            raise AssertionError("compare fitted a rate")
+
+        monkeypatch.setattr(harness.diagnostics, "fit_linear_rate", no_fit)
+        short = SHARED_STEP.replace("max_iters = 4000", "max_iters = 500")
+        configs = [parse_config(short + f"\nmethod = {m}", label=m) for m in ("stp", "smtp")]
+        rows = compare_methods(configs)
+        assert [row["label"] for row in rows] == ["stp", "smtp"]
+        assert all(row["n_reached"] == 5 for row in rows)
+
     def test_requires_two_configs(self):
         with pytest.raises(ValueError, match="at least two"):
             compare_methods([parse_config(QUAD_BASE)])
@@ -520,7 +536,11 @@ class TestCli:
         ("seeds = 3", "seeds = 3\ntheorem = SC-DEP\ncheckpoints = 10,5000",
          "line 11: checkpoints must lie in [1, max_iters]"),
         ("seeds = 3", "seeds = 3,3", "line 9: seeds must not repeat"),
-    ], ids=["cvx_without_r0", "checkpoints_range", "repeated_seeds"])
+        # x0 at the minimiser: the level-set radius is 0, and alpha = auto divides by it
+        ("schedule.kind = solution_dependent",
+         "schedule.kind = decreasing\nschedule.alpha = auto\nr0 = auto\nx0 = zeros",
+         "r0 = auto resolves to 0.0; r0 must be > 0"),
+    ], ids=["cvx_without_r0", "checkpoints_range", "repeated_seeds", "r0_auto_at_minimiser"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, old, new, message):
         cfg_path = self._write(tmp_path, "bad.cfg", QUAD_BASE.replace(old, new))
         assert cli.main(["validate", "--config", cfg_path]) == 1

@@ -185,7 +185,6 @@ class TestNoiseWrapper:
         noisy = wrap_noise(base, NoiseSpec(0.0, 1), np.random.default_rng(0))
         x = np.array([0.3, -0.7])
         assert noisy.value(x) == base._fn(x)
-        assert noisy.deterministic
 
     def test_counters(self):
         base = make_quadratic(np.array([1.0, 3.0]))
@@ -193,7 +192,6 @@ class TestNoiseWrapper:
         noisy.value(np.ones(2))
         assert noisy.eval_counter == 1
         assert base.eval_counter == 4
-        assert not noisy.deterministic
 
     def test_seeded_reproducibility(self):
         base = make_quadratic(np.array([1.0, 3.0]))

@@ -21,8 +21,8 @@ from threepoint.optimizers import (
 from threepoint.schedules import (
     Constant,
     Decreasing,
-    ISConstant,
     ISSolutionFree,
+    PerCoordinate,
     SolutionDependent,
     SolutionFree,
 )
@@ -338,7 +338,7 @@ class TestImportanceSampling:
         # an importance-sampled step is smtp_step along e_1, the index
         # handed to the rule
         obj = make_quadratic(np.array([1.0, 4.0]))
-        rule = ISConstant(0.5, np.array([1.0, 4.0]))
+        rule = PerCoordinate(Constant(0.5), np.array([1.0, 4.0]))
         state = init_state(obj, np.ones(2), beta=0.5)
         state, rec = smtp_step(state, obj, None, rule, np.random.default_rng(0), index=1)
         # gamma = 0.5/4, effective step 0.25: z = (1, 0.75), f = 1.625, all dyadic
@@ -354,7 +354,7 @@ class TestImportanceSampling:
         # chunk boundary
         coord_L = np.array([1.0, 2.0, 4.0, 8.0])
         p = coord_L / coord_L.sum()
-        for rule in (ISConstant(0.05, coord_L), ISSolutionFree(coord_L, 0.01, 0.5)):
+        for rule in (PerCoordinate(Constant(0.05), coord_L), ISSolutionFree(coord_L, 0.01, 0.5)):
             trace = smtp_is_run(make_quadratic(coord_L), p, rule, 0.5, np.ones(4),
                                 max_iters=1100, seed=8, track_grad_norm=True)
             obj = make_quadratic(coord_L)
@@ -376,13 +376,13 @@ class TestImportanceSampling:
     def test_grad_norm_is_l1(self):
         coord_L = np.array([1.0, 2.0, 3.0])
         trace = smtp_is_run(make_quadratic(coord_L), np.full(3, 1 / 3),
-                            ISConstant(0.1, np.ones(3)), 0.5, np.ones(3),
+                            PerCoordinate(Constant(0.1), np.ones(3)), 0.5, np.ones(3),
                             max_iters=2, seed=0, track_grad_norm=True)
         assert trace.records[0].grad_norm_D == 6.0
 
     def test_p_validation(self):
         obj = make_quadratic(np.ones(2))
-        rule = ISConstant(0.1, np.ones(2))
+        rule = PerCoordinate(Constant(0.1), np.ones(2))
         with pytest.raises(ValueError, match="sum to 1"):
             smtp_is_run(obj, np.array([0.5, 0.6]), rule, 0.0, np.ones(2), max_iters=1)
         with pytest.raises(ValueError, match="shape"):
@@ -391,7 +391,7 @@ class TestImportanceSampling:
     def test_index_frequency_tracks_p(self):
         p = np.array([0.8, 0.15, 0.05])
         trace = smtp_is_run(make_quadratic(np.ones(3)), p,
-                            ISConstant(0.01, np.ones(3)), 0.0, np.ones(3),
+                            PerCoordinate(Constant(0.01), np.ones(3)), 0.0, np.ones(3),
                             max_iters=4000, seed=13)
         counts = np.bincount([r.direction_index for r in trace.records], minlength=3)
         np.testing.assert_allclose(counts / 4000.0, p, atol=0.03)
@@ -400,13 +400,13 @@ class TestImportanceSampling:
         d = 3
         p = np.array([1.0 - 2e-13, 1e-13, 1e-13])
         p = p / p.sum()
-        trace = smtp_is_run(make_quadratic(np.ones(d)), p, ISConstant(0.05, np.ones(d)),
+        trace = smtp_is_run(make_quadratic(np.ones(d)), p, PerCoordinate(Constant(0.05), np.ones(d)),
                             0.0, np.ones(d), max_iters=50, seed=7)
         assert all(r.direction_index == 0 for r in trace.records)
 
     def test_retained_direction_is_unit_coordinate(self):
         trace = smtp_is_run(make_quadratic(np.ones(2)), np.array([0.5, 0.5]),
-                            ISConstant(0.05, np.ones(2)), 0.5, np.ones(2),
+                            PerCoordinate(Constant(0.05), np.ones(2)), 0.5, np.ones(2),
                             max_iters=10, seed=1, retain_internals=True)
         for rec, s in zip(trace.records, trace.s):
             assert s[rec.direction_index] == 1.0

@@ -13,10 +13,9 @@ from threepoint.schedules import (
     Constant,
     Decreasing,
     FixedHorizon,
-    ISConstant,
-    ISDecreasing,
     ISSolutionDependent,
     ISSolutionFree,
+    PerCoordinate,
     SolutionDependent,
     SolutionFree,
     StepContext,
@@ -71,12 +70,12 @@ class TestRules:
         assert rule.needs_probe
 
     def test_is_constant(self):
-        rule = ISConstant(0.05, np.array([1.0, 10.0]))
+        rule = PerCoordinate(Constant(0.05), np.array([1.0, 10.0]))
         assert stepsize(rule, _ctx(index=1)) == 0.005
         assert stepsize(rule, _ctx(index=0)) == 0.05
 
     def test_is_decreasing(self):
-        rule = ISDecreasing(alpha=1.0, theta=2.0, w=np.array([1.0, 4.0]))
+        rule = PerCoordinate(Decreasing(alpha=1.0, theta=2.0), np.array([1.0, 4.0]))
         assert stepsize(rule, _ctx(k=0, index=1)) == 0.25
         assert stepsize(rule, _ctx(k=2, index=0)) == 0.5
 
@@ -134,7 +133,7 @@ class TestRuleValidation:
 
     def test_is_rules_need_index(self):
         with pytest.raises(ValueError, match="direction_index"):
-            stepsize(ISConstant(0.1, np.array([1.0])), _ctx())
+            stepsize(PerCoordinate(Constant(0.1), np.array([1.0])), _ctx())
 
     def test_p_w_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
