@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -118,19 +119,13 @@ class RateFit:
     hit_zero: bool = False
 
 
-def _gap_series(trace: RunTrace, f_star: float) -> np.ndarray:
-    gaps = [trace.f0 - f_star]
-    gaps.extend(r.f_z_after - f_star for r in trace.records)
-    return np.asarray(gaps, dtype=float)
-
-
 def fit_linear_rate(trace: RunTrace, f_star: float, burn_in: int | None = None) -> RateFit:
     """Fit gap_k ~ C rho^k after a burn-in (default: first 10%).
 
     Needs at least 10 post-burn-in points.  A zero gap anywhere after the
     burn-in yields contraction 0 with hit_zero set.
     """
-    gaps = _gap_series(trace, f_star)
+    gaps = np.concatenate(([trace.f0], np.asarray(trace.f_z))) - f_star
     if burn_in is None:
         burn_in = len(gaps) // 10
     tail = gaps[burn_in:]
@@ -184,39 +179,39 @@ def verify_trace_inequalities(trace: RunTrace, objective, slack_tol: float = SLA
     if not objective.has_gradient:
         raise ValueError("objective needs a gradient oracle for inequality checks")
     info = objective.smoothness
+    if trace.index is not None:
+        if info.coord_L is None:
+            raise ValueError("importance-sampled trace needs coord_L metadata")
+        Ls = [float(info.coord_L[i]) for i in trace.index]
+    else:
+        if info.L is None:
+            raise ValueError("objective has no smoothness constant L")
+        Ls = repeat(info.L)
     beta = trace.beta
     one_m = 1.0 - beta
     box = info.box_halfwidth
     violations: list[tuple[int, float]] = []
     out_of_domain: list[tuple[int, float]] = []
     f_before = trace.f0
-    for rec, z, s in zip(trace.records, trace.z_before, trace.s):
-        if rec.direction_index is not None:
-            if info.coord_L is None:
-                raise ValueError("importance-sampled trace needs coord_L metadata")
-            L = float(info.coord_L[rec.direction_index])
-        else:
-            if info.L is None:
-                raise ValueError("objective has no smoothness constant L")
-            L = info.L
+    for k, (f_after, gamma, L, z, s) in enumerate(
+            zip(trace.f_z, trace.gamma, Ls, trace.z_before, trace.s)):
         g = objective.gradient(z)
-        gamma = rec.gamma
         h = gamma / one_m
         inner = abs(float(np.dot(g, s)))
         s_sq = float(np.dot(s, s))
         rhs = f_before - h * inner + L * gamma * gamma * s_sq / (2.0 * one_m * one_m)
-        slack = rhs - rec.f_z_after
+        slack = rhs - f_after
         if slack < slack_tol:
             if box is not None and (
                 float(np.max(np.abs(z))) > box
                 or float(np.max(np.abs(z - h * s))) > box
                 or float(np.max(np.abs(z + h * s))) > box
             ):
-                out_of_domain.append((rec.k, slack))
+                out_of_domain.append((k, slack))
             else:
-                violations.append((rec.k, slack))
-        f_before = rec.f_z_after
-    return InequalityReport(violations, out_of_domain, len(trace.records))
+                violations.append((k, slack))
+        f_before = f_after
+    return InequalityReport(violations, out_of_domain, len(trace.f_z))
 
 
 def finite_diff_gradient_check(

@@ -16,6 +16,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from . import diagnostics, directions, objectives, optimizers, schedules
 ENV_OUT = "THREEPOINT_OUT"
 DEFAULT_OUT = "runs"
 CSV_HEADER = "k,f_z,gamma,branch,evals,grad_norm_D"
+CSV_CHUNK = 4096  # trace rows formatted per write
 
 METHODS = ("stp", "smtp", "smtp_is")
 
@@ -212,6 +214,16 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
         if cfg.theorem in ("NC", "IS-NC") and not cfg.track_grad_norm:
             fail("theorem", f"theorem {cfg.theorem!r} bounds the gradient norm: "
                  "it needs track_grad_norm = true")
+    # the string-typed fields that hold a number or one keyword
+    for name, keyword in (("r0", "auto"), ("schedule_gamma0", "optimal"),
+                          ("schedule_alpha", "auto"), ("schedule_theta", "auto"),
+                          ("schedule_t", "auto")):
+        raw = getattr(cfg, name)
+        if raw is not None and raw != keyword:
+            try:
+                float(raw)
+            except ValueError:
+                fail(name, f"{_key(name)} must be a number or {keyword!r}, got {raw!r}")
     if cfg.checkpoints and not all(1 <= k <= cfg.max_iters for k in cfg.checkpoints):
         fail("checkpoints", "checkpoints must lie in [1, max_iters]")
     if cfg.jobs < 1:
@@ -460,13 +472,18 @@ def _format(x) -> str:
     return format(x, ".17g")
 
 
-def _trace_rows(trace: optimizers.RunTrace) -> list[str]:
-    rows = [CSV_HEADER]
-    for r in trace.records:
-        grad = "" if r.grad_norm_D is None else _format(r.grad_norm_D)
-        rows.append(f"{r.k},{_format(r.f_z_after)},{_format(r.gamma)},{r.branch},"
-                    f"{r.evals_cumulative},{grad}")
-    return rows
+def _write_trace(trace: optimizers.RunTrace, path: str) -> None:
+    """Write a trace CSV straight from the columns, CSV_CHUNK rows at a time."""
+    names, n = optimizers.BRANCHES, len(trace.f_z)
+    columns = (trace.f_z, trace.gamma, trace.branch, trace.evals)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for lo in range(0, n, CSV_CHUNK):
+            hi = min(lo + CSV_CHUNK, n)
+            grad = repeat("") if trace.grad_norm is None else map(_format, trace.grad_norm[lo:hi])
+            rows = zip(range(lo, hi), *(c[lo:hi] for c in columns), grad)
+            fh.write("".join(f"{k},{f:.17g},{g:.17g},{names[b]},{e},{gn}\n"
+                             for k, f, g, b, e, gn in rows))
 
 
 @dataclass
@@ -480,6 +497,8 @@ class SeedResult:
     r_squared: float | None
     envelope_ok: bool | None
     wall_time: float
+    branch_mix: tuple[float, float, float] | None = None  # plus, minus, stay rates
+    gamma_range: tuple[float, float, float] | None = None  # min, median, max stepsize
 
 
 @dataclass
@@ -508,14 +527,6 @@ def run_once(cfg: ExperimentConfig, seed: int) -> tuple[optimizers.RunTrace, obj
     else:
         trace = optimizers.stp_run(obj, parts.dist, parts.schedule, x0, **common)
     return trace, obj
-
-
-def _gap_at(trace: optimizers.RunTrace, f_star: float, k: int) -> float:
-    # traces that stopped early are padded with their last gap (conservative)
-    if k <= 0:
-        return trace.f0 - f_star
-    idx = min(k, len(trace.records)) - 1
-    return trace.records[idx].f_z_after - f_star
 
 
 def _envelope_params(cfg: ExperimentConfig, obj, x0, parts: RunParts) -> dict:
@@ -565,15 +576,13 @@ def _seed_worker(cfg: ExperimentConfig, seed: int, out_dir: str | None, ks: list
     trace, obj = run_once(cfg, seed)
     wall = time.perf_counter() - t0
     if out_dir is not None:
-        path = os.path.join(out_dir, f"trace_seed{seed}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(_trace_rows(trace)) + "\n")
+        _write_trace(trace, os.path.join(out_dir, f"trace_seed{seed}.csv"))
     f_star = obj.smoothness.f_star
     final_gap = None if f_star is None else trace.final_state.f_z - f_star
     contraction = r_squared = None
     # the rate fit is read by summary.txt alone, which is written with the traces
-    if (out_dir is not None and f_star is not None and len(trace.records) >= 12
-            and final_gap >= 0.0):
+    n = len(trace.f_z)
+    if out_dir is not None and f_star is not None and n >= 12 and final_gap >= 0.0:
         try:
             fit = diagnostics.fit_linear_rate(trace, f_star)
             contraction, r_squared = fit.rate, fit.r_squared
@@ -583,19 +592,27 @@ def _seed_worker(cfg: ExperimentConfig, seed: int, out_dir: str | None, ks: list
     checked = None
     if ks is not None:
         if cfg.theorem in ("NC", "IS-NC"):
-            checked = [float(np.mean([r.grad_norm_D for r in trace.records[:k]])) for k in ks]
-        else:
-            checked = [_gap_at(trace, f_star, k) for k in ks]
+            grad_norm = np.asarray(trace.grad_norm)
+            checked = [float(np.mean(grad_norm[:k])) for k in ks]
+        else:  # a trace that stopped early is padded with its last gap (conservative)
+            checked = [trace.f_z[min(k, n) - 1] - f_star for k in ks]
+    branch_mix = gamma_range = None
+    if n:
+        branch_mix = tuple((np.bincount(np.asarray(trace.branch), minlength=3) / n).tolist())
+        gammas = np.asarray(trace.gamma)
+        gamma_range = tuple(float(x) for x in (gammas.min(), np.median(gammas), gammas.max()))
     result = SeedResult(
         seed=seed,
-        iterations=len(trace.records),
-        evals=trace.records[-1].evals_cumulative if trace.records else obj.eval_counter,
+        iterations=n,
+        evals=trace.evals[-1] if n else obj.eval_counter,
         stop_reason=trace.stop_reason,
         final_gap=final_gap,
         contraction=contraction,
         r_squared=r_squared,
         envelope_ok=None,
         wall_time=wall,
+        branch_mix=branch_mix,
+        gamma_range=gamma_range,
     )
     return result, checked
 
@@ -659,6 +676,10 @@ def _write_summary(summary: RunSummary, cfg: ExperimentConfig, out_dir: str) -> 
         lines.append(f"{prefix}.final_gap={_format(r.final_gap)}")
         lines.append(f"{prefix}.contraction={_format(r.contraction)}")
         lines.append(f"{prefix}.r_squared={_format(r.r_squared)}")
+        for name, value in zip(optimizers.BRANCHES, r.branch_mix or repeat(None)):
+            lines.append(f"{prefix}.branch.{name}={_format(value)}")
+        for name, value in zip(("min", "median", "max"), r.gamma_range or repeat(None, 3)):
+            lines.append(f"{prefix}.gamma.{name}={_format(value)}")
         lines.append(f"{prefix}.envelope={_verdict(r.envelope_ok)}")
         lines.append(f"{prefix}.wall_time={r.wall_time:.6f}")
     with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:

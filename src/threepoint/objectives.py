@@ -45,8 +45,10 @@ class NoiseSpec:
 class Objective:
     """A black-box function R^d -> R with an evaluation counter.
 
-    value() increments eval_counter by exactly 1 per call; gradient() does
-    not count (it is a diagnostic oracle, not part of the black-box budget).
+    eval_counter counts oracle calls: value() adds calls_per_value, the
+    calls one query of fn makes (1 unless fn averages several); gradient()
+    does not count (it is a diagnostic oracle, not part of the black-box
+    budget).
     """
 
     def __init__(
@@ -56,6 +58,7 @@ class Objective:
         smoothness: SmoothnessInfo | None = None,
         grad: Callable[[np.ndarray], np.ndarray] | None = None,
         name: str = "",
+        calls_per_value: int = 1,
     ):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
@@ -64,10 +67,11 @@ class Objective:
         self.dimension = dimension
         self.smoothness = smoothness if smoothness is not None else SmoothnessInfo()
         self.name = name
+        self.calls_per_value = calls_per_value
         self.eval_counter = 0
 
     def value(self, x: np.ndarray) -> float:
-        self.eval_counter += 1
+        self.eval_counter += self.calls_per_value
         return self._fn(x)
 
     __call__ = value
@@ -200,8 +204,8 @@ def make_lqr(horizon: int, d_state: int, d_ctrl: int) -> Objective:
 def wrap_noise(objective: Objective, noise: NoiseSpec, rng: np.random.Generator) -> Objective:
     """Average of n_obs noisy observations f(x) + N(0, sigma^2) per query.
 
-    The base objective's counter advances by n_obs per wrapped query; the
-    wrapper's own counter advances by 1.
+    A query makes n_obs oracle calls, and both the wrapper's counter and the
+    base objective's advance by n_obs.
     """
 
     def fn(x: np.ndarray) -> float:
@@ -212,7 +216,8 @@ def wrap_noise(objective: Objective, noise: NoiseSpec, rng: np.random.Generator)
 
     grad = objective._grad
     info = replace(objective.smoothness)
-    return Objective(fn, objective.dimension, info, grad, name=f"{objective.name}+noise")
+    return Objective(fn, objective.dimension, info, grad, name=f"{objective.name}+noise",
+                     calls_per_value=noise.n_obs)
 
 
 def coord_L_from_spec(spec: str, dimension: int) -> np.ndarray:

@@ -11,7 +11,10 @@ evaluations plus one probe when the stepsize rule requires it.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,9 +28,8 @@ from .directions import (
 )
 from .schedules import StepContext, stepsize
 
-PLUS = "plus"
-MINUS = "minus"
-STAY = "stay"
+BRANCHES = ("plus", "minus", "stay")
+PLUS, MINUS, STAY = range(3)  # branch codes: indices into BRANCHES
 
 
 class NonFiniteObjectiveError(RuntimeError):
@@ -75,8 +77,9 @@ def _set_anchor(state: OptimizerState, x: np.ndarray) -> None:
 OptimizerState.x = property(_anchor, _set_anchor)
 
 
-@dataclass
-class IterationRecord:
+class IterationRecord(NamedTuple):
+    """One row of a trace, as RunTrace.records builds it from the columns."""
+
     k: int
     f_z_after: float
     gamma: float
@@ -88,17 +91,46 @@ class IterationRecord:
 
 @dataclass
 class RunTrace:
-    records: list[IterationRecord]
+    """A run's outcomes, one typed column per quantity; row k is iteration k.
+
+    f_z holds f(z^{k+1}), branch a code into BRANCHES, and evals the
+    objective's counter after the step; grad_norm (||grad f(z^k)||_D) and
+    index (the drawn coordinate) are None unless recorded.  With
+    retain_internals, z_before keeps each z^k and drawn each direction, as
+    the index alone for a coordinate law: s builds the e_i on read.
+    """
+
+    f_z: array
+    gamma: array
+    branch: array
+    evals: array
     final_state: OptimizerState
     seed: int | None
     f0: float
     stop_reason: str
+    grad_norm: array | None = None
+    index: array | None = None
     z_before: list[np.ndarray] | None = None
-    s: list[np.ndarray] | None = None
+    drawn: list[np.ndarray] | array | None = None
 
     @property
     def beta(self) -> float:
         return self.final_state.beta
+
+    @property
+    def records(self) -> list[IterationRecord]:
+        """The rows as IterationRecords, built from the columns on each read."""
+        none = repeat(None)
+        return [IterationRecord(k, *row) for k, row in enumerate(zip(
+            self.f_z, self.gamma, map(BRANCHES.__getitem__, self.branch), self.evals,
+            none if self.grad_norm is None else self.grad_norm,
+            none if self.index is None else self.index))]
+
+    @property
+    def s(self) -> list[np.ndarray] | None:
+        if not isinstance(self.drawn, array):
+            return self.drawn
+        return list(np.eye(self.final_state.z.size)[np.asarray(self.drawn)])
 
 
 def _check_beta(beta: float) -> None:
@@ -136,12 +168,6 @@ def candidate_points(z, v, s, gamma: float, beta: float):
     return v_p, v_m, x_p, x_m, z_p, z_m
 
 
-def _unit(d: int, i: int) -> np.ndarray:
-    s = np.zeros(d)
-    s[i] = 1.0
-    return s
-
-
 def _rule_stepsize(objective, schedule, k: int, z, f_z: float, s, index: int | None) -> float:
     """Stepsize for iteration k, probing f(z + t s) first if the rule needs it.
 
@@ -171,8 +197,9 @@ def smtp_step(
     s: np.ndarray | None = None,
     index: int | None = None,
     gamma: float | None = None,
-) -> tuple[OptimizerState, IterationRecord]:
-    """One momentum three-point iteration; mutates and returns state.
+) -> tuple[int, float]:
+    """One momentum three-point iteration; mutates state and returns the
+    branch code and the stepsize.
 
     Pass a pre-sampled s to control the direction (the run loop does this);
     otherwise one direction is drawn from rng.  index = i says the direction
@@ -224,9 +251,9 @@ def smtp_step(
         state.f_z = f_new
         state.last_gamma = gamma
     else:
-        branch, f_new = STAY, f_z
+        branch = STAY
     state.k = k + 1
-    return state, IterationRecord(k, f_new, gamma, branch, objective.eval_counter)
+    return branch, gamma
 
 
 def stp_step(
@@ -238,13 +265,13 @@ def stp_step(
     s: np.ndarray | None = None,
     index: int | None = None,
     gamma: float | None = None,
-) -> tuple[OptimizerState, IterationRecord]:
+) -> tuple[int, float]:
     """One momentum-free three-point iteration over x -/+ gamma s.
 
     Branch labels mirror the momentum convention: plus is the x - gamma s
     candidate, so a beta = 0 momentum run and this baseline produce
-    identical records from identical seeds.  s, index and gamma work as in
-    smtp_step.
+    identical traces from identical seeds.  s, index and gamma, and the
+    return value, work as in smtp_step.
     """
     if s is None and index is None:
         s = sample(dist, rng)
@@ -280,9 +307,9 @@ def stp_step(
         state.f_z = f_new
         state.last_gamma = gamma
     else:
-        branch, f_new = STAY, f_x
+        branch = STAY
     state.k = k + 1
-    return state, IterationRecord(k, f_new, gamma, branch, objective.eval_counter)
+    return branch, gamma
 
 
 def _run_loop(step, objective, dist, schedule, beta, x0, max_iters, seed, epsilon_gap,
@@ -295,8 +322,9 @@ def _run_loop(step, objective, dist, schedule, beta, x0, max_iters, seed, epsilo
     holds, and its value is handed to every step.  Over coordinate
     directions an index-only rule is evaluated so once per coordinate, and
     each step gets the drawn coordinate's entry.  The step moves; the loop
-    records: the gradient norm at z before each step, measured by
-    norm_constants, and with record_index the drawn coordinate.
+    appends each outcome to the trace's columns, with track_grad_norm the
+    gradient norm at z before the step, measured by norm_constants, and with
+    record_index the drawn coordinate.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
@@ -305,39 +333,43 @@ def _run_loop(step, objective, dist, schedule, beta, x0, max_iters, seed, epsilo
         raise ValueError("epsilon_gap stopping needs a known f_star")
     start_evals = objective.eval_counter
     state = init_state(objective, x0, beta)
-    records: list[IterationRecord] = []
+    coord = dist.kind in ("coord_uniform", "coord_weighted")
+    f_z, gammas, branches, evals = array("d"), array("d"), array("b"), array("q")
+    grad_norm = array("d") if track_grad_norm else None
+    index = array("q") if record_index else None
     z_before = [] if retain_internals else None
-    s_kept = [] if retain_internals else None
+    drawn = (array("q") if coord else []) if retain_internals else None
     f0 = state.f_z
     gamma = table = None
     if max_iters > 0 and getattr(schedule, "context_free", False):
         gamma = stepsize(schedule, StepContext(0, f0))
-    elif (max_iters > 0 and getattr(schedule, "index_only", False)
-          and dist.kind in ("coord_uniform", "coord_weighted")):
+    elif max_iters > 0 and getattr(schedule, "index_only", False) and coord:
         table = [float(stepsize(schedule, StepContext(0, f0, None, i))) for i in range(dist.dim)]
     rng = np.random.default_rng(seed)
     stop_reason = "max_iters"
     for s, i in draws(dist, rng, max_iters):
         if retain_internals:
             z_before.append(state.z)
-            s_kept.append(_unit(dist.dim, i) if s is None else s)
+            drawn.append(i if s is None else s)
         if track_grad_norm:
-            grad_norm = d_norm(norm_constants, objective.gradient(state.z))
+            grad_norm.append(d_norm(norm_constants, objective.gradient(state.z)))
         if table is not None:
             gamma = table[i]
-        state, rec = step(state, objective, dist, schedule, rng, s, i, gamma)
-        if track_grad_norm:
-            rec.grad_norm_D = grad_norm
+        branch, step_gamma = step(state, objective, dist, schedule, rng, s, i, gamma)
+        f_z.append(state.f_z)
+        gammas.append(step_gamma)
+        branches.append(branch)
+        evals.append(objective.eval_counter)
         if record_index:
-            rec.direction_index = i
-        records.append(rec)
+            index.append(i)
         if epsilon_gap is not None and state.f_z - f_star <= epsilon_gap:
             stop_reason = "epsilon_gap"
             break
         if eval_budget is not None and objective.eval_counter - start_evals >= eval_budget:
             stop_reason = "eval_budget"
             break
-    return RunTrace(records, state, seed, f0, stop_reason, z_before, s_kept)
+    return RunTrace(f_z, gammas, branches, evals, state, seed, f0, stop_reason,
+                    grad_norm, index, z_before, drawn)
 
 
 def smtp_run(
@@ -396,8 +428,8 @@ def smtp_is_run(
     """Run smtp_is with coordinate probabilities p (importance sampling).
 
     This is smtp over coord_weighted(p): the direction is e_i with i ~ p, and
-    an importance-sampling rule scales the step by coordinate i.  Records
-    carry the drawn index, and the tracked gradient norm is the plain L1 norm.
+    an importance-sampling rule scales the step by coordinate i.  The trace
+    records the drawn index, and the tracked gradient norm is the plain L1 norm.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.shape[0] != objective.dimension:
@@ -416,7 +448,7 @@ def select_uniform_random_iterate(trace: RunTrace, rng: np.random.Generator) -> 
 
     Needs a trace recorded with retain_internals=True.
     """
-    if trace.z_before is None or len(trace.z_before) == 0:
+    if trace.z_before is None or len(trace.f_z) == 0:
         raise ValueError("trace has no retained iterates; rerun with retain_internals=True")
-    idx = int(rng.integers(len(trace.z_before)))
+    idx = int(rng.integers(len(trace.f_z)))
     return idx, trace.z_before[idx].copy()

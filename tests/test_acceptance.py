@@ -22,7 +22,7 @@ from threepoint.directions import (
     mc_validate,
 )
 from threepoint.objectives import make_lqr, make_quadratic, make_rosenbrock
-from threepoint.optimizers import init_state, smtp_is_run, smtp_run, smtp_step, stp_run
+from threepoint.optimizers import STAY, init_state, smtp_is_run, smtp_run, smtp_step, stp_run
 from threepoint.schedules import (
     Constant,
     Decreasing,
@@ -217,18 +217,18 @@ def test_04_virtual_iterate_identity():
         obj, _, _ = _objective_cell(name)
         rng = np.random.default_rng(seed)
         state = init_state(obj, x0, BETA)
-        for _ in range(iters):
-            state, rec = smtp_step(state, obj, dist, sched, rng)
+        for k in range(iters):
+            branch, gamma = smtp_step(state, obj, dist, sched, rng)
             total += 1
-            if rec.branch == "stay":
+            if branch == STAY:
                 continue
             accepted += 1
-            c = rec.gamma * BETA / (1.0 - BETA)
+            c = gamma * BETA / (1.0 - BETA)
             resid = float(np.max(np.abs(state.z - (state.x - c * state.v))))
             scale = max(1.0, float(np.max(np.abs(state.z))))
             worst = max(worst, resid / scale)
             assert resid <= tol * scale, \
-                f"{name}/{dist_name}/{sched_name}/seed{seed} k={rec.k}: {resid:.3e}"
+                f"{name}/{dist_name}/{sched_name}/seed{seed} k={k}: {resid:.3e}"
     assert total >= 100_000
     print(f"PASS 04: identity held after {accepted} accepted moves of {total} "
           f"steps (worst {worst:.2e} <= {tol})")

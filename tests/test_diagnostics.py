@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from threepoint.diagnostics import (
 )
 from threepoint.objectives import Objective, make_lqr, make_quadratic, make_rosenbrock
 from threepoint.optimizers import (
-    IterationRecord,
+    PLUS,
     OptimizerState,
     RunTrace,
     smtp_is_run,
@@ -27,14 +28,13 @@ from threepoint.schedules import Constant, Decreasing, PerCoordinate
 
 def _synthetic_trace(gaps, beta=0.0, f_star=0.0):
     """A trace whose gap sequence is exactly `gaps` (first entry is f0)."""
-    records = [
-        IterationRecord(k, f_star + g, 0.1, "plus", 3 + 2 * k)
-        for k, g in enumerate(gaps[1:])
-    ]
+    n = len(gaps) - 1
     d = 1
     state = OptimizerState(np.zeros(d), np.zeros(d), np.zeros(d),
-                           f_star + gaps[-1], len(records), beta)
-    return RunTrace(records, state, 0, f_star + gaps[0], "max_iters")
+                           f_star + gaps[-1], n, beta)
+    return RunTrace(array("d", [f_star + g for g in gaps[1:]]), array("d", [0.1] * n),
+                    array("b", [PLUS] * n), array("q", range(3, 3 + 2 * n, 2)),
+                    state, 0, f_star + gaps[0], "max_iters")
 
 
 class TestBoundEnvelope:
@@ -170,7 +170,7 @@ class TestVerifyInequalities:
         obj = make_quadratic(np.ones(3))
         trace = smtp_run(obj, DirectionDistribution("sphere", 3), Constant(0.1),
                          0.5, np.ones(3), max_iters=50, seed=2, retain_internals=True)
-        trace.records[7].f_z_after += 1.0
+        trace.f_z[7] += 1.0
         report = verify_trace_inequalities(trace, obj)
         assert not report.ok
         assert 7 in [k for k, _ in report.violations]
@@ -193,9 +193,9 @@ class TestVerifyInequalities:
         s = np.zeros(obj.dimension)
         s[0] = 1.0
         f0 = obj._fn(z)
-        rec = IterationRecord(0, f_after, gamma, "plus", 3)
         state = OptimizerState(z, np.zeros_like(z), z, f_after, 1, beta)
-        return RunTrace([rec], state, 0, f0, "max_iters", [z], [s])
+        return RunTrace(array("d", [f_after]), array("d", [gamma]), array("b", [PLUS]),
+                        array("q", [3]), state, 0, f0, "max_iters", z_before=[z], drawn=[s])
 
     def test_box_exit_classified_separately(self):
         obj = make_rosenbrock(2)

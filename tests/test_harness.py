@@ -200,9 +200,18 @@ class TestParsing:
         ("objective = quadratic",
          "objective = lqr\nhorizon = 3\nd_state = 2\nd_ctrl = 1\ntrack_grad_norm = true", 7,
          "objective lqr has no gradient oracle for track_grad_norm"),
+        ("seeds = 3", "seeds = 3\nr0 = one", 10, "r0 must be a number or 'auto', got 'one'"),
+        ("seeds = 3", "seeds = 3\nschedule.gamma0 = auto", 10,
+         "schedule.gamma0 must be a number or 'optimal', got 'auto'"),
+        ("seeds = 3", "seeds = 3\nschedule.alpha = 1/2", 10,
+         "schedule.alpha must be a number or 'auto', got '1/2'"),
+        ("seeds = 3", "seeds = 3\nschedule.theta = abc", 10,
+         "schedule.theta must be a number or 'auto', got 'abc'"),
+        ("seeds = 3", "seeds = 3\nschedule.t = optimal", 10,
+         "schedule.t must be a number or 'auto', got 'optimal'"),
     ], ids=["jobs", "max_iters", "seeds", "noise.sigma", "dimension", "lqr_size", "distribution",
             "smtp_is_distribution", "repeated_seeds", "nc_needs_grad_norm", "envelope_max_iters",
-            "lqr_grad_norm"])
+            "lqr_grad_norm", "r0", "gamma0", "alpha", "theta", "t"])
     def test_validation_errors_name_their_line(self, old, new, line, message):
         with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
             parse_config(QUAD_BASE.replace(old, new))
@@ -313,6 +322,18 @@ class TestBuilders:
                [(r.k, r.f_z_after, r.branch) for r in t2.records]
         np.testing.assert_array_equal(t1.final_state.z, t2.final_state.z)
 
+    def test_noisy_budget_counts_oracle_calls(self):
+        # noise.k = 4 makes every query 4 oracle calls: f(x0) and 2 per
+        # iteration cost 4 + 8 k, so a budget of 40 stops after 5 iterations
+        cfg = parse_config(QUAD_BASE.replace("max_iters = 80", "max_iters = 1000")
+                           + "\nnoise.sigma = 0.01\nnoise.k = 4\neval_budget = 40")
+        trace, obj = run_once(cfg, seed=0)
+        assert trace.stop_reason == "eval_budget"
+        assert list(trace.evals) == [12, 20, 28, 36, 44]
+        assert obj.eval_counter == 44
+        result = run_experiment(cfg, write=False).seed_results[0]
+        assert (result.iterations, result.evals) == (5, 44)
+
     def test_noise_seeding(self):
         cfg = parse_config(QUAD_BASE + "\nnoise.sigma = 0.05")
         a, _ = run_once(cfg, seed=0)
@@ -350,6 +371,46 @@ class TestRunExperiment:
         assert f"fingerprint={cfg.fingerprint()}" in text
         assert "envelope=none" in text
         assert "seed2.stop=max_iters" in text
+
+    @pytest.mark.parametrize("track", [False, True])
+    def test_trace_csv_chunks(self, tmp_path, track):
+        # the writer formats CSV_CHUNK rows at a time; the bytes must equal
+        # one join over every row, at and across a chunk boundary
+        for n in (0, harness.CSV_CHUNK, harness.CSV_CHUNK + 1):
+            text = QUAD_BASE.replace("max_iters = 80", f"max_iters = {n}")
+            cfg = parse_config(text + ("\ntrack_grad_norm = true" if track else ""))
+            trace, _ = run_once(cfg, 0)
+            rows = [CSV_HEADER] + [
+                f"{r.k},{format(r.f_z_after, '.17g')},{format(r.gamma, '.17g')},{r.branch},"
+                f"{r.evals_cumulative},{'' if r.grad_norm_D is None else format(r.grad_norm_D, '.17g')}"
+                for r in trace.records]
+            path = tmp_path / f"trace{n}.csv"
+            harness._write_trace(trace, str(path))
+            assert len(rows) == n + 1
+            assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+    def test_summary_branch_mix_and_gamma_range(self, tmp_path):
+        cfg = parse_config(QUAD_BASE.replace("seeds = 3", "seeds = 3,4"), label="obs")
+        run_experiment(cfg, out_dir=str(tmp_path))
+        summary = dict(line.split("=", 1)
+                       for line in (tmp_path / "obs" / "summary.txt").read_text().splitlines())
+        for seed in (3, 4):
+            trace, _ = run_once(cfg, seed)
+            branches = [r.branch for r in trace.records]
+            gammas = sorted(r.gamma for r in trace.records)
+            rates = [float(summary[f"seed{seed}.branch.{b}"]) for b in ("plus", "minus", "stay")]
+            assert rates == [branches.count(b) / 80 for b in ("plus", "minus", "stay")]
+            assert math.isclose(sum(rates), 1.0)
+            assert float(summary[f"seed{seed}.gamma.min"]) == gammas[0]
+            assert float(summary[f"seed{seed}.gamma.median"]) == np.median(gammas)
+            assert float(summary[f"seed{seed}.gamma.max"]) == gammas[-1]
+
+        empty = parse_config(QUAD_BASE.replace("max_iters = 80", "max_iters = 0"), label="empty")
+        run_experiment(empty, out_dir=str(tmp_path))
+        lines = (tmp_path / "empty" / "summary.txt").read_text().splitlines()
+        for key in ("branch.plus", "branch.minus", "branch.stay",
+                    "gamma.min", "gamma.median", "gamma.max"):
+            assert f"seed0.{key}=" in lines
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = parse_config(QUAD_BASE, label="x")

@@ -190,7 +190,8 @@ class TestNoiseWrapper:
         base = make_quadratic(np.array([1.0, 3.0]))
         noisy = wrap_noise(base, NoiseSpec(0.1, 4), np.random.default_rng(0))
         noisy.value(np.ones(2))
-        assert noisy.eval_counter == 1
+        # one query makes k = 4 oracle calls, and both counters say so
+        assert noisy.eval_counter == 4
         assert base.eval_counter == 4
 
     def test_seeded_reproducibility(self):

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import sys
+from array import array
+
 import numpy as np
 import pytest
 
 from threepoint.directions import DirectionDistribution, categorical_index, sample
 from threepoint.objectives import Objective, SmoothnessInfo, make_quadratic, make_rosenbrock
 from threepoint.optimizers import (
+    BRANCHES,
+    MINUS,
+    PLUS,
+    STAY,
+    IterationRecord,
     NonFiniteObjectiveError,
     candidate_points,
     init_state,
@@ -31,29 +39,36 @@ SPHERE2 = DirectionDistribution("sphere", 2)
 COORD10 = DirectionDistribution("coord_uniform", 10)
 
 
+def _step_record(step, state, obj, *args, **kwargs) -> IterationRecord:
+    """Take one step and return its row as a run's records view shows it."""
+    k = state.k
+    branch, gamma = step(state, obj, *args, **kwargs)
+    return IterationRecord(k, state.f_z, gamma, BRANCHES[branch], obj.eval_counter)
+
+
 class TestSingleStep:
     def test_plus_branch_oracle_beta0(self):
         obj = make_quadratic(np.array([1.0]))
         state = init_state(obj, np.array([1.0]), beta=0.0)
         rng = np.random.default_rng(0)
-        state, rec = smtp_step(state, obj, None, Constant(0.1), rng, s=np.array([1.0]))
+        branch, gamma = smtp_step(state, obj, None, Constant(0.1), rng, s=np.array([1.0]))
         # z_plus = 1 - 0.1 = 0.9, f = 0.405 exactly
-        assert rec.branch == "plus"
-        assert rec.f_z_after == 0.405
+        assert branch == PLUS and gamma == 0.1
+        assert state.f_z == 0.405
         assert state.z[0] == 0.9
         assert state.x[0] == 0.9
         assert state.v[0] == 1.0
-        assert rec.k == 0 and state.k == 1
-        assert rec.evals_cumulative == 3  # init + two candidates
+        assert state.k == 1
+        assert obj.eval_counter == 3  # init + two candidates
 
     def test_plus_branch_oracle_with_momentum(self):
         obj = make_quadratic(np.array([1.0, 1.0]))
         state = init_state(obj, np.array([1.0, 0.0]), beta=0.5)
-        state, rec = smtp_step(state, obj, None, Constant(0.125),
-                               np.random.default_rng(0), s=np.array([1.0, 0.0]))
+        branch, _ = smtp_step(state, obj, None, Constant(0.125),
+                              np.random.default_rng(0), s=np.array([1.0, 0.0]))
         # effective step 0.125/0.5 = 0.25: z = (0.75, 0), f = 0.28125, all dyadic
-        assert rec.branch == "plus"
-        assert rec.f_z_after == 0.28125
+        assert branch == PLUS
+        assert state.f_z == 0.28125
         np.testing.assert_array_equal(state.z, np.array([0.75, 0.0]))
         np.testing.assert_array_equal(state.v, np.array([1.0, 0.0]))
         # anchor: x = 1 - gamma v = 0.875, and z = x - 0.125 v holds exactly
@@ -62,19 +77,19 @@ class TestSingleStep:
     def test_minus_branch(self):
         obj = make_quadratic(np.array([1.0]))
         state = init_state(obj, np.array([-1.0]), beta=0.0)
-        state, rec = smtp_step(state, obj, None, Constant(0.1),
-                               np.random.default_rng(0), s=np.array([1.0]))
-        assert rec.branch == "minus"
+        branch, _ = smtp_step(state, obj, None, Constant(0.1),
+                              np.random.default_rng(0), s=np.array([1.0]))
+        assert branch == MINUS
         assert state.z[0] == -0.9
 
     def test_stay_freezes_everything(self):
         obj = make_quadratic(np.array([1.0, 1.0]))
         state = init_state(obj, np.zeros(2), beta=0.5)
         before = (state.x.copy(), state.v.copy(), state.z.copy(), state.f_z)
-        state, rec = smtp_step(state, obj, None, Constant(0.3),
-                               np.random.default_rng(0), s=np.array([1.0, 0.0]))
-        assert rec.branch == "stay"
-        assert rec.f_z_after == before[3]
+        branch, _ = smtp_step(state, obj, None, Constant(0.3),
+                              np.random.default_rng(0), s=np.array([1.0, 0.0]))
+        assert branch == STAY
+        assert state.f_z == before[3]
         np.testing.assert_array_equal(state.x, before[0])
         np.testing.assert_array_equal(state.v, before[1])
         np.testing.assert_array_equal(state.z, before[2])
@@ -87,28 +102,27 @@ class TestSingleStep:
         obj = make_quadratic(np.array([2.0]))
         rule = SolutionDependent(mu=2.0, L=2.0, mu_d=1.0, f_star=0.0, beta=0.0)
         state = init_state(obj, np.zeros(1), beta=0.0)
-        state, rec = smtp_step(state, obj, None, rule,
-                               np.random.default_rng(0), s=np.array([1.0]))
-        assert rec.branch == "stay"
-        assert rec.gamma == 0.0
+        branch, gamma = smtp_step(state, obj, None, rule,
+                                  np.random.default_rng(0), s=np.array([1.0]))
+        assert branch == STAY
+        assert gamma == 0.0
 
     def test_tie_prefers_plus(self):
         # symmetric objective around z makes f_plus == f_minus < f_z impossible
         # for a quadratic centered at z; build a custom even function instead
         obj = Objective(lambda x: float(abs(abs(x[0]) - 1.0)), 1)
         state = init_state(obj, np.zeros(1), beta=0.0)
-        state, rec = smtp_step(state, obj, None, Constant(0.5),
-                               np.random.default_rng(0), s=np.array([1.0]))
-        assert rec.branch == "plus"
+        branch, _ = smtp_step(state, obj, None, Constant(0.5),
+                              np.random.default_rng(0), s=np.array([1.0]))
+        assert branch == PLUS
         assert state.z[0] == -0.5
 
     def test_probe_consumes_one_eval(self):
         obj = make_quadratic(np.array([1.0]))
         rule = SolutionFree(L=1.0, t=1e-3, beta=0.0)
         state = init_state(obj, np.array([1.0]), beta=0.0)
-        state, rec = smtp_step(state, obj, None, rule,
-                               np.random.default_rng(0), s=np.array([1.0]))
-        assert rec.evals_cumulative == 4  # init + probe + two candidates
+        smtp_step(state, obj, None, rule, np.random.default_rng(0), s=np.array([1.0]))
+        assert obj.eval_counter == 4  # init + probe + two candidates
 
 
 class TestCandidateConstruction:
@@ -137,10 +151,10 @@ class TestCandidateConstruction:
         accepted = 0
         for _ in range(400):
             s = sample(dist, rng)
-            state, rec = smtp_step(state, obj, dist, rule, rng, s=s)
-            if rec.branch != "stay":
+            branch, gamma = smtp_step(state, obj, dist, rule, rng, s=s)
+            if branch != STAY:
                 accepted += 1
-                c = rec.gamma * state.beta / (1.0 - state.beta)
+                c = gamma * state.beta / (1.0 - state.beta)
                 np.testing.assert_allclose(state.z, state.x - c * state.v, atol=1e-12)
         assert accepted > 50
 
@@ -202,8 +216,7 @@ class TestEquivalenceAndDeterminism:
                     manual = []
                     for _ in range(iters):
                         s = sample(dist, rng)
-                        state, rec = step(state, obj, dist, rule, rng, s=s)
-                        manual.append(rec)
+                        manual.append(_step_record(step, state, obj, dist, rule, rng, s=s))
                     where = f"{method}/{dist.kind}/{type(rule).__name__}"
                     assert trace.records == manual, where
                     np.testing.assert_array_equal(trace.final_state.z, state.z, err_msg=where)
@@ -340,11 +353,11 @@ class TestImportanceSampling:
         obj = make_quadratic(np.array([1.0, 4.0]))
         rule = PerCoordinate(Constant(0.5), np.array([1.0, 4.0]))
         state = init_state(obj, np.ones(2), beta=0.5)
-        state, rec = smtp_step(state, obj, None, rule, np.random.default_rng(0), index=1)
+        branch, gamma = smtp_step(state, obj, None, rule, np.random.default_rng(0), index=1)
         # gamma = 0.5/4, effective step 0.25: z = (1, 0.75), f = 1.625, all dyadic
-        assert rec.branch == "plus"
-        assert rec.gamma == 0.125
-        assert rec.f_z_after == 1.625
+        assert branch == PLUS
+        assert gamma == 0.125
+        assert state.f_z == 1.625
         np.testing.assert_array_equal(state.z, np.array([1.0, 0.75]))
 
     def test_run_matches_manual_steps(self):
@@ -365,10 +378,8 @@ class TestImportanceSampling:
             for _ in range(1100):
                 i = categorical_index(cdf, rng.random())
                 grad_l1 = float(np.sum(np.abs(obj.gradient(state.z))))
-                state, rec = smtp_step(state, obj, None, rule, rng, index=i)
-                rec.grad_norm_D = grad_l1
-                rec.direction_index = i
-                manual.append(rec)
+                rec = _step_record(smtp_step, state, obj, None, rule, rng, index=i)
+                manual.append(rec._replace(grad_norm_D=grad_l1, direction_index=i))
             assert trace.records == manual, type(rule).__name__
             np.testing.assert_array_equal(trace.final_state.z, state.z)
             np.testing.assert_array_equal(trace.final_state.x, state.x)
@@ -411,3 +422,57 @@ class TestImportanceSampling:
         for rec, s in zip(trace.records, trace.s):
             assert s[rec.direction_index] == 1.0
             assert float(s @ s) == 1.0
+
+
+class TestColumnarTrace:
+    def _runs(self):
+        coord_L = np.linspace(1.0, 4.0, 4)
+        p = coord_L / coord_L.sum()
+        for track in (False, True):
+            yield smtp_run(make_quadratic(coord_L), DirectionDistribution("sphere", 4),
+                           Decreasing(alpha=0.5, theta=4.0), 0.5, np.ones(4), max_iters=300,
+                           seed=5, track_grad_norm=track)
+            yield smtp_is_run(make_quadratic(coord_L), p, PerCoordinate(Constant(0.05), coord_L),
+                              0.5, np.ones(4), max_iters=300, seed=5, track_grad_norm=track)
+
+    def test_records_view_equals_columns(self):
+        for trace in self._runs():
+            records = trace.records
+            assert len(records) == len(trace.f_z) == 300
+            assert list(records) == [records[k] for k in range(300)] == records[:]
+            for k, rec in enumerate(records):
+                assert rec.k == k
+                assert rec.f_z_after == trace.f_z[k]
+                assert rec.gamma == trace.gamma[k]
+                assert rec.branch == BRANCHES[trace.branch[k]]
+                assert rec.evals_cumulative == trace.evals[k]
+                assert rec.grad_norm_D == (None if trace.grad_norm is None else trace.grad_norm[k])
+                assert rec.direction_index == (None if trace.index is None else trace.index[k])
+            assert records[-1] == records[299]
+            assert records[10:20] == [records[k] for k in range(10, 20)]
+            with pytest.raises(IndexError):
+                records[300]
+
+    def test_columns_stay_small(self):
+        # every column recorded, for 2e4 iterations: a fixed cost per row,
+        # far below one object per iteration
+        coord_L = np.linspace(1.0, 4.0, 4)
+        trace = smtp_is_run(make_quadratic(coord_L), coord_L / coord_L.sum(),
+                            PerCoordinate(Constant(0.01), coord_L), 0.5, np.ones(4),
+                            max_iters=20_000, seed=1, track_grad_norm=True)
+        columns = (trace.f_z, trace.gamma, trace.branch, trace.evals, trace.grad_norm, trace.index)
+        assert all(isinstance(c, array) and len(c) == 20_000 for c in columns)
+        assert sum(sys.getsizeof(c) for c in columns) / 20_000 <= 64
+
+    def test_retained_coordinate_draws_are_indices(self):
+        dist = DirectionDistribution("coord_uniform", 5)
+        trace = smtp_run(make_quadratic(np.ones(5)), dist, Constant(0.05), 0.5, np.ones(5),
+                         max_iters=50, seed=4, retain_internals=True)
+        assert isinstance(trace.drawn, array) and len(trace.drawn) == 50
+        rng = np.random.default_rng(4)
+        s = trace.s
+        assert len(s) == 50
+        for k in range(50):
+            expected = sample(dist, rng)  # the dense e_i the run's stream stands for
+            np.testing.assert_array_equal(s[k], expected)
+            assert expected[trace.drawn[k]] == 1.0
