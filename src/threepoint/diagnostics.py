@@ -174,19 +174,16 @@ def verify_trace_inequalities(trace: RunTrace, objective, slack_tol: float = SLA
     importance-sampled coordinate steps.  slack = rhs - f(z^{k+1}); entries
     below slack_tol are reported.
     """
-    if trace.z_before is None or trace.s is None:
+    if trace.z_before is None or trace.drawn is None:
         raise ValueError("trace was not recorded with retain_internals=True")
     if not objective.has_gradient:
         raise ValueError("objective needs a gradient oracle for inequality checks")
     info = objective.smoothness
-    if trace.index is not None:
-        if info.coord_L is None:
-            raise ValueError("importance-sampled trace needs coord_L metadata")
-        Ls = [float(info.coord_L[i]) for i in trace.index]
-    else:
-        if info.L is None:
-            raise ValueError("objective has no smoothness constant L")
-        Ls = repeat(info.L)
+    if trace.index is not None and info.coord_L is None:
+        raise ValueError("importance-sampled trace needs coord_L metadata")
+    if trace.index is None and info.L is None:
+        raise ValueError("objective has no smoothness constant L")
+    Ls = repeat(info.L) if trace.index is None else info.coord_L[np.asarray(trace.index)]
     beta = trace.beta
     one_m = 1.0 - beta
     box = info.box_halfwidth

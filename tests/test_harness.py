@@ -382,35 +382,12 @@ class TestRunExperiment:
             trace, _ = run_once(cfg, 0)
             rows = [CSV_HEADER] + [
                 f"{r.k},{format(r.f_z_after, '.17g')},{format(r.gamma, '.17g')},{r.branch},"
-                f"{r.evals_cumulative},{'' if r.grad_norm_D is None else format(r.grad_norm_D, '.17g')}"
+                f"{r.evals_cumulative},{harness._format(r.grad_norm_D)}"
                 for r in trace.records]
             path = tmp_path / f"trace{n}.csv"
             harness._write_trace(trace, str(path))
             assert len(rows) == n + 1
             assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
-
-    def test_summary_branch_mix_and_gamma_range(self, tmp_path):
-        cfg = parse_config(QUAD_BASE.replace("seeds = 3", "seeds = 3,4"), label="obs")
-        run_experiment(cfg, out_dir=str(tmp_path))
-        summary = dict(line.split("=", 1)
-                       for line in (tmp_path / "obs" / "summary.txt").read_text().splitlines())
-        for seed in (3, 4):
-            trace, _ = run_once(cfg, seed)
-            branches = [r.branch for r in trace.records]
-            gammas = sorted(r.gamma for r in trace.records)
-            rates = [float(summary[f"seed{seed}.branch.{b}"]) for b in ("plus", "minus", "stay")]
-            assert rates == [branches.count(b) / 80 for b in ("plus", "minus", "stay")]
-            assert math.isclose(sum(rates), 1.0)
-            assert float(summary[f"seed{seed}.gamma.min"]) == gammas[0]
-            assert float(summary[f"seed{seed}.gamma.median"]) == np.median(gammas)
-            assert float(summary[f"seed{seed}.gamma.max"]) == gammas[-1]
-
-        empty = parse_config(QUAD_BASE.replace("max_iters = 80", "max_iters = 0"), label="empty")
-        run_experiment(empty, out_dir=str(tmp_path))
-        lines = (tmp_path / "empty" / "summary.txt").read_text().splitlines()
-        for key in ("branch.plus", "branch.minus", "branch.stay",
-                    "gamma.min", "gamma.median", "gamma.max"):
-            assert f"seed0.{key}=" in lines
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = parse_config(QUAD_BASE, label="x")
@@ -563,6 +540,32 @@ class TestCli:
         assert "label=demo" in out
         assert "seed 0:" in out and "stop=max_iters" in out
         assert (tmp_path / "out" / "demo" / "trace_seed1.csv").exists()
+
+    def test_run_summary_branch_mix_and_gamma_range(self, tmp_path):
+        cfg_path = self._write(tmp_path, "obs.cfg", QUAD_BASE.replace("seeds = 3", "seeds = 3,4"))
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+        text = (tmp_path / "out" / "obs" / "summary.txt").read_text()
+        summary = dict(line.split("=", 1) for line in text.splitlines())
+        cfg = load_config(cfg_path)
+        for seed in (3, 4):
+            trace, _ = run_once(cfg, seed)
+            branches = [r.branch for r in trace.records]
+            gammas = sorted(r.gamma for r in trace.records)
+            rates = [float(summary[f"seed{seed}.branch.{b}"]) for b in ("plus", "minus", "stay")]
+            assert rates == [branches.count(b) / 80 for b in ("plus", "minus", "stay")]
+            assert math.isclose(sum(rates), 1.0)
+            assert float(summary[f"seed{seed}.gamma.min"]) == gammas[0]
+            assert float(summary[f"seed{seed}.gamma.median"]) == np.median(gammas)
+            assert float(summary[f"seed{seed}.gamma.max"]) == gammas[-1]
+
+        # a seed that ran no iteration leaves the six values empty
+        cfg_path = self._write(tmp_path, "empty.cfg", QUAD_BASE.replace("max_iters = 80",
+                                                                        "max_iters = 0"))
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "empty" / "summary.txt").read_text().splitlines()
+        for key in ("branch.plus", "branch.minus", "branch.stay",
+                    "gamma.min", "gamma.median", "gamma.max"):
+            assert f"seed0.{key}=" in lines
 
     def test_run_seed_override(self, tmp_path):
         cfg_path = self._write(tmp_path, "demo.cfg", QUAD_BASE)
