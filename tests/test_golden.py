@@ -38,11 +38,19 @@ SCHEDULES = {
     "solution_free": "schedule.kind = solution_free\nschedule.t = 0.001",
 }
 
-# the remaining rules, pinned on one plain and one importance-sampling case each
+# the remaining rules, pinned on one plain and one importance-sampling case each,
+# and on every stp law
 MORE_SCHEDULES = {
     "decreasing": "schedule.kind = decreasing\nschedule.alpha = 1\nschedule.theta = 4",
     "fixed_horizon": "schedule.kind = fixed_horizon\nschedule.gamma0 = optimal",
     "solution_dependent": "schedule.kind = solution_dependent",
+}
+
+# stp is pinned on every law x rule cell; SolutionFree needs unit directions
+STP_DISTRIBUTIONS = {
+    "gaussian": "distribution = gaussian",
+    "coord_uniform": "distribution = coord_uniform",
+    **DISTRIBUTIONS,
 }
 
 DIGESTS = {
@@ -94,21 +102,75 @@ DIGESTS = {
     "smtp_is-uniform-solution_free": (
         "a7589601067cef6e4e85b130e52b329647c2f13e08f80e6496f68da47e268195",
         "a2795b01be426c5152a339400af70ebe037d8d74464322296e2b9bc05c7124d6"),
+    "stp-coord_uniform-constant": (
+        "ccbfb8e3af18ce3853b13d45f6ea6f660a7b1281b1155b03060438c2398ea7bf",
+        "9f8fab1c82ce41402ca819d3efb4323a1d0c6f13153da81f5358a117ef438b8f"),
+    "stp-coord_uniform-decreasing": (
+        "1e6c538becf01e27515f1d05ca3c6ad032ddc3ab4e20c63728f19f3a05a9920f",
+        "f3f9e6fc62ed6efa33aa8f2ff78887095903378926d590821f422bdc28d7c7f4"),
+    "stp-coord_uniform-fixed_horizon": (
+        "1679504a211f6cbe62b44ad8b21a127adec1525d7f0ffa5c805b26f9ff1a50b4",
+        "af861db1210876d77b81474577310ddc4049a0b4805a9f2b3860eca09d77006b"),
+    "stp-coord_uniform-solution_dependent": (
+        "645188e3a2f09c635266980f57cf2caa60d5c09b01e76e74a13eef9faba942ac",
+        "ee1a602fc4d2e56ff7d73fe84de70bc8ec4217c29362fac009d0bfbcf4101afd"),
+    "stp-coord_uniform-solution_free": (
+        "ce8bc0c831af48fe004286197f11637a7341a9320f203ef6099f9e3b949ec0df",
+        "15ac0e7d362f00698f1ddc3efcb5aa56f93fcbc41421d8dd75721fc96d15f01b"),
     "stp-coord_weighted-constant": (
         "f355c81b1b01ad318e3cb676d1674b7636f3e308851673ddd99b4a0daa687b68",
         "9bde3c965b42020b305c67021e816887ce631e4bda6b8df1e64d5f9b430ee442"),
+    "stp-coord_weighted-decreasing": (
+        "71fb1d1578dd967630e890cc09c2347eb3a6b1d6207e81440723e8a97876e75b",
+        "43c46216cb230cb24fa83af71cafdee56bf7fa7d6eab0ece3f2ca8b73cb7ace9"),
+    "stp-coord_weighted-fixed_horizon": (
+        "df09672943ae8d72c92f7704defcc7340b19387546d3cbcc4696e57adf101138",
+        "0e96694175e696a2459fc7c581e0524453b43e474f17d6e69259c21553f9c640"),
+    "stp-coord_weighted-solution_dependent": (
+        "8cf6166c52d3fa0d07482ec46f33577fd6faf22968497bb7c739ca5d323d4710",
+        "1363bb27ab8e3996f7b9fdc180b72274a90cbb7dd294b9bddc3f43d471be86ec"),
     "stp-coord_weighted-solution_free": (
         "c6daf2d6cb4a23acdb166bbdf9d45f31034b5b625fb3b9015661253cfaa207f0",
         "1a689fa4c98440fdeed4193fe6e269f0705dd75140da1f59ad9852e437aca7b6"),
+    "stp-gaussian-constant": (
+        "347fbafa6b453f2321361c72e66e85c1ee53565ad53b0d0a406460ce3296615c",
+        "8471995492c437f64c3bd5088ccfa33a3f1c31983b9f0e8f066d7982f39caa1b"),
+    "stp-gaussian-decreasing": (
+        "e11d6f1b78c43cde999870254452a25f3476bf4091a0441b9737826c1100ae69",
+        "2c65f8f9d8f6c14fc53468e95004fcc2929a02fb5d08ade225c8c9967e5070ff"),
+    "stp-gaussian-fixed_horizon": (
+        "e16d778ab862ced39290527b2c524ff93cc93adb25e30f4dc2e438e6d09421e5",
+        "c4960a76fb2feefb0b677e5c02957d3613ce5142e3b55fc1cd4374a5ef831ecc"),
+    "stp-gaussian-solution_dependent": (
+        "c8f19253949eb0cd08a5d3318bd1971c43c34f4ea67d517bea3944ef18fb721d",
+        "14a6f2ac8785b9859af6e213f3cd85a70121c2209bce7ee94c8004537454c0f8"),
     "stp-orthonormal_weighted-constant": (
         "c235714ef119ad713573290e99cd5c0d30c4ecb431252a6b55e3f4c7b4d4cfa5",
         "2d636b905543f455e791044dd46f4c720051c596c19192a7075cab4b0827f479"),
+    "stp-orthonormal_weighted-decreasing": (
+        "cc03c958ffb873db80d99f537c65b64811b4e0e9afd9b305409e973df15ea727",
+        "b347298fefc83de600999dce5b087e9c19c39f217b9b4bee2dd0e40d7073de1b"),
+    "stp-orthonormal_weighted-fixed_horizon": (
+        "4511e89c79d10131ef439c1a416c765c43cbc7f39453c4233751f3b518bb68f1",
+        "3e81e5489e6e6d04dac77462de9308f6eb0b96e9d6af9b7449c29637048b88fc"),
+    "stp-orthonormal_weighted-solution_dependent": (
+        "e90ce4f27d7bd784f7aa33247132bca8544b3c550dc25934e9fba66a6931c785",
+        "e8da1d08b5ebe02ea7a79c845ce0be21690ad7512fce1de737fb6862701f984d"),
     "stp-orthonormal_weighted-solution_free": (
         "6f5392cbf672f1491671ed1d98fef509bca476c7e742b4b39b78058b7b4c3d90",
         "8f0e084074bd84432d6d13ed0fc047943d44aa954697940e3660cf8038659735"),
     "stp-sphere-constant": (
         "686f4b2ae4886915cc6ed4b68eb5671f869d5f1abc1dbada216e5aaab988f0a6",
         "af1a0235de22308752c68eb3a74c0ef67a054ed7c984104f84ec22d171c1c261"),
+    "stp-sphere-decreasing": (
+        "b90d06752eff37af417d89ece92eba4af10a35a6851fbc4e998b9d0d106afdd2",
+        "9c3a9e24443545a6c735981f42e18ce9e49ed9d18bf844606ed598641e5aa0e4"),
+    "stp-sphere-fixed_horizon": (
+        "b89ac0b01dea600bfd508c117c3aacaa6a01681a7bcb9d3d03930d7dc711474f",
+        "8adf4bb7bbd7f0b7271fbbcd2553488c95fff52638088492fd6439228ec72870"),
+    "stp-sphere-solution_dependent": (
+        "f1f889d3890de611fac49a70f5907dff9c553eca586e81b3b1228664dd613268",
+        "eef9a334c2f60f639a7e2bfb3b51df2e85ad55166ee43890f7f26b01952146b4"),
     "stp-sphere-solution_free": (
         "144c71bc1187112c6a97ca08050bc8087f0c1d02b51016960c1b1a586693d95b",
         "969504cb95a79eae64099f84d9963cb3120b1540ecf5f04daec2f205687cc248"),
@@ -116,11 +178,13 @@ DIGESTS = {
 
 
 def _cases():
-    for method, beta in (("smtp", 0.5), ("stp", 0.0)):
-        for dist, dist_lines in DISTRIBUTIONS.items():
-            for sched, sched_lines in SCHEDULES.items():
-                text = f"method = {method}\nbeta = {beta}\n{dist_lines}\n{sched_lines}"
-                yield f"{method}-{dist}-{sched}", text
+    for dist, dist_lines in DISTRIBUTIONS.items():
+        for sched, sched_lines in SCHEDULES.items():
+            yield f"smtp-{dist}-{sched}", f"method = smtp\nbeta = 0.5\n{dist_lines}\n{sched_lines}"
+    for dist, dist_lines in STP_DISTRIBUTIONS.items():
+        for sched, sched_lines in {**SCHEDULES, **MORE_SCHEDULES}.items():
+            if (dist, sched) != ("gaussian", "solution_free"):
+                yield f"stp-{dist}-{sched}", f"method = stp\nbeta = 0.0\n{dist_lines}\n{sched_lines}"
     for p in ("uniform", "prop_L"):
         for sched, sched_lines in SCHEDULES.items():
             text = f"method = smtp_is\nbeta = 0.5\nis.p = {p}\nis.w = coord_L\n{sched_lines}"
