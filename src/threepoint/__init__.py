@@ -60,7 +60,6 @@ from .optimizers import (
     smtp_run,
     smtp_step,
     stp_run,
-    stp_step,
 )
 from .schedules import (
     Constant,
@@ -137,7 +136,6 @@ __all__ = [
     "solution_free_t_max_is",
     "stepsize",
     "stp_run",
-    "stp_step",
     "verify_trace_inequalities",
     "wrap_noise",
 ]

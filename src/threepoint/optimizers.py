@@ -1,8 +1,9 @@
 """Momentum three-point descent (smtp), its importance-sampling variant
 (smtp_is), and the momentum-free baseline (stp).
 
-All three share the same acceptance rule: evaluate the two candidates
-z -/+ (gamma/(1-beta)) s and keep the best of {current, plus, minus}, with
+One step, smtp_step, serves all three: stp is smtp at beta = 0, and smtp_is
+is smtp over coord_weighted(p).  It evaluates the two candidates
+z -/+ (gamma/(1-beta)) s and keeps the best of {current, plus, minus}, with
 ties resolved stay > plus > minus.  A "stay" freezes the point, the momentum
 buffer, and the cached objective value.  Every iteration costs exactly two
 evaluations plus one probe when the stepsize rule requires it.
@@ -56,7 +57,6 @@ class OptimizerState:
     f_z: float
     k: int
     beta: float
-    last_gamma: float = 0.0
     move: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -155,7 +155,7 @@ def candidate_points(z, v, s, gamma: float, beta: float):
     Builds v_pm = beta v +/- s, x_pm = x_k - gamma v_pm from the anchor
     x_k = z + (gamma beta / (1-beta)) v, and z_pm = x_pm - (gamma beta /
     (1-beta)) v_pm.  Algebraically z_pm = z -/+ (gamma/(1-beta)) s, which is
-    the cheap form the step functions use; tests pin both forms together.
+    the cheap form smtp_step uses; tests pin both forms together.
     """
     c = gamma * beta / (1.0 - beta)
     x_anchor = z + c * v
@@ -199,7 +199,8 @@ def smtp_step(
     gamma: float | None = None,
 ) -> tuple[int, float]:
     """One momentum three-point iteration; mutates state and returns the
-    branch code and the stepsize.
+    branch code and the stepsize.  At beta = 0 it is the momentum-free stp
+    step over z -/+ gamma s.
 
     Pass a pre-sampled s to control the direction (the run loop does this);
     otherwise one direction is drawn from rng.  index = i says the direction
@@ -249,79 +250,21 @@ def smtp_step(
         state.v = v_new
         state.z = z_new
         state.f_z = f_new
-        state.last_gamma = gamma
     else:
         branch = STAY
     state.k = k + 1
     return branch, gamma
 
 
-def stp_step(
-    state: OptimizerState,
-    objective,
-    dist: DirectionDistribution,
-    schedule,
-    rng: np.random.Generator,
-    s: np.ndarray | None = None,
-    index: int | None = None,
-    gamma: float | None = None,
-) -> tuple[int, float]:
-    """One momentum-free three-point iteration over x -/+ gamma s.
-
-    Branch labels mirror the momentum convention: plus is the x - gamma s
-    candidate, so a beta = 0 momentum run and this baseline produce
-    identical traces from identical seeds.  s, index and gamma, and the
-    return value, work as in smtp_step.
-    """
-    if s is None and index is None:
-        s = sample(dist, rng)
-    x = state.z
-    f_x = state.f_z
-    k = state.k
-
-    if gamma is None:
-        gamma = _rule_stepsize(objective, schedule, k, x, f_x, s, index)
-
-    if index is None:
-        gs = gamma * s
-        x_p = x - gs
-        x_m = x + gs
-    else:
-        xi = x.item(index)
-        x_p = x.copy()
-        x_p[index] = xi - gamma
-        x_m = x.copy()
-        x_m[index] = xi + gamma
-    f_p = objective.value(x_p)
-    f_m = objective.value(x_m)
-    if not (math.isfinite(f_p) and math.isfinite(f_m)):
-        raise NonFiniteObjectiveError(k, f_p if not math.isfinite(f_p) else f_m)
-
-    if f_p < f_x or f_m < f_x:
-        if f_p <= f_m:
-            branch, x_new, f_new = PLUS, x_p, f_p
-        else:
-            branch, x_new, f_new = MINUS, x_m, f_m
-        state.x = x_new
-        state.z = x_new
-        state.f_z = f_new
-        state.last_gamma = gamma
-    else:
-        branch = STAY
-    state.k = k + 1
-    return branch, gamma
-
-
-def _run_loop(step, objective, dist, schedule, beta, x0, max_iters, seed, epsilon_gap,
-              eval_budget, retain_internals, track_grad_norm, norm_constants,
-              record_index=False):
-    """Drive step (smtp_step's signature) over max_iters directions of dist.
+def _run_loop(objective, dist, schedule, beta, x0, max_iters, seed, epsilon_gap, eval_budget,
+              retain_internals, track_grad_norm, norm_constants, record_index=False):
+    """Drive smtp_step over max_iters directions of dist.
 
     Directions come from draws(), a bounded chunk at a time.  A context-free
     rule is evaluated once, still through stepsize() so its validity check
     holds, and its value is handed to every step.  Over coordinate
     directions an index-only rule is evaluated so once per coordinate, and
-    each step gets the drawn coordinate's entry.  The step moves; the loop
+    each step gets the drawn coordinate's entry.  smtp_step moves; the loop
     appends each outcome to the trace's columns, with track_grad_norm the
     gradient norm at z before the step, measured by norm_constants, and with
     record_index the drawn coordinate.
@@ -355,7 +298,7 @@ def _run_loop(step, objective, dist, schedule, beta, x0, max_iters, seed, epsilo
             grad_norm.append(d_norm(norm_constants, objective.gradient(state.z)))
         if table is not None:
             gamma = table[i]
-        branch, step_gamma = step(state, objective, dist, schedule, rng, s, i, gamma)
+        branch, step_gamma = smtp_step(state, objective, dist, schedule, rng, s, i, gamma)
         f_z.append(state.f_z)
         gammas.append(step_gamma)
         branches.append(branch)
@@ -391,7 +334,7 @@ def smtp_run(
     epsilon_gap (requires known f_star) or when the evaluations consumed by
     this run reach eval_budget.
     """
-    return _run_loop(smtp_step, objective, dist, schedule, beta, x0, max_iters, seed, epsilon_gap,
+    return _run_loop(objective, dist, schedule, beta, x0, max_iters, seed, epsilon_gap,
                      eval_budget, retain_internals, track_grad_norm, constants(dist))
 
 
@@ -407,8 +350,8 @@ def stp_run(
     retain_internals: bool = False,
     track_grad_norm: bool = False,
 ) -> RunTrace:
-    """Run the momentum-free baseline; trace-compatible with smtp at beta=0."""
-    return _run_loop(stp_step, objective, dist, schedule, 0.0, x0, max_iters, seed, epsilon_gap,
+    """Run the momentum-free baseline, which is smtp at beta = 0."""
+    return _run_loop(objective, dist, schedule, 0.0, x0, max_iters, seed, epsilon_gap,
                      eval_budget, retain_internals, track_grad_norm, constants(dist))
 
 
@@ -431,14 +374,9 @@ def smtp_is_run(
     an importance-sampling rule scales the step by coordinate i.  The trace
     records the drawn index, and the tracked gradient norm is the plain L1 norm.
     """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.shape[0] != objective.dimension:
-        raise ValueError(f"p must have shape ({objective.dimension},)")
-    if np.any(p <= 0.0) or abs(float(np.sum(p)) - 1.0) > 1e-12:
-        raise ValueError("p must be strictly positive and sum to 1")
     dist = DirectionDistribution("coord_weighted", objective.dimension, weights=p)
     l1 = constants(DirectionDistribution("coord_uniform", objective.dimension))
-    return _run_loop(smtp_step, objective, dist, schedule, beta, x0, max_iters, seed, epsilon_gap,
+    return _run_loop(objective, dist, schedule, beta, x0, max_iters, seed, epsilon_gap,
                      eval_budget, retain_internals, track_grad_norm, l1,
                      record_index=True)
 

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from threepoint.directions import DirectionDistribution, categorical_index, sample
-from threepoint.objectives import Objective, SmoothnessInfo, make_quadratic, make_rosenbrock
+from threepoint.objectives import (
+    NoiseSpec,
+    Objective,
+    SmoothnessInfo,
+    make_quadratic,
+    make_rosenbrock,
+    wrap_noise,
+)
 from threepoint.optimizers import (
     BRANCHES,
     MINUS,
@@ -24,7 +31,6 @@ from threepoint.optimizers import (
     smtp_run,
     smtp_step,
     stp_run,
-    stp_step,
 )
 from threepoint.schedules import (
     Constant,
@@ -93,7 +99,6 @@ class TestSingleStep:
         np.testing.assert_array_equal(state.x, before[0])
         np.testing.assert_array_equal(state.v, before[1])
         np.testing.assert_array_equal(state.z, before[2])
-        assert state.last_gamma == 0.0
         assert state.k == 1
 
     def test_zero_gamma_stays(self):
@@ -198,7 +203,7 @@ class TestEquivalenceAndDeterminism:
                  DirectionDistribution("coord_uniform", d),
                  DirectionDistribution("coord_weighted", d, weights=p),
                  DirectionDistribution("orthonormal_weighted", d, weights=p, basis=basis)]
-        for method, step, beta in (("smtp", smtp_step, 0.5), ("stp", stp_step, 0.0)):
+        for method, step, beta in (("smtp", smtp_step, 0.5), ("stp", smtp_step, 0.0)):
             for dist in dists:
                 rules = [Constant(0.05), Decreasing(alpha=0.5, theta=4.0)]
                 if dist.kind != "gaussian":  # the probe rule needs ||s||_2 = 1
@@ -300,6 +305,26 @@ class TestRunLoop:
         # init + 3 per iteration: budget 22 is hit at the 7th iteration
         assert trace.stop_reason == "eval_budget"
         assert len(trace.records) == 7
+
+    @pytest.mark.parametrize("n_obs", [1, 4])
+    @pytest.mark.parametrize("probe", [False, True])
+    def test_eval_budget_overshoot_is_bounded(self, n_obs, probe):
+        # the budget is checked after each whole iteration, so once it
+        # exceeds f(x0)'s n_obs calls a run ends at most one iteration's
+        # oracle calls minus one past it, and a budget of n_obs + 1 gets there
+        rule = SolutionFree(L=1.0, t=1e-3, beta=0.5) if probe else Constant(0.05)
+        per_iteration = (3 if probe else 2) * n_obs
+        worst = 0
+        for budget in range(n_obs + 1, 61):
+            obj = wrap_noise(make_quadratic(np.ones(3)), NoiseSpec(1e-6, n_obs),
+                             np.random.default_rng(budget))
+            trace = smtp_run(obj, DirectionDistribution("sphere", 3), rule, 0.5, np.ones(3),
+                             max_iters=1000, seed=0, eval_budget=budget)
+            assert trace.stop_reason == "eval_budget", budget
+            overshoot = obj.eval_counter - budget
+            assert 0 <= overshoot <= per_iteration - 1, budget
+            worst = max(worst, overshoot)
+        assert worst == per_iteration - 1
 
     def test_record_bookkeeping(self):
         trace = smtp_run(make_quadratic(np.ones(3)), DirectionDistribution("sphere", 3),
