@@ -195,6 +195,13 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
         if cfg.schedule_kind == "solution_free" and cfg.distribution == "gaussian":
             fail("schedule_kind", "solution_free needs unit-norm directions; "
                  "the gaussian distribution does not provide them")
+    # weights and basis are read by the weighted laws alone
+    if "weights" in seen and cfg.distribution not in ("coord_weighted", "orthonormal_weighted"):
+        fail("weights", "weights are read only by distribution coord_weighted or "
+             "orthonormal_weighted" + ("; smtp_is draws coordinates by is.p"
+                                       if cfg.method == "smtp_is" else ""))
+    if "basis" in seen and cfg.distribution != "orthonormal_weighted":
+        fail("basis", "basis is read only by distribution orthonormal_weighted")
     if cfg.max_iters < 0:
         fail("max_iters", "max_iters must be >= 0")
     if len(cfg.seeds) < 1:

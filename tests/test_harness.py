@@ -209,9 +209,20 @@ class TestParsing:
          "schedule.theta must be a number or 'auto', got 'abc'"),
         ("seeds = 3", "seeds = 3\nschedule.t = optimal", 10,
          "schedule.t must be a number or 'auto', got 'optimal'"),
+        ("distribution = sphere", "distribution = gaussian\nweights = 0.25,0.25,0.25,0.25", 7,
+         "weights are read only by distribution coord_weighted or orthonormal_weighted"),
+        (QUAD_BASE, QUAD_BASE.replace("method = smtp", "method = smtp_is")
+         .replace("distribution = sphere", "weights = 0.25,0.25,0.25,0.25"), 6,
+         "weights are read only by .*; smtp_is draws coordinates by is.p"),
+        ("distribution = sphere", "distribution = gaussian\nbasis = random:3", 7,
+         "basis is read only by distribution orthonormal_weighted"),
+        ("distribution = sphere",
+         "distribution = coord_weighted\nweights = 0.25,0.25,0.25,0.25\nbasis = random:3", 8,
+         "basis is read only by distribution orthonormal_weighted"),
     ], ids=["jobs", "max_iters", "seeds", "noise.sigma", "dimension", "lqr_size", "distribution",
             "smtp_is_distribution", "repeated_seeds", "nc_needs_grad_norm", "envelope_max_iters",
-            "lqr_grad_norm", "r0", "gamma0", "alpha", "theta", "t"])
+            "lqr_grad_norm", "r0", "gamma0", "alpha", "theta", "t", "gaussian_weights",
+            "smtp_is_weights", "gaussian_basis", "coord_weighted_basis"])
     def test_validation_errors_name_their_line(self, old, new, line, message):
         with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
             parse_config(QUAD_BASE.replace(old, new))
