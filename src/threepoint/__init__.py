@@ -55,6 +55,7 @@ from .optimizers import (
     RunTrace,
     candidate_points,
     init_state,
+    run_block,
     select_uniform_random_iterate,
     smtp_is_run,
     smtp_run,
@@ -125,6 +126,7 @@ __all__ = [
     "parse_config",
     "quadratic_level_radius",
     "required_iterations",
+    "run_block",
     "run_experiment",
     "run_once",
     "sample",

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 KINDS = ("sphere", "gaussian", "coord_uniform", "coord_weighted", "orthonormal_weighted")
+COORD_KINDS = ("coord_uniform", "coord_weighted")  # draw s = e_i, carried as the index i
+UNIT_KINDS = ("sphere", *COORD_KINDS, "orthonormal_weighted")  # ||s||_2 = 1 on every draw
 
 L2 = "L2"
 L1 = "L1"
@@ -162,43 +165,71 @@ def _raw_chunks(dist: DirectionDistribution, rng: np.random.Generator, n: int, r
             yield np.minimum(np.searchsorted(dist.cdf, rng.random(m), side="right"), d - 1)
 
 
+def chunk_rows(dim: int, streams: int = 1) -> int:
+    """Rows per draw chunk, so that one chunk of every stream holds at most
+    _DRAW_FLOATS floats together (and each at most _DRAW_ROWS rows)."""
+    return max(1, min(_DRAW_ROWS, _DRAW_FLOATS // (dim * streams)))
+
+
+def chunks(dist: DirectionDistribution, rng: np.random.Generator, n: int, rows: int):
+    """Yield n directions, at most rows at a time: an (m, dim) block of unit
+    or scaled vectors, or for a coordinate kind the m drawn indices (s = e_i).
+
+    Row j of a block equals the (j+1)-th of n calls of sample(dist, rng): the
+    sphere's rows are normalised by sqrt(vecdot), which is bitwise the
+    per-row sqrt(g @ g), and numpy's array draws consume the same stream as
+    its scalar ones.
+    """
+    kind = dist.kind
+    scale = math.sqrt(dist.dim)
+    for raw in _raw_chunks(dist, rng, n, rows):
+        if kind == "sphere":
+            yield raw / np.sqrt(np.vecdot(raw, raw))[:, None]
+        elif kind == "gaussian":
+            yield raw / scale
+        elif kind == "orthonormal_weighted":
+            yield dist.basis.T[raw]
+        else:
+            yield raw
+
+
+def pairs(blocks, coord: bool):
+    """The rows of chunks() blocks as (s, index) pairs: (None, i) for s = e_i
+    over a coordinate kind, so the caller builds the vector only where it
+    needs one, and (s, None) otherwise."""
+    for block in blocks:
+        if coord:
+            for i in block.tolist():
+                yield None, i
+        else:
+            yield from zip(block, repeat(None))
+
+
 def draws(dist: DirectionDistribution, rng: np.random.Generator, n: int):
     """Yield n directions as (s, index) pairs, drawn a bounded chunk at a time.
 
     The values, and the generator state once all n are taken, equal n calls
-    of sample(dist, rng): numpy's array draws consume the same stream as
-    its scalar ones.  Coordinate kinds yield (None, i) for s = e_i, so the
-    caller builds the vector only where it needs one; the others yield
-    (s, None).
+    of sample(dist, rng).
     """
-    d = dist.dim
-    kind = dist.kind
-    scale = math.sqrt(d)
-    for raw in _raw_chunks(dist, rng, n, max(1, min(_DRAW_ROWS, _DRAW_FLOATS // d))):
-        if kind == "sphere":
-            for g in raw:
-                yield g / math.sqrt(g @ g), None
-        elif kind == "gaussian":
-            for g in raw:
-                yield g / scale, None
-        elif kind == "orthonormal_weighted":
-            for i in raw.tolist():
-                yield dist.basis[:, i].copy(), None
-        else:
-            for i in raw.tolist():
-                yield None, i
+    return pairs(chunks(dist, rng, n, chunk_rows(dist.dim)), dist.kind in COORD_KINDS)
 
 
 def d_norm(c: DistributionConstants, g: np.ndarray) -> float:
     """Norm of g matching the distribution's alignment bound."""
-    g = np.asarray(g, dtype=float)
+    return float(d_norm_rows(c, np.asarray(g, dtype=float)[None])[0])
+
+
+def d_norm_rows(c: DistributionConstants, G: np.ndarray) -> np.ndarray:
+    """d_norm of each row of G.  Built from per-row reductions (vecdot, a
+    last-axis sum, a stacked matmul) that give each row what the one-row
+    call gives, bit for bit; G @ B would not."""
     if c.norm_tag == L2:
-        return float(np.linalg.norm(g))
+        return np.sqrt(np.vecdot(G, G))
     if c.norm_tag == L1:
-        return float(np.sum(np.abs(g)))
+        return np.sum(np.abs(G), axis=-1)
     if c.norm_tag == WEIGHTED_L1:
-        comp = g if c.basis is None else c.basis.T @ g
-        return float(np.dot(c.weights, np.abs(comp)))
+        comp = G if c.basis is None else np.matmul(c.basis.T[None], G[..., None])[..., 0]
+        return np.vecdot(np.abs(comp), c.weights)
     raise ValueError(f"unknown norm tag {c.norm_tag!r}")
 
 

@@ -14,7 +14,6 @@ import hashlib
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import repeat
 
@@ -231,10 +230,28 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
                 float(raw)
             except ValueError:
                 fail(name, f"{_key(name)} must be a number or {keyword!r}, got {raw!r}")
+    for name, kind in _SCHEDULE_KEY_READER.items():
+        # the SC-DEP envelopes read theta_k whatever the rule
+        if name in seen and cfg.schedule_kind != kind and not (
+                name == "schedule_theta_k" and cfg.theorem in ("SC-DEP", "IS-SC-DEP")):
+            fail(name, f"{_key(name)} is read only by schedule.kind = {kind}, "
+                 f"not {cfg.schedule_kind}")
     if cfg.checkpoints and not all(1 <= k <= cfg.max_iters for k in cfg.checkpoints):
         fail("checkpoints", "checkpoints must lie in [1, max_iters]")
     if cfg.jobs < 1:
         fail("jobs", "jobs must be >= 1")
+
+
+# the one schedule.kind that reads each schedule.* key
+_SCHEDULE_KEY_READER = {
+    "schedule_gamma": "constant",
+    "schedule_gamma0": "fixed_horizon",
+    "schedule_horizon": "fixed_horizon",
+    "schedule_alpha": "decreasing",
+    "schedule_theta": "decreasing",
+    "schedule_theta_k": "solution_dependent",
+    "schedule_t": "solution_free",
+}
 
 
 def _parse_vector(spec: str, dimension: int, what: str) -> np.ndarray:
@@ -480,17 +497,26 @@ def _format(x) -> str:
 
 
 def _write_trace(trace: optimizers.RunTrace, path: str) -> None:
-    """Write a trace CSV straight from the columns, CSV_CHUNK rows at a time."""
+    """Write a trace CSV straight from the columns, CSV_CHUNK rows at a time:
+    one % over a chunk's interleaved cells, which formats floats as
+    format(x, '.17g') does."""
     names, n = optimizers.BRANCHES, len(trace.f_z)
-    columns = (trace.f_z, trace.gamma, trace.branch, trace.evals)
+    grad = trace.grad_norm
+    row = "%d,%.17g,%.17g,%s,%d," + ("\n" if grad is None else "%.17g\n")
+    width = row.count("%")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for lo in range(0, n, CSV_CHUNK):
             hi = min(lo + CSV_CHUNK, n)
-            grad = repeat("") if trace.grad_norm is None else map(_format, trace.grad_norm[lo:hi])
-            rows = zip(range(lo, hi), *(c[lo:hi] for c in columns), grad)
-            fh.write("".join(f"{k},{f:.17g},{g:.17g},{names[b]},{e},{gn}\n"
-                             for k, f, g, b, e, gn in rows))
+            cells = [None] * (width * (hi - lo))
+            cells[0::width] = range(lo, hi)
+            cells[1::width] = trace.f_z[lo:hi]
+            cells[2::width] = trace.gamma[lo:hi]
+            cells[3::width] = map(names.__getitem__, trace.branch[lo:hi])
+            cells[4::width] = trace.evals[lo:hi]
+            if grad is not None:
+                cells[5::width] = grad[lo:hi]
+            fh.write(row * (hi - lo) % tuple(cells))
 
 
 @dataclass
@@ -578,10 +604,56 @@ def prepare(cfg: ExperimentConfig) -> tuple[list[int] | None, np.ndarray | None]
     return ks, diagnostics.bound_envelope(cfg.theorem, params, cfg.max_iters).values[ks]
 
 
-def _seed_worker(cfg: ExperimentConfig, seed: int, out_dir: str | None, ks: list[int] | None):
-    t0 = time.perf_counter()
-    trace, obj = run_once(cfg, seed)
-    wall = time.perf_counter() - t0
+def run_block(cfg: ExperimentConfig, seeds) -> tuple[list[optimizers.RunTrace],
+                                                     list[objectives.Objective]]:
+    """Build each seed's objective and run parts as run_once does, then run
+    the seeds in lockstep; each trace equals that seed's run_once trace."""
+    objs = [build_objective(cfg, seed) for seed in seeds]
+    x0 = build_x0(cfg, objs[0].dimension)
+    parts = [build_run(cfg, obj, x0) for obj in objs]
+    nc = parts[0].norm_constants
+    if cfg.method == "smtp_is":  # as smtp_is_run: the plain L1 norm, and the drawn index
+        nc = directions.constants(directions.DirectionDistribution("coord_uniform", x0.size))
+    traces = optimizers.run_block(
+        objs, parts[0].dist, [p.schedule for p in parts], _beta(cfg), x0, cfg.max_iters,
+        list(seeds), cfg.epsilon, cfg.eval_budget, cfg.retain_internals, cfg.track_grad_norm,
+        nc, record_index=cfg.method == "smtp_is")
+    return traces, objs
+
+
+def _run_seeds(cfg: ExperimentConfig, seeds) -> list[tuple]:
+    """(trace, objective, wall time) of each seed, in order.  A block's wall
+    time is shared out by iterations.  A block that raises is rerun seed by
+    seed, so the error is the one a one-seed run raises, for the first
+    seed that fails."""
+    if len(seeds) >= optimizers.BLOCK_MIN_ROWS:  # the measured crossover
+        t0 = time.perf_counter()
+        try:
+            traces, objs = run_block(cfg, seeds)
+        except Exception:  # noqa: BLE001 - reported by the per-seed rerun
+            pass
+        else:
+            wall = time.perf_counter() - t0
+            total = max(1, sum(len(t.f_z) for t in traces))
+            return [(t, o, wall * len(t.f_z) / total) for t, o in zip(traces, objs)]
+    runs = []
+    for seed in seeds:
+        t0 = time.perf_counter()
+        # through the module global, so that wrappers of run_once see every seed it runs
+        trace, obj = run_once(cfg, seed)
+        runs.append((trace, obj, time.perf_counter() - t0))
+    return runs
+
+
+def _seeds_worker(cfg: ExperimentConfig, seeds, out_dir: str | None, ks: list[int] | None):
+    runs = _run_seeds(cfg, seeds)
+    runs.reverse()
+    # each trace is let go once its CSV and result are written
+    return [_seed_result(cfg, seed, *runs.pop(), out_dir, ks) for seed in seeds]
+
+
+def _seed_result(cfg: ExperimentConfig, seed: int, trace, obj, wall: float,
+                 out_dir: str | None, ks: list[int] | None):
     if out_dir is not None:
         _write_trace(trace, os.path.join(out_dir, f"trace_seed{seed}.csv"))
     f_star = obj.smoothness.f_star
@@ -624,10 +696,19 @@ def _seed_worker(cfg: ExperimentConfig, seed: int, out_dir: str | None, ks: list
     return result, checked
 
 
+def _process_pool(workers: int):
+    """A process pool; concurrent.futures is imported only when one is used."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                    jobs: int | None = None, write: bool = True) -> RunSummary:
     """Run every seed of a config, write trace CSVs and a summary.
 
+    With jobs > 1 the seeds are split into up to jobs contiguous groups, one
+    per worker process; each process runs its seeds through _run_seeds.
     Returns a RunSummary; envelope_ok is None when no theorem is configured,
     otherwise the seed-mean trajectory is compared against 1.05 x envelope
     at the checkpoints.  Without write, no rate is fitted: contraction and
@@ -642,13 +723,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         target = None
     jobs = jobs if jobs is not None else cfg.jobs
 
-    n = len(cfg.seeds)
+    seeds = cfg.seeds
+    n = len(seeds)
     if jobs > 1 and n > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            payloads = list(pool.map(_seed_worker, [cfg] * n, cfg.seeds, [target] * n, [ks] * n))
+        parts = min(jobs, n)
+        groups = [seeds[i * n // parts:(i + 1) * n // parts] for i in range(parts)]
+        with _process_pool(jobs) as pool:
+            payloads = [payload for group in pool.map(
+                _seeds_worker, repeat(cfg), groups, repeat(target), repeat(ks))
+                for payload in group]
     else:
-        # in-process, through the module global run_once, so wrappers of it see every seed
-        payloads = [_seed_worker(cfg, seed, target, ks) for seed in cfg.seeds]
+        payloads = _seeds_worker(cfg, seeds, target, ks)
 
     results = [p[0] for p in payloads]
     envelope_ok = None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import cycle
 from typing import Callable
 
 import numpy as np
@@ -48,7 +49,8 @@ class Objective:
     eval_counter counts oracle calls: value() adds calls_per_value, the
     calls one query of fn makes (1 unless fn averages several); gradient()
     does not count (it is a diagnostic oracle, not part of the black-box
-    budget).
+    budget).  fn_batch and grad_batch, when given, map a (B, d) batch to its
+    rows' values and gradients, each row bit for bit what fn and grad give.
     """
 
     def __init__(
@@ -59,11 +61,15 @@ class Objective:
         grad: Callable[[np.ndarray], np.ndarray] | None = None,
         name: str = "",
         calls_per_value: int = 1,
+        fn_batch: Callable[[np.ndarray], np.ndarray] | None = None,
+        grad_batch: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self._fn = fn
         self._grad = grad
+        self._fn_batch = fn_batch
+        self._grad_batch = grad_batch
         self.dimension = dimension
         self.smoothness = smoothness if smoothness is not None else SmoothnessInfo()
         self.name = name
@@ -76,6 +82,10 @@ class Objective:
 
     __call__ = value
 
+    def value_batch(self, X: np.ndarray) -> np.ndarray:
+        """value() of each row of X, counted as len(X) queries."""
+        return value_rows([self], X)
+
     @property
     def has_gradient(self) -> bool:
         return self._grad is not None
@@ -84,6 +94,28 @@ class Objective:
         if self._grad is None:
             raise ValueError(f"objective {self.name!r} has no gradient oracle")
         return self._grad(x)
+
+    def gradient_batch(self, X: np.ndarray) -> np.ndarray:
+        """gradient() of each row of X."""
+        if self._grad_batch is not None:
+            return self._grad_batch(X)
+        return np.array([self.gradient(x) for x in X])
+
+
+def value_rows(objectives: list[Objective], X: np.ndarray) -> np.ndarray:
+    """f at each row of X, row j queried through objectives[j % n] and counted
+    there.  The objectives are one function, one copy per seed: with a batch
+    form the first evaluates every row at once, otherwise each row goes
+    through its own objective's value(), in row order (a noisy objective
+    draws from its own generator).
+    """
+    first = objectives[0]
+    if first._fn_batch is None:
+        return np.array([o.value(x) for o, x in zip(cycle(objectives), X)])
+    calls = len(X) // len(objectives) * first.calls_per_value
+    for o in objectives:
+        o.eval_counter += calls
+    return first._fn_batch(X)
 
 
 def make_quadratic(coord_L, shift=None) -> Objective:
@@ -100,16 +132,24 @@ def make_quadratic(coord_L, shift=None) -> Objective:
     if shift.shape != (d,):
         raise ValueError(f"shift must have shape ({d},)")
 
+    # vecdot over a batch gives each row what L.dot gives it; (Y*Y) @ L does not
     if np.any(shift):
         def fn(x: np.ndarray) -> float:
             y = x - shift
             return 0.5 * float(L.dot(y * y))
+
+        def fn_batch(X: np.ndarray) -> np.ndarray:
+            Y = X - shift
+            return 0.5 * np.vecdot(Y * Y, L)
     else:
         # x - 0 == x exactly, so the unshifted form skips the subtraction
         def fn(x: np.ndarray) -> float:
             return 0.5 * float(L.dot(x * x))
 
-    def grad(x: np.ndarray) -> np.ndarray:
+        def fn_batch(X: np.ndarray) -> np.ndarray:
+            return 0.5 * np.vecdot(X * X, L)
+
+    def grad(x: np.ndarray) -> np.ndarray:  # a (B, d) batch too, row by row
         return L * (x - shift)
 
     info = SmoothnessInfo(
@@ -119,7 +159,7 @@ def make_quadratic(coord_L, shift=None) -> Objective:
         f_star=0.0,
         x_star=shift.copy(),
     )
-    return Objective(fn, d, info, grad, name="quadratic")
+    return Objective(fn, d, info, grad, name="quadratic", fn_batch=fn_batch, grad_batch=grad)
 
 
 # Gershgorin bound on the chained-Rosenbrock Hessian over [-2, 2]^d:
@@ -138,11 +178,17 @@ def make_rosenbrock(d: int) -> Objective:
         b = x[1:] - x[:-1] * x[:-1]
         return float(np.dot(a, a) + 100.0 * np.dot(b, b))
 
-    def grad(x: np.ndarray) -> np.ndarray:
+    def fn_batch(X: np.ndarray) -> np.ndarray:
+        A = 1.0 - X[:, :-1]
+        B = X[:, 1:] - X[:, :-1] * X[:, :-1]
+        return np.vecdot(A, A) + 100.0 * np.vecdot(B, B)
+
+    def grad(x: np.ndarray) -> np.ndarray:  # a (B, d) batch too, row by row
         g = np.zeros_like(x)
-        b = x[1:] - x[:-1] * x[:-1]
-        g[:-1] = -2.0 * (1.0 - x[:-1]) - 400.0 * x[:-1] * b
-        g[1:] += 200.0 * b
+        head = x[..., :-1]
+        b = x[..., 1:] - head * head
+        g[..., :-1] = -2.0 * (1.0 - head) - 400.0 * head * b
+        g[..., 1:] += 200.0 * b
         return g
 
     info = SmoothnessInfo(
@@ -151,7 +197,7 @@ def make_rosenbrock(d: int) -> Objective:
         x_star=np.ones(d),
         box_halfwidth=_ROSENBROCK_BOX,
     )
-    return Objective(fn, d, info, grad, name="rosenbrock")
+    return Objective(fn, d, info, grad, name="rosenbrock", fn_batch=fn_batch, grad_batch=grad)
 
 
 def _dare_gain(A, B, Q, R):
@@ -214,10 +260,9 @@ def wrap_noise(objective: Objective, noise: NoiseSpec, rng: np.random.Generator)
             total += objective.value(x) + noise.sigma * rng.standard_normal()
         return total / noise.n_obs
 
-    grad = objective._grad
     info = replace(objective.smoothness)
-    return Objective(fn, objective.dimension, info, grad, name=f"{objective.name}+noise",
-                     calls_per_value=noise.n_obs)
+    return Objective(fn, objective.dimension, info, objective._grad, name=f"{objective.name}+noise",
+                     calls_per_value=noise.n_obs, grad_batch=objective._grad_batch)
 
 
 def coord_L_from_spec(spec: str, dimension: int) -> np.ndarray:

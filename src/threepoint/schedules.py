@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .directions import DistributionConstants, L1, L2, WEIGHTED_L1
+from .directions import UNIT_KINDS, DistributionConstants, L1, L2, WEIGHTED_L1
 
 _UNIT_TOL = 1e-9
 
@@ -59,10 +60,8 @@ def _require_index(ctx: StepContext) -> int:
 
 
 def _require_unit(ctx: StepContext) -> None:
-    if ctx.direction is None and ctx.direction_index is not None:
-        return  # s = e_i, a unit vector
     if ctx.direction is None:
-        raise ValueError("solution-free rule needs the direction in the context")
+        return  # s = e_i, or a law the run loops checked once (require_unit_law)
     n = float(np.dot(ctx.direction, ctx.direction))
     if abs(n - 1.0) > _UNIT_TOL:
         raise ValueError(f"solution-free rule requires ||s||_2 = 1, got ||s||^2 = {n!r}")
@@ -150,12 +149,17 @@ class SolutionDependent:
 
 @dataclass(frozen=True)
 class SolutionFree:
-    """gamma^k = (1-beta) |f(z + t s) - f(z)| / (L t); requires ||s||_2 = 1."""
+    """gamma^k = (1-beta) |f(z + t s) - f(z)| / (L t); requires ||s||_2 = 1.
+
+    A direction in the context is checked for unit length; the run loops
+    pass none and check the law once per run instead (require_unit_law).
+    """
 
     L: float
     t: float
     beta: float
     needs_probe = True
+    needs_unit = True
 
     def __post_init__(self):
         if self.L <= 0.0:
@@ -305,6 +309,100 @@ def stepsize(schedule, ctx: StepContext) -> float:
     if gamma < 0.0 or not math.isfinite(gamma):
         raise ValueError(f"schedule produced an invalid stepsize {gamma!r}")
     return gamma
+
+
+def require_unit_law(schedule, kind: str) -> None:
+    """A rule that needs ||s||_2 = 1 accepts a direction law once per run,
+    if every draw of it has unit length."""
+    if getattr(schedule, "needs_unit", False) and kind not in UNIT_KINDS:
+        raise ValueError(f"solution-free rule requires ||s||_2 = 1; {kind} directions "
+                         "do not have unit length")
+
+
+def row_stepsizes(rules: list):
+    """Stepsize of many rows at once, row r under rules[r], all of one class.
+
+    Returns step(k, f_z, probe, index): gamma for every row at iteration k,
+    from the rows' f(z), probe values (None without a probe) and drawn
+    coordinates (None off a coordinate law), checked as stepsize() checks
+    it.  Each row gets bit for bit what stepsize() gives its rule: the
+    formula runs elementwise in the scalar form's order, over per-row
+    parameter columns.  A class with no vector form is evaluated row by row.
+    """
+    formula = _row_formula(rules)
+
+    def step(k, f_z, probe, index):
+        gamma = formula(k, f_z, probe, index)
+        values = gamma.tolist()
+        if not (min(values) >= 0.0 and math.isfinite(sum(values))):  # min may skip a NaN
+            for g in values:
+                if not (g >= 0.0 and math.isfinite(g)):
+                    raise ValueError(f"schedule produced an invalid stepsize {g!r}")
+        return gamma
+
+    return step
+
+
+def _row_formula(rules: list):
+    rule = rules[0]
+
+    def col(name):
+        return np.array([getattr(r, name) for r in rules])
+
+    def per_coordinate(name):
+        """A per-coordinate vector of each rule, read at each row's index."""
+        table = col(name)
+        offsets = np.arange(len(rules)) * table.shape[1]
+        return lambda index: table.take(offsets + index)
+
+    if isinstance(rule, Decreasing):
+        alpha, theta = col("alpha"), col("theta")
+        return lambda k, f_z, probe, index: 2.0 / (alpha * k + theta)
+
+    if isinstance(rule, PerCoordinate):
+        inner, w = _row_formula([r.rule for r in rules]), per_coordinate("w")
+        return lambda k, f_z, probe, index: inner(k, f_z, probe, index) / w(index)
+
+    if isinstance(rule, (SolutionDependent, ISSolutionDependent)):
+        dependent = isinstance(rule, SolutionDependent)
+        f_star, two_mu, one_minus_beta = col("f_star"), 2.0 * col("mu"), 1.0 - col("beta")
+        # ((1-beta) theta_k) mu_d, or ((1-beta) theta_k) m: the scalar form's head
+        scale = col("mu_d") if dependent else col("_m")
+        fixed = not any(callable(r.theta_k) for r in rules)
+        head = one_minus_beta * np.array([_theta_k_value(r.theta_k, 0) for r in rules]) * scale
+        divisor = col("L") if dependent else None
+        if not dependent:
+            w, s_w = per_coordinate("w"), col("_s_w")
+
+        def solution_dependent(k, f_z, probe, index):
+            gap = f_z - f_star
+            if min(gap.tolist()) < 0.0:
+                r = int(np.argmin(gap))
+                raise ValueError(f"f_z = {float(f_z[r])!r} is below the declared f_star = "
+                                 f"{float(f_star[r])!r}")
+            lead = head if fixed else one_minus_beta * np.array(
+                [_theta_k_value(r.theta_k, k) for r in rules]) * scale
+            root = np.sqrt(two_mu * gap)
+            if dependent:
+                return lead * root / divisor
+            return lead / (w(index) * s_w) * root
+        return solution_dependent
+
+    if isinstance(rule, SolutionFree):
+        one_minus_beta, scale = 1.0 - col("beta"), col("L") * col("t")
+        return lambda k, f_z, probe, index: one_minus_beta * np.abs(probe - f_z) / scale
+
+    if isinstance(rule, ISSolutionFree):
+        one_minus_beta, coord_L, t = 1.0 - col("beta"), per_coordinate("coord_L"), col("t")
+        return lambda k, f_z, probe, index: (
+            one_minus_beta * np.abs(probe - f_z) / (coord_L(index) * t))
+
+    def by_row(k, f_z, probe, index):
+        probe = repeat(None) if probe is None else probe.tolist()
+        index = repeat(None) if index is None else index.tolist()
+        return np.array([r.stepsize(StepContext(k, f, p, i))
+                         for r, f, p, i in zip(rules, f_z.tolist(), probe, index)])
+    return by_row
 
 
 def optimal_gamma0(beta: float, f0_gap: float, L: float, gamma_d: float) -> float:

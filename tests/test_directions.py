@@ -11,7 +11,9 @@ from threepoint.directions import (
     DirectionDistribution,
     constants,
     categorical_index,
+    chunk_rows,
     d_norm,
+    d_norm_rows,
     draws,
     dual_norm,
     mc_validate,
@@ -146,6 +148,10 @@ class TestSampling:
         assert n == 5000
         assert max(sizes) <= 1024 and max(sizes) * d <= 1 << 16
         assert sum(sizes) == 5000
+        # a block of streams shares one chunk's floats
+        for streams in (1, 8, 30, 10**6):
+            rows = chunk_rows(d, streams)
+            assert rows >= 1 and (rows == 1 or rows * d * streams <= 1 << 16)
 
     def test_orthonormal_draws_are_basis_columns(self):
         basis = _rotation(3)
@@ -159,6 +165,20 @@ class TestSampling:
 
 
 class TestNorms:
+    @pytest.mark.parametrize("kind", ["sphere", "coord_uniform", "coord_weighted",
+                                      "orthonormal_weighted"])
+    @pytest.mark.parametrize("d", [1, 2, 10, 33])
+    def test_rows_equal_one_point_norms_bitwise(self, kind, d):
+        # the block loop measures every row's gradient norm at once
+        w = np.arange(1.0, d + 1.0) / (d * (d + 1) / 2)
+        weighted = kind in ("coord_weighted", "orthonormal_weighted")
+        c = constants(DirectionDistribution(
+            kind, d, weights=w if weighted else None,
+            basis=_rotation(d) if kind == "orthonormal_weighted" else None))
+        G = np.random.default_rng(d).standard_normal((37, d)) * 10.0 ** np.arange(-18, 19)[:, None]
+        rows = d_norm_rows(c, G)
+        assert [float(v) for v in rows] == [d_norm(c, g) for g in G]
+
     def test_coordinate_alignment_oracle(self):
         # E|<g, e_i>| for uniform coordinates is mean |g_i|: (3 + 4) / 2 = 3.5
         c = constants(DirectionDistribution("coord_uniform", 2))

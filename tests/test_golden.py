@@ -13,6 +13,7 @@ import hashlib
 
 import pytest
 
+from threepoint import harness, optimizers
 from threepoint.harness import parse_config, run_experiment
 
 BASE = "\n".join([
@@ -207,3 +208,12 @@ def test_trace_digests(label, tmp_path):
         hashlib.sha256((tmp_path / label / f"trace_seed{seed}.csv").read_bytes()).hexdigest()
         for seed in cfg.seeds)
     assert got == DIGESTS[label], label
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_lockstep_trace_digests(label, tmp_path, monkeypatch):
+    # the same digests with both seeds run as one block; run_once is gone, so a
+    # block that raised could not fall back to it
+    monkeypatch.setattr(optimizers, "BLOCK_MIN_ROWS", 1)
+    monkeypatch.setattr(harness, "run_once", None)
+    test_trace_digests(label, tmp_path)

@@ -227,6 +227,38 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
             parse_config(QUAD_BASE.replace(old, new))
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("schedule.gamma", "5", "constant"),
+        ("schedule.gamma0", "0.5", "fixed_horizon"),
+        ("schedule.horizon", "100", "fixed_horizon"),
+        ("schedule.alpha", "1", "decreasing"),
+        ("schedule.theta", "4", "decreasing"),
+        ("schedule.theta_k", "0.5", "solution_dependent"),
+        ("schedule.t", "0.3", "solution_free"),
+    ])
+    def test_unread_schedule_key_cites_its_line(self, key, value, kind, tmp_path, capsys):
+        # QUAD_BASE's solution_dependent reads theta_k alone, fixed_horizon reads gamma0 and
+        # horizon: every other key is set for nothing
+        base = QUAD_BASE if kind != "solution_dependent" else QUAD_BASE.replace(
+            "schedule.kind = solution_dependent",
+            "schedule.kind = fixed_horizon\nschedule.gamma0 = 0.5")
+        line = base.count("\n") + 2
+        text = f"{base}\n{key} = {value}"
+        with pytest.raises(ConfigError,
+                           match=f"^line {line}: {key} is read only by schedule.kind = {kind}"):
+            parse_config(text)
+        path = tmp_path / "unread.cfg"
+        path.write_text(text + "\n")
+        assert cli.main(["validate", "--config", str(path)]) == 1
+        assert "is read only by" in capsys.readouterr().err
+
+    def test_sc_dep_envelope_reads_theta_k(self):
+        # the SC-DEP envelope reads theta_k whatever the rule
+        text = QUAD_BASE.replace("schedule.kind = solution_dependent",
+                                 "schedule.kind = constant\nschedule.gamma = 0.01")
+        cfg = parse_config(text + "\ntheorem = SC-DEP\nschedule.theta_k = 0.5")
+        assert cfg.schedule_theta_k == 0.5
+
     @pytest.mark.parametrize("method, theorem", [
         ("smtp", "IS-SC-DEP"), ("stp", "IS-NC"), ("smtp_is", "SC-DEP")])
     def test_theorem_must_match_method(self, method, theorem, tmp_path, capsys):
@@ -504,13 +536,13 @@ class TestCompare:
 
     def test_honours_jobs(self, monkeypatch):
         pools = []
+        process_pool = harness._process_pool
 
-        class RecordingPool(harness.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
+        def recording_pool(workers):
+            pools.append(workers)
+            return process_pool(workers)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "_process_pool", recording_pool)
         short = SHARED_STEP.replace("max_iters = 4000", "max_iters = 500")
         configs = [parse_config(short + f"\nmethod = {m}", label=m) for m in ("stp", "smtp")]
         rows = compare_methods(configs)

@@ -334,6 +334,44 @@ class TestRunLoop:
         assert evals == list(range(3, 83, 2))
         assert all(r.grad_norm_D is None for r in trace.records)
 
+    @pytest.mark.parametrize("rule, n_obs", [
+        (Constant(0.05), 1), (SolutionFree(L=1.0, t=1e-3, beta=0.5), 1),
+        (Decreasing(alpha=1.0, theta=4.0), 3), (SolutionFree(L=1.0, t=1e-3, beta=0.5), 3)])
+    def test_evals_range_is_the_counter(self, rule, n_obs, monkeypatch):
+        # evals is computed, not recorded: it must be the counter after every step
+        from threepoint import optimizers
+
+        counters = []
+        step = optimizers.smtp_step
+
+        def counting_step(state, objective, *args):
+            out = step(state, objective, *args)
+            counters.append(objective.eval_counter)
+            return out
+
+        monkeypatch.setattr(optimizers, "smtp_step", counting_step)
+        obj = wrap_noise(make_quadratic(np.linspace(1.0, 3.0, 3)), NoiseSpec(0.01, n_obs),
+                         np.random.default_rng(0))
+        obj.eval_counter = 7  # setup calls made before the run show in evals too
+        trace = smtp_run(obj, DirectionDistribution("sphere", 3), rule, 0.5, np.ones(3),
+                         max_iters=2500, seed=1, track_grad_norm=True)
+        assert isinstance(trace.evals, range)
+        assert list(trace.evals) == counters and len(counters) == 2500
+        assert trace.evals[-1] == obj.eval_counter
+
+    def test_unit_law_is_checked_once_per_run(self):
+        # SolutionFree needs unit directions: a gaussian law fails before any step
+        obj = make_quadratic(np.ones(3))
+        with pytest.raises(ValueError, match="requires \\|\\|s\\|\\|_2 = 1; gaussian"):
+            smtp_run(obj, DirectionDistribution("gaussian", 3), SolutionFree(1.0, 1e-3, 0.0),
+                     0.0, np.ones(3), max_iters=10, seed=0)
+        assert obj.eval_counter == 0
+        # and a direct step still checks the direction it is given
+        state = init_state(obj, np.ones(3), 0.0)
+        with pytest.raises(ValueError, match="requires"):
+            smtp_step(state, obj, None, SolutionFree(1.0, 1e-3, 0.0), None,
+                      s=np.array([2.0, 0.0, 0.0]))
+
     def test_nonfinite_objective_raises(self):
         def fn(x):
             return float(x[0] ** 2) if x[0] > -0.5 else float("nan")
@@ -485,9 +523,31 @@ class TestColumnarTrace:
         trace = smtp_is_run(make_quadratic(coord_L), coord_L / coord_L.sum(),
                             PerCoordinate(Constant(0.01), coord_L), 0.5, np.ones(4),
                             max_iters=20_000, seed=1, track_grad_norm=True)
-        columns = (trace.f_z, trace.gamma, trace.branch, trace.evals, trace.grad_norm, trace.index)
+        columns = (trace.f_z, trace.gamma, trace.branch, trace.grad_norm, trace.index)
         assert all(isinstance(c, array) and len(c) == 20_000 for c in columns)
-        assert sum(sys.getsizeof(c) for c in columns) / 20_000 <= 64
+        # evals is exact arithmetic: a range, whatever the run length
+        assert isinstance(trace.evals, range) and len(trace.evals) == 20_000
+        assert trace.index.typecode == "b"  # d = 4 indices fit one byte
+        assert sum(sys.getsizeof(c) for c in (*columns, trace.evals)) / 20_000 <= 64
+
+    def test_fixed_rules_keep_their_steps_not_a_column(self):
+        # a fixed rule's gamma is known from the drawn index: no column is grown,
+        # and the one built on read holds each step's stepsize
+        coord_L = np.linspace(1.0, 4.0, 4)
+        plain = smtp_run(make_quadratic(coord_L), DirectionDistribution("sphere", 4),
+                         Constant(0.05), 0.5, np.ones(4), max_iters=300, seed=5)
+        weighted = smtp_is_run(make_quadratic(coord_L), coord_L / coord_L.sum(),
+                               PerCoordinate(Constant(0.01), coord_L), 0.5, np.ones(4),
+                               max_iters=300, seed=5)
+        for trace in (plain, weighted):
+            assert trace.steps is not None and trace._gamma is None
+        assert plain.gamma == array("d", [0.05] * 300)
+        assert list(weighted.gamma) == [0.01 / coord_L[i] for i in weighted.index]
+        assert weighted.gamma is weighted.gamma  # built once
+        decreasing = smtp_run(make_quadratic(coord_L), DirectionDistribution("sphere", 4),
+                              Decreasing(alpha=0.5, theta=4.0), 0.5, np.ones(4), max_iters=30,
+                              seed=5)
+        assert decreasing.steps is None and len(decreasing.gamma) == 30
 
     def test_retained_coordinate_draws_are_indices(self):
         dist = DirectionDistribution("coord_uniform", 5)

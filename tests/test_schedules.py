@@ -25,6 +25,7 @@ from threepoint.schedules import (
     optimal_gamma0,
     quadratic_level_radius,
     required_iterations,
+    row_stepsizes,
     solution_free_t_max,
     solution_free_t_max_is,
     stepsize,
@@ -33,6 +34,59 @@ from threepoint.schedules import (
 
 def _ctx(k=0, f_z=1.0, probe=None, index=None, direction=None):
     return StepContext(k, f_z, probe, index, direction)
+
+
+class Halved:
+    """A rule with no vector form: row_stepsizes evaluates it row by row."""
+
+    needs_probe = False
+
+    def __init__(self, gamma):
+        self.gamma = gamma
+
+    def stepsize(self, ctx):
+        return self.gamma / 2.0 ** ctx.k
+
+
+class TestRowStepsizes:
+    @pytest.mark.parametrize("make", [
+        lambda r, w, L: Decreasing(alpha=0.3 + r, theta=9.0 + r),
+        lambda r, w, L: PerCoordinate(Decreasing(alpha=0.7, theta=3.0 + r), w),
+        lambda r, w, L: SolutionDependent(mu=0.5 + r, L=7.0, mu_d=0.3, f_star=0.1, beta=0.2 * r),
+        lambda r, w, L: SolutionDependent(mu=1.0, L=3.0, mu_d=0.4, f_star=0.0, beta=0.5,
+                                          theta_k=lambda k: 1.0 + 0.5 / (k + r + 1)),
+        lambda r, w, L: ISSolutionDependent(2.0, w / w.sum(), w, L, 0.1, 0.3 * r, 0.8),
+        lambda r, w, L: SolutionFree(L=3.0 + r, t=1e-3 * (r + 1), beta=0.1 * r),
+        lambda r, w, L: ISSolutionFree(L * (r + 1), 1e-3, 0.5),
+        lambda r, w, L: Halved(0.1 * (r + 1)),
+    ], ids=["decreasing", "per_coordinate", "solution_dependent", "theta_k_schedule",
+            "is_solution_dependent", "solution_free", "is_solution_free", "by_row"])
+    def test_rows_equal_scalar_stepsizes_bitwise(self, make):
+        # the block loop's stepsizes: every row bit for bit what stepsize() gives it,
+        # whatever each row's own parameters
+        rng = np.random.default_rng(3)
+        d = 6
+        rules = [make(r, rng.uniform(0.5, 2.0, d), rng.uniform(1.0, 9.0, d)) for r in range(4)]
+        step = row_stepsizes(rules)
+        for k in (0, 1, 7, 300):
+            f_z = 0.1 + rng.random(4) * 10.0 ** rng.integers(-6, 3, 4)
+            probe = f_z + rng.standard_normal(4) * 1e-3
+            index = rng.integers(d, size=4)
+            got = step(k, f_z, probe, index)
+            for r, rule in enumerate(rules):
+                ctx = StepContext(k, float(f_z[r]), float(probe[r]), int(index[r]))
+                assert got[r] == stepsize(rule, ctx), (r, k)
+
+    def test_rows_fail_as_stepsize_fails(self):
+        step = row_stepsizes([SolutionDependent(1.0, 1.0, 1.0, f_star=1.0, beta=0.0)] * 3)
+        with pytest.raises(ValueError, match="below the declared f_star"):
+            step(0, np.array([2.0, 0.5, 3.0]), None, None)
+        step = row_stepsizes([Halved(1.0), Halved(-1.0)])
+        with pytest.raises(ValueError, match="invalid stepsize -1.0"):
+            step(0, np.ones(2), None, None)
+        step = row_stepsizes([SolutionFree(L=1.0, t=1e-3, beta=0.0)] * 2)
+        with pytest.raises(ValueError, match="invalid stepsize inf"):
+            step(0, np.ones(2), np.array([1.5, math.inf]), None)
 
 
 class TestRules:
