@@ -193,25 +193,21 @@ def chunks(dist: DirectionDistribution, rng: np.random.Generator, n: int, rows: 
             yield raw
 
 
-def pairs(blocks, coord: bool):
-    """The rows of chunks() blocks as (s, index) pairs: (None, i) for s = e_i
-    over a coordinate kind, so the caller builds the vector only where it
-    needs one, and (s, None) otherwise."""
-    for block in blocks:
+def draws(dist: DirectionDistribution, rng: np.random.Generator, n: int):
+    """Yield n directions as (s, index) pairs, drawn a bounded chunk at a time.
+
+    The values, and the generator state once all n are taken, equal n calls
+    of sample(dist, rng).  Coordinate kinds yield (None, i) for s = e_i, so
+    the caller builds the vector only where it needs one; the others yield
+    (s, None).
+    """
+    coord = dist.kind in COORD_KINDS
+    for block in chunks(dist, rng, n, chunk_rows(dist.dim)):
         if coord:
             for i in block.tolist():
                 yield None, i
         else:
             yield from zip(block, repeat(None))
-
-
-def draws(dist: DirectionDistribution, rng: np.random.Generator, n: int):
-    """Yield n directions as (s, index) pairs, drawn a bounded chunk at a time.
-
-    The values, and the generator state once all n are taken, equal n calls
-    of sample(dist, rng).
-    """
-    return pairs(chunks(dist, rng, n, chunk_rows(dist.dim)), dist.kind in COORD_KINDS)
 
 
 def d_norm(c: DistributionConstants, g: np.ndarray) -> float:

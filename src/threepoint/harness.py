@@ -611,27 +611,24 @@ def run_block(cfg: ExperimentConfig, seeds) -> tuple[list[optimizers.RunTrace],
     objs = [build_objective(cfg, seed) for seed in seeds]
     x0 = build_x0(cfg, objs[0].dimension)
     parts = [build_run(cfg, obj, x0) for obj in objs]
-    nc = parts[0].norm_constants
-    if cfg.method == "smtp_is":  # as smtp_is_run: the plain L1 norm, and the drawn index
-        nc = directions.constants(directions.DirectionDistribution("coord_uniform", x0.size))
     traces = optimizers.run_block(
-        objs, parts[0].dist, [p.schedule for p in parts], _beta(cfg), x0, cfg.max_iters,
-        list(seeds), cfg.epsilon, cfg.eval_budget, cfg.retain_internals, cfg.track_grad_norm,
-        nc, record_index=cfg.method == "smtp_is")
+        objs, [p.schedule for p in parts], _beta(cfg), x0, cfg.max_iters, list(seeds),
+        cfg.epsilon, cfg.eval_budget, cfg.retain_internals, cfg.track_grad_norm,
+        **optimizers.loop_args(parts[0].dist, importance=cfg.method == "smtp_is"))
     return traces, objs
 
 
 def _run_seeds(cfg: ExperimentConfig, seeds) -> list[tuple]:
     """(trace, objective, wall time) of each seed, in order.  A block's wall
-    time is shared out by iterations.  A block that raises is rerun seed by
-    seed, so the error is the one a one-seed run raises, for the first
-    seed that fails."""
+    time is shared out by iterations.  A block that fails as a run fails (a
+    ValueError or a non-finite value) is rerun seed by seed, so the error is
+    the one a one-seed run raises, for the first seed that fails."""
     if len(seeds) >= optimizers.BLOCK_MIN_ROWS:  # the measured crossover
         t0 = time.perf_counter()
         try:
             traces, objs = run_block(cfg, seeds)
-        except Exception:  # noqa: BLE001 - reported by the per-seed rerun
-            pass
+        except (ValueError, optimizers.NonFiniteObjectiveError):
+            pass  # reported by the per-seed rerun
         else:
             wall = time.perf_counter() - t0
             total = max(1, sum(len(t.f_z) for t in traces))

@@ -49,8 +49,8 @@ class Objective:
     eval_counter counts oracle calls: value() adds calls_per_value, the
     calls one query of fn makes (1 unless fn averages several); gradient()
     does not count (it is a diagnostic oracle, not part of the black-box
-    budget).  fn_batch and grad_batch, when given, map a (B, d) batch to its
-    rows' values and gradients, each row bit for bit what fn and grad give.
+    budget).  fn_batch, when given, maps a (B, d) batch to its rows' values,
+    each row bit for bit what fn gives it.
     """
 
     def __init__(
@@ -62,14 +62,12 @@ class Objective:
         name: str = "",
         calls_per_value: int = 1,
         fn_batch: Callable[[np.ndarray], np.ndarray] | None = None,
-        grad_batch: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self._fn = fn
         self._grad = grad
         self._fn_batch = fn_batch
-        self._grad_batch = grad_batch
         self.dimension = dimension
         self.smoothness = smoothness if smoothness is not None else SmoothnessInfo()
         self.name = name
@@ -97,8 +95,6 @@ class Objective:
 
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:
         """gradient() of each row of X."""
-        if self._grad_batch is not None:
-            return self._grad_batch(X)
         return np.array([self.gradient(x) for x in X])
 
 
@@ -149,7 +145,7 @@ def make_quadratic(coord_L, shift=None) -> Objective:
         def fn_batch(X: np.ndarray) -> np.ndarray:
             return 0.5 * np.vecdot(X * X, L)
 
-    def grad(x: np.ndarray) -> np.ndarray:  # a (B, d) batch too, row by row
+    def grad(x: np.ndarray) -> np.ndarray:
         return L * (x - shift)
 
     info = SmoothnessInfo(
@@ -159,7 +155,7 @@ def make_quadratic(coord_L, shift=None) -> Objective:
         f_star=0.0,
         x_star=shift.copy(),
     )
-    return Objective(fn, d, info, grad, name="quadratic", fn_batch=fn_batch, grad_batch=grad)
+    return Objective(fn, d, info, grad, name="quadratic", fn_batch=fn_batch)
 
 
 # Gershgorin bound on the chained-Rosenbrock Hessian over [-2, 2]^d:
@@ -178,17 +174,11 @@ def make_rosenbrock(d: int) -> Objective:
         b = x[1:] - x[:-1] * x[:-1]
         return float(np.dot(a, a) + 100.0 * np.dot(b, b))
 
-    def fn_batch(X: np.ndarray) -> np.ndarray:
-        A = 1.0 - X[:, :-1]
-        B = X[:, 1:] - X[:, :-1] * X[:, :-1]
-        return np.vecdot(A, A) + 100.0 * np.vecdot(B, B)
-
-    def grad(x: np.ndarray) -> np.ndarray:  # a (B, d) batch too, row by row
+    def grad(x: np.ndarray) -> np.ndarray:
         g = np.zeros_like(x)
-        head = x[..., :-1]
-        b = x[..., 1:] - head * head
-        g[..., :-1] = -2.0 * (1.0 - head) - 400.0 * head * b
-        g[..., 1:] += 200.0 * b
+        b = x[1:] - x[:-1] * x[:-1]
+        g[:-1] = -2.0 * (1.0 - x[:-1]) - 400.0 * x[:-1] * b
+        g[1:] += 200.0 * b
         return g
 
     info = SmoothnessInfo(
@@ -197,7 +187,7 @@ def make_rosenbrock(d: int) -> Objective:
         x_star=np.ones(d),
         box_halfwidth=_ROSENBROCK_BOX,
     )
-    return Objective(fn, d, info, grad, name="rosenbrock", fn_batch=fn_batch, grad_batch=grad)
+    return Objective(fn, d, info, grad, name="rosenbrock")
 
 
 def _dare_gain(A, B, Q, R):
@@ -260,9 +250,10 @@ def wrap_noise(objective: Objective, noise: NoiseSpec, rng: np.random.Generator)
             total += objective.value(x) + noise.sigma * rng.standard_normal()
         return total / noise.n_obs
 
+    grad = objective._grad
     info = replace(objective.smoothness)
-    return Objective(fn, objective.dimension, info, objective._grad, name=f"{objective.name}+noise",
-                     calls_per_value=noise.n_obs, grad_batch=objective._grad_batch)
+    return Objective(fn, objective.dimension, info, grad, name=f"{objective.name}+noise",
+                     calls_per_value=noise.n_obs)
 
 
 def coord_L_from_spec(spec: str, dimension: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +29,6 @@ from .directions import (
     d_norm,
     d_norm_rows,
     draws,
-    pairs,
     sample,
 )
 from .objectives import value_rows
@@ -207,7 +206,7 @@ def _rule_stepsize(objective, schedule, k: int, z, f_z: float, s, index: int | N
     index = i says s = e_i, and s is then None: the probe point changes
     coordinate i alone, and the rule sees i (the importance-sampling rules
     scale by it).  unit_checked says the law was checked once per run
-    (require_unit_law), so the rule is not shown s to check again.
+    (require_unit_law), so the rule does not check s again.
     """
     probe = None
     if schedule.needs_probe:
@@ -219,7 +218,7 @@ def _rule_stepsize(objective, schedule, k: int, z, f_z: float, s, index: int | N
         probe = objective.value(zt)
         if not math.isfinite(probe):
             raise NonFiniteObjectiveError(k, probe)
-    return stepsize(schedule, StepContext(k, f_z, probe, index, None if unit_checked else s))
+    return stepsize(schedule, StepContext(k, f_z, probe, index, s, unit_checked))
 
 
 def smtp_step(
@@ -318,8 +317,8 @@ def _evals(after_init: int, per_step: int, n: int) -> range:
     return range(after_init + per_step, after_init + per_step * (n + 1), per_step)
 
 
-def _run_loop(objective, dist, schedule, beta, x0, max_iters, seed, epsilon_gap, eval_budget,
-              retain_internals, track_grad_norm, norm_constants, record_index=False):
+def _run_loop(objective, schedule, beta, x0, max_iters, seed, epsilon_gap, eval_budget,
+              retain_internals, track_grad_norm, dist, norm_constants, record_index=False):
     """Drive smtp_step over max_iters directions of dist.
 
     Directions come from draws(), a bounded chunk at a time.  A context-free
@@ -332,7 +331,8 @@ def _run_loop(objective, dist, schedule, beta, x0, max_iters, seed, epsilon_gap,
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
-    if epsilon_gap is not None and objective.smoothness.f_star is None:
+    f_star = objective.smoothness.f_star
+    if epsilon_gap is not None and f_star is None:
         raise ValueError("epsilon_gap stopping needs a known f_star")
     require_unit_law(schedule, dist.kind)
     start_evals = objective.eval_counter
@@ -344,37 +344,20 @@ def _run_loop(objective, dist, schedule, beta, x0, max_iters, seed, epsilon_gap,
         gamma, table = _fixed_steps(schedule, coord, state.f_z, dist.dim)
     steps = _kept_steps(gamma, table, record_index)
     code = _index_code(dist.dim)
-    trace = RunTrace(array("d"), None if steps is not None else array("d"), array("b"), range(0),
-                     state, seed, state.f_z, "max_iters",
-                     array("d") if track_grad_norm else None,
-                     array(code) if record_index else None, [] if retain_internals else None,
-                     (array(code) if coord else []) if retain_internals else None, steps)
+    f_z, gammas, branches = array("d"), None if steps is not None else array("d"), array("b")
+    grad_norm = array("d") if track_grad_norm else None
+    index = array(code) if record_index else None
+    z_before = [] if retain_internals else None
+    drawn = (array(code) if coord else []) if retain_internals else None
+    f0 = state.f_z
+    fixed = gamma is not None or table is not None
     rng = np.random.default_rng(seed)
-    _advance(trace, objective, schedule, draws(dist, rng, max_iters), gamma, table, start_evals,
-             epsilon_gap, eval_budget, norm_constants)
-    fixed = gamma is not None or table is not None
-    per_step = (2 + (schedule.needs_probe and not fixed)) * objective.calls_per_value
-    trace.evals = _evals(after_init, per_step, len(trace.f_z))
-    return trace
-
-
-def _advance(trace, objective, schedule, steps, gamma, table, start_evals, epsilon_gap,
-             eval_budget, norm_constants) -> None:
-    """Take smtp_step over the (s, index) pairs in steps from the trace's
-    final state, appending each outcome to its columns, until the pairs run
-    out (stop_reason stays) or a stop fires.  gamma or table carry a fixed
-    rule's steps (_fixed_steps); the law is checked once per run already."""
-    state = trace.final_state
-    f_star = objective.smoothness.f_star
-    fixed = gamma is not None or table is not None
-    f_z, branches = trace.f_z, trace.branch
-    gammas = trace.gamma if trace.steps is None else None
-    grad_norm, index, z_before, drawn = trace.grad_norm, trace.index, trace.z_before, trace.drawn
-    for s, i in steps:
-        if z_before is not None:
+    stop_reason = "max_iters"
+    for s, i in draws(dist, rng, max_iters):
+        if retain_internals:
             z_before.append(state.z)
             drawn.append(i if s is None else s)
-        if grad_norm is not None:
+        if track_grad_norm:
             grad_norm.append(d_norm(norm_constants, objective.gradient(state.z)))
         if table is not None:
             gamma = table[i]
@@ -386,14 +369,17 @@ def _advance(trace, objective, schedule, steps, gamma, table, start_evals, epsil
         if gammas is not None:
             gammas.append(step_gamma)
         branches.append(branch)
-        if index is not None:
+        if record_index:
             index.append(i)
         if epsilon_gap is not None and state.f_z - f_star <= epsilon_gap:
-            trace.stop_reason = "epsilon_gap"
-            return
+            stop_reason = "epsilon_gap"
+            break
         if eval_budget is not None and objective.eval_counter - start_evals >= eval_budget:
-            trace.stop_reason = "eval_budget"
-            return
+            stop_reason = "eval_budget"
+            break
+    per_step = (2 + (schedule.needs_probe and not fixed)) * objective.calls_per_value
+    return RunTrace(f_z, gammas, branches, _evals(after_init, per_step, len(f_z)), state, seed, f0,
+                    stop_reason, grad_norm, index, z_before, drawn, steps)
 
 
 def _check_finite(k: int, values: np.ndarray) -> None:
@@ -404,13 +390,17 @@ def _check_finite(k: int, values: np.ndarray) -> None:
             raise NonFiniteObjectiveError(k, bad[0])
 
 
-# Lockstep pays from this many rows on.  Scalar-loop over block time per
-# seed-iteration, best of 5 interleaved runs of 4000 iterations on a 2-core
-# VM (numpy 2.4), by seeds in the block:
+# A config's seeds run as one block from this many on; fewer go one by one
+# through the scalar loop.  Scalar-loop over block time per seed-iteration,
+# best of 5 interleaved runs of 4000 iterations on a 2-core VM (numpy 2.4), by
+# seeds in the block:
 #   seeds                                          2     3     4     5     8    30
 #   sphere, solution_dependent, d = 10 (quad_run)  0.65  1.03  1.43  1.58  2.38  6.01
 #   smtp_is, constant, d = 10 (is_compare)         0.55  0.91  1.21  1.25  2.02  5.98
 # A block step has a fixed cost of about 20 us, which too few rows do not repay.
+# Rows that stop leave the block and the rest stay in it: handing the last
+# three or fewer to the scalar loop instead made is_compare's two runs no
+# faster (median 1.93 s against 1.82 s over 10 interleaved pairs).
 BLOCK_MIN_ROWS = 4
 
 # the branch of each position in (f(z), f(z+), f(z-)): the first minimum of the
@@ -418,9 +408,9 @@ BLOCK_MIN_ROWS = 4
 _BRANCH_AT = np.array([STAY, PLUS, MINUS], dtype=np.int8)
 
 
-def run_block(objectives, dist, rules, beta, x0, max_iters, seeds, epsilon_gap=None,
-              eval_budget=None, retain_internals=False, track_grad_norm=False,
-              norm_constants=None, record_index=False) -> list[RunTrace]:
+def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_budget,
+              retain_internals, track_grad_norm, dist, norm_constants,
+              record_index=False) -> list[RunTrace]:
     """Run many seeds in lockstep, as the rows of (S, d) arrays.
 
     Row r runs seed seeds[r] over objectives[r] (one function, one copy per
@@ -498,7 +488,7 @@ def run_block(objectives, dist, rules, beta, x0, max_iters, seeds, epsilon_gap=N
                 if col is not None:
                     col.frombytes(buf[p, flushed:upto].tobytes())
 
-    def finish(p: int, r: int, reason: str) -> RunTrace:
+    def finish(p: int, r: int, reason: str) -> None:
         """Row p's trace, from its flushed columns and final state."""
         f_z, gamma, branch, grad_norm, index = columns[r]
         n_steps = len(f_z)
@@ -512,7 +502,6 @@ def run_block(objectives, dist, rules, beta, x0, max_iters, seeds, epsilon_gap=N
                             None if table is None else table[p], record_index)
         traces[r] = RunTrace(f_z, gamma, branch, _evals(after_init[r], per_step, n_steps), state,
                              seeds[r], states[r].f_z, reason, grad_norm, index, *kept[r], steps)
-        return traces[r]
 
     def shape(block, G):
         """What depends on the live rows and the chunk: the candidate buffer
@@ -633,17 +622,6 @@ def run_block(objectives, dist, rules, beta, x0, max_iters, seeds, epsilon_gap=N
                 t, gammas, table = (None if a is None else a[keep] for a in (t, gammas, table))
                 if step is not None:
                     step = row_stepsizes([rules[r] for r in live])
-                if len(live) < BLOCK_MIN_ROWS:
-                    # too few rows to pay for the block: each goes on alone
-                    for p, r in enumerate(live):
-                        trace = finish(p, r, end_reason)
-                        rest = pairs(chain([block[j + 1:, p]], streams[p]), coord)
-                        _advance(trace, objectives[r], rules[r], rest,
-                                 None if gammas is None else float(gammas[p]),
-                                 None if table is None else table[p].tolist(),
-                                 start_evals[r], epsilon_gap, eval_budget, norm_constants)
-                        trace.evals = _evals(after_init[r], per_step, len(trace.f_z))
-                    break
                 G = None if G is None else G[:, keep]
                 ar, XW, XW3, at, moves = shape(block, G)
     else:
@@ -673,8 +651,8 @@ def smtp_run(
     epsilon_gap (requires known f_star) or when the evaluations consumed by
     this run reach eval_budget.
     """
-    return _run_loop(objective, dist, schedule, beta, x0, max_iters, seed, epsilon_gap,
-                     eval_budget, retain_internals, track_grad_norm, constants(dist))
+    return _run_loop(objective, schedule, beta, x0, max_iters, seed, epsilon_gap, eval_budget,
+                     retain_internals, track_grad_norm, **loop_args(dist))
 
 
 def stp_run(
@@ -690,8 +668,8 @@ def stp_run(
     track_grad_norm: bool = False,
 ) -> RunTrace:
     """Run the momentum-free baseline, which is smtp at beta = 0."""
-    return _run_loop(objective, dist, schedule, 0.0, x0, max_iters, seed, epsilon_gap,
-                     eval_budget, retain_internals, track_grad_norm, constants(dist))
+    return _run_loop(objective, schedule, 0.0, x0, max_iters, seed, epsilon_gap, eval_budget,
+                     retain_internals, track_grad_norm, **loop_args(dist))
 
 
 def smtp_is_run(
@@ -714,10 +692,19 @@ def smtp_is_run(
     records the drawn index, and the tracked gradient norm is the plain L1 norm.
     """
     dist = DirectionDistribution("coord_weighted", objective.dimension, weights=p)
-    l1 = constants(DirectionDistribution("coord_uniform", objective.dimension))
-    return _run_loop(objective, dist, schedule, beta, x0, max_iters, seed, epsilon_gap,
-                     eval_budget, retain_internals, track_grad_norm, l1,
-                     record_index=True)
+    return _run_loop(objective, schedule, beta, x0, max_iters, seed, epsilon_gap, eval_budget,
+                     retain_internals, track_grad_norm, **loop_args(dist, importance=True))
+
+
+def loop_args(dist: DirectionDistribution, importance: bool = False) -> dict:
+    """The run loop's arguments a method sets: the law dist, the constants of
+    the norm the tracked gradient norm is measured in, and whether the trace
+    records the drawn index.  smtp and stp measure dist's own norm; smtp_is
+    (importance) the plain L1 norm, and it records the index."""
+    if not importance:
+        return dict(dist=dist, norm_constants=constants(dist))
+    l1 = constants(DirectionDistribution("coord_uniform", dist.dim))
+    return dict(dist=dist, norm_constants=l1, record_index=True)
 
 
 def select_uniform_random_iterate(trace: RunTrace, rng: np.random.Generator) -> tuple[int, np.ndarray]:

@@ -33,6 +33,7 @@ class StepContext(NamedTuple):
     probe_value: float | None = None
     direction_index: int | None = None
     direction: np.ndarray | None = None
+    unit_checked: bool = False  # the law gives unit directions (require_unit_law)
 
 
 def _check_beta(beta: float) -> None:
@@ -60,8 +61,10 @@ def _require_index(ctx: StepContext) -> int:
 
 
 def _require_unit(ctx: StepContext) -> None:
+    if ctx.unit_checked or (ctx.direction is None and ctx.direction_index is not None):
+        return  # a unit law, checked once per run, or s = e_i
     if ctx.direction is None:
-        return  # s = e_i, or a law the run loops checked once (require_unit_law)
+        raise ValueError("solution-free rule needs the direction in the context")
     n = float(np.dot(ctx.direction, ctx.direction))
     if abs(n - 1.0) > _UNIT_TOL:
         raise ValueError(f"solution-free rule requires ||s||_2 = 1, got ||s||^2 = {n!r}")
@@ -151,8 +154,8 @@ class SolutionDependent:
 class SolutionFree:
     """gamma^k = (1-beta) |f(z + t s) - f(z)| / (L t); requires ||s||_2 = 1.
 
-    A direction in the context is checked for unit length; the run loops
-    pass none and check the law once per run instead (require_unit_law).
+    The direction in the context is checked for unit length, unless the
+    context says its law was checked once per run (require_unit_law).
     """
 
     L: float
@@ -325,9 +328,11 @@ def row_stepsizes(rules: list):
     Returns step(k, f_z, probe, index): gamma for every row at iteration k,
     from the rows' f(z), probe values (None without a probe) and drawn
     coordinates (None off a coordinate law), checked as stepsize() checks
-    it.  Each row gets bit for bit what stepsize() gives its rule: the
-    formula runs elementwise in the scalar form's order, over per-row
-    parameter columns.  A class with no vector form is evaluated row by row.
+    it.  The rows' direction law is checked once per run (require_unit_law)
+    before, so the rules do not check directions.  Each row gets bit for bit
+    what stepsize() gives its rule: SolutionDependent runs elementwise in the
+    scalar form's order, over per-row parameter columns; every other class
+    is evaluated row by row.
     """
     formula = _row_formula(rules)
 
@@ -344,35 +349,15 @@ def row_stepsizes(rules: list):
 
 
 def _row_formula(rules: list):
-    rule = rules[0]
+    if isinstance(rules[0], SolutionDependent):
+        def col(name):
+            return np.array([getattr(r, name) for r in rules])
 
-    def col(name):
-        return np.array([getattr(r, name) for r in rules])
-
-    def per_coordinate(name):
-        """A per-coordinate vector of each rule, read at each row's index."""
-        table = col(name)
-        offsets = np.arange(len(rules)) * table.shape[1]
-        return lambda index: table.take(offsets + index)
-
-    if isinstance(rule, Decreasing):
-        alpha, theta = col("alpha"), col("theta")
-        return lambda k, f_z, probe, index: 2.0 / (alpha * k + theta)
-
-    if isinstance(rule, PerCoordinate):
-        inner, w = _row_formula([r.rule for r in rules]), per_coordinate("w")
-        return lambda k, f_z, probe, index: inner(k, f_z, probe, index) / w(index)
-
-    if isinstance(rule, (SolutionDependent, ISSolutionDependent)):
-        dependent = isinstance(rule, SolutionDependent)
         f_star, two_mu, one_minus_beta = col("f_star"), 2.0 * col("mu"), 1.0 - col("beta")
-        # ((1-beta) theta_k) mu_d, or ((1-beta) theta_k) m: the scalar form's head
-        scale = col("mu_d") if dependent else col("_m")
+        mu_d, L = col("mu_d"), col("L")
         fixed = not any(callable(r.theta_k) for r in rules)
-        head = one_minus_beta * np.array([_theta_k_value(r.theta_k, 0) for r in rules]) * scale
-        divisor = col("L") if dependent else None
-        if not dependent:
-            w, s_w = per_coordinate("w"), col("_s_w")
+        # ((1-beta) theta_k) mu_d: the scalar form's head
+        head = one_minus_beta * np.array([_theta_k_value(r.theta_k, 0) for r in rules]) * mu_d
 
         def solution_dependent(k, f_z, probe, index):
             gap = f_z - f_star
@@ -381,26 +366,14 @@ def _row_formula(rules: list):
                 raise ValueError(f"f_z = {float(f_z[r])!r} is below the declared f_star = "
                                  f"{float(f_star[r])!r}")
             lead = head if fixed else one_minus_beta * np.array(
-                [_theta_k_value(r.theta_k, k) for r in rules]) * scale
-            root = np.sqrt(two_mu * gap)
-            if dependent:
-                return lead * root / divisor
-            return lead / (w(index) * s_w) * root
+                [_theta_k_value(r.theta_k, k) for r in rules]) * mu_d
+            return lead * np.sqrt(two_mu * gap) / L
         return solution_dependent
-
-    if isinstance(rule, SolutionFree):
-        one_minus_beta, scale = 1.0 - col("beta"), col("L") * col("t")
-        return lambda k, f_z, probe, index: one_minus_beta * np.abs(probe - f_z) / scale
-
-    if isinstance(rule, ISSolutionFree):
-        one_minus_beta, coord_L, t = 1.0 - col("beta"), per_coordinate("coord_L"), col("t")
-        return lambda k, f_z, probe, index: (
-            one_minus_beta * np.abs(probe - f_z) / (coord_L(index) * t))
 
     def by_row(k, f_z, probe, index):
         probe = repeat(None) if probe is None else probe.tolist()
         index = repeat(None) if index is None else index.tolist()
-        return np.array([r.stepsize(StepContext(k, f, p, i))
+        return np.array([r.stepsize(StepContext(k, f, p, i, unit_checked=True))
                          for r, f, p, i in zip(rules, f_z.tolist(), probe, index)])
     return by_row
 

@@ -143,8 +143,7 @@ def test_block_equals_per_seed_runs(text, seeds, extra):
 ], ids=["is_table", "is_decreasing", "coord_fixed_noisy", "sphere_probe"])
 def test_block_with_staggered_stops(text):
     # a dozen seeds that reach epsilon at scattered steps: rows leave one or
-    # several at a time, often within one draw chunk, until the block hands the
-    # last ones to the scalar loop
+    # several at a time, often within one draw chunk, down to the last row
     cfg = parse_config(text + "\nbeta = 0.5\nobjective = quadratic\ndimension = 6\n"
                        "coord_L = logspace:1,30\nepsilon = 1e-3\nmax_iters = 3000\nseeds = 12")
     runs = [run_once(cfg, seed) for seed in cfg.seeds]

@@ -123,6 +123,16 @@ class TestRules:
         assert stepsize(rule, _ctx(f_z=1.0, probe=2.0, direction=s)) == 0.5
         assert rule.needs_probe
 
+    def test_solution_free_checks_the_direction(self):
+        rule = SolutionFree(L=2.0, t=0.5, beta=0.5)
+        with pytest.raises(ValueError, match="needs the direction"):
+            stepsize(rule, StepContext(3, 1.0, 2.0))
+        with pytest.raises(ValueError, match="requires"):
+            stepsize(rule, _ctx(probe=2.0, direction=np.array([1.0, 1.0])))
+        # e_i, or a law checked once per run: no direction to check
+        assert stepsize(rule, _ctx(probe=2.0, index=1)) == 0.5
+        assert stepsize(rule, StepContext(3, 1.0, 2.0, unit_checked=True)) == 0.5
+
     def test_is_constant(self):
         rule = PerCoordinate(Constant(0.05), np.array([1.0, 10.0]))
         assert stepsize(rule, _ctx(index=1)) == 0.005
