@@ -15,7 +15,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -170,6 +170,8 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
         fail("method", f"unknown method {cfg.method!r}")
     if not (0.0 <= cfg.beta < 1.0):
         fail("beta", "beta must lie in [0,1)")
+    if cfg.method == "stp" and cfg.beta != 0.0 and "beta" in seen:
+        fail("beta", "method stp has no momentum and reads no beta: set beta = 0 or drop it")
     if cfg.objective not in ("quadratic", "rosenbrock", "lqr"):
         fail("objective", f"unknown objective {cfg.objective!r}")
     if cfg.objective in ("quadratic", "rosenbrock") and cfg.dimension is None:
@@ -203,6 +205,12 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
         fail("basis", "basis is read only by distribution orthonormal_weighted")
     if cfg.max_iters < 0:
         fail("max_iters", "max_iters must be >= 0")
+    if cfg.schedule_kind == "fixed_horizon":
+        if cfg.schedule_horizon is None and cfg.max_iters < 1:
+            fail("max_iters", "schedule.kind = fixed_horizon takes its horizon from max_iters, "
+                 "which is 0 here: set schedule.horizon >= 1")
+        if cfg.schedule_horizon is not None and cfg.schedule_horizon < 1:
+            fail("schedule_horizon", "schedule.horizon must be >= 1")
     if len(cfg.seeds) < 1:
         fail("seeds", "need at least one seed")
     if len(set(cfg.seeds)) != len(cfg.seeds):
@@ -604,49 +612,96 @@ def prepare(cfg: ExperimentConfig) -> tuple[list[int] | None, np.ndarray | None]
     return ks, diagnostics.bound_envelope(cfg.theorem, params, cfg.max_iters).values[ks]
 
 
-def run_block(cfg: ExperimentConfig, seeds) -> tuple[list[optimizers.RunTrace],
-                                                     list[objectives.Objective]]:
-    """Build each seed's objective and run parts as run_once does, then run
-    the seeds in lockstep; each trace equals that seed's run_once trace."""
-    objs = [build_objective(cfg, seed) for seed in seeds]
-    x0 = build_x0(cfg, objs[0].dimension)
-    parts = [build_run(cfg, obj, x0) for obj in objs]
+def run_block(cfg, seeds) -> tuple[list[optimizers.RunTrace], list[objectives.Objective]]:
+    """Build each row's objective and run parts as run_once does, then run
+    the rows in lockstep; each trace equals that row's run_once trace.  cfg
+    is the config of every seed, or one config per seed, all with one
+    _block_key."""
+    cfgs = [cfg] * len(seeds) if isinstance(cfg, ExperimentConfig) else list(cfg)
+    objs = [build_objective(c, seed) for c, seed in zip(cfgs, seeds)]
+    x0 = build_x0(cfgs[0], objs[0].dimension)
+    parts = [build_run(c, obj, x0) for c, obj in zip(cfgs, objs)]
+    first = cfgs[0]
+    shared = optimizers.loop_args(parts[0].dist, importance=first.method == "smtp_is")
     traces = optimizers.run_block(
-        objs, [p.schedule for p in parts], _beta(cfg), x0, cfg.max_iters, list(seeds),
-        cfg.epsilon, cfg.eval_budget, cfg.retain_internals, cfg.track_grad_norm,
-        **optimizers.loop_args(parts[0].dist, importance=cfg.method == "smtp_is"))
+        objs, [p.schedule for p in parts], [_beta(c) for c in cfgs], x0, first.max_iters,
+        list(seeds), first.epsilon, first.eval_budget, first.retain_internals,
+        first.track_grad_norm, [p.dist for p in parts], shared["norm_constants"],
+        shared.get("record_index", False))
     return traces, objs
 
 
-def _run_seeds(cfg: ExperimentConfig, seeds) -> list[tuple]:
-    """(trace, objective, wall time) of each seed, in order.  A block's wall
-    time is shared out by iterations.  A block that fails as a run fails (a
-    ValueError or a non-finite value) is rerun seed by seed, so the error is
-    the one a one-seed run raises, for the first seed that fails."""
-    if len(seeds) >= optimizers.BLOCK_MIN_ROWS:  # the measured crossover
+def _block_key(cfg: ExperimentConfig) -> tuple:
+    """What the rows of one block share (optimizers.run_block): the
+    objective and x0; a coordinate or a vector law; the rule class and
+    whether it is fixed (schedule.kind, and whether smtp_is wraps it); the
+    stops and the recording; and, when tracked, the gradient norm's law."""
+    importance = cfg.method == "smtp_is"
+    norm = (cfg.distribution, cfg.weights, cfg.basis) if cfg.track_grad_norm else None
+    return (_objective_signature(cfg), importance, importance or cfg.distribution in
+            directions.COORD_KINDS, cfg.schedule_kind, cfg.max_iters, cfg.eval_budget,
+            cfg.epsilon, cfg.retain_internals, cfg.track_grad_norm, norm)
+
+
+def _run_seeds(rows) -> list[tuple]:
+    """(trace, objective, wall time) of each (config, seed) row, in order.
+
+    Rows with one _block_key run as one block once there are
+    BLOCK_MIN_ROWS of them (the measured crossover); the rest go one by one
+    through run_once, in row order.  A block's wall time is shared out by
+    iterations.  A block that fails as a run fails (a ValueError or a
+    non-finite value) is rerun row by row, so the error is the one a
+    one-seed run raises, for the first row that fails, with that row's
+    config label and seed put in front of its message.
+    """
+    runs = [None] * len(rows)
+    groups: dict[tuple, list[int]] = {}
+    for at, (cfg, _) in enumerate(rows):
+        groups.setdefault(_block_key(cfg), []).append(at)
+    for group in groups.values():
+        if len(group) < optimizers.BLOCK_MIN_ROWS:
+            continue
         t0 = time.perf_counter()
         try:
-            traces, objs = run_block(cfg, seeds)
+            traces, objs = run_block([rows[at][0] for at in group], [rows[at][1] for at in group])
         except (ValueError, optimizers.NonFiniteObjectiveError):
-            pass  # reported by the per-seed rerun
-        else:
-            wall = time.perf_counter() - t0
-            total = max(1, sum(len(t.f_z) for t in traces))
-            return [(t, o, wall * len(t.f_z) / total) for t, o in zip(traces, objs)]
-    runs = []
-    for seed in seeds:
-        t0 = time.perf_counter()
-        # through the module global, so that wrappers of run_once see every seed it runs
-        trace, obj = run_once(cfg, seed)
-        runs.append((trace, obj, time.perf_counter() - t0))
+            continue  # reported by the per-row rerun
+        wall = time.perf_counter() - t0
+        total = max(1, sum(len(t.f_z) for t in traces))
+        for at, trace, obj in zip(group, traces, objs):
+            runs[at] = (trace, obj, wall * len(trace.f_z) / total)
+    for at, (cfg, seed) in enumerate(rows):
+        if runs[at] is None:
+            t0 = time.perf_counter()
+            try:
+                # through the module global, so that wrappers of run_once see every seed it runs
+                trace, obj = run_once(cfg, seed)
+            except Exception as exc:
+                exc.args = (f"{cfg.label} seed {seed}: {exc}",)
+                raise
+            runs[at] = (trace, obj, time.perf_counter() - t0)
     return runs
 
 
-def _seeds_worker(cfg: ExperimentConfig, seeds, out_dir: str | None, ks: list[int] | None):
-    runs = _run_seeds(cfg, seeds)
+def _seeds_worker(rows, out_dir: str | None, ks: list[int] | None):
+    runs = _run_seeds(rows)
     runs.reverse()
     # each trace is let go once its CSV and result are written
-    return [_seed_result(cfg, seed, *runs.pop(), out_dir, ks) for seed in seeds]
+    return [_seed_result(cfg, seed, *runs.pop(), out_dir, ks) for cfg, seed in rows]
+
+
+def _row_results(rows, jobs: int, out_dir: str | None = None, ks: list[int] | None = None):
+    """_seeds_worker's (result, checked) of each (config, seed) row, in order.
+    With jobs > 1 the rows are split into up to jobs contiguous groups, one
+    per worker process."""
+    n = len(rows)
+    if jobs > 1 and n > 1:
+        parts = min(jobs, n)
+        groups = [rows[i * n // parts:(i + 1) * n // parts] for i in range(parts)]
+        with _process_pool(jobs) as pool:
+            return [payload for group in pool.map(
+                _seeds_worker, groups, repeat(out_dir), repeat(ks)) for payload in group]
+    return _seeds_worker(rows, out_dir, ks)
 
 
 def _seed_result(cfg: ExperimentConfig, seed: int, trace, obj, wall: float,
@@ -720,17 +775,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         target = None
     jobs = jobs if jobs is not None else cfg.jobs
 
-    seeds = cfg.seeds
-    n = len(seeds)
-    if jobs > 1 and n > 1:
-        parts = min(jobs, n)
-        groups = [seeds[i * n // parts:(i + 1) * n // parts] for i in range(parts)]
-        with _process_pool(jobs) as pool:
-            payloads = [payload for group in pool.map(
-                _seeds_worker, repeat(cfg), groups, repeat(target), repeat(ks))
-                for payload in group]
-    else:
-        payloads = _seeds_worker(cfg, seeds, target, ks)
+    payloads = _row_results([(cfg, seed) for seed in cfg.seeds], jobs, target, ks)
 
     results = [p[0] for p in payloads]
     envelope_ok = None
@@ -791,9 +836,12 @@ def compare_methods(configs: list[ExperimentConfig], out_dir: str | None = None)
     """Evaluations-to-target table across configs sharing one objective.
 
     Every config must declare the same objective block and the same epsilon
-    (the gap target).  Each config runs through run_experiment, unwritten.
-    Rows report median/min/max evaluations over seeds; seeds that never
-    reach the target count as inf.
+    (the gap target).  Each config is prepared as run prepares it; then the
+    rows of every config (config order, then seed order) run through
+    _run_seeds together, unwritten, so rows of configs with one _block_key
+    share a block, in one process pool of the largest jobs.  Rows report
+    median/min/max evaluations over seeds; seeds that never reach the target
+    count as inf.
     """
     if len(configs) < 2:
         raise ValueError("compare needs at least two configs")
@@ -805,12 +853,15 @@ def compare_methods(configs: list[ExperimentConfig], out_dir: str | None = None)
     if eps is None or any(cfg.epsilon != eps for cfg in configs):
         raise ValueError("compare needs the same epsilon target in every config")
 
+    for cfg in configs:
+        prepare(cfg)
+    payloads = iter(_row_results([(cfg, seed) for cfg in configs for seed in cfg.seeds],
+                                 max(cfg.jobs for cfg in configs)))
     rows = []
     for cfg in configs:
         # a seed stops at the first record within epsilon
         evals_arr = np.array([r.evals if r.stop_reason == "epsilon_gap" else math.inf
-                              for r in run_experiment(cfg, write=False).seed_results],
-                             dtype=float)
+                              for r, _ in islice(payloads, len(cfg.seeds))], dtype=float)
         rows.append({
             "label": cfg.label,
             "n_seeds": len(cfg.seeds),

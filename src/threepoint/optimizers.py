@@ -41,10 +41,13 @@ PLUS, MINUS, STAY = range(3)  # branch codes: indices into BRANCHES
 class NonFiniteObjectiveError(RuntimeError):
     """The objective returned NaN or inf; the run cannot continue."""
 
-    def __init__(self, k: int, value: float):
-        super().__init__(f"non-finite objective value {value!r} at iteration {k}")
+    def __init__(self, k: int, value: float, message: str | None = None):
+        super().__init__(message or f"non-finite objective value {value!r} at iteration {k}")
         self.k = k
         self.value = value
+
+    def __reduce__(self):  # through a process pool with its message, prefixed or not
+        return type(self), (self.k, self.value, str(self))
 
 
 @dataclass
@@ -382,12 +385,14 @@ def _run_loop(objective, schedule, beta, x0, max_iters, seed, epsilon_gap, eval_
                     stop_reason, grad_norm, index, z_before, drawn, steps)
 
 
-def _check_finite(k: int, values: np.ndarray) -> None:
-    total = sum(values.tolist())  # finite whenever every value is, bar an overflow
-    if not math.isfinite(total):
-        bad = [value for value in values.tolist() if not math.isfinite(value)]
+def _check_finite(k: int, values: np.ndarray) -> list[float]:
+    """values as a list, each checked finite."""
+    listed = values.tolist()
+    if not math.isfinite(sum(listed)):  # finite whenever every value is, bar an overflow
+        bad = [value for value in listed if not math.isfinite(value)]
         if bad:
             raise NonFiniteObjectiveError(k, bad[0])
+    return listed
 
 
 # A config's seeds run as one block from this many on; fewer go one by one
@@ -408,15 +413,18 @@ BLOCK_MIN_ROWS = 4
 _BRANCH_AT = np.array([STAY, PLUS, MINUS], dtype=np.int8)
 
 
-def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_budget,
-              retain_internals, track_grad_norm, dist, norm_constants,
+def run_block(objectives, rules, betas, x0, max_iters, seeds, epsilon_gap, eval_budget,
+              retain_internals, track_grad_norm, dists, norm_constants,
               record_index=False) -> list[RunTrace]:
     """Run many seeds in lockstep, as the rows of (S, d) arrays.
 
     Row r runs seed seeds[r] over objectives[r] (one function, one copy per
-    seed, each counting its own calls) under rules[r], and its trace is bit
-    for bit the one _run_loop gives that seed alone with the same
-    arguments:
+    seed, each counting its own calls) under rules[r], momentum betas[r]
+    and direction law dists[r], and its trace is bit for bit the one
+    _run_loop gives that seed alone with the same arguments.  The rows share
+    the rest: the dimension, a coordinate or a vector law, the rule class
+    and whether it is fixed, the stops, the recording and the norm
+    constants.  Bit for bit, because:
     - each row draws from its own generator, in chunks that together hold
       at most _DRAW_FLOATS floats;
     - every row's probe, then every row's two candidates, are evaluated in
@@ -434,15 +442,21 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
     f_star = objectives[0].smoothness.f_star
     if epsilon_gap is not None and f_star is None:
         raise ValueError("epsilon_gap stopping needs a known f_star")
-    require_unit_law(rules[0], dist.kind)
+    coord = dists[0].kind in COORD_KINDS
+    n, d = len(seeds), dists[0].dim
+    if any(dist.dim != d or (dist.kind in COORD_KINDS) != coord for dist in dists):
+        raise ValueError("the rows of a block share one dimension and a coordinate or vector law")
+    for rule, dist in zip(rules, dists):
+        require_unit_law(rule, dist.kind)
+    betas = np.array(betas, dtype=float)
     start_evals = [o.eval_counter for o in objectives]
-    states = [init_state(o, x0, beta) for o in objectives]
+    states = [init_state(o, x0, b) for o, b in zip(objectives, betas.tolist())]
     after_init = [o.eval_counter for o in objectives]
-    coord = dist.kind in COORD_KINDS
-    n, d = len(seeds), dist.dim
     gammas = table = None
     if max_iters > 0:
         fixed = [_fixed_steps(r, coord, st.f_z, d) for r, st in zip(rules, states)]
+        if len({(g is None, t is None) for g, t in fixed}) > 1:
+            raise ValueError("the rows of a block share one rule class")
         if fixed[0][0] is not None:
             gammas = np.array([g for g, _ in fixed])
         elif fixed[0][1] is not None:
@@ -465,16 +479,17 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
             for _ in seeds]
     traces: list[RunTrace | None] = [None] * n
     rows = chunk_rows(d, n)
-    streams = [chunks(dist, np.random.default_rng(seed), n_iter, rows) for seed in seeds]
-    # ZV[0] and ZV[1] hold z and v, one row per seed; F f(z); the last move's
-    # z, v and gamma (< 0: none yet)
+    streams = [chunks(dist, np.random.default_rng(seed), n_iter, rows)
+               for dist, seed in zip(dists, seeds)]
+    # ZV[0] and ZV[1] hold z and v, one row per seed; F f(z); last_zv the z
+    # and v the last move of each row moved from
     ZV = np.stack((np.array([st.z for st in states]), np.zeros((n, d))))
     F = np.array([st.f_z for st in states])
-    last_zv, last_g = ZV.copy(), np.full(n, -1.0)
+    last_zv = ZV.copy()
     t = np.array([r.t for r in rules]) if probe else None
     step = None if gammas is not None or table is not None else row_stepsizes(list(rules))
     gradient = objectives[0].gradient_batch
-    one_minus_beta = 1.0 - beta
+    beta, one_minus_beta = betas, 1.0 - betas  # of the live rows
     f_buf, g_buf, b_buf = np.empty((n, rows)), np.empty((n, rows)), np.empty((n, rows), np.int8)
     n_buf = np.empty((n, rows)) if track_grad_norm else None
     i_buf = np.empty((n, rows), np.dtype(code)) if record_index else None
@@ -486,33 +501,43 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
         for p, r in enumerate(live):
             for col, buf in zip(columns[r], (f_buf, g_buf, b_buf, n_buf, i_buf)):
                 if col is not None:
-                    col.frombytes(buf[p, flushed:upto].tobytes())
+                    cells = buf[p, flushed:upto]
+                    col.frombytes((_BRANCH_AT.take(cells) if buf is b_buf else cells).tobytes())
 
     def finish(p: int, r: int, reason: str) -> None:
         """Row p's trace, from its flushed columns and final state."""
         f_z, gamma, branch, grad_norm, index = columns[r]
         n_steps = len(f_z)
         v = ZV[1, p].copy()
-        move = None
-        if last_g[p] >= 0.0:
-            move = (last_zv[0, p].copy(), last_zv[1, p].copy(), float(last_g[p]), v)
-        state = OptimizerState(x=states[r].x, v=v, z=ZV[0, p].copy(), f_z=float(F[p]),
-                               k=n_steps, beta=beta, move=move)
         steps = _kept_steps(None if gammas is None else float(gammas[p]),
                             None if table is None else table[p], record_index)
+        move = None
+        moves = np.flatnonzero(np.frombuffer(branch, np.int8) != STAY)
+        if moves.size:  # the last move's stepsize, as the gamma column holds it
+            last = int(moves[-1])
+            g = (gamma[last] if gamma is not None else steps if index is None
+                 else float(steps[index[last]]))
+            move = (last_zv[0, p].copy(), last_zv[1, p].copy(), g, v)
+        state = OptimizerState(x=states[r].x, v=v, z=ZV[0, p].copy(), f_z=float(F[p]),
+                               k=n_steps, beta=states[r].beta, move=move)
         traces[r] = RunTrace(f_z, gamma, branch, _evals(after_init[r], per_step, n_steps), state,
                              seeds[r], states[r].f_z, reason, grad_norm, index, *kept[r], steps)
 
     def shape(block, G):
-        """What depends on the live rows and the chunk: the candidate buffer
-        and, over coordinates, the flat index of coordinate i in the z+, z-,
-        v+ and v- rows of every step, with the changes made there (all
-        known up front given a fixed rule's steps G, the unit signs alone
-        otherwise)."""
+        """What depends on the live rows and the chunk: the candidate buffer,
+        the column of betas its momentum rows are scaled by and, over
+        coordinates, the flat index of coordinate i in the z+, z-, v+ and v-
+        rows of every step, with the changes made there (all known up front
+        given a fixed rule's steps G, the unit signs alone otherwise)."""
         m = len(live)
         ar = np.arange(m)
         XW = np.empty((2, 3 * m, d))  # rows r, m + r, 2m + r: z, z+, z- and v, v+, v-
-        XW3 = XW.reshape(2, 3, m, d)  # a view: C order, as the flat indices below assume
+        XW3 = XW.reshape(2, 3, m, d)  # views: C order, as the flat indices below assume
+        flat = XW.reshape(-1)
+        # the betas of the v+ and v- rows, or of the v rows: one number when
+        # the rows share it (a run's rows do), as in the scalar step's beta * v
+        B = (float(beta[0]) if len(set(beta.tolist())) == 1
+             else (np.tile(beta, 2) if coord else beta)[:, None])
         at = moves = None
         if coord:
             base = np.concatenate(((ar + m) * d, (ar + 2 * m) * d))
@@ -523,7 +548,7 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
                 H = G / one_minus_beta
                 moves = np.concatenate((-H, H, np.broadcast_to(moves, H.shape[:1] + moves.shape)),
                                        axis=1)
-        return ar, XW, XW3, at, moves
+        return ar, XW, XW3, flat, B, at, moves
 
     for k in range(n_iter):
         j = k % rows
@@ -539,8 +564,10 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
                 G = (np.broadcast_to(gammas, block.shape[:2]) if table is None
                      else table.take(block + np.arange(m) * d))
                 g_buf[:, :len(G)] = G.T
-            ar, XW, XW3, at, moves = shape(block, G)
-        Z, V = ZV
+            if record_index:  # the drawn coordinates are the index column
+                i_buf[:, :len(block)] = block.T
+            ar, XW, XW3, flat, B, at, moves = shape(block, G)
+        Z = ZV[0]
         drawn = block[j]
         if retain_internals:
             for p, r in enumerate(live):
@@ -568,62 +595,59 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
             g_buf[:, j] = g
         if coord:
             XW3[...] = ZV[:, None]
-            XW[1, m:] *= beta  # beta v, exact as the scalar step's beta * v
+            XW[1, m:] *= B  # beta v, exact as the scalar step's beta * v
             if moves.ndim == 2:
                 delta = moves[j]
             else:
                 h = g / one_minus_beta
                 delta = np.concatenate((-h, h, moves))
-            flat = XW.reshape(-1)
-            flat[at[j]] = flat.take(at[j]) + delta
+            cells = at[j]
+            flat[cells] = flat.take(cells) + delta
         else:
             s = drawn
             hs = (g / one_minus_beta)[:, None] * s
             XW[:, :m] = ZV
             np.subtract(Z, hs, out=XW[0, m:2 * m])
             np.add(Z, hs, out=XW[0, 2 * m:])
-            bv = beta * V
+            bv = B * ZV[1]
             np.add(bv, s, out=XW[1, m:2 * m])
             np.subtract(bv, s, out=XW[1, 2 * m:])
-        values = value_rows(live_objectives, XW[0, m:])
-        _check_finite(k, values)
-        T = np.concatenate((F, values))
+        T = np.concatenate((F, value_rows(live_objectives, XW[0, m:])))
+        listed = _check_finite(k, T)  # F is finite, so this checks the new values
         choice = T.reshape(3, m).argmin(0)
-        moved = choice > 0
-        np.copyto(last_zv, ZV, where=moved[:, None])
-        np.copyto(last_g, g_buf[:, j], where=moved)
+        np.copyto(last_zv, ZV, where=(choice > 0)[:, None])
         pick = choice * m + ar
         ZV = XW.take(pick, 1)
         F = T.take(pick)
         f_buf[:, j] = F
-        b_buf[:, j] = _BRANCH_AT.take(choice)
-        if record_index:
-            i_buf[:, j] = drawn
+        b_buf[:, j] = choice  # a position in T, mapped to its branch when flushed
         if j == rows - 1:
             flush(rows)
             flushed = rows
-        if epsilon_gap is not None:
+        # the least of T is the least new f(z); some row is done exactly when
+        # that one is, as x - f_star is monotone in x and T holds no NaN
+        if epsilon_gap is not None and min(listed) - f_star <= epsilon_gap:
             done = F - f_star <= epsilon_gap
-            if True in done.tolist():
-                flush(j + 1)
-                flushed = j + 1
-                for p in np.flatnonzero(done).tolist():
-                    finish(p, live[p], "epsilon_gap")
-                keep = np.flatnonzero(~done)
-                if keep.size == 0:
-                    break
-                live = [live[p] for p in keep.tolist()]
-                live_objectives = [objectives[r] for r in live]
-                streams = [streams[p] for p in keep.tolist()]
-                ZV, last_zv = ZV[:, keep], last_zv[:, keep]
-                F, last_g, block = F[keep], last_g[keep], block[:, keep]
-                f_buf, g_buf, b_buf, n_buf, i_buf = (
-                    None if b is None else b[keep] for b in (f_buf, g_buf, b_buf, n_buf, i_buf))
-                t, gammas, table = (None if a is None else a[keep] for a in (t, gammas, table))
-                if step is not None:
-                    step = row_stepsizes([rules[r] for r in live])
-                G = None if G is None else G[:, keep]
-                ar, XW, XW3, at, moves = shape(block, G)
+            flush(j + 1)
+            flushed = j + 1
+            for p in np.flatnonzero(done).tolist():
+                finish(p, live[p], "epsilon_gap")
+            keep = np.flatnonzero(~done)
+            if keep.size == 0:
+                break
+            live = [live[p] for p in keep.tolist()]
+            live_objectives = [objectives[r] for r in live]
+            streams = [streams[p] for p in keep.tolist()]
+            ZV, last_zv = ZV[:, keep], last_zv[:, keep]
+            F, block = F[keep], block[:, keep]
+            f_buf, g_buf, b_buf, n_buf, i_buf = (
+                None if b is None else b[keep] for b in (f_buf, g_buf, b_buf, n_buf, i_buf))
+            t, gammas, table = (None if a is None else a[keep] for a in (t, gammas, table))
+            beta, one_minus_beta = beta[keep], one_minus_beta[keep]
+            if step is not None:
+                step = row_stepsizes([rules[r] for r in live])
+            G = None if G is None else G[:, keep]
+            ar, XW, XW3, flat, B, at, moves = shape(block, G)
     else:
         if n_iter:
             flush(j + 1)

@@ -3,7 +3,8 @@
 harness.run_block advances the seeds of a config together as the rows of
 (S, d) arrays; harness.run_once runs one seed through the scalar loop, which
 is the reference.  The properties draw random laws, rules, beta, stops,
-noise and seed lists.
+noise and seed lists.  compare runs the rows of several configs together,
+each row with its own beta and law, and must equal each config run alone.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from threepoint import harness, optimizers
+from threepoint import directions, harness, objectives, optimizers, schedules
 from threepoint.harness import parse_config, run_experiment, run_once
 
 LAWS = ("sphere", "gaussian", "coord_uniform", "coord_weighted", "orthonormal_weighted")
@@ -34,8 +35,10 @@ def configs(draw) -> str:
     objective = draw(st.sampled_from(("quadratic", "shifted", "rosenbrock", "lqr")))
     if method == "smtp_is":
         objective = draw(st.sampled_from(("quadratic", "shifted")))  # IS rules read coord_L
-    lines = [f"method = {method}", f"beta = {draw(st.sampled_from((0.0, 0.3, 0.5, 0.9)))}",
-             f"max_iters = {draw(st.integers(0, 300))}"]
+    betas = (0.0,) if method == "stp" else (0.0, 0.3, 0.5, 0.9)  # stp takes beta 0 alone
+    max_iters = draw(st.integers(0, 300))
+    lines = [f"method = {method}", f"beta = {draw(st.sampled_from(betas))}",
+             f"max_iters = {max_iters}"]
     if objective == "lqr":
         d_state, d_ctrl = draw(st.sampled_from(((2, 1), (3, 1), (3, 2))))
         d = d_state * d_ctrl
@@ -73,7 +76,10 @@ def configs(draw) -> str:
     lines += {
         "constant": [f"schedule.gamma = {draw(st.sampled_from((1e-3, 0.01, 0.05)))}"],
         "fixed_horizon": [f"schedule.gamma0 = "
-                          f"{'optimal' if objective != 'lqr' and draw(st.booleans()) else 0.05}"],
+                          f"{'optimal' if objective != 'lqr' and draw(st.booleans()) else 0.05}"]
+        # the horizon defaults to max_iters, which must then be at least 1
+        + ([f"schedule.horizon = {draw(st.integers(1, 400))}"]
+           if max_iters == 0 or draw(st.booleans()) else []),
         "decreasing": ["schedule.alpha = 1", "schedule.theta = 4"],
         "solution_dependent": [],
         "solution_free": [f"schedule.t = {draw(st.sampled_from((1e-4, 1e-3)))}"],
@@ -134,17 +140,17 @@ def test_block_equals_per_seed_runs(text, seeds, extra):
 
 
 @pytest.mark.parametrize("text", [
-    "method = smtp_is\nis.p = prop_L\nschedule.kind = constant\nschedule.gamma = 0.02",
-    "method = smtp_is\nis.w = ones\nschedule.kind = decreasing\nschedule.alpha = 1\n"
-    "schedule.theta = 4",
-    "method = smtp\ndistribution = coord_uniform\nschedule.kind = fixed_horizon\n"
+    "method = smtp_is\nbeta = 0.5\nis.p = prop_L\nschedule.kind = constant\nschedule.gamma = 0.02",
+    "method = smtp_is\nbeta = 0.5\nis.w = ones\nschedule.kind = decreasing\n"
+    "schedule.alpha = 1\nschedule.theta = 4",
+    "method = smtp\nbeta = 0.5\ndistribution = coord_uniform\nschedule.kind = fixed_horizon\n"
     "schedule.gamma0 = optimal\nnoise.sigma = 1e-4\nnoise.k = 2",
     "method = stp\ndistribution = sphere\nschedule.kind = solution_free\nschedule.t = 1e-3",
 ], ids=["is_table", "is_decreasing", "coord_fixed_noisy", "sphere_probe"])
 def test_block_with_staggered_stops(text):
     # a dozen seeds that reach epsilon at scattered steps: rows leave one or
     # several at a time, often within one draw chunk, down to the last row
-    cfg = parse_config(text + "\nbeta = 0.5\nobjective = quadratic\ndimension = 6\n"
+    cfg = parse_config(text + "\nobjective = quadratic\ndimension = 6\n"
                        "coord_L = logspace:1,30\nepsilon = 1e-3\nmax_iters = 3000\nseeds = 12")
     runs = [run_once(cfg, seed) for seed in cfg.seeds]
     assert len({len(trace.f_z) for trace, _ in runs}) > 6  # the stops are scattered
@@ -209,7 +215,7 @@ def test_run_experiment_runs_blocks_from_the_crossover(monkeypatch):
 
 def test_failing_block_reports_the_one_seed_error():
     # noise drives f below f_star = 0: seed 1 fails first in the block, but a run
-    # reports seed 0's error, the one its one-seed run raises
+    # reports seed 0's error, the one its one-seed run raises, named by label and seed
     text = ("objective = quadratic\ndimension = 3\ndistribution = sphere\n"
             "schedule.kind = solution_dependent\nmax_iters = 200\nseeds = 4\n"
             "noise.sigma = 0.3\n")
@@ -221,4 +227,207 @@ def test_failing_block_reports_the_one_seed_error():
     assert str(block.value) != str(alone.value)
     with pytest.raises(ValueError) as run:
         run_experiment(cfg, write=False)
-    assert str(run.value) == str(alone.value)
+    assert type(run.value) is type(alone.value)
+    assert str(run.value) == f"run seed 0: {alone.value}"
+
+
+# --- configs of a compare share blocks -------------------------------------
+
+KINDS = ("constant", "fixed_horizon", "decreasing", "solution_dependent", "solution_free")
+
+
+@st.composite
+def compares(draw) -> list[str]:
+    """Two to four configs over one objective block and epsilon.  Most share
+    the rule kind, max_iters and track_grad_norm, so their rows share a block
+    across stp and smtp betas, uniform and prop_L is.p, and laws of one
+    shape; the rest force separate groups."""
+    d = draw(st.integers(2, 8))
+    shared = ["objective = quadratic", f"dimension = {d}",
+              f"coord_L = logspace:1,{draw(st.sampled_from((10, 100)))}",
+              f"x0_scale = {draw(st.sampled_from((0.3, 1.0)))}",
+              f"epsilon = {draw(st.sampled_from((0.05, 1e-3)))}"]
+    if draw(st.booleans()):
+        shared.append("noise.sigma = 1e-4")
+    kind, max_iters, track = (draw(st.sampled_from(KINDS)), draw(st.integers(1, 200)),
+                              draw(st.booleans()))
+    methods = ("stp", "smtp", "smtp_is")
+    shared_method = draw(st.sampled_from(methods))
+    texts = []
+    for _ in range(draw(st.integers(2, 4))):
+        method = shared_method if draw(st.booleans()) else draw(st.sampled_from(methods))
+        rule = kind if draw(st.integers(0, 3)) else draw(st.sampled_from(KINDS))
+        lines = [*shared, f"method = {method}",
+                 f"max_iters = {max_iters if draw(st.integers(0, 3)) else draw(st.integers(1, 200))}",
+                 f"track_grad_norm = {track if draw(st.integers(0, 3)) else not track}",
+                 "seeds = " + ",".join(map(str, draw(st.lists(st.integers(0, 50), min_size=2,
+                                                              max_size=5, unique=True))))]
+        if method != "stp":
+            lines.append(f"beta = {draw(st.sampled_from((0.0, 0.3, 0.5, 0.9)))}")
+        if method == "smtp_is":
+            lines += [f"is.p = {draw(st.sampled_from(('uniform', 'prop_L')))}",
+                      f"is.w = {draw(st.sampled_from(('coord_L', 'ones')))}"]
+        else:
+            law = draw(st.sampled_from(LAWS))
+            if rule == "solution_free" and law == "gaussian":
+                law = "sphere"
+            lines.append(f"distribution = {law}")
+            if law in ("coord_weighted", "orthonormal_weighted"):
+                lines.append(f"weights = {_weights(d)}")
+            if law == "orthonormal_weighted":
+                lines.append(f"basis = random:{draw(st.integers(0, 2))}")
+        lines.append(f"schedule.kind = {rule}")
+        lines += {
+            "constant": [f"schedule.gamma = {draw(st.sampled_from((0.01, 0.05)))}"],
+            "fixed_horizon": [f"schedule.gamma0 = {draw(st.sampled_from(('optimal', '0.05')))}"],
+            "decreasing": ["schedule.alpha = 1", "schedule.theta = 4"],
+            "solution_dependent": [],
+            "solution_free": [f"schedule.t = {draw(st.sampled_from((1e-4, 1e-3)))}"],
+        }[rule]
+        texts.append("\n".join(lines))
+    return texts
+
+
+def _table_row(cfg, runs) -> dict:
+    """A compare row computed from one-seed runs."""
+    evals = np.array([t.evals[-1] if t.stop_reason == "epsilon_gap" else np.inf
+                      for t, _ in runs])
+    return {"label": cfg.label, "n_seeds": len(cfg.seeds),
+            "n_reached": int(np.sum(np.isfinite(evals))), "median_evals": float(np.median(evals)),
+            "min_evals": float(np.min(evals)), "max_evals": float(np.max(evals))}
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(texts=compares())
+def test_mixed_compare_equals_configs_alone(texts):
+    configs = [parse_config(text, label=f"c{i}") for i, text in enumerate(texts)]
+    try:
+        alone = [[run_once(cfg, seed) for seed in cfg.seeds] for cfg in configs]
+    except Exception:  # noqa: BLE001 - a row that fails alone fails the compare
+        with pytest.raises(Exception):
+            harness.compare_methods(configs)
+        return
+    runs = harness._run_seeds([(cfg, seed) for cfg in configs for seed in cfg.seeds])
+    assert [_fingerprint(t, o) for t, o, _ in runs] == \
+        [_fingerprint(*run) for per_config in alone for run in per_config]
+    assert harness.compare_methods(configs) == \
+        [_table_row(cfg, per_config) for cfg, per_config in zip(configs, alone)]
+
+
+def _counting(monkeypatch) -> list:
+    """Record ("block", n rows) and ("once", label, seed) as harness runs rows."""
+    calls = []
+    block, once = harness.run_block, harness.run_once
+
+    def counting_block(cfg, seeds):
+        calls.append(("block", len(seeds)))
+        return block(cfg, seeds)
+
+    def counting_once(cfg, seed):
+        calls.append(("once", cfg.label, seed))
+        return once(cfg, seed)
+
+    monkeypatch.setattr(harness, "run_block", counting_block)
+    monkeypatch.setattr(harness, "run_once", counting_once)
+    return calls
+
+
+IS_PAIR = ("method = smtp_is\nbeta = 0.5\nobjective = quadratic\ndimension = 10\n"
+           "coord_L = logspace:1,1000\nx0_scale = 0.1\nis.w = coord_L\nschedule.kind = constant\n"
+           "schedule.gamma = 0.01\nepsilon = 0.001\nmax_iters = 80000\n")
+
+
+def test_compare_runs_a_pair_as_one_block(monkeypatch):
+    # prop_L and uniform rows share one block; prop_L's rows leave it first
+    calls = _counting(monkeypatch)
+    configs = [parse_config(IS_PAIR + f"is.p = {p}\nseeds = 5", label=p)
+               for p in ("prop_L", "uniform")]
+    rows = harness.compare_methods(configs)
+    assert calls == [("block", 10)]
+    assert [row["n_reached"] for row in rows] == [5, 5]
+    assert rows[0]["median_evals"] < rows[1]["median_evals"]
+
+
+def test_compare_below_the_crossover_runs_rows_in_config_order(monkeypatch):
+    # perfbench's replay pairs run_once's calls with the table rows in this order
+    calls = _counting(monkeypatch)
+    short = IS_PAIR.replace("max_iters = 80000", "max_iters = 300")
+    configs = [parse_config(short + f"is.p = {p}\nseeds = {seeds}", label=p)
+               for p, seeds in (("prop_L", "1"), ("uniform", "0,3"))]  # 1: seed 0 alone
+    harness.compare_methods(configs)
+    assert calls == [("once", "prop_L", 0), ("once", "uniform", 0), ("once", "uniform", 3)]
+    # a group under the crossover runs alone, in row order, beside a block
+    calls.clear()
+    sphere = short.replace("method = smtp_is", "method = smtp").replace(
+        "is.w = coord_L\n", "distribution = sphere\n")
+    configs = [parse_config(short + "is.p = prop_L\nseeds = 1,2", label="a"),
+               parse_config(sphere + "seeds = 1", label="b"),
+               parse_config(short + "is.p = uniform\nseeds = 5,6", label="c")]
+    harness.compare_methods(configs)
+    assert calls == [("block", 4), ("once", "b", 0)]
+    # rules of two kinds run as two groups, however many rows they have together
+    calls.clear()
+    configs = [parse_config(short.replace("schedule.kind = constant", "schedule.kind = decreasing")
+                            .replace("schedule.gamma = 0.01", "schedule.alpha = 1\n"
+                                     "schedule.theta = 4") + "is.p = prop_L\nseeds = 4", label="a"),
+               parse_config(short + "is.p = prop_L\nseeds = 4", label="b")]
+    harness.compare_methods(configs)
+    assert calls == [("block", 4), ("block", 4)]
+
+
+@st.composite
+def blocks(draw):
+    """Rows of one shape with their own beta, law and rule parameters."""
+    d = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 6))
+    coord = draw(st.booleans())
+    kind = draw(st.sampled_from(KINDS))
+    betas = draw(st.lists(st.sampled_from((0.0, 0.3, 0.5, 0.9)), min_size=n, max_size=n))
+    dists, rules = [], []
+    for beta in betas:
+        w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=d, max_size=d)))
+        w = w / w.sum()
+        if coord:
+            law = draw(st.sampled_from(("coord_uniform", "coord_weighted")))
+        else:
+            law = draw(st.sampled_from(("sphere", "gaussian", "orthonormal_weighted")))
+            if kind == "solution_free" and law == "gaussian":
+                law = "sphere"
+        basis = None
+        if law == "orthonormal_weighted":
+            gen = np.random.default_rng(draw(st.integers(0, 9)))
+            basis = np.linalg.qr(gen.standard_normal((d, d)))[0]
+        dists.append(directions.DirectionDistribution(
+            law, d, weights=w if law in ("coord_weighted", "orthonormal_weighted") else None,
+            basis=basis))
+        gamma = draw(st.sampled_from((0.005, 0.02)))
+        rules.append({
+            "constant": schedules.Constant(gamma),
+            "fixed_horizon": schedules.FixedHorizon(gamma, 50),
+            "decreasing": schedules.Decreasing(1.0, draw(st.sampled_from((4.0, 8.0)))),
+            "solution_dependent": schedules.SolutionDependent(1.0, 100.0, 0.5, 0.0, beta),
+            "solution_free": schedules.SolutionFree(100.0, 1e-3, beta),
+        }[kind])
+    seeds = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
+    stops = (draw(st.integers(0, 150)), draw(st.sampled_from((None, 0.05, 1e-3))),
+             draw(st.sampled_from((None, 60, 201))))
+    return d, betas, dists, rules, seeds, stops, draw(st.booleans()), draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=blocks())
+def test_run_block_equals_run_loop_per_row(case):
+    d, betas, dists, rules, seeds, (max_iters, eps, budget), retain, track = case
+    coord_L = np.logspace(0, 2, d)
+    nc = directions.constants(dists[0])
+    x0 = np.ones(d)
+    objs = [objectives.make_quadratic(coord_L) for _ in seeds]
+    expected = [_fingerprint(optimizers._run_loop(o, r, b, x0, max_iters, s, eps, budget, retain,
+                                                  track, dist, nc), o)
+                for o, r, b, s, dist in zip(objs, rules, betas, seeds, dists)]
+    objs = [objectives.make_quadratic(coord_L) for _ in seeds]
+    traces = optimizers.run_block(objs, rules, betas, x0, max_iters, seeds, eps, budget, retain,
+                                  track, dists, nc)
+    assert [_fingerprint(t, o) for t, o in zip(traces, objs)] == expected

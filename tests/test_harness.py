@@ -23,6 +23,7 @@ from threepoint.harness import (
     run_experiment,
     run_once,
 )
+from threepoint.optimizers import NonFiniteObjectiveError
 
 QUAD_BASE = "\n".join([
     "method = smtp",
@@ -142,6 +143,27 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"beta must lie in \[0,1\)"):
             parse_config(QUAD_BASE.replace("beta = 0.5", "beta = 1.0"))
 
+    def test_stp_takes_beta_zero_alone(self, tmp_path, capsys):
+        stp = QUAD_BASE.replace("method = smtp", "method = stp")
+        assert parse_config(stp.replace("beta = 0.5", "beta = 0.0")).beta == 0.0
+        assert parse_config(stp.replace("beta = 0.5\n", "")).method == "stp"
+        path = tmp_path / "stp.cfg"
+        path.write_text(stp.replace("beta = 0.5", "beta = 0.9") + "\n")
+        assert cli.main(["validate", "--config", str(path)]) == 1
+        assert "error: line 2: method stp has no momentum" in capsys.readouterr().err
+
+    def test_fixed_horizon_at_max_iters_0_cites_its_line(self, tmp_path, capsys):
+        text = QUAD_BASE.replace("schedule.kind = solution_dependent",
+                                 "schedule.kind = fixed_horizon\nschedule.gamma0 = 0.5")
+        path = tmp_path / "fh.cfg"
+        path.write_text(text.replace("max_iters = 80", "max_iters = 0") + "\n")
+        assert cli.main(["validate", "--config", str(path)]) == 1
+        assert "error: line 9: schedule.kind = fixed_horizon takes its horizon from max_iters" \
+            in capsys.readouterr().err
+        # an explicit horizon makes a run of no iterations valid
+        cfg = parse_config(text.replace("max_iters = 80", "max_iters = 0\nschedule.horizon = 5"))
+        assert [r.iterations for r in run_experiment(cfg, write=False).seed_results] == [0, 0, 0]
+
     def test_unknown_names(self):
         with pytest.raises(ConfigError, match="unknown method"):
             parse_config(QUAD_BASE.replace("method = smtp", "method = sgd"))
@@ -219,10 +241,18 @@ class TestParsing:
         ("distribution = sphere",
          "distribution = coord_weighted\nweights = 0.25,0.25,0.25,0.25\nbasis = random:3", 8,
          "basis is read only by distribution orthonormal_weighted"),
+        ("schedule.kind = solution_dependent\nmax_iters = 80",
+         "schedule.kind = fixed_horizon\nschedule.gamma0 = 0.5\nmax_iters = 0", 9,
+         "schedule.kind = fixed_horizon takes its horizon from max_iters, which is 0 here"),
+        ("schedule.kind = solution_dependent",
+         "schedule.kind = fixed_horizon\nschedule.gamma0 = 0.5\nschedule.horizon = 0", 9,
+         "schedule.horizon must be >= 1"),
+        ("method = smtp", "method = stp", 2, "method stp has no momentum and reads no beta"),
     ], ids=["jobs", "max_iters", "seeds", "noise.sigma", "dimension", "lqr_size", "distribution",
             "smtp_is_distribution", "repeated_seeds", "nc_needs_grad_norm", "envelope_max_iters",
             "lqr_grad_norm", "r0", "gamma0", "alpha", "theta", "t", "gaussian_weights",
-            "smtp_is_weights", "gaussian_basis", "coord_weighted_basis"])
+            "smtp_is_weights", "gaussian_basis", "coord_weighted_basis",
+            "fixed_horizon_without_horizon", "fixed_horizon_horizon_0", "stp_beta"])
     def test_validation_errors_name_their_line(self, old, new, line, message):
         with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
             parse_config(QUAD_BASE.replace(old, new))
@@ -263,6 +293,8 @@ class TestParsing:
         ("smtp", "IS-SC-DEP"), ("stp", "IS-NC"), ("smtp_is", "SC-DEP")])
     def test_theorem_must_match_method(self, method, theorem, tmp_path, capsys):
         text = QUAD_BASE.replace("method = smtp", f"method = {method}") + f"\ntheorem = {theorem}"
+        if method == "stp":
+            text = text.replace("beta = 0.5", "beta = 0.0")  # stp takes beta 0 alone
         line = 10
         if method == "smtp_is":
             text, line = text.replace("distribution = sphere\n", ""), 9
@@ -530,7 +562,7 @@ class TestCompare:
         with pytest.raises(ValueError, match="same epsilon"):
             compare_methods([a, b])
         c = parse_config(QUAD_BASE, label="c")
-        d = parse_config(QUAD_BASE.replace("method = smtp", "method = stp"), label="d")
+        d = parse_config(QUAD_BASE.replace("method = smtp\nbeta = 0.5", "method = stp"), label="d")
         with pytest.raises(ValueError, match="epsilon"):
             compare_methods([c, d])
 
@@ -550,7 +582,7 @@ class TestCompare:
         for cfg in configs:
             cfg.jobs = 2
         assert compare_methods(configs) == rows
-        assert pools == [2, 2]
+        assert pools == [2]  # one pool for the rows of every config
 
     def test_fits_no_rate(self, monkeypatch):
         # compare reads evals and stop reasons; a rate fit would be thrown away
@@ -674,3 +706,21 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "label,n_seeds,n_reached,median_evals,min_evals,max_evals"
         assert (tmp_path / "cmp" / "compare.csv").exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the overflow itself
+    def test_compare_names_the_failing_seed(self, tmp_path, capsys, jobs):
+        # a step of 1e300 overflows f at the first candidate of every seed; the
+        # error names the first failing row, also through a process pool
+        short = SHARED_STEP.replace("max_iters = 4000", "max_iters = 50") + f"\njobs = {jobs}"
+        ok = self._write(tmp_path, "ok.cfg", short + "\nmethod = smtp")
+        big = self._write(tmp_path, "big.cfg", short.replace("schedule.gamma = 0.05",
+                                                             "schedule.gamma = 1e300")
+                          .replace("seeds = 5", "seeds = 4,7") + "\nmethod = smtp")
+        assert cli.main(["compare", "--configs", ok, big]) == 1
+        assert capsys.readouterr().err == \
+            "error: big seed 4: non-finite objective value inf at iteration 0\n"
+        message = r"^big seed 4: non-finite objective value inf at iteration 0$"
+        with pytest.raises(NonFiniteObjectiveError, match=message) as raised:
+            compare_methods([load_config(ok), load_config(big)])
+        assert (raised.value.k, raised.value.value) == (0, math.inf)
