@@ -612,19 +612,17 @@ def prepare(cfg: ExperimentConfig) -> tuple[list[int] | None, np.ndarray | None]
     return ks, diagnostics.bound_envelope(cfg.theorem, params, cfg.max_iters).values[ks]
 
 
-def run_block(cfg, seeds) -> tuple[list[optimizers.RunTrace], list[objectives.Objective]]:
+def run_block(cfgs, seeds) -> tuple[list[optimizers.RunTrace], list[objectives.Objective]]:
     """Build each row's objective and run parts as run_once does, then run
-    the rows in lockstep; each trace equals that row's run_once trace.  cfg
-    is the config of every seed, or one config per seed, all with one
-    _block_key."""
-    cfgs = [cfg] * len(seeds) if isinstance(cfg, ExperimentConfig) else list(cfg)
+    the rows in lockstep; each trace equals that row's run_once trace.
+    cfgs holds one config per seed, all with one _block_key."""
     objs = [build_objective(c, seed) for c, seed in zip(cfgs, seeds)]
     x0 = build_x0(cfgs[0], objs[0].dimension)
     parts = [build_run(c, obj, x0) for c, obj in zip(cfgs, objs)]
     first = cfgs[0]
     shared = optimizers.loop_args(parts[0].dist, importance=first.method == "smtp_is")
     traces = optimizers.run_block(
-        objs, [p.schedule for p in parts], [_beta(c) for c in cfgs], x0, first.max_iters,
+        objs, [p.schedule for p in parts], _beta(first), x0, first.max_iters,
         list(seeds), first.epsilon, first.eval_budget, first.retain_internals,
         first.track_grad_norm, [p.dist for p in parts], shared["norm_constants"],
         shared.get("record_index", False))
@@ -633,12 +631,13 @@ def run_block(cfg, seeds) -> tuple[list[optimizers.RunTrace], list[objectives.Ob
 
 def _block_key(cfg: ExperimentConfig) -> tuple:
     """What the rows of one block share (optimizers.run_block): the
-    objective and x0; a coordinate or a vector law; the rule class and
-    whether it is fixed (schedule.kind, and whether smtp_is wraps it); the
-    stops and the recording; and, when tracked, the gradient norm's law."""
+    objective and x0; beta; a coordinate or a vector law; the rule class
+    and whether it is fixed (schedule.kind, and whether smtp_is wraps it);
+    the stops and the recording; and, when tracked, the gradient norm's
+    law."""
     importance = cfg.method == "smtp_is"
     norm = (cfg.distribution, cfg.weights, cfg.basis) if cfg.track_grad_norm else None
-    return (_objective_signature(cfg), importance, importance or cfg.distribution in
+    return (_objective_signature(cfg), _beta(cfg), importance, importance or cfg.distribution in
             directions.COORD_KINDS, cfg.schedule_kind, cfg.max_iters, cfg.eval_budget,
             cfg.epsilon, cfg.retain_internals, cfg.track_grad_norm, norm)
 

@@ -151,7 +151,7 @@ class RunTrace:
 
 def _gamma_column(trace: RunTrace) -> array:
     if trace._gamma is None:
-        if trace.index is None:  # a context-free rule's one stepsize
+        if np.ndim(trace.steps) == 0:  # a context-free rule's one stepsize
             trace._gamma = array("d", [trace.steps]) * len(trace.f_z)
         else:  # an index-only rule's table at each drawn coordinate
             steps = np.asarray(trace.steps, dtype=float)
@@ -413,18 +413,18 @@ BLOCK_MIN_ROWS = 4
 _BRANCH_AT = np.array([STAY, PLUS, MINUS], dtype=np.int8)
 
 
-def run_block(objectives, rules, betas, x0, max_iters, seeds, epsilon_gap, eval_budget,
+def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_budget,
               retain_internals, track_grad_norm, dists, norm_constants,
               record_index=False) -> list[RunTrace]:
     """Run many seeds in lockstep, as the rows of (S, d) arrays.
 
     Row r runs seed seeds[r] over objectives[r] (one function, one copy per
-    seed, each counting its own calls) under rules[r], momentum betas[r]
-    and direction law dists[r], and its trace is bit for bit the one
-    _run_loop gives that seed alone with the same arguments.  The rows share
-    the rest: the dimension, a coordinate or a vector law, the rule class
-    and whether it is fixed, the stops, the recording and the norm
-    constants.  Bit for bit, because:
+    seed, each counting its own calls) under rules[r] and direction law
+    dists[r], and its trace is bit for bit the one _run_loop gives that seed
+    alone with the same arguments.  The rows share the rest: beta, the
+    dimension, a coordinate or a vector law, the rule class and whether it
+    is fixed, the stops, the recording and the norm constants.  Bit for
+    bit, because:
     - each row draws from its own generator, in chunks that together hold
       at most _DRAW_FLOATS floats;
     - every row's probe, then every row's two candidates, are evaluated in
@@ -448,9 +448,8 @@ def run_block(objectives, rules, betas, x0, max_iters, seeds, epsilon_gap, eval_
         raise ValueError("the rows of a block share one dimension and a coordinate or vector law")
     for rule, dist in zip(rules, dists):
         require_unit_law(rule, dist.kind)
-    betas = np.array(betas, dtype=float)
     start_evals = [o.eval_counter for o in objectives]
-    states = [init_state(o, x0, b) for o, b in zip(objectives, betas.tolist())]
+    states = [init_state(o, x0, beta) for o in objectives]
     after_init = [o.eval_counter for o in objectives]
     gammas = table = None
     if max_iters > 0:
@@ -489,7 +488,7 @@ def run_block(objectives, rules, betas, x0, max_iters, seeds, epsilon_gap, eval_
     t = np.array([r.t for r in rules]) if probe else None
     step = None if gammas is not None or table is not None else row_stepsizes(list(rules))
     gradient = objectives[0].gradient_batch
-    beta, one_minus_beta = betas, 1.0 - betas  # of the live rows
+    one_minus_beta = 1.0 - beta
     f_buf, g_buf, b_buf = np.empty((n, rows)), np.empty((n, rows)), np.empty((n, rows), np.int8)
     n_buf = np.empty((n, rows)) if track_grad_norm else None
     i_buf = np.empty((n, rows), np.dtype(code)) if record_index else None
@@ -513,31 +512,27 @@ def run_block(objectives, rules, betas, x0, max_iters, seeds, epsilon_gap, eval_
                             None if table is None else table[p], record_index)
         move = None
         moves = np.flatnonzero(np.frombuffer(branch, np.int8) != STAY)
-        if moves.size:  # the last move's stepsize, as the gamma column holds it
+        if moves.size:  # the last move's stepsize: the gamma column's, or the kept one's
             last = int(moves[-1])
-            g = (gamma[last] if gamma is not None else steps if index is None
-                 else float(steps[index[last]]))
+            g = (gamma[last] if gamma is not None else float(gammas[p]) if gammas is not None
+                 else float(table[p, index[last]]))
             move = (last_zv[0, p].copy(), last_zv[1, p].copy(), g, v)
         state = OptimizerState(x=states[r].x, v=v, z=ZV[0, p].copy(), f_z=float(F[p]),
-                               k=n_steps, beta=states[r].beta, move=move)
+                               k=n_steps, beta=beta, move=move)
         traces[r] = RunTrace(f_z, gamma, branch, _evals(after_init[r], per_step, n_steps), state,
                              seeds[r], states[r].f_z, reason, grad_norm, index, *kept[r], steps)
 
     def shape(block, G):
-        """What depends on the live rows and the chunk: the candidate buffer,
-        the column of betas its momentum rows are scaled by and, over
-        coordinates, the flat index of coordinate i in the z+, z-, v+ and v-
-        rows of every step, with the changes made there (all known up front
-        given a fixed rule's steps G, the unit signs alone otherwise)."""
+        """What depends on the live rows and the chunk: the candidate buffer
+        and, over coordinates, the flat index of coordinate i in the z+, z-,
+        v+ and v- rows of every step, with the changes made there (all
+        known up front given a fixed rule's steps G, the unit signs alone
+        otherwise)."""
         m = len(live)
         ar = np.arange(m)
         XW = np.empty((2, 3 * m, d))  # rows r, m + r, 2m + r: z, z+, z- and v, v+, v-
         XW3 = XW.reshape(2, 3, m, d)  # views: C order, as the flat indices below assume
         flat = XW.reshape(-1)
-        # the betas of the v+ and v- rows, or of the v rows: one number when
-        # the rows share it (a run's rows do), as in the scalar step's beta * v
-        B = (float(beta[0]) if len(set(beta.tolist())) == 1
-             else (np.tile(beta, 2) if coord else beta)[:, None])
         at = moves = None
         if coord:
             base = np.concatenate(((ar + m) * d, (ar + 2 * m) * d))
@@ -548,7 +543,7 @@ def run_block(objectives, rules, betas, x0, max_iters, seeds, epsilon_gap, eval_
                 H = G / one_minus_beta
                 moves = np.concatenate((-H, H, np.broadcast_to(moves, H.shape[:1] + moves.shape)),
                                        axis=1)
-        return ar, XW, XW3, flat, B, at, moves
+        return ar, XW, XW3, flat, at, moves
 
     for k in range(n_iter):
         j = k % rows
@@ -566,7 +561,7 @@ def run_block(objectives, rules, betas, x0, max_iters, seeds, epsilon_gap, eval_
                 g_buf[:, :len(G)] = G.T
             if record_index:  # the drawn coordinates are the index column
                 i_buf[:, :len(block)] = block.T
-            ar, XW, XW3, flat, B, at, moves = shape(block, G)
+            ar, XW, XW3, flat, at, moves = shape(block, G)
         Z = ZV[0]
         drawn = block[j]
         if retain_internals:
@@ -595,7 +590,7 @@ def run_block(objectives, rules, betas, x0, max_iters, seeds, epsilon_gap, eval_
             g_buf[:, j] = g
         if coord:
             XW3[...] = ZV[:, None]
-            XW[1, m:] *= B  # beta v, exact as the scalar step's beta * v
+            XW[1, m:] *= beta  # beta v, exact as the scalar step's beta * v
             if moves.ndim == 2:
                 delta = moves[j]
             else:
@@ -609,7 +604,7 @@ def run_block(objectives, rules, betas, x0, max_iters, seeds, epsilon_gap, eval_
             XW[:, :m] = ZV
             np.subtract(Z, hs, out=XW[0, m:2 * m])
             np.add(Z, hs, out=XW[0, 2 * m:])
-            bv = B * ZV[1]
+            bv = beta * ZV[1]
             np.add(bv, s, out=XW[1, m:2 * m])
             np.subtract(bv, s, out=XW[1, 2 * m:])
         T = np.concatenate((F, value_rows(live_objectives, XW[0, m:])))
@@ -643,11 +638,10 @@ def run_block(objectives, rules, betas, x0, max_iters, seeds, epsilon_gap, eval_
             f_buf, g_buf, b_buf, n_buf, i_buf = (
                 None if b is None else b[keep] for b in (f_buf, g_buf, b_buf, n_buf, i_buf))
             t, gammas, table = (None if a is None else a[keep] for a in (t, gammas, table))
-            beta, one_minus_beta = beta[keep], one_minus_beta[keep]
             if step is not None:
                 step = row_stepsizes([rules[r] for r in live])
             G = None if G is None else G[:, keep]
-            ar, XW, XW3, flat, B, at, moves = shape(block, G)
+            ar, XW, XW3, flat, at, moves = shape(block, G)
     else:
         if n_iter:
             flush(j + 1)

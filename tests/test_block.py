@@ -4,7 +4,7 @@ harness.run_block advances the seeds of a config together as the rows of
 (S, d) arrays; harness.run_once runs one seed through the scalar loop, which
 is the reference.  The properties draw random laws, rules, beta, stops,
 noise and seed lists.  compare runs the rows of several configs together,
-each row with its own beta and law, and must equal each config run alone.
+each row with its own law, and must equal each config run alone.
 """
 
 from __future__ import annotations
@@ -129,13 +129,13 @@ def test_block_equals_per_seed_runs(text, seeds, extra):
         expected = [_fingerprint(*run_once(cfg, seed)) for seed in seeds]
     except Exception:  # noqa: BLE001 - a seed the scalar loop fails fails the block
         with pytest.raises(Exception):
-            harness.run_block(cfg, seeds)
+            harness.run_block([cfg] * len(seeds), seeds)
         return
-    traces, objs = harness.run_block(cfg, seeds)
+    traces, objs = harness.run_block([cfg] * len(seeds), seeds)
     assert [_fingerprint(t, o) for t, o in zip(traces, objs)] == expected
     # adding a seed leaves the existing seeds' bytes unchanged
     if extra not in seeds:
-        more, more_objs = harness.run_block(cfg, [*seeds, extra])
+        more, more_objs = harness.run_block([cfg] * (len(seeds) + 1), [*seeds, extra])
         assert [_fingerprint(t, o) for t, o in zip(more[:-1], more_objs)] == expected
 
 
@@ -155,7 +155,7 @@ def test_block_with_staggered_stops(text):
     runs = [run_once(cfg, seed) for seed in cfg.seeds]
     assert len({len(trace.f_z) for trace, _ in runs}) > 6  # the stops are scattered
     expected = [_fingerprint(*run) for run in runs]
-    traces, objs = harness.run_block(cfg, cfg.seeds)
+    traces, objs = harness.run_block([cfg] * len(cfg.seeds), cfg.seeds)
     assert [_fingerprint(t, o) for t, o in zip(traces, objs)] == expected
 
 
@@ -194,9 +194,9 @@ def test_run_experiment_runs_blocks_from_the_crossover(monkeypatch):
     calls = {"block": 0, "once": 0}
     block, once = harness.run_block, harness.run_once
 
-    def counting_block(cfg, seeds):
+    def counting_block(cfgs, seeds):
         calls["block"] += 1
-        return block(cfg, seeds)
+        return block(cfgs, seeds)
 
     def counting_once(cfg, seed):
         calls["once"] += 1
@@ -223,7 +223,7 @@ def test_failing_block_reports_the_one_seed_error():
     with pytest.raises(ValueError, match="below the declared f_star") as alone:
         run_once(cfg, 0)
     with pytest.raises(ValueError, match="below the declared f_star") as block:
-        harness.run_block(cfg, cfg.seeds)
+        harness.run_block([cfg] * len(cfg.seeds), cfg.seeds)
     assert str(block.value) != str(alone.value)
     with pytest.raises(ValueError) as run:
         run_experiment(cfg, write=False)
@@ -234,14 +234,15 @@ def test_failing_block_reports_the_one_seed_error():
 # --- configs of a compare share blocks -------------------------------------
 
 KINDS = ("constant", "fixed_horizon", "decreasing", "solution_dependent", "solution_free")
+BETAS = (0.0, 0.3, 0.5, 0.9)
 
 
 @st.composite
 def compares(draw) -> list[str]:
     """Two to four configs over one objective block and epsilon.  Most share
-    the rule kind, max_iters and track_grad_norm, so their rows share a block
-    across stp and smtp betas, uniform and prop_L is.p, and laws of one
-    shape; the rest force separate groups."""
+    the method, beta, rule kind, max_iters and track_grad_norm, so their rows
+    share a block across uniform and prop_L is.p and laws of one shape; the
+    rest, stp beside smtp among them, force separate groups."""
     d = draw(st.integers(2, 8))
     shared = ["objective = quadratic", f"dimension = {d}",
               f"coord_L = logspace:1,{draw(st.sampled_from((10, 100)))}",
@@ -252,7 +253,7 @@ def compares(draw) -> list[str]:
     kind, max_iters, track = (draw(st.sampled_from(KINDS)), draw(st.integers(1, 200)),
                               draw(st.booleans()))
     methods = ("stp", "smtp", "smtp_is")
-    shared_method = draw(st.sampled_from(methods))
+    shared_method, shared_beta = draw(st.sampled_from(methods)), draw(st.sampled_from(BETAS))
     texts = []
     for _ in range(draw(st.integers(2, 4))):
         method = shared_method if draw(st.booleans()) else draw(st.sampled_from(methods))
@@ -263,7 +264,8 @@ def compares(draw) -> list[str]:
                  "seeds = " + ",".join(map(str, draw(st.lists(st.integers(0, 50), min_size=2,
                                                               max_size=5, unique=True))))]
         if method != "stp":
-            lines.append(f"beta = {draw(st.sampled_from((0.0, 0.3, 0.5, 0.9)))}")
+            beta = shared_beta if draw(st.integers(0, 3)) else draw(st.sampled_from(BETAS))
+            lines.append(f"beta = {beta}")
         if method == "smtp_is":
             lines += [f"is.p = {draw(st.sampled_from(('uniform', 'prop_L')))}",
                       f"is.w = {draw(st.sampled_from(('coord_L', 'ones')))}"]
@@ -320,9 +322,9 @@ def _counting(monkeypatch) -> list:
     calls = []
     block, once = harness.run_block, harness.run_once
 
-    def counting_block(cfg, seeds):
+    def counting_block(cfgs, seeds):
         calls.append(("block", len(seeds)))
-        return block(cfg, seeds)
+        return block(cfgs, seeds)
 
     def counting_once(cfg, seed):
         calls.append(("once", cfg.label, seed))
@@ -378,14 +380,14 @@ def test_compare_below_the_crossover_runs_rows_in_config_order(monkeypatch):
 
 @st.composite
 def blocks(draw):
-    """Rows of one shape with their own beta, law and rule parameters."""
+    """Rows of one shape and beta with their own law and rule parameters."""
     d = draw(st.integers(2, 7))
     n = draw(st.integers(1, 6))
     coord = draw(st.booleans())
     kind = draw(st.sampled_from(KINDS))
-    betas = draw(st.lists(st.sampled_from((0.0, 0.3, 0.5, 0.9)), min_size=n, max_size=n))
+    beta = draw(st.sampled_from(BETAS))
     dists, rules = [], []
-    for beta in betas:
+    for _ in range(n):
         w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=d, max_size=d)))
         w = w / w.sum()
         if coord:
@@ -412,22 +414,24 @@ def blocks(draw):
     seeds = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
     stops = (draw(st.integers(0, 150)), draw(st.sampled_from((None, 0.05, 1e-3))),
              draw(st.sampled_from((None, 60, 201))))
-    return d, betas, dists, rules, seeds, stops, draw(st.booleans()), draw(st.booleans())
+    record_index = coord and draw(st.booleans())  # a vector law draws no index
+    return d, beta, dists, rules, seeds, stops, (draw(st.booleans()), draw(st.booleans()),
+                                                 record_index)
 
 
 @settings(max_examples=60, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=blocks())
 def test_run_block_equals_run_loop_per_row(case):
-    d, betas, dists, rules, seeds, (max_iters, eps, budget), retain, track = case
+    d, beta, dists, rules, seeds, (max_iters, eps, budget), (retain, track, index) = case
     coord_L = np.logspace(0, 2, d)
     nc = directions.constants(dists[0])
     x0 = np.ones(d)
     objs = [objectives.make_quadratic(coord_L) for _ in seeds]
-    expected = [_fingerprint(optimizers._run_loop(o, r, b, x0, max_iters, s, eps, budget, retain,
-                                                  track, dist, nc), o)
-                for o, r, b, s, dist in zip(objs, rules, betas, seeds, dists)]
+    expected = [_fingerprint(optimizers._run_loop(o, r, beta, x0, max_iters, s, eps, budget,
+                                                  retain, track, dist, nc, index), o)
+                for o, r, s, dist in zip(objs, rules, seeds, dists)]
     objs = [objectives.make_quadratic(coord_L) for _ in seeds]
-    traces = optimizers.run_block(objs, rules, betas, x0, max_iters, seeds, eps, budget, retain,
-                                  track, dists, nc)
+    traces = optimizers.run_block(objs, rules, beta, x0, max_iters, seeds, eps, budget, retain,
+                                  track, dists, nc, index)
     assert [_fingerprint(t, o) for t, o in zip(traces, objs)] == expected
