@@ -182,8 +182,21 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
                 fail("objective", f"objective lqr needs {key}")
         if cfg.track_grad_norm:
             fail("track_grad_norm", "objective lqr has no gradient oracle for track_grad_norm")
+    if cfg.objective == "rosenbrock" and cfg.dimension < 2:
+        fail("dimension", "rosenbrock needs d >= 2")
+    for name in ("coord_L", "shift"):  # the quadratic's vectors
+        if cfg.objective != "quadratic" and name in seen:
+            fail(name, f"{name} is read only by objective quadratic")
+    if cfg.objective == "quadratic" and cfg.dimension is not None and cfg.coord_L is not None:
+        try:
+            objectives.coord_L_from_spec(cfg.coord_L, cfg.dimension)
+        except ValueError as exc:
+            fail("coord_L", str(exc))
     if cfg.schedule_kind not in schedules.SCHEDULE_KINDS:
         fail("schedule_kind", f"unknown schedule.kind {cfg.schedule_kind!r}")
+    needed = _SCHEDULE_KEY_NEEDED.get(cfg.schedule_kind)
+    if needed is not None and getattr(cfg, needed) is None:
+        fail("schedule_kind", f"schedule.kind = {cfg.schedule_kind} needs {_key(needed)}")
     if cfg.method == "smtp_is":
         if cfg.distribution is not None:
             fail("distribution", "method smtp_is takes no distribution: "
@@ -260,6 +273,9 @@ _SCHEDULE_KEY_READER = {
     "schedule_theta_k": "solution_dependent",
     "schedule_t": "solution_free",
 }
+# the key each schedule.kind cannot do without
+_SCHEDULE_KEY_NEEDED = {"constant": "schedule_gamma", "fixed_horizon": "schedule_gamma0",
+                        "decreasing": "schedule_alpha", "solution_free": "schedule_t"}
 
 
 def _parse_vector(spec: str, dimension: int, what: str) -> np.ndarray:

@@ -67,7 +67,7 @@ class Objective:
             raise ValueError("dimension must be >= 1")
         self._fn = fn
         self._grad = grad
-        self._fn_batch = fn_batch
+        self.fn_batch = fn_batch
         self.dimension = dimension
         self.smoothness = smoothness if smoothness is not None else SmoothnessInfo()
         self.name = name
@@ -106,12 +106,12 @@ def value_rows(objectives: list[Objective], X: np.ndarray) -> np.ndarray:
     draws from its own generator).
     """
     first = objectives[0]
-    if first._fn_batch is None:
+    if first.fn_batch is None:
         return np.array([o.value(x) for o, x in zip(cycle(objectives), X)])
     calls = len(X) // len(objectives) * first.calls_per_value
     for o in objectives:
         o.eval_counter += calls
-    return first._fn_batch(X)
+    return first.fn_batch(X)
 
 
 def make_quadratic(coord_L, shift=None) -> Objective:

@@ -320,6 +320,7 @@ def _evals(after_init: int, per_step: int, n: int) -> range:
     return range(after_init + per_step, after_init + per_step * (n + 1), per_step)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the checks raise on a non-finite value
 def _run_loop(objective, schedule, beta, x0, max_iters, seed, epsilon_gap, eval_budget,
               retain_internals, track_grad_norm, dist, norm_constants, record_index=False):
     """Drive smtp_step over max_iters directions of dist.
@@ -397,45 +398,49 @@ def _check_finite(k: int, values: np.ndarray) -> list[float]:
 
 # A config's seeds run as one block from this many on; fewer go one by one
 # through the scalar loop.  Scalar-loop over block time per seed-iteration,
-# best of 5 interleaved runs of 4000 iterations on a 2-core VM (numpy 2.4), by
+# best of 7 interleaved runs of 4000 iterations on a 2-core VM (numpy 2.4), by
 # seeds in the block:
-#   seeds                                          2     3     4     5     8    30
-#   sphere, solution_dependent, d = 10 (quad_run)  0.65  1.03  1.43  1.58  2.38  6.01
-#   smtp_is, constant, d = 10 (is_compare)         0.55  0.91  1.21  1.25  2.02  5.98
-# A block step has a fixed cost of about 20 us, which too few rows do not repay.
+#   seeds                                          1     2     3     4     5     8    30
+#   coord_uniform, constant, stp, d = 10 (test_01) 0.69  1.17  1.54  1.95  2.62  3.10  6.64
+#   sphere, solution_dependent, d = 10 (quad_run)  0.54  1.15  1.44  1.84  2.43  2.52  5.12
+#   smtp_is, constant, d = 10 (is_compare)         0.68  1.27  1.21  1.61  1.56  1.66  2.89
+# A block step has a fixed cost of about 10 us, plus the Python decision and
+# write-back of each row, about 1 us a row and more when it moves: in the last
+# shape every row moves at every step, while is_compare itself moves at 31% of
+# its row-steps.  2 rows barely repay it, and perfbench's replay of is_compare
+# counts each seed's iterations through run_once as a 2-row compare.
 # Rows that stop leave the block and the rest stay in it: handing the last
 # three or fewer to the scalar loop instead made is_compare's two runs no
 # faster (median 1.93 s against 1.82 s over 10 interleaved pairs).
-BLOCK_MIN_ROWS = 4
-
-# the branch of each position in (f(z), f(z+), f(z-)): the first minimum of the
-# three is the scalar step's choice, ties resolved stay > plus > minus
-_BRANCH_AT = np.array([STAY, PLUS, MINUS], dtype=np.int8)
+BLOCK_MIN_ROWS = 3
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the checks raise on a non-finite value
 def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_budget,
               retain_internals, track_grad_norm, dists, norm_constants,
               record_index=False) -> list[RunTrace]:
     """Run many seeds in lockstep, as the rows of (S, d) arrays.
 
     Row r runs seed seeds[r] over objectives[r] (one function, one copy per
-    seed, each counting its own calls) under rules[r] and direction law
-    dists[r], and its trace is bit for bit the one _run_loop gives that seed
-    alone with the same arguments.  The rows share the rest: beta, the
+    seed) under rules[r] and direction law dists[r], and its trace, final
+    state and eval_counter are bit for bit the ones _run_loop gives that
+    seed alone with the same arguments.  The rows share the rest: beta, the
     dimension, a coordinate or a vector law, the rule class and whether it
     is fixed, the stops, the recording and the norm constants.  Bit for
     bit, because:
     - each row draws from its own generator, in chunks that together hold
       at most _DRAW_FLOATS floats;
     - every row's probe, then every row's two candidates, are evaluated in
-      one value_rows call, whose batch forms equal the one-point ones;
+      one batch (fn_batch, or value_rows for an objective without one),
+      whose values equal the one-point ones;
     - stepsizes come from row_stepsizes, which keeps the scalar formula's
       operation order, or from the per-row value or table of a fixed rule;
-    - each row keeps the first minimum of (f(z), f(z+), f(z-)), which is
-      the scalar step's choice and tie order.
-    A row that stops on epsilon_gap leaves the block and the others go on;
-    an eval_budget stops every row at the same step, since every step costs
-    the same oracle calls.
+    - each row is decided on Python floats by smtp_step's rule and tie
+      order, and its move is made with smtp_step's arithmetic.
+    Every step costs the same oracle calls, so a row's eval_counter is set
+    from its step count when it finishes.  A row that stops on epsilon_gap
+    leaves the block and the others go on; an eval_budget stops every row
+    at the same step.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
@@ -480,171 +485,186 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
     rows = chunk_rows(d, n)
     streams = [chunks(dist, np.random.default_rng(seed), n_iter, rows)
                for dist, seed in zip(dists, seeds)]
-    # ZV[0] and ZV[1] hold z and v, one row per seed; F f(z); last_zv the z
-    # and v the last move of each row moved from
-    ZV = np.stack((np.array([st.z for st in states]), np.zeros((n, d))))
-    F = np.array([st.f_z for st in states])
-    last_zv = ZV.copy()
+    # rows p, m + p and 2m + p of XW[0] and XW[1] hold z, z+, z- and v, v+, v-
+    # of live row p.  Over a coordinate law the z+ and z- rows hold z between
+    # steps and a step writes the drawn cells alone; XW[1] goes unused there,
+    # as V holds each row's v, a new array at each move.  Over a vector law
+    # ZV is the live rows' z and v, a new array at each step with a move.  F
+    # is f(z) and last each row's last move: (i, old z_i, old v, gamma) over a
+    # coordinate law, and (p, the ZV it moved from, None, gamma) otherwise.
+    ZV = np.array([[st.z for st in states], [st.v for st in states]])
+    XW = np.tile(ZV, (1, 3, 1))
+    F = [st.f_z for st in states]
+    V = [st.v for st in states]
+    last = [None] * n
     t = np.array([r.t for r in rules]) if probe else None
     step = None if gammas is not None or table is not None else row_stepsizes(list(rules))
     gradient = objectives[0].gradient_batch
     one_minus_beta = 1.0 - beta
-    f_buf, g_buf, b_buf = np.empty((n, rows)), np.empty((n, rows)), np.empty((n, rows), np.int8)
-    n_buf = np.empty((n, rows)) if track_grad_norm else None
-    i_buf = np.empty((n, rows), np.dtype(code)) if record_index else None
     live = list(range(n))  # the seed position of each row
     live_objectives = [objectives[r] for r in live]
-    flushed, G = 0, None  # G: a fixed rule's steps over the chunk, (chunk rows, live rows)
-
-    def flush(upto: int) -> None:
-        for p, r in enumerate(live):
-            for col, buf in zip(columns[r], (f_buf, g_buf, b_buf, n_buf, i_buf)):
-                if col is not None:
-                    cells = buf[p, flushed:upto]
-                    col.frombytes((_BRANCH_AT.take(cells) if buf is b_buf else cells).tobytes())
+    G = None  # a fixed rule's steps over the chunk, (chunk rows, live rows)
+    batch = objectives[0].fn_batch  # counted when a row finishes
+    evaluate = batch if batch is not None else lambda X: value_rows(live_objectives, X)
 
     def finish(p: int, r: int, reason: str) -> None:
-        """Row p's trace, from its flushed columns and final state."""
+        """Row p's trace, from its columns and final state."""
         f_z, gamma, branch, grad_norm, index = columns[r]
         n_steps = len(f_z)
-        v = ZV[1, p].copy()
+        for col in (gamma, index):  # filled a chunk ahead
+            if col is not None:
+                del col[n_steps:]
+        objectives[r].eval_counter = after_init[r] + per_step * n_steps
+        z, v = XW[0, p].copy(), V[r] if coord else XW[1, p].copy()
+        move = None
+        if last[r] is not None:
+            at, z_from, v_from, g = last[r]
+            if coord:  # the move changed coordinate at alone
+                z_i, z_from = z_from, z.copy()
+                z_from[at] = z_i
+            else:
+                z_from, v_from = z_from[:, at]
+            move = (z_from, v_from, g, v)
+        state = OptimizerState(x=states[r].x, v=v, z=z, f_z=F[p], k=n_steps, beta=beta, move=move)
         steps = _kept_steps(None if gammas is None else float(gammas[p]),
                             None if table is None else table[p], record_index)
-        move = None
-        moves = np.flatnonzero(np.frombuffer(branch, np.int8) != STAY)
-        if moves.size:  # the last move's stepsize: the gamma column's, or the kept one's
-            last = int(moves[-1])
-            g = (gamma[last] if gamma is not None else float(gammas[p]) if gammas is not None
-                 else float(table[p, index[last]]))
-            move = (last_zv[0, p].copy(), last_zv[1, p].copy(), g, v)
-        state = OptimizerState(x=states[r].x, v=v, z=ZV[0, p].copy(), f_z=float(F[p]),
-                               k=n_steps, beta=beta, move=move)
         traces[r] = RunTrace(f_z, gamma, branch, _evals(after_init[r], per_step, n_steps), state,
                              seeds[r], states[r].f_z, reason, grad_norm, index, *kept[r], steps)
 
-    def shape(block, G):
-        """What depends on the live rows and the chunk: the candidate buffer
-        and, over coordinates, the flat index of coordinate i in the z+, z-,
-        v+ and v- rows of every step, with the changes made there (all
-        known up front given a fixed rule's steps G, the unit signs alone
-        otherwise)."""
+    def shape():
+        """What depends on the live rows and the chunk: views of XW, the
+        rows' column appenders, over coordinates the drawn indices and their
+        flat cells in the z, z+ and z- rows of XW[0], and given a fixed rule's steps
+        G, the stepsizes, h = gamma / (1 - beta) and the candidates' change
+        (-h, h) over coordinates, h otherwise."""
         m = len(live)
-        ar = np.arange(m)
-        XW = np.empty((2, 3 * m, d))  # rows r, m + r, 2m + r: z, z+, z- and v, v+, v-
-        XW3 = XW.reshape(2, 3, m, d)  # views: C order, as the flat indices below assume
-        flat = XW.reshape(-1)
-        at = moves = None
+        appends = [(columns[r][0].append, columns[r][2].append) for r in live]
+        gamma_appends = None if G is not None or keep_steps else [
+            columns[r][1].append for r in live]
+        index = cells = None
         if coord:
-            base = np.concatenate(((ar + m) * d, (ar + 2 * m) * d))
-            at = np.tile(block, 4) + np.concatenate((base, base + 3 * m * d))
-            # z[i] + -h and z[i] + h, beta v[i] + 1 and + -1: the scalar step's sums
-            moves = np.repeat([1.0, -1.0], m)
-            if G is not None:
-                H = G / one_minus_beta
-                moves = np.concatenate((-H, H, np.broadcast_to(moves, H.shape[:1] + moves.shape)),
-                                       axis=1)
-        return ar, XW, XW3, flat, at, moves
+            index = block.tolist()
+            cells = np.tile(block, 3) + np.arange(3 * m) * d
+        Gl = Hl = delta = None
+        if G is not None:
+            H = G / one_minus_beta
+            Gl, Hl = G.tolist(), H.tolist()
+            delta = np.concatenate((-H, H), axis=1) if coord else H
+        return (m, XW[0, :m], XW[0, m:], XW[0].reshape(-1), appends, gamma_appends, index,
+                cells, Gl, Hl, delta)
 
     for k in range(n_iter):
         j = k % rows
-        m = len(live)
         if j == 0:
             first = next(streams[0])  # (rows[, d]); the block holds every row's
-            block = np.empty(first.shape[:1] + (m,) + first.shape[1:], first.dtype)
+            block = np.empty(first.shape[:1] + (len(live),) + first.shape[1:], first.dtype)
             block[:, 0] = first
-            for p in range(1, m):
+            for p in range(1, len(live)):
                 block[:, p] = next(streams[p])
-            flushed = 0
             if step is None:  # a fixed rule: the chunk's steps are known
                 G = (np.broadcast_to(gammas, block.shape[:2]) if table is None
-                     else table.take(block + np.arange(m) * d))
-                g_buf[:, :len(G)] = G.T
-            if record_index:  # the drawn coordinates are the index column
-                i_buf[:, :len(block)] = block.T
-            ar, XW, XW3, flat, at, moves = shape(block, G)
-        Z = ZV[0]
+                     else table.take(block + np.arange(len(live)) * d))
+            for p, r in enumerate(live):  # columns known for the chunk, cut at finish
+                gamma_col, index_col = columns[r][1], columns[r][4]
+                if gamma_col is not None and G is not None:
+                    gamma_col.frombytes(np.ascontiguousarray(G[:, p]).tobytes())
+                if index_col is not None:
+                    index_col.frombytes(block[:, p].astype(code).tobytes())
+            m, Z, C, flat, appends, gamma_appends, index, cells, Gl, Hl, delta = shape()
         drawn = block[j]
         if retain_internals:
             for p, r in enumerate(live):
-                kept[r][0].append(Z[p])
-                kept[r][1].append(int(drawn[p]) if coord else drawn[p])
+                kept[r][0].append(Z[p].copy())
+                kept[r][1].append(index[j][p] if coord else drawn[p])
         if track_grad_norm:
-            n_buf[:, j] = d_norm_rows(norm_constants, gradient(Z))
-        if gammas is not None:
-            g = gammas
-        elif table is not None:
-            g = None  # in moves and g_buf
+            for r, norm in zip(live, d_norm_rows(norm_constants, gradient(Z)).tolist()):
+                columns[r][3].append(norm)
+        if step is None:
+            g, h, change = Gl[j], Hl[j], delta[j]
         else:
             P = None
             if probe:
                 if coord:
                     Zt = Z.copy()
                     Zf = Zt.reshape(-1)
-                    cell = drawn + ar * d
+                    cell = cells[j, :m]
                     Zf[cell] = Zf.take(cell) + t
                 else:
                     Zt = Z + t[:, None] * drawn
-                P = value_rows(live_objectives, Zt)
+                P = evaluate(Zt)
                 _check_finite(k, P)
-            g = step(k, F, P, drawn if coord else None)
-            g_buf[:, j] = g
-        if coord:
-            XW3[...] = ZV[:, None]
-            XW[1, m:] *= beta  # beta v, exact as the scalar step's beta * v
-            if moves.ndim == 2:
-                delta = moves[j]
-            else:
-                h = g / one_minus_beta
-                delta = np.concatenate((-h, h, moves))
-            cells = at[j]
-            flat[cells] = flat.take(cells) + delta
+            g = step(k, np.array(F), P, drawn if coord else None)
+            h = g / one_minus_beta
+            change = np.concatenate((-h, h)) if coord else h
+            g, h = g.tolist(), h.tolist() if coord else None
+            for append, gamma in zip(gamma_appends, g):
+                append(gamma)
+        if coord:  # z_i + -h and z_i + h: the scalar step's z_i - h and z_i + h
+            cand = cells[j, m:]
+            z_i = flat.take(cand)
+            flat[cand] = z_i + change
         else:
-            s = drawn
-            hs = (g / one_minus_beta)[:, None] * s
-            XW[:, :m] = ZV
+            hs = change[:, None] * drawn
             np.subtract(Z, hs, out=XW[0, m:2 * m])
             np.add(Z, hs, out=XW[0, 2 * m:])
-            bv = beta * ZV[1]
-            np.add(bv, s, out=XW[1, m:2 * m])
-            np.subtract(bv, s, out=XW[1, 2 * m:])
-        T = np.concatenate((F, value_rows(live_objectives, XW[0, m:])))
-        listed = _check_finite(k, T)  # F is finite, so this checks the new values
-        choice = T.reshape(3, m).argmin(0)
-        np.copyto(last_zv, ZV, where=(choice > 0)[:, None])
-        pick = choice * m + ar
-        ZV = XW.take(pick, 1)
-        F = T.take(pick)
-        f_buf[:, j] = F
-        b_buf[:, j] = choice  # a position in T, mapped to its branch when flushed
-        if j == rows - 1:
-            flush(rows)
-            flushed = rows
-        # the least of T is the least new f(z); some row is done exactly when
-        # that one is, as x - f_star is monotone in x and T holds no NaN
-        if epsilon_gap is not None and min(listed) - f_star <= epsilon_gap:
-            done = F - f_star <= epsilon_gap
-            flush(j + 1)
-            flushed = j + 1
-            for p in np.flatnonzero(done).tolist():
-                finish(p, live[p], "epsilon_gap")
-            keep = np.flatnonzero(~done)
-            if keep.size == 0:
+            bv = beta * ZV[1]  # a + (-b) == a - b exactly, signed zeros too
+            np.add(bv, drawn, out=XW[1, m:2 * m])
+            np.subtract(bv, drawn, out=XW[1, 2 * m:])
+        values = _check_finite(k, evaluate(C))
+        if coord:  # z back in the candidate rows; a moved row writes its new z_i
+            flat[cand] = z_i
+            drawn_i, md = index[j], m * d
+        else:
+            pick = None
+        # smtp_step's rule and tie order: move when a candidate beats f(z),
+        # to z+ unless z- is strictly lower
+        for p, (r, f_z, f_p, f_m, (append_f, append_branch)) in enumerate(
+                zip(live, F, values, values[m:], appends)):
+            if f_p < f_z or f_m < f_z:
+                plus = f_p <= f_m
+                f_z = F[p] = f_p if plus else f_m
+                if coord:
+                    i, z = drawn_i[p], z_i.item(p)
+                    cell = p * d + i  # and cell + md, cell + 2 md in the z+ and z- rows
+                    flat[cell] = flat[cell + md] = flat[cell + 2 * md] = (
+                        z - h[p] if plus else z + h[p])
+                    last[r] = (i, z, V[r], g[p])
+                    v = V[r] = beta * V[r]
+                    v[i] += 1.0 if plus else -1.0
+                else:
+                    last[r] = (p, ZV, None, g[p])
+                    if pick is None:
+                        pick = list(range(m))
+                    pick[p] = p + m if plus else p + 2 * m
+                append_branch(PLUS if plus else MINUS)
+            else:
+                append_branch(STAY)
+            append_f(f_z)
+        if not coord and pick is not None:  # the moved rows' candidates are the new z and v
+            ZV = XW[:, :m] = XW.take(pick, 1)
+        # some row is done exactly when the least f(z) is, as x - f_star is monotone
+        if epsilon_gap is not None and min(F) - f_star <= epsilon_gap:
+            keep = []
+            for p, r in enumerate(live):
+                if F[p] - f_star <= epsilon_gap:
+                    finish(p, r, "epsilon_gap")
+                else:
+                    keep.append(p)
+            if not keep:
                 break
-            live = [live[p] for p in keep.tolist()]
+            live = [live[p] for p in keep]
             live_objectives = [objectives[r] for r in live]
-            streams = [streams[p] for p in keep.tolist()]
-            ZV, last_zv = ZV[:, keep], last_zv[:, keep]
-            F, block = F[keep], block[:, keep]
-            f_buf, g_buf, b_buf, n_buf, i_buf = (
-                None if b is None else b[keep] for b in (f_buf, g_buf, b_buf, n_buf, i_buf))
+            streams = [streams[p] for p in keep]
+            F = [F[p] for p in keep]
+            ZV = XW[:, keep]
+            XW = np.tile(ZV, (1, 3, 1))
+            block = block[:, keep]
             t, gammas, table = (None if a is None else a[keep] for a in (t, gammas, table))
             if step is not None:
                 step = row_stepsizes([rules[r] for r in live])
             G = None if G is None else G[:, keep]
-            ar, XW, XW3, flat, at, moves = shape(block, G)
+            m, Z, C, flat, appends, gamma_appends, index, cells, Gl, Hl, delta = shape()
     else:
-        if n_iter:
-            flush(j + 1)
         for p, r in enumerate(live):
             finish(p, r, end_reason)
     return traces

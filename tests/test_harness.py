@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -248,11 +250,23 @@ class TestParsing:
          "schedule.kind = fixed_horizon\nschedule.gamma0 = 0.5\nschedule.horizon = 0", 9,
          "schedule.horizon must be >= 1"),
         ("method = smtp", "method = stp", 2, "method stp has no momentum and reads no beta"),
+        ("objective = quadratic\ndimension = 4\ncoord_L = logspace:1,4",
+         "objective = rosenbrock\ndimension = 1", 4, "rosenbrock needs d >= 2"),
+        ("coord_L = logspace:1,4", "coord_L = 1,2", 5, "coord_L has 2 entries, expected 4"),
+        ("objective = quadratic\ndimension = 4",
+         "objective = lqr\nhorizon = 3\nd_state = 2\nd_ctrl = 1", 7,
+         "coord_L is read only by objective quadratic"),
+        ("schedule.kind = solution_dependent", "schedule.kind = constant", 7,
+         "schedule.kind = constant needs schedule.gamma"),
+        ("schedule.kind = solution_dependent", "schedule.kind = solution_free", 7,
+         "schedule.kind = solution_free needs schedule.t"),
     ], ids=["jobs", "max_iters", "seeds", "noise.sigma", "dimension", "lqr_size", "distribution",
             "smtp_is_distribution", "repeated_seeds", "nc_needs_grad_norm", "envelope_max_iters",
             "lqr_grad_norm", "r0", "gamma0", "alpha", "theta", "t", "gaussian_weights",
             "smtp_is_weights", "gaussian_basis", "coord_weighted_basis",
-            "fixed_horizon_without_horizon", "fixed_horizon_horizon_0", "stp_beta"])
+            "fixed_horizon_without_horizon", "fixed_horizon_horizon_0", "stp_beta",
+            "rosenbrock_dimension", "coord_L_entries", "lqr_coord_L",
+            "constant_without_gamma", "solution_free_without_t"])
     def test_validation_errors_name_their_line(self, old, new, line, message):
         with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
             parse_config(QUAD_BASE.replace(old, new))
@@ -708,7 +722,6 @@ class TestCli:
         assert (tmp_path / "cmp" / "compare.csv").exists()
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the overflow itself
     def test_compare_names_the_failing_seed(self, tmp_path, capsys, jobs):
         # a step of 1e300 overflows f at the first candidate of every seed; the
         # error names the first failing row, also through a process pool
@@ -724,3 +737,17 @@ class TestCli:
         with pytest.raises(NonFiniteObjectiveError, match=message) as raised:
             compare_methods([load_config(ok), load_config(big)])
         assert (raised.value.k, raised.value.value) == (0, math.inf)
+
+    def test_overflow_prints_the_error_line_alone(self, tmp_path):
+        # numpy's overflow warning would reach stderr before the error line
+        short = SHARED_STEP.replace("max_iters = 4000", "max_iters = 50")
+        ok = self._write(tmp_path, "ok.cfg", short + "\nmethod = smtp")
+        big = self._write(tmp_path, "big.cfg", short.replace("schedule.gamma = 0.05",
+                                                             "schedule.gamma = 1e300")
+                          .replace("seeds = 5", "seeds = 4,7") + "\nmethod = smtp")
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "threepoint.cli", "compare", "--configs", ok,
+                               big], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr == "error: big seed 4: non-finite objective value inf at iteration 0\n"
