@@ -401,17 +401,14 @@ def _check_finite(k: int, values: np.ndarray) -> list[float]:
 # best of 7 interleaved runs of 4000 iterations on a 2-core VM (numpy 2.4), by
 # seeds in the block:
 #   seeds                                          1     2     3     4     5     8    30
-#   coord_uniform, constant, stp, d = 10 (test_01) 0.69  1.17  1.54  1.95  2.62  3.10  6.64
-#   sphere, solution_dependent, d = 10 (quad_run)  0.54  1.15  1.44  1.84  2.43  2.52  5.12
-#   smtp_is, constant, d = 10 (is_compare)         0.68  1.27  1.21  1.61  1.56  1.66  2.89
-# A block step has a fixed cost of about 10 us, plus the Python decision and
-# write-back of each row, about 1 us a row and more when it moves: in the last
-# shape every row moves at every step, while is_compare itself moves at 31% of
-# its row-steps.  2 rows barely repay it, and perfbench's replay of is_compare
-# counts each seed's iterations through run_once as a 2-row compare.
-# Rows that stop leave the block and the rest stay in it: handing the last
-# three or fewer to the scalar loop instead made is_compare's two runs no
-# faster (median 1.93 s against 1.82 s over 10 interleaved pairs).
+#   coord_uniform, constant, stp, d = 10 (test_01) 0.67  1.57  1.54  1.97  2.83  3.56  6.38
+#   sphere, solution_dependent, d = 10 (quad_run)  0.52  0.79  1.22  1.75  1.83  2.52  5.29
+#   smtp_is, constant, d = 10 (is_compare)         0.45  0.76  1.22  1.11  1.59  2.15  3.51
+# A block step costs about 10 us plus about 1 us of Python per row.  3 is the
+# floor: perfbench's replay counts each is_compare seed through run_once as a
+# 2-row compare.  Rows that stop leave the block and the rest stay in it:
+# handing the last three or fewer to the scalar loop instead made is_compare's
+# two runs no faster (median 1.93 s against 1.82 s over 10 interleaved pairs).
 BLOCK_MIN_ROWS = 3
 
 
@@ -436,11 +433,10 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
     - stepsizes come from row_stepsizes, which keeps the scalar formula's
       operation order, or from the per-row value or table of a fixed rule;
     - each row is decided on Python floats by smtp_step's rule and tie
-      order, and its move is made with smtp_step's arithmetic.
-    Every step costs the same oracle calls, so a row's eval_counter is set
-    from its step count when it finishes.  A row that stops on epsilon_gap
-    leaves the block and the others go on; an eval_budget stops every row
-    at the same step.
+      order, and moved with smtp_step's arithmetic.
+    Every step costs the same oracle calls: a row's eval_counter is set when
+    it finishes, and an eval_budget stops every row at the same step.  A row
+    that stops on epsilon_gap leaves the block and the others go on.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
@@ -477,8 +473,8 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
     code = _index_code(d)
     keep_steps = _kept_steps(gammas, table, record_index) is not None  # no gamma column
     columns = [(array("d"), None if keep_steps else array("d"), array("b"),
-                array("d") if track_grad_norm else None, array(code) if record_index else None)
-               for _ in seeds]
+                array("d") if track_grad_norm else None,
+                array(code) if record_index or coord else None) for _ in seeds]
     kept = [([], array(code) if coord else []) if retain_internals else (None, None)
             for _ in seeds]
     traces: list[RunTrace | None] = [None] * n
@@ -487,15 +483,12 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
                for dist, seed in zip(dists, seeds)]
     # rows p, m + p and 2m + p of XW[0] and XW[1] hold z, z+, z- and v, v+, v-
     # of live row p.  Over a coordinate law the z+ and z- rows hold z between
-    # steps and a step writes the drawn cells alone; XW[1] goes unused there,
-    # as V holds each row's v, a new array at each move.  Over a vector law
-    # ZV is the live rows' z and v, a new array at each step with a move.  F
-    # is f(z) and last each row's last move: (i, old z_i, old v, gamma) over a
-    # coordinate law, and (p, the ZV it moved from, None, gamma) otherwise.
+    # steps, and v is replayed at the end (XW[1] goes unused).  Over a vector
+    # law ZV is z and v, a new array at each step with a move.  last[r] is row
+    # r's last move: (i, old z_i, gamma), or (p, the ZV it left, gamma).
     ZV = np.array([[st.z for st in states], [st.v for st in states]])
     XW = np.tile(ZV, (1, 3, 1))
     F = [st.f_z for st in states]
-    V = [st.v for st in states]
     last = [None] * n
     t = np.array([r.t for r in rules]) if probe else None
     step = None if gammas is not None or table is not None else row_stepsizes(list(rules))
@@ -515,43 +508,36 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
             if col is not None:
                 del col[n_steps:]
         objectives[r].eval_counter = after_init[r] + per_step * n_steps
-        z, v = XW[0, p].copy(), V[r] if coord else XW[1, p].copy()
+        z, v = XW[0, p].copy(), XW[1, p].copy()  # over coordinates, v is replayed at the end
         move = None
-        if last[r] is not None:
-            at, z_from, v_from, g = last[r]
-            if coord:  # the move changed coordinate at alone
-                z_i, z_from = z_from, z.copy()
-                z_from[at] = z_i
-            else:
-                z_from, v_from = z_from[:, at]
-            move = (z_from, v_from, g, v)
+        if last[r] is not None and not coord:
+            at, moved_from, g = last[r]
+            move = (*moved_from[:, at], g, v)
         state = OptimizerState(x=states[r].x, v=v, z=z, f_z=F[p], k=n_steps, beta=beta, move=move)
         steps = _kept_steps(None if gammas is None else float(gammas[p]),
                             None if table is None else table[p], record_index)
         traces[r] = RunTrace(f_z, gamma, branch, _evals(after_init[r], per_step, n_steps), state,
-                             seeds[r], states[r].f_z, reason, grad_norm, index, *kept[r], steps)
+                             seeds[r], states[r].f_z, reason, grad_norm,
+                             index if record_index else None, *kept[r], steps)
 
     def shape():
         """What depends on the live rows and the chunk: views of XW, the
         rows' column appenders, over coordinates the drawn indices and their
-        flat cells in the z, z+ and z- rows of XW[0], and given a fixed rule's steps
-        G, the stepsizes, h = gamma / (1 - beta) and the candidates' change
-        (-h, h) over coordinates, h otherwise."""
+        flat cells in the z, z+ and z- rows of XW[0], and given a fixed
+        rule's steps G, the stepsizes, h = gamma / (1 - beta) and the
+        candidates' change (-h, h) over coordinates, h otherwise."""
         m = len(live)
         appends = [(columns[r][0].append, columns[r][2].append) for r in live]
         gamma_appends = None if G is not None or keep_steps else [
             columns[r][1].append for r in live]
-        index = cells = None
-        if coord:
-            index = block.tolist()
-            cells = np.tile(block, 3) + np.arange(3 * m) * d
-        Gl = Hl = delta = None
+        index = block.tolist() if coord else None
+        cells = np.tile(block, 3) + np.arange(3 * m) * d if coord else None
+        H = delta = None
         if G is not None:
             H = G / one_minus_beta
-            Gl, Hl = G.tolist(), H.tolist()
             delta = np.concatenate((-H, H), axis=1) if coord else H
         return (m, XW[0, :m], XW[0, m:], XW[0].reshape(-1), appends, gamma_appends, index,
-                cells, Gl, Hl, delta)
+                cells, H, delta)
 
     for k in range(n_iter):
         j = k % rows
@@ -570,7 +556,7 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
                     gamma_col.frombytes(np.ascontiguousarray(G[:, p]).tobytes())
                 if index_col is not None:
                     index_col.frombytes(block[:, p].astype(code).tobytes())
-            m, Z, C, flat, appends, gamma_appends, index, cells, Gl, Hl, delta = shape()
+            m, Z, C, flat, appends, gamma_appends, index, cells, H, delta = shape()
         drawn = block[j]
         if retain_internals:
             for p, r in enumerate(live):
@@ -580,7 +566,7 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
             for r, norm in zip(live, d_norm_rows(norm_constants, gradient(Z)).tolist()):
                 columns[r][3].append(norm)
         if step is None:
-            g, h, change = Gl[j], Hl[j], delta[j]
+            g, h, change = G[j], H[j], delta[j]
         else:
             P = None
             if probe:
@@ -596,7 +582,6 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
             g = step(k, np.array(F), P, drawn if coord else None)
             h = g / one_minus_beta
             change = np.concatenate((-h, h)) if coord else h
-            g, h = g.tolist(), h.tolist() if coord else None
             for append, gamma in zip(gamma_appends, g):
                 append(gamma)
         if coord:  # z_i + -h and z_i + h: the scalar step's z_i - h and z_i + h
@@ -628,11 +613,9 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
                     cell = p * d + i  # and cell + md, cell + 2 md in the z+ and z- rows
                     flat[cell] = flat[cell + md] = flat[cell + 2 * md] = (
                         z - h[p] if plus else z + h[p])
-                    last[r] = (i, z, V[r], g[p])
-                    v = V[r] = beta * V[r]
-                    v[i] += 1.0 if plus else -1.0
+                    last[r] = (i, z, g[p])
                 else:
-                    last[r] = (p, ZV, None, g[p])
+                    last[r] = (p, ZV, g[p])
                     if pick is None:
                         pick = list(range(m))
                     pick[p] = p + m if plus else p + 2 * m
@@ -663,11 +646,50 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
             if step is not None:
                 step = row_stepsizes([rules[r] for r in live])
             G = None if G is None else G[:, keep]
-            m, Z, C, flat, appends, gamma_appends, index, cells, Gl, Hl, delta = shape()
+            m, Z, C, flat, appends, gamma_appends, index, cells, H, delta = shape()
     else:
         for p, r in enumerate(live):
             finish(p, r, end_reason)
+    if coord:
+        _replay_momenta(traces, columns, last, beta)
     return traces
+
+
+def _replay_momenta(traces, columns, last, beta) -> None:
+    """Set the final v and last move of a coordinate-law block's traces by
+    replaying smtp_step's v = beta v, then + 1 at i on a plus and - 1 on a
+    minus, from each row's branch and index columns (last[r]: row r's last
+    move as (i, old z_i, gamma)), move by move for all rows at once."""
+    moves = []
+    for _, _, branch, _, index in columns:
+        codes = np.frombuffer(branch, np.int8)
+        moved = codes != STAY  # PLUS, MINUS = 0, 1: the sign is 1 - 2 code
+        moves.append((np.frombuffer(index, index.typecode)[moved], 1 - 2 * codes[moved]))
+    n, d = len(traces), traces[0].final_state.z.size
+    order = sorted(range(n), key=lambda r: -moves[r][0].size)  # the most moves first
+    ends = [moves[r][0].size - 1 for r in order]  # each row's last move
+    width, code = ends[0] + 1, np.min_scalar_type(-n * d)  # a signed type that holds n d
+    cells, signs = np.zeros((n, width), code), np.zeros((n, width), np.int8)
+    for q, r in enumerate(order):
+        cells[q, :ends[q] + 1], signs[q, :ends[q] + 1] = moves[r]
+    cells += np.arange(0, n * d, d, dtype=code)[:, None]  # flat cells of V
+    V, live = np.zeros((n, d)), n
+    flat = V.reshape(-1)
+    for t in range(ends[0]):  # every move but each row's last
+        while ends[live - 1] <= t:
+            live -= 1
+        V[:live] *= beta
+        flat[cells[:live, t]] += signs[:live, t]
+    before, live = V.copy(), sum(e >= 0 for e in ends)
+    V[:live] *= beta
+    flat[cells[range(live), ends[:live]]] += signs[range(live), ends[:live]]
+    for q, r in enumerate(order):
+        state = traces[r].final_state
+        state.v = V[q].copy()
+        if ends[q] >= 0:
+            i, z_i, g = last[r]
+            state.move = (state.z.copy(), before[q], g, state.v)
+            state.move[0][i] = z_i  # the move changed coordinate i alone
 
 
 def smtp_run(

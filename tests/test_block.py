@@ -288,6 +288,22 @@ def test_block_breaks_ties_as_the_scalar_step(law):
     assert [_fingerprint(t, o) for t, o in zip(traces, objs)] == expected
 
 
+def test_wide_coordinate_block():
+    # 40 rows of d = 5: the momentum replay's flat cells of the (40, 5) block
+    # pass the int8 range, and every row still ends where it does alone
+    dist, rule, seeds = directions.DirectionDistribution("coord_uniform", 5), \
+        schedules.Constant(0.01), list(range(40))
+    nc, x0 = directions.constants(dist), np.ones(5)
+    objs = [objectives.make_quadratic(np.logspace(0, 1, 5)) for _ in seeds]
+    expected = [_fingerprint(optimizers._run_loop(o, rule, 0.5, x0, 300, s, None, None, False,
+                                                  False, dist, nc), o)
+                for o, s in zip(objs, seeds)]
+    objs = [objectives.make_quadratic(np.logspace(0, 1, 5)) for _ in seeds]
+    traces = optimizers.run_block(objs, [rule] * 40, 0.5, x0, 300, seeds, None, None, False,
+                                  False, [dist] * 40, nc)
+    assert [_fingerprint(t, o) for t, o in zip(traces, objs)] == expected
+
+
 # --- configs of a compare share blocks -------------------------------------
 
 KINDS = ("constant", "fixed_horizon", "decreasing", "solution_dependent", "solution_free")
