@@ -182,16 +182,21 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
                 fail("objective", f"objective lqr needs {key}")
         if cfg.track_grad_norm:
             fail("track_grad_norm", "objective lqr has no gradient oracle for track_grad_norm")
+    if cfg.dimension is not None and cfg.dimension < 1:
+        fail("dimension", "dimension must be >= 1")
     if cfg.objective == "rosenbrock" and cfg.dimension < 2:
         fail("dimension", "rosenbrock needs d >= 2")
-    for name in ("coord_L", "shift"):  # the quadratic's vectors
-        if cfg.objective != "quadratic" and name in seen:
-            fail(name, f"{name} is read only by objective quadratic")
-    if cfg.objective == "quadratic" and cfg.dimension is not None and cfg.coord_L is not None:
+    if cfg.objective == "quadratic" and cfg.dimension is not None:  # the quadratic's vectors
         try:
-            objectives.coord_L_from_spec(cfg.coord_L, cfg.dimension)
+            if cfg.coord_L is not None:
+                objectives.coord_L_from_spec(cfg.coord_L, cfg.dimension)
         except ValueError as exc:
             fail("coord_L", str(exc))
+        try:
+            if cfg.shift not in (None, "zeros"):
+                _parse_vector(cfg.shift, cfg.dimension, "shift")
+        except ConfigError as exc:
+            fail("shift", str(exc))
     if cfg.schedule_kind not in schedules.SCHEDULE_KINDS:
         fail("schedule_kind", f"unknown schedule.kind {cfg.schedule_kind!r}")
     needed = _SCHEDULE_KEY_NEEDED.get(cfg.schedule_kind)
@@ -209,13 +214,10 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
         if cfg.schedule_kind == "solution_free" and cfg.distribution == "gaussian":
             fail("schedule_kind", "solution_free needs unit-norm directions; "
                  "the gaussian distribution does not provide them")
-    # weights and basis are read by the weighted laws alone
     if "weights" in seen and cfg.distribution not in ("coord_weighted", "orthonormal_weighted"):
         fail("weights", "weights are read only by distribution coord_weighted or "
              "orthonormal_weighted" + ("; smtp_is draws coordinates by is.p"
                                        if cfg.method == "smtp_is" else ""))
-    if "basis" in seen and cfg.distribution != "orthonormal_weighted":
-        fail("basis", "basis is read only by distribution orthonormal_weighted")
     if cfg.max_iters < 0:
         fail("max_iters", "max_iters must be >= 0")
     if cfg.schedule_kind == "fixed_horizon":
@@ -230,6 +232,8 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
         fail("seeds", "seeds must not repeat")
     if cfg.noise_sigma is not None and cfg.noise_sigma < 0:
         fail("noise_sigma", "noise.sigma must be >= 0")
+    if cfg.noise_obs < 1:
+        fail("noise_obs", "noise.k must be >= 1")
     if cfg.theorem is not None:
         if cfg.theorem not in schedules.THEOREM_IDS:
             fail("theorem", f"unknown theorem {cfg.theorem!r}")
@@ -251,27 +255,39 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
                 float(raw)
             except ValueError:
                 fail(name, f"{_key(name)} must be a number or {keyword!r}, got {raw!r}")
-    for name, kind in _SCHEDULE_KEY_READER.items():
-        # the SC-DEP envelopes read theta_k whatever the rule
-        if name in seen and cfg.schedule_kind != kind and not (
-                name == "schedule_theta_k" and cfg.theorem in ("SC-DEP", "IS-SC-DEP")):
-            fail(name, f"{_key(name)} is read only by schedule.kind = {kind}, "
-                 f"not {cfg.schedule_kind}")
     if cfg.checkpoints and not all(1 <= k <= cfg.max_iters for k in cfg.checkpoints):
         fail("checkpoints", "checkpoints must lie in [1, max_iters]")
     if cfg.jobs < 1:
         fail("jobs", "jobs must be >= 1")
+    for name, (reads, by) in _READ_ONLY_BY.items():
+        if name in seen and not reads(cfg):
+            fail(name, f"{_key(name)} is read only by {by}")
 
 
-# the one schedule.kind that reads each schedule.* key
-_SCHEDULE_KEY_READER = {
-    "schedule_gamma": "constant",
-    "schedule_gamma0": "fixed_horizon",
-    "schedule_horizon": "fixed_horizon",
-    "schedule_alpha": "decreasing",
-    "schedule_theta": "decreasing",
-    "schedule_theta_k": "solution_dependent",
-    "schedule_t": "solution_free",
+_CVX_THEOREMS = ("CVX-CONST", "CVX-DEC", "IS-CVX-CONST", "IS-CVX-DEC")
+# each key only some settings read: whether a config reads it, and what does
+_READ_ONLY_BY = {
+    "dimension": (lambda cfg: cfg.objective != "lqr", "objective quadratic or rosenbrock"),
+    **dict.fromkeys(("coord_L", "shift"),
+                    (lambda cfg: cfg.objective == "quadratic", "objective quadratic")),
+    **dict.fromkeys(("horizon", "d_state", "d_ctrl"),
+                    (lambda cfg: cfg.objective == "lqr", "objective lqr")),
+    "noise_obs": (lambda cfg: cfg.noise_sigma is not None, "noise.sigma"),
+    **dict.fromkeys(("is_p", "is_w"), (lambda cfg: cfg.method == "smtp_is", "method smtp_is")),
+    "basis": (lambda cfg: cfg.distribution == "orthonormal_weighted",
+              "distribution orthonormal_weighted"),
+    **{f"schedule_{key}": (lambda cfg, kind=kind: cfg.schedule_kind == kind,
+                           f"schedule.kind = {kind}")
+       for key, kind in (("gamma", "constant"), ("gamma0", "fixed_horizon"),
+                         ("horizon", "fixed_horizon"), ("alpha", "decreasing"),
+                         ("theta", "decreasing"), ("t", "solution_free"))},
+    # the SC-DEP envelopes read theta_k whatever the rule
+    "schedule_theta_k": (lambda cfg: cfg.schedule_kind == "solution_dependent" or cfg.theorem
+                         in ("SC-DEP", "IS-SC-DEP"), "schedule.kind = solution_dependent"),
+    "r0": (lambda cfg: cfg.theorem in _CVX_THEOREMS or (
+        cfg.schedule_kind == "decreasing" and cfg.schedule_alpha == "auto"),
+        "a CVX theorem or schedule.alpha = auto"),
+    "checkpoints": (lambda cfg: cfg.theorem is not None, "a theorem"),
 }
 # the key each schedule.kind cannot do without
 _SCHEDULE_KEY_NEEDED = {"constant": "schedule_gamma", "fixed_horizon": "schedule_gamma0",
@@ -631,16 +647,19 @@ def prepare(cfg: ExperimentConfig) -> tuple[list[int] | None, np.ndarray | None]
 def run_block(cfgs, seeds) -> tuple[list[optimizers.RunTrace], list[objectives.Objective]]:
     """Build each row's objective and run parts as run_once does, then run
     the rows in lockstep; each trace equals that row's run_once trace.
-    cfgs holds one config per seed, all with one _block_key."""
-    objs = [build_objective(c, seed) for c, seed in zip(cfgs, seeds)]
-    x0 = build_x0(cfgs[0], objs[0].dimension)
-    parts = [build_run(c, obj, x0) for c, obj in zip(cfgs, objs)]
+    cfgs holds one config per seed, all with one _block_key.  Raises
+    ValueError for rows the block does not run: with eval_budget or
+    retain_internals, or those optimizers.block_supports declines."""
     first = cfgs[0]
+    if first.eval_budget is not None or first.retain_internals:
+        raise ValueError("a block neither stops on eval_budget nor retains internals")
+    objs = [build_objective(c, seed) for c, seed in zip(cfgs, seeds)]
+    x0 = build_x0(first, objs[0].dimension)
+    parts = [build_run(c, obj, x0) for c, obj in zip(cfgs, objs)]
     shared = optimizers.loop_args(parts[0].dist, importance=first.method == "smtp_is")
     traces = optimizers.run_block(
-        objs, [p.schedule for p in parts], _beta(first), x0, first.max_iters,
-        list(seeds), first.epsilon, first.eval_budget, first.retain_internals,
-        first.track_grad_norm, [p.dist for p in parts], shared["norm_constants"],
+        objs, [p.schedule for p in parts], _beta(first), x0, first.max_iters, list(seeds),
+        first.epsilon, first.track_grad_norm, [p.dist for p in parts], shared["norm_constants"],
         shared.get("record_index", False))
     return traces, objs
 
@@ -662,12 +681,13 @@ def _run_seeds(rows) -> list[tuple]:
     """(trace, objective, wall time) of each (config, seed) row, in order.
 
     Rows with one _block_key run as one block once there are
-    BLOCK_MIN_ROWS of them (the measured crossover); the rest go one by one
-    through run_once, in row order.  A block's wall time is shared out by
-    iterations.  A block that fails as a run fails (a ValueError or a
-    non-finite value) is rerun row by row, so the error is the one a
-    one-seed run raises, for the first row that fails, with that row's
-    config label and seed put in front of its message.
+    BLOCK_MIN_ROWS of them (the measured crossover) and run_block takes
+    them; the rest go one by one through run_once, in row order.  A block's
+    wall time is shared out by iterations.  A group run_block declines, or a
+    block that fails as a run fails (a ValueError or a non-finite value), is
+    run row by row, so the error is the one a one-seed run raises, for the
+    first row that fails, with that row's config label and seed put in front
+    of its message.
     """
     runs = [None] * len(rows)
     groups: dict[tuple, list[int]] = {}
@@ -680,7 +700,7 @@ def _run_seeds(rows) -> list[tuple]:
         try:
             traces, objs = run_block([rows[at][0] for at in group], [rows[at][1] for at in group])
         except (ValueError, optimizers.NonFiniteObjectiveError):
-            continue  # reported by the per-row rerun
+            continue  # declined, or reported by the per-row rerun
         wall = time.perf_counter() - t0
         total = max(1, sum(len(t.f_z) for t in traces))
         for at, trace, obj in zip(group, traces, objs):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import cycle
 from typing import Callable
 
 import numpy as np
@@ -50,7 +49,8 @@ class Objective:
     calls one query of fn makes (1 unless fn averages several); gradient()
     does not count (it is a diagnostic oracle, not part of the black-box
     budget).  fn_batch, when given, maps a (B, d) batch to its rows' values,
-    each row bit for bit what fn gives it.
+    each row bit for bit what fn gives it, and counts nothing: its caller
+    (run_block) sets the counter.
     """
 
     def __init__(
@@ -80,10 +80,6 @@ class Objective:
 
     __call__ = value
 
-    def value_batch(self, X: np.ndarray) -> np.ndarray:
-        """value() of each row of X, counted as len(X) queries."""
-        return value_rows([self], X)
-
     @property
     def has_gradient(self) -> bool:
         return self._grad is not None
@@ -96,22 +92,6 @@ class Objective:
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:
         """gradient() of each row of X."""
         return np.array([self.gradient(x) for x in X])
-
-
-def value_rows(objectives: list[Objective], X: np.ndarray) -> np.ndarray:
-    """f at each row of X, row j queried through objectives[j % n] and counted
-    there.  The objectives are one function, one copy per seed: with a batch
-    form the first evaluates every row at once, otherwise each row goes
-    through its own objective's value(), in row order (a noisy objective
-    draws from its own generator).
-    """
-    first = objectives[0]
-    if first.fn_batch is None:
-        return np.array([o.value(x) for o, x in zip(cycle(objectives), X)])
-    calls = len(X) // len(objectives) * first.calls_per_value
-    for o in objectives:
-        o.eval_counter += calls
-    return first.fn_batch(X)
 
 
 def make_quadratic(coord_L, shift=None) -> Objective:
@@ -271,4 +251,6 @@ def coord_L_from_spec(spec: str, dimension: int) -> np.ndarray:
     vals = np.asarray([float(p) for p in spec.split(",")], dtype=float)
     if vals.size != dimension:
         raise ValueError(f"coord_L has {vals.size} entries, expected {dimension}")
+    if np.any(vals <= 0.0):
+        raise ValueError("coord_L must be strictly positive")
     return vals

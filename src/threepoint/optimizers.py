@@ -31,8 +31,7 @@ from .directions import (
     draws,
     sample,
 )
-from .objectives import value_rows
-from .schedules import StepContext, require_unit_law, row_stepsizes, stepsize
+from .schedules import SolutionDependent, StepContext, require_unit_law, row_stepsizes, stepsize
 
 BRANCHES = ("plus", "minus", "stay")
 PLUS, MINUS, STAY = range(3)  # branch codes: indices into BRANCHES
@@ -396,50 +395,64 @@ def _check_finite(k: int, values: np.ndarray) -> list[float]:
     return listed
 
 
-# A config's seeds run as one block from this many on; fewer go one by one
-# through the scalar loop.  Scalar-loop over block time per seed-iteration,
-# best of 7 interleaved runs of 4000 iterations on a 2-core VM (numpy 2.4), by
-# seeds in the block:
+# The scalar loop (_run_loop) is the general path and the reference: every
+# trace is defined by it.  The block is a fast path for the rows block_supports
+# admits, from this many rows on.  Scalar-loop over block time per
+# seed-iteration, best of 7 interleaved runs of 4000 iterations on a 2-core VM
+# (numpy 2.4), by seeds in the block:
 #   seeds                                          1     2     3     4     5     8    30
 #   coord_uniform, constant, stp, d = 10 (test_01) 0.67  1.57  1.54  1.97  2.83  3.56  6.38
 #   sphere, solution_dependent, d = 10 (quad_run)  0.52  0.79  1.22  1.75  1.83  2.52  5.29
 #   smtp_is, constant, d = 10 (is_compare)         0.45  0.76  1.22  1.11  1.59  2.15  3.51
-# A block step costs about 10 us plus about 1 us of Python per row.  3 is the
-# floor: perfbench's replay counts each is_compare seed through run_once as a
-# 2-row compare.  Rows that stop leave the block and the rest stay in it:
-# handing the last three or fewer to the scalar loop instead made is_compare's
-# two runs no faster (median 1.93 s against 1.82 s over 10 interleaved pairs).
+# A block step costs about 10 us plus about 1 us of Python per row, which one
+# row does not repay (CHANGES.md has the per-step floor).  3 is the floor:
+# perfbench's replay counts each is_compare seed through run_once as a 2-row
+# compare.  Rows that stop leave the block and the rest stay in it: handing
+# the last three or fewer to the scalar loop instead made is_compare's two
+# runs no faster (median 1.93 s against 1.82 s over 10 interleaved pairs).
 BLOCK_MIN_ROWS = 3
 
 
+def block_supports(objective, rule, dist) -> bool:
+    """Whether run_block runs a row of this objective, rule and law: the
+    objective evaluates a batch at once (fn_batch), and the stepsize is known
+    up front (a context-free rule, or an index-only table over a coordinate
+    law) or is SolutionDependent's, which row_stepsizes gives for all rows at
+    once.  Every other row runs through the scalar loop, with the same trace."""
+    return objective.fn_batch is not None and (
+        getattr(rule, "context_free", False) or isinstance(rule, SolutionDependent)
+        or (getattr(rule, "index_only", False) and dist.kind in COORD_KINDS))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the checks raise on a non-finite value
-def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_budget,
-              retain_internals, track_grad_norm, dists, norm_constants,
-              record_index=False) -> list[RunTrace]:
+def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_grad_norm,
+              dists, norm_constants, record_index=False) -> list[RunTrace]:
     """Run many seeds in lockstep, as the rows of (S, d) arrays.
 
     Row r runs seed seeds[r] over objectives[r] (one function, one copy per
     seed) under rules[r] and direction law dists[r], and its trace, final
     state and eval_counter are bit for bit the ones _run_loop gives that
-    seed alone with the same arguments.  The rows share the rest: beta, the
-    dimension, a coordinate or a vector law, the rule class and whether it
-    is fixed, the stops, the recording and the norm constants.  Bit for
-    bit, because:
+    seed alone with the same arguments.  Every row must be one block_supports
+    admits (ValueError otherwise).  The rows share the rest: beta, the
+    dimension, a coordinate or a vector law, the rule class, the stop, the
+    recording and the norm constants.  Bit for bit, because:
     - each row draws from its own generator, in chunks that together hold
       at most _DRAW_FLOATS floats;
-    - every row's probe, then every row's two candidates, are evaluated in
-      one batch (fn_batch, or value_rows for an objective without one),
-      whose values equal the one-point ones;
-    - stepsizes come from row_stepsizes, which keeps the scalar formula's
-      operation order, or from the per-row value or table of a fixed rule;
+    - every row's two candidates are evaluated in one fn_batch call, whose
+      values equal the one-point ones;
+    - stepsizes come from the per-row value or table of a fixed rule, or
+      from row_stepsizes, which keeps the scalar formula's operation order;
     - each row is decided on Python floats by smtp_step's rule and tie
       order, and moved with smtp_step's arithmetic.
-    Every step costs the same oracle calls: a row's eval_counter is set when
-    it finishes, and an eval_budget stops every row at the same step.  A row
-    that stops on epsilon_gap leaves the block and the others go on.
+    Every step costs the same oracle calls, so a row's eval_counter is set
+    when it finishes.  A row that stops on epsilon_gap leaves the block and
+    the others go on.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
+    if not all(map(block_supports, objectives, rules, dists)):
+        raise ValueError("run_block runs an objective with fn_batch under a fixed or "
+                         "solution_dependent rule; run other rows through the scalar loop")
     f_star = objectives[0].smoothness.f_star
     if epsilon_gap is not None and f_star is None:
         raise ValueError("epsilon_gap stopping needs a known f_star")
@@ -447,12 +460,9 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
     n, d = len(seeds), dists[0].dim
     if any(dist.dim != d or (dist.kind in COORD_KINDS) != coord for dist in dists):
         raise ValueError("the rows of a block share one dimension and a coordinate or vector law")
-    for rule, dist in zip(rules, dists):
-        require_unit_law(rule, dist.kind)
-    start_evals = [o.eval_counter for o in objectives]
     states = [init_state(o, x0, beta) for o in objectives]
     after_init = [o.eval_counter for o in objectives]
-    gammas = table = None
+    gammas = table = step = None
     if max_iters > 0:
         fixed = [_fixed_steps(r, coord, st.f_z, d) for r, st in zip(rules, states)]
         if len({(g is None, t is None) for g, t in fixed}) > 1:
@@ -461,25 +471,18 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
             gammas = np.array([g for g, _ in fixed])
         elif fixed[0][1] is not None:
             table = np.array([t for _, t in fixed])
-    probe = rules[0].needs_probe and gammas is None and table is None
-    per_step = (3 if probe else 2) * objectives[0].calls_per_value
-    n_iter, end_reason = max_iters, "max_iters"
-    if eval_budget is not None and max_iters > 0:
-        # the check after step k sees the setup call and k + 1 steps' calls
-        steps = max(1, -(-(eval_budget - (after_init[0] - start_evals[0])) // per_step))
-        if steps <= max_iters:
-            n_iter, end_reason = steps, "eval_budget"
+        else:
+            step = row_stepsizes(list(rules))
+    per_step = 2 * objectives[0].calls_per_value
 
     code = _index_code(d)
     keep_steps = _kept_steps(gammas, table, record_index) is not None  # no gamma column
     columns = [(array("d"), None if keep_steps else array("d"), array("b"),
                 array("d") if track_grad_norm else None,
                 array(code) if record_index or coord else None) for _ in seeds]
-    kept = [([], array(code) if coord else []) if retain_internals else (None, None)
-            for _ in seeds]
     traces: list[RunTrace | None] = [None] * n
     rows = chunk_rows(d, n)
-    streams = [chunks(dist, np.random.default_rng(seed), n_iter, rows)
+    streams = [chunks(dist, np.random.default_rng(seed), max_iters, rows)
                for dist, seed in zip(dists, seeds)]
     # rows p, m + p and 2m + p of XW[0] and XW[1] hold z, z+, z- and v, v+, v-
     # of live row p.  Over a coordinate law the z+ and z- rows hold z between
@@ -490,15 +493,11 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
     XW = np.tile(ZV, (1, 3, 1))
     F = [st.f_z for st in states]
     last = [None] * n
-    t = np.array([r.t for r in rules]) if probe else None
-    step = None if gammas is not None or table is not None else row_stepsizes(list(rules))
     gradient = objectives[0].gradient_batch
+    evaluate = objectives[0].fn_batch  # counted when a row finishes
     one_minus_beta = 1.0 - beta
     live = list(range(n))  # the seed position of each row
-    live_objectives = [objectives[r] for r in live]
     G = None  # a fixed rule's steps over the chunk, (chunk rows, live rows)
-    batch = objectives[0].fn_batch  # counted when a row finishes
-    evaluate = batch if batch is not None else lambda X: value_rows(live_objectives, X)
 
     def finish(p: int, r: int, reason: str) -> None:
         """Row p's trace, from its columns and final state."""
@@ -518,20 +517,20 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
                             None if table is None else table[p], record_index)
         traces[r] = RunTrace(f_z, gamma, branch, _evals(after_init[r], per_step, n_steps), state,
                              seeds[r], states[r].f_z, reason, grad_norm,
-                             index if record_index else None, *kept[r], steps)
+                             index if record_index else None, steps=steps)
 
     def shape():
         """What depends on the live rows and the chunk: views of XW, the
         rows' column appenders, over coordinates the drawn indices and their
-        flat cells in the z, z+ and z- rows of XW[0], and given a fixed
-        rule's steps G, the stepsizes, h = gamma / (1 - beta) and the
-        candidates' change (-h, h) over coordinates, h otherwise."""
+        flat cells in the z+ and z- rows of XW[0], and given a fixed rule's
+        steps G, h = gamma / (1 - beta) and the candidates' change (-h, h)
+        over coordinates, h otherwise."""
         m = len(live)
         appends = [(columns[r][0].append, columns[r][2].append) for r in live]
         gamma_appends = None if G is not None or keep_steps else [
             columns[r][1].append for r in live]
         index = block.tolist() if coord else None
-        cells = np.tile(block, 3) + np.arange(3 * m) * d if coord else None
+        cells = np.tile(block, 2) + np.arange(m, 3 * m) * d if coord else None
         H = delta = None
         if G is not None:
             H = G / one_minus_beta
@@ -539,7 +538,7 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
         return (m, XW[0, :m], XW[0, m:], XW[0].reshape(-1), appends, gamma_appends, index,
                 cells, H, delta)
 
-    for k in range(n_iter):
+    for k in range(max_iters):
         j = k % rows
         if j == 0:
             first = next(streams[0])  # (rows[, d]); the block holds every row's
@@ -558,34 +557,19 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
                     index_col.frombytes(block[:, p].astype(code).tobytes())
             m, Z, C, flat, appends, gamma_appends, index, cells, H, delta = shape()
         drawn = block[j]
-        if retain_internals:
-            for p, r in enumerate(live):
-                kept[r][0].append(Z[p].copy())
-                kept[r][1].append(index[j][p] if coord else drawn[p])
         if track_grad_norm:
             for r, norm in zip(live, d_norm_rows(norm_constants, gradient(Z)).tolist()):
                 columns[r][3].append(norm)
         if step is None:
             g, h, change = G[j], H[j], delta[j]
         else:
-            P = None
-            if probe:
-                if coord:
-                    Zt = Z.copy()
-                    Zf = Zt.reshape(-1)
-                    cell = cells[j, :m]
-                    Zf[cell] = Zf.take(cell) + t
-                else:
-                    Zt = Z + t[:, None] * drawn
-                P = evaluate(Zt)
-                _check_finite(k, P)
-            g = step(k, np.array(F), P, drawn if coord else None)
+            g = step(k, np.array(F))
             h = g / one_minus_beta
             change = np.concatenate((-h, h)) if coord else h
             for append, gamma in zip(gamma_appends, g):
                 append(gamma)
         if coord:  # z_i + -h and z_i + h: the scalar step's z_i - h and z_i + h
-            cand = cells[j, m:]
+            cand = cells[j]
             z_i = flat.take(cand)
             flat[cand] = z_i + change
         else:
@@ -636,20 +620,19 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, eval_b
             if not keep:
                 break
             live = [live[p] for p in keep]
-            live_objectives = [objectives[r] for r in live]
             streams = [streams[p] for p in keep]
             F = [F[p] for p in keep]
             ZV = XW[:, keep]
             XW = np.tile(ZV, (1, 3, 1))
             block = block[:, keep]
-            t, gammas, table = (None if a is None else a[keep] for a in (t, gammas, table))
+            gammas, table = (None if a is None else a[keep] for a in (gammas, table))
             if step is not None:
                 step = row_stepsizes([rules[r] for r in live])
             G = None if G is None else G[:, keep]
             m, Z, C, flat, appends, gamma_appends, index, cells, H, delta = shape()
     else:
         for p, r in enumerate(live):
-            finish(p, r, end_reason)
+            finish(p, r, "max_iters")
     if coord:
         _replay_momenta(traces, columns, last, beta)
     return traces

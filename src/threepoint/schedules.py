@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -323,59 +322,39 @@ def require_unit_law(schedule, kind: str) -> None:
 
 
 def row_stepsizes(rules: list):
-    """Stepsize of many rows at once, row r under rules[r], all of one class.
+    """SolutionDependent's stepsize of many rows at once, row r under rules[r].
 
-    Returns step(k, f_z, probe, index): gamma for every row at iteration k,
-    from the rows' f(z), probe values (None without a probe) and drawn
-    coordinates (None off a coordinate law), checked as stepsize() checks
-    it.  The rows' direction law is checked once per run (require_unit_law)
-    before, so the rules do not check directions.  Each row gets bit for bit
-    what stepsize() gives its rule: SolutionDependent runs elementwise in the
-    scalar form's order, over per-row parameter columns; every other class
-    is evaluated row by row.
+    Returns step(k, f_z): gamma for every row at iteration k from the rows'
+    f(z), checked as stepsize() checks it.  It runs elementwise in the scalar
+    form's order over per-row parameter columns, so each row gets bit for
+    bit what stepsize() gives its rule.
     """
-    formula = _row_formula(rules)
+    def col(name):
+        return np.array([getattr(r, name) for r in rules])
 
-    def step(k, f_z, probe, index):
-        gamma = formula(k, f_z, probe, index)
+    f_star, two_mu, one_minus_beta = col("f_star"), 2.0 * col("mu"), 1.0 - col("beta")
+    mu_d, L = col("mu_d"), col("L")
+    fixed = not any(callable(r.theta_k) for r in rules)
+    # ((1-beta) theta_k) mu_d: the scalar form's head
+    head = one_minus_beta * np.array([_theta_k_value(r.theta_k, 0) for r in rules]) * mu_d
+
+    def step(k, f_z):
+        gap = f_z - f_star
+        if min(gap.tolist()) < 0.0:
+            r = int(np.argmin(gap))
+            raise ValueError(f"f_z = {float(f_z[r])!r} is below the declared f_star = "
+                             f"{float(f_star[r])!r}")
+        lead = head if fixed else one_minus_beta * np.array(
+            [_theta_k_value(r.theta_k, k) for r in rules]) * mu_d
+        gamma = lead * np.sqrt(two_mu * gap) / L
         values = gamma.tolist()
-        if not (min(values) >= 0.0 and math.isfinite(sum(values))):  # min may skip a NaN
+        if not math.isfinite(sum(values)):  # finite whenever every value is, bar an overflow
             for g in values:
-                if not (g >= 0.0 and math.isfinite(g)):
+                if not math.isfinite(g):
                     raise ValueError(f"schedule produced an invalid stepsize {g!r}")
         return gamma
 
     return step
-
-
-def _row_formula(rules: list):
-    if isinstance(rules[0], SolutionDependent):
-        def col(name):
-            return np.array([getattr(r, name) for r in rules])
-
-        f_star, two_mu, one_minus_beta = col("f_star"), 2.0 * col("mu"), 1.0 - col("beta")
-        mu_d, L = col("mu_d"), col("L")
-        fixed = not any(callable(r.theta_k) for r in rules)
-        # ((1-beta) theta_k) mu_d: the scalar form's head
-        head = one_minus_beta * np.array([_theta_k_value(r.theta_k, 0) for r in rules]) * mu_d
-
-        def solution_dependent(k, f_z, probe, index):
-            gap = f_z - f_star
-            if min(gap.tolist()) < 0.0:
-                r = int(np.argmin(gap))
-                raise ValueError(f"f_z = {float(f_z[r])!r} is below the declared f_star = "
-                                 f"{float(f_star[r])!r}")
-            lead = head if fixed else one_minus_beta * np.array(
-                [_theta_k_value(r.theta_k, k) for r in rules]) * mu_d
-            return lead * np.sqrt(two_mu * gap) / L
-        return solution_dependent
-
-    def by_row(k, f_z, probe, index):
-        probe = repeat(None) if probe is None else probe.tolist()
-        index = repeat(None) if index is None else index.tolist()
-        return np.array([r.stepsize(StepContext(k, f, p, i, unit_checked=True))
-                         for r, f, p, i in zip(rules, f_z.tolist(), probe, index)])
-    return by_row
 
 
 def optimal_gamma0(beta: float, f0_gap: float, L: float, gamma_d: float) -> float:

@@ -2,9 +2,11 @@
 
 harness.run_block advances the seeds of a config together as the rows of
 (S, d) arrays; harness.run_once runs one seed through the scalar loop, which
-is the reference.  The properties draw random laws, rules, beta, stops,
-noise and seed lists.  compare runs the rows of several configs together,
-each row with its own law, and must equal each config run alone.
+is the reference.  The properties draw random laws, rules, beta, stops and
+seed lists of the shapes the block admits (optimizers.block_supports).
+compare runs the rows of several configs together, each row with its own
+law, and must equal each config run alone.  Every other shape runs per seed
+through run_once, with the same traces.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from threepoint import directions, harness, objectives, optimizers, schedules
 from threepoint.harness import parse_config, run_experiment, run_once
 
 LAWS = ("sphere", "gaussian", "coord_uniform", "coord_weighted", "orthonormal_weighted")
+KINDS = ("constant", "fixed_horizon", "solution_dependent")  # the rules the block admits
 
 
 def _weights(d: int) -> str:
@@ -30,41 +33,24 @@ def _weights(d: int) -> str:
 
 @st.composite
 def configs(draw) -> str:
-    """A small config over any method, law, rule and stop that parses."""
+    """A small config that parses, over any method, law, fixed or
+    solution_dependent rule and epsilon stop the block admits: a quadratic,
+    shifted or not, with no noise, eval_budget or retained internals."""
     method = draw(st.sampled_from(("smtp", "stp", "smtp_is")))
-    objective = draw(st.sampled_from(("quadratic", "shifted", "rosenbrock", "lqr")))
-    if method == "smtp_is":
-        objective = draw(st.sampled_from(("quadratic", "shifted")))  # IS rules read coord_L
     betas = (0.0,) if method == "stp" else (0.0, 0.3, 0.5, 0.9)  # stp takes beta 0 alone
     max_iters = draw(st.integers(0, 300))
+    d = draw(st.integers(2, 12))
     lines = [f"method = {method}", f"beta = {draw(st.sampled_from(betas))}",
-             f"max_iters = {max_iters}"]
-    if objective == "lqr":
-        d_state, d_ctrl = draw(st.sampled_from(((2, 1), (3, 1), (3, 2))))
-        d = d_state * d_ctrl
-        lines += ["objective = lqr", f"horizon = {draw(st.integers(1, 3))}",
-                  f"d_state = {d_state}", f"d_ctrl = {d_ctrl}", "x0 = zeros"]
-        rules = ("constant", "fixed_horizon", "decreasing")
-    else:
-        d = draw(st.integers(2, 12))
-        lines += [f"objective = {'quadratic' if objective == 'shifted' else objective}",
-                  f"dimension = {d}"]
-        if objective == "rosenbrock":
-            lines.append(f"x0_scale = {draw(st.sampled_from((-1.0, 0.5, 1.5)))}")
-            rules = ("constant", "fixed_horizon", "decreasing", "solution_free")
-        else:
-            lines += [f"coord_L = logspace:1,{draw(st.sampled_from((1, 10, 100)))}",
-                      f"x0_scale = {draw(st.sampled_from((0.1, 1.0, 3.0)))}"]
-            if objective == "shifted":
-                lines.append("shift = " + ",".join(repr(0.25 * (-1) ** i) for i in range(d)))
-            rules = ("constant", "fixed_horizon", "decreasing", "solution_dependent",
-                     "solution_free")
-        lines.append(f"track_grad_norm = {draw(st.booleans())}")
-    rule = draw(st.sampled_from(rules))
+             f"max_iters = {max_iters}", "objective = quadratic", f"dimension = {d}",
+             f"coord_L = logspace:1,{draw(st.sampled_from((1, 10, 100)))}",
+             f"x0_scale = {draw(st.sampled_from((0.1, 1.0, 3.0)))}",
+             f"track_grad_norm = {draw(st.booleans())}"]
+    if draw(st.booleans()):
+        lines.append("shift = " + ",".join(repr(0.25 * (-1) ** i) for i in range(d)))
+    # smtp_is's solution_dependent rule has no row formula
+    rule = draw(st.sampled_from(KINDS[:2] if method == "smtp_is" else KINDS))
     if method != "smtp_is":
         law = draw(st.sampled_from(LAWS))
-        if rule == "solution_free" and law == "gaussian":
-            law = "sphere"
         lines.append(f"distribution = {law}")
         if law in ("coord_weighted", "orthonormal_weighted"):
             lines.append(f"weights = {_weights(d)}")
@@ -75,23 +61,14 @@ def configs(draw) -> str:
     lines.append(f"schedule.kind = {rule}")
     lines += {
         "constant": [f"schedule.gamma = {draw(st.sampled_from((1e-3, 0.01, 0.05)))}"],
-        "fixed_horizon": [f"schedule.gamma0 = "
-                          f"{'optimal' if objective != 'lqr' and draw(st.booleans()) else 0.05}"]
+        "fixed_horizon": [f"schedule.gamma0 = {'optimal' if draw(st.booleans()) else 0.05}"]
         # the horizon defaults to max_iters, which must then be at least 1
         + ([f"schedule.horizon = {draw(st.integers(1, 400))}"]
            if max_iters == 0 or draw(st.booleans()) else []),
-        "decreasing": ["schedule.alpha = 1", "schedule.theta = 4"],
         "solution_dependent": [],
-        "solution_free": [f"schedule.t = {draw(st.sampled_from((1e-4, 1e-3)))}"],
     }[rule]
     if draw(st.booleans()):
         lines.append(f"epsilon = {draw(st.sampled_from((0.5, 0.05, 1e-3)))}")
-    if draw(st.booleans()):
-        lines.append(f"eval_budget = {draw(st.integers(1, 700))}")
-    if draw(st.booleans()):
-        lines += [f"noise.sigma = {draw(st.sampled_from((0.0, 1e-4, 1e-2)))}",
-                  f"noise.k = {draw(st.integers(1, 3))}"]
-    lines.append(f"retain_internals = {draw(st.booleans())}")
     return "\n".join(lines)
 
 
@@ -139,24 +116,33 @@ def test_block_equals_per_seed_runs(text, seeds, extra):
         assert [_fingerprint(t, o) for t, o in zip(more[:-1], more_objs)] == expected
 
 
-@pytest.mark.parametrize("text", [
-    "method = smtp_is\nbeta = 0.5\nis.p = prop_L\nschedule.kind = constant\nschedule.gamma = 0.02",
-    "method = smtp_is\nbeta = 0.5\nis.w = ones\nschedule.kind = decreasing\n"
-    "schedule.alpha = 1\nschedule.theta = 4",
-    "method = smtp\nbeta = 0.5\ndistribution = coord_uniform\nschedule.kind = fixed_horizon\n"
-    "schedule.gamma0 = optimal\nnoise.sigma = 1e-4\nnoise.k = 2",
-    "method = stp\ndistribution = sphere\nschedule.kind = solution_free\nschedule.t = 1e-3",
-], ids=["is_table", "is_decreasing", "coord_fixed_noisy", "sphere_probe"])
-def test_block_with_staggered_stops(text):
+@pytest.mark.parametrize("text, block", [
+    ("method = smtp_is\nbeta = 0.5\nis.p = prop_L\nschedule.kind = constant\n"
+     "schedule.gamma = 0.02", True),
+    ("method = smtp\nbeta = 0.5\ndistribution = coord_uniform\nschedule.kind = fixed_horizon\n"
+     "schedule.gamma0 = optimal", True),
+    ("method = stp\ndistribution = sphere\nschedule.kind = solution_dependent", True),
+    ("method = smtp_is\nbeta = 0.5\nis.w = ones\nschedule.kind = decreasing\n"
+     "schedule.alpha = 1\nschedule.theta = 4", False),
+    ("method = smtp\nbeta = 0.5\ndistribution = coord_uniform\nschedule.kind = fixed_horizon\n"
+     "schedule.gamma0 = optimal\nnoise.sigma = 1e-4\nnoise.k = 2", False),
+    ("method = stp\ndistribution = sphere\nschedule.kind = solution_free\nschedule.t = 1e-3",
+     False),
+], ids=["is_table", "coord_fixed", "sphere_dependent", "is_decreasing", "coord_fixed_noisy",
+        "sphere_probe"])
+def test_block_with_staggered_stops(text, block, monkeypatch):
     # a dozen seeds that reach epsilon at scattered steps: rows leave one or
-    # several at a time, often within one draw chunk, down to the last row
+    # several at a time, often within one draw chunk, down to the last row;
+    # the shapes the block declines run each seed through run_once instead
     cfg = parse_config(text + "\nobjective = quadratic\ndimension = 6\n"
                        "coord_L = logspace:1,30\nepsilon = 1e-3\nmax_iters = 3000\nseeds = 12")
     runs = [run_once(cfg, seed) for seed in cfg.seeds]
     assert len({len(trace.f_z) for trace, _ in runs}) > 6  # the stops are scattered
     expected = [_fingerprint(*run) for run in runs]
-    traces, objs = harness.run_block([cfg] * len(cfg.seeds), cfg.seeds)
-    assert [_fingerprint(t, o) for t, o in zip(traces, objs)] == expected
+    calls = _counting(monkeypatch)
+    got = harness._run_seeds([(cfg, seed) for seed in cfg.seeds])
+    assert [_fingerprint(t, o) for t, o, _ in got] == expected
+    assert calls == [("block", 12)] + ([] if block else [("once", "run", s) for s in cfg.seeds])
 
 
 def _artifacts(out: str) -> dict:
@@ -214,22 +200,66 @@ def test_run_experiment_runs_blocks_from_the_crossover(monkeypatch):
     assert calls == {"block": 1, "once": n - 1}
 
 
+DECLINED_BASE = ("method = smtp\nbeta = 0.5\nobjective = quadratic\ndimension = 4\n"
+                 "coord_L = logspace:1,10\ndistribution = sphere\nschedule.kind = constant\n"
+                 "schedule.gamma = 0.01\nmax_iters = 200\nepsilon = 1e-3\nseeds = 4\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("seeds = 4", "seeds = 4\nnoise.sigma = 1e-4", "fn_batch"),
+    ("objective = quadratic\ndimension = 4\ncoord_L = logspace:1,10",
+     "objective = rosenbrock\ndimension = 4\nx0_scale = 0.5", "fn_batch"),
+    ("seeds = 4", "seeds = 4\neval_budget = 150", "eval_budget"),
+    ("seeds = 4", "seeds = 4\nretain_internals = true", "retains"),
+    ("schedule.kind = constant\nschedule.gamma = 0.01", "schedule.kind = solution_free\n"
+     "schedule.t = 1e-3", "solution_dependent rule"),
+    ("schedule.kind = constant\nschedule.gamma = 0.01", "schedule.kind = decreasing\n"
+     "schedule.alpha = 1\nschedule.theta = 4", "solution_dependent rule"),
+    ("method = smtp\nbeta = 0.5\nobjective = quadratic\ndimension = 4\n"
+     "coord_L = logspace:1,10\ndistribution = sphere\nschedule.kind = constant\n"
+     "schedule.gamma = 0.01", "method = smtp_is\nbeta = 0.5\nobjective = quadratic\n"
+     "dimension = 4\ncoord_L = logspace:1,10\nschedule.kind = solution_dependent",
+     "solution_dependent rule"),
+], ids=["noisy", "rosenbrock", "eval_budget", "retain_internals", "solution_free",
+        "decreasing", "is_solution_dependent"])
+def test_declined_shapes_run_per_seed(old, new, message, monkeypatch):
+    # the block declines these shapes, and a 4-seed run sends every row through
+    # run_once, with the traces of the one-seed runs
+    cfg = parse_config(DECLINED_BASE.replace(old, new))
+    expected = [_fingerprint(*run_once(cfg, seed)) for seed in cfg.seeds]
+    with pytest.raises(ValueError, match=message):
+        harness.run_block([cfg] * len(cfg.seeds), cfg.seeds)
+    calls, got, run_seeds = _counting(monkeypatch), [], harness._run_seeds
+
+    def recording(rows):
+        runs = run_seeds(rows)
+        got.extend(_fingerprint(t, o) for t, o, _ in runs)
+        return runs
+
+    monkeypatch.setattr(harness, "_run_seeds", recording)
+    run_experiment(cfg, write=False)
+    assert [call for call in calls if call[0] == "once"] == [("once", "run", s) for s in cfg.seeds]
+    assert got == expected
+
+
 def test_failing_block_reports_the_one_seed_error():
-    # noise drives f below f_star = 0: seed 1 fails first in the block, but a run
-    # reports seed 0's error, the one its one-seed run raises, named by label and seed
-    text = ("objective = quadratic\ndimension = 3\ndistribution = sphere\n"
-            "schedule.kind = solution_dependent\nmax_iters = 200\nseeds = 4\n"
-            "noise.sigma = 0.3\n")
+    # a step along coordinate 2 (L = 1e20) overflows f, and each seed first
+    # draws it at its own step (seed 6 at step 4, seed 9 at step 1): seed 9 fails
+    # first in the block, but a run reports seed 6's error, the one its one-seed
+    # run raises, named by label and seed
+    text = ("objective = quadratic\ndimension = 3\ncoord_L = 1,1,1e20\n"
+            "distribution = coord_uniform\nschedule.kind = constant\nschedule.gamma = 1e150\n"
+            "max_iters = 200\nseeds = 6,9,1,11\n")
     cfg = parse_config(text)
-    with pytest.raises(ValueError, match="below the declared f_star") as alone:
-        run_once(cfg, 0)
-    with pytest.raises(ValueError, match="below the declared f_star") as block:
+    with pytest.raises(optimizers.NonFiniteObjectiveError, match="iteration 4") as alone:
+        run_once(cfg, 6)
+    with pytest.raises(optimizers.NonFiniteObjectiveError) as block:
         harness.run_block([cfg] * len(cfg.seeds), cfg.seeds)
     assert str(block.value) != str(alone.value)
-    with pytest.raises(ValueError) as run:
+    with pytest.raises(optimizers.NonFiniteObjectiveError) as run:
         run_experiment(cfg, write=False)
     assert type(run.value) is type(alone.value)
-    assert str(run.value) == f"run seed 0: {alone.value}"
+    assert str(run.value) == f"run seed 6: {alone.value}"
 
 
 def test_coordinate_block_overflow_reports_the_one_seed_error():
@@ -282,8 +312,8 @@ def test_block_breaks_ties_as_the_scalar_step(law):
                                                   False, False, dist, nc), o)
                 for o, s in zip(objs, seeds)]
     objs = [make() for _ in seeds]
-    traces = optimizers.run_block(objs, [rule] * 3, 0.5, np.zeros(3), 20, seeds, None, None, False,
-                                  False, [dist] * 3, nc)
+    traces = optimizers.run_block(objs, [rule] * 3, 0.5, np.zeros(3), 20, seeds, None, False,
+                                  [dist] * 3, nc)
     assert {trace.branch[0] for trace in traces} == {optimizers.PLUS}
     assert [_fingerprint(t, o) for t, o in zip(traces, objs)] == expected
 
@@ -299,30 +329,28 @@ def test_wide_coordinate_block():
                                                   False, dist, nc), o)
                 for o, s in zip(objs, seeds)]
     objs = [objectives.make_quadratic(np.logspace(0, 1, 5)) for _ in seeds]
-    traces = optimizers.run_block(objs, [rule] * 40, 0.5, x0, 300, seeds, None, None, False,
-                                  False, [dist] * 40, nc)
+    traces = optimizers.run_block(objs, [rule] * 40, 0.5, x0, 300, seeds, None, False,
+                                  [dist] * 40, nc)
     assert [_fingerprint(t, o) for t, o in zip(traces, objs)] == expected
 
 
 # --- configs of a compare share blocks -------------------------------------
 
-KINDS = ("constant", "fixed_horizon", "decreasing", "solution_dependent", "solution_free")
 BETAS = (0.0, 0.3, 0.5, 0.9)
 
 
 @st.composite
 def compares(draw) -> list[str]:
-    """Two to four configs over one objective block and epsilon.  Most share
-    the method, beta, rule kind, max_iters and track_grad_norm, so their rows
-    share a block across uniform and prop_L is.p and laws of one shape; the
-    rest, stp beside smtp among them, force separate groups."""
+    """Two to four configs over one noise-free quadratic and epsilon, of the
+    shapes the block admits.  Most share the method, beta, rule kind,
+    max_iters and track_grad_norm, so their rows share a block across uniform
+    and prop_L is.p and laws of one shape; the rest, stp beside smtp among
+    them, force separate groups."""
     d = draw(st.integers(2, 8))
     shared = ["objective = quadratic", f"dimension = {d}",
               f"coord_L = logspace:1,{draw(st.sampled_from((10, 100)))}",
               f"x0_scale = {draw(st.sampled_from((0.3, 1.0)))}",
               f"epsilon = {draw(st.sampled_from((0.05, 1e-3)))}"]
-    if draw(st.booleans()):
-        shared.append("noise.sigma = 1e-4")
     kind, max_iters, track = (draw(st.sampled_from(KINDS)), draw(st.integers(1, 200)),
                               draw(st.booleans()))
     methods = ("stp", "smtp", "smtp_is")
@@ -331,6 +359,8 @@ def compares(draw) -> list[str]:
     for _ in range(draw(st.integers(2, 4))):
         method = shared_method if draw(st.booleans()) else draw(st.sampled_from(methods))
         rule = kind if draw(st.integers(0, 3)) else draw(st.sampled_from(KINDS))
+        if method == "smtp_is" and rule == "solution_dependent":  # no row formula
+            rule = "constant"
         lines = [*shared, f"method = {method}",
                  f"max_iters = {max_iters if draw(st.integers(0, 3)) else draw(st.integers(1, 200))}",
                  f"track_grad_norm = {track if draw(st.integers(0, 3)) else not track}",
@@ -344,8 +374,6 @@ def compares(draw) -> list[str]:
                       f"is.w = {draw(st.sampled_from(('coord_L', 'ones')))}"]
         else:
             law = draw(st.sampled_from(LAWS))
-            if rule == "solution_free" and law == "gaussian":
-                law = "sphere"
             lines.append(f"distribution = {law}")
             if law in ("coord_weighted", "orthonormal_weighted"):
                 lines.append(f"weights = {_weights(d)}")
@@ -355,9 +383,7 @@ def compares(draw) -> list[str]:
         lines += {
             "constant": [f"schedule.gamma = {draw(st.sampled_from((0.01, 0.05)))}"],
             "fixed_horizon": [f"schedule.gamma0 = {draw(st.sampled_from(('optimal', '0.05')))}"],
-            "decreasing": ["schedule.alpha = 1", "schedule.theta = 4"],
             "solution_dependent": [],
-            "solution_free": [f"schedule.t = {draw(st.sampled_from((1e-4, 1e-3)))}"],
         }[rule]
         texts.append("\n".join(lines))
     return texts
@@ -443,9 +469,10 @@ def test_compare_below_the_crossover_runs_rows_in_config_order(monkeypatch):
     assert calls == [("block", 4), ("once", "b", 0)]
     # rules of two kinds run as two groups, however many rows they have together
     calls.clear()
-    configs = [parse_config(short.replace("schedule.kind = constant", "schedule.kind = decreasing")
-                            .replace("schedule.gamma = 0.01", "schedule.alpha = 1\n"
-                                     "schedule.theta = 4") + "is.p = prop_L\nseeds = 4", label="a"),
+    configs = [parse_config(short.replace("schedule.kind = constant",
+                                          "schedule.kind = fixed_horizon")
+                            .replace("schedule.gamma = 0.01", "schedule.gamma0 = 0.5")
+                            + "is.p = prop_L\nseeds = 4", label="a"),
                parse_config(short + "is.p = prop_L\nseeds = 4", label="b")]
     harness.compare_methods(configs)
     assert calls == [("block", 4), ("block", 4)]
@@ -453,7 +480,7 @@ def test_compare_below_the_crossover_runs_rows_in_config_order(monkeypatch):
 
 @st.composite
 def blocks(draw):
-    """Rows of one shape and beta with their own law and rule parameters."""
+    """Rows of one admitted shape and beta with their own law and rule parameters."""
     d = draw(st.integers(2, 7))
     n = draw(st.integers(1, 6))
     coord = draw(st.booleans())
@@ -467,8 +494,6 @@ def blocks(draw):
             law = draw(st.sampled_from(("coord_uniform", "coord_weighted")))
         else:
             law = draw(st.sampled_from(("sphere", "gaussian", "orthonormal_weighted")))
-            if kind == "solution_free" and law == "gaussian":
-                law = "sphere"
         basis = None
         if law == "orthonormal_weighted":
             gen = np.random.default_rng(draw(st.integers(0, 9)))
@@ -480,31 +505,27 @@ def blocks(draw):
         rules.append({
             "constant": schedules.Constant(gamma),
             "fixed_horizon": schedules.FixedHorizon(gamma, 50),
-            "decreasing": schedules.Decreasing(1.0, draw(st.sampled_from((4.0, 8.0)))),
             "solution_dependent": schedules.SolutionDependent(1.0, 100.0, 0.5, 0.0, beta),
-            "solution_free": schedules.SolutionFree(100.0, 1e-3, beta),
         }[kind])
     seeds = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
-    stops = (draw(st.integers(0, 150)), draw(st.sampled_from((None, 0.05, 1e-3))),
-             draw(st.sampled_from((None, 60, 201))))
+    stops = (draw(st.integers(0, 150)), draw(st.sampled_from((None, 0.05, 1e-3))))
     record_index = coord and draw(st.booleans())  # a vector law draws no index
-    return d, beta, dists, rules, seeds, stops, (draw(st.booleans()), draw(st.booleans()),
-                                                 record_index)
+    return d, beta, dists, rules, seeds, stops, (draw(st.booleans()), record_index)
 
 
 @settings(max_examples=60, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=blocks())
 def test_run_block_equals_run_loop_per_row(case):
-    d, beta, dists, rules, seeds, (max_iters, eps, budget), (retain, track, index) = case
+    d, beta, dists, rules, seeds, (max_iters, eps), (track, index) = case
     coord_L = np.logspace(0, 2, d)
     nc = directions.constants(dists[0])
     x0 = np.ones(d)
     objs = [objectives.make_quadratic(coord_L) for _ in seeds]
-    expected = [_fingerprint(optimizers._run_loop(o, r, beta, x0, max_iters, s, eps, budget,
-                                                  retain, track, dist, nc, index), o)
+    expected = [_fingerprint(optimizers._run_loop(o, r, beta, x0, max_iters, s, eps, None,
+                                                  False, track, dist, nc, index), o)
                 for o, r, s, dist in zip(objs, rules, seeds, dists)]
     objs = [objectives.make_quadratic(coord_L) for _ in seeds]
-    traces = optimizers.run_block(objs, rules, beta, x0, max_iters, seeds, eps, budget, retain,
-                                  track, dists, nc, index)
+    traces = optimizers.run_block(objs, rules, beta, x0, max_iters, seeds, eps, track, dists, nc,
+                                  index)
     assert [_fingerprint(t, o) for t, o in zip(traces, objs)] == expected

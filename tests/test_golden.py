@@ -212,8 +212,16 @@ def test_trace_digests(label, tmp_path):
 
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_lockstep_trace_digests(label, tmp_path, monkeypatch):
-    # the same digests with both seeds run as one block; run_once is gone, so a
-    # block that raised could not fall back to it
+    # the same digests with both seeds sent to a block.  A case the block
+    # admits runs as one, with run_once gone so that a block that raised could
+    # not fall back to it; every other case runs each seed through run_once
+    cfg = parse_config(BASE + "\n" + CASES[label], label=label)
+    obj = harness.build_objective(cfg, cfg.seeds[0])
+    parts = harness.build_run(cfg, obj, harness.build_x0(cfg, obj.dimension))
+    admitted = optimizers.block_supports(obj, parts.schedule, parts.dist)
     monkeypatch.setattr(optimizers, "BLOCK_MIN_ROWS", 1)
-    monkeypatch.setattr(harness, "run_once", None)
+    once, calls = harness.run_once, []
+    monkeypatch.setattr(harness, "run_once", None if admitted else
+                        lambda c, seed: calls.append(seed) or once(c, seed))
     test_trace_digests(label, tmp_path)
+    assert calls == ([] if admitted else list(cfg.seeds))

@@ -88,6 +88,7 @@ class TestParsing:
             "is.w = ones",
             "schedule.kind = constant",
             "schedule.gamma = 0.01",
+            "theorem = IS-NC",
             "checkpoints = 10,25,50",
             "jobs = 2",
         ])
@@ -260,13 +261,34 @@ class TestParsing:
          "schedule.kind = constant needs schedule.gamma"),
         ("schedule.kind = solution_dependent", "schedule.kind = solution_free", 7,
          "schedule.kind = solution_free needs schedule.t"),
+        ("seeds = 3", "seeds = 3\nis.p = prop_L", 10, "is.p is read only by method smtp_is"),
+        (QUAD_BASE, QUAD_BASE.replace("method = smtp", "method = stp")
+         .replace("beta = 0.5", "beta = 0.0") + "\nis.w = ones", 10,
+         "is.w is read only by method smtp_is"),
+        ("seeds = 3", "seeds = 3\nhorizon = 5", 10, "horizon is read only by objective lqr"),
+        ("seeds = 3", "seeds = 3\nd_state = 2", 10, "d_state is read only by objective lqr"),
+        ("seeds = 3", "seeds = 3\nd_ctrl = 1", 10, "d_ctrl is read only by objective lqr"),
+        ("objective = quadratic\ndimension = 4\ncoord_L = logspace:1,4",
+         "objective = lqr\ndimension = 2\nhorizon = 3\nd_state = 2\nd_ctrl = 1", 4,
+         "dimension is read only by objective quadratic or rosenbrock"),
+        ("seeds = 3", "seeds = 3\nnoise.k = 3", 10, "noise.k is read only by noise.sigma"),
+        ("seeds = 3", "seeds = 3\ncheckpoints = 10,20", 10, "checkpoints is read only by a theorem"),
+        ("seeds = 3", "seeds = 3\nr0 = 1.5", 10,
+         "r0 is read only by a CVX theorem or schedule.alpha = auto"),
+        ("coord_L = logspace:1,4", "coord_L = -1,2,3,4", 5, "coord_L must be strictly positive"),
+        ("dimension = 4", "dimension = 0", 4, "dimension must be >= 1"),
+        ("seeds = 3", "seeds = 3\nshift = 1,2", 10, "shift has 2 entries, expected 4"),
+        ("seeds = 3", "seeds = 3\nnoise.sigma = 0.1\nnoise.k = 0", 11, "noise.k must be >= 1"),
     ], ids=["jobs", "max_iters", "seeds", "noise.sigma", "dimension", "lqr_size", "distribution",
             "smtp_is_distribution", "repeated_seeds", "nc_needs_grad_norm", "envelope_max_iters",
             "lqr_grad_norm", "r0", "gamma0", "alpha", "theta", "t", "gaussian_weights",
             "smtp_is_weights", "gaussian_basis", "coord_weighted_basis",
             "fixed_horizon_without_horizon", "fixed_horizon_horizon_0", "stp_beta",
             "rosenbrock_dimension", "coord_L_entries", "lqr_coord_L",
-            "constant_without_gamma", "solution_free_without_t"])
+            "constant_without_gamma", "solution_free_without_t", "smtp_is_p", "stp_is_w",
+            "horizon_off_lqr", "d_state_off_lqr", "d_ctrl_off_lqr", "lqr_dimension",
+            "noise_k_without_sigma", "checkpoints_without_theorem", "unread_r0",
+            "coord_L_positive", "dimension_0", "shift_entries", "noise_k_0"])
     def test_validation_errors_name_their_line(self, old, new, line, message):
         with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
             parse_config(QUAD_BASE.replace(old, new))

@@ -14,7 +14,6 @@ from threepoint.objectives import (
     make_lqr,
     make_quadratic,
     make_rosenbrock,
-    value_rows,
     wrap_noise,
 )
 
@@ -240,18 +239,22 @@ def _objectives(d: int):
 class TestBatch:
     @pytest.mark.parametrize("d", [1, 2, 10, 33])
     def test_value_batch_equals_value_bitwise(self, d):
-        # the block loop evaluates batches; a trace equals the one-point run's
-        # only if every row's value is bit for bit value()'s
+        # the block loop evaluates batches through fn_batch; a trace equals the
+        # one-point run's only if every row's value is bit for bit value()'s
         rng = np.random.default_rng(100 + d)
+        batched = 0
         for name, build in _objectives(d).items():
-            batched, single = build(), build()
+            obj = build()
+            if obj.fn_batch is None:
+                continue
+            batched += 1
             for size in range(1, 65):
                 X = rng.standard_normal((size, d)) * 10.0 ** rng.integers(-4, 2)
-                got = batched.value_batch(X)
+                got = obj.fn_batch(X)
                 assert got.shape == (size,), name
                 for r in range(size):
-                    assert got[r] == single.value(X[r]), (name, size, r)
-            assert batched.eval_counter == single.eval_counter, name
+                    assert got[r] == obj.value(X[r]), (name, size, r)
+        assert batched == 2  # the quadratic, shifted or not
 
     @pytest.mark.parametrize("d", [2, 10, 33])
     def test_gradient_batch_equals_gradient_bitwise(self, d):
@@ -262,25 +265,6 @@ class TestBatch:
                 G = obj.gradient_batch(X)
                 for r in range(len(X)):
                     np.testing.assert_array_equal(G[r], obj.gradient(X[r]), err_msg=name)
-
-    def test_value_rows_counts_on_each_row_objective(self):
-        coord_L = np.array([1.0, 2.0, 3.0])
-        X = np.random.default_rng(0).standard_normal((6, 3))
-        for noisy in (False, True):
-            objs = [make_quadratic(coord_L) for _ in range(3)]
-            if noisy:  # row by row, each through its own generator
-                objs = [wrap_noise(o, NoiseSpec(0.1, 2), np.random.default_rng(i))
-                        for i, o in enumerate(objs)]
-            alone = [make_quadratic(coord_L) for _ in range(3)]
-            if noisy:
-                alone = [wrap_noise(o, NoiseSpec(0.1, 2), np.random.default_rng(i))
-                         for i, o in enumerate(alone)]
-            got = value_rows(objs, X)
-            # row j belongs to objs[j % 3]: its plus row, then its minus row
-            expected = [alone[j % 3].value(X[j]) for j in range(6)]
-            assert got.tolist() == expected
-            assert [o.eval_counter for o in objs] == [o.eval_counter for o in alone] \
-                == [2 * objs[0].calls_per_value] * 3
 
 
 class TestCoordLSpec:
