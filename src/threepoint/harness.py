@@ -14,7 +14,7 @@ import hashlib
 import math
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import islice, repeat
 
 import numpy as np
@@ -186,17 +186,11 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
         fail("dimension", "dimension must be >= 1")
     if cfg.objective == "rosenbrock" and cfg.dimension < 2:
         fail("dimension", "rosenbrock needs d >= 2")
-    if cfg.objective == "quadratic" and cfg.dimension is not None:  # the quadratic's vectors
+    if cfg.objective == "quadratic" and cfg.coord_L is not None:
         try:
-            if cfg.coord_L is not None:
-                objectives.coord_L_from_spec(cfg.coord_L, cfg.dimension)
+            objectives.coord_L_from_spec(cfg.coord_L, cfg.dimension)
         except ValueError as exc:
             fail("coord_L", str(exc))
-        try:
-            if cfg.shift not in (None, "zeros"):
-                _parse_vector(cfg.shift, cfg.dimension, "shift")
-        except ConfigError as exc:
-            fail("shift", str(exc))
     if cfg.schedule_kind not in schedules.SCHEDULE_KINDS:
         fail("schedule_kind", f"unknown schedule.kind {cfg.schedule_kind!r}")
     needed = _SCHEDULE_KEY_NEEDED.get(cfg.schedule_kind)
@@ -214,10 +208,28 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
         if cfg.schedule_kind == "solution_free" and cfg.distribution == "gaussian":
             fail("schedule_kind", "solution_free needs unit-norm directions; "
                  "the gaussian distribution does not provide them")
-    if "weights" in seen and cfg.distribution not in ("coord_weighted", "orthonormal_weighted"):
+    weighted = cfg.distribution in ("coord_weighted", "orthonormal_weighted")
+    if "weights" in seen and not weighted:
         fail("weights", "weights are read only by distribution coord_weighted or "
              "orthonormal_weighted" + ("; smtp_is draws coordinates by is.p"
                                        if cfg.method == "smtp_is" else ""))
+    if weighted and cfg.weights is None:
+        fail("distribution", f"distribution {cfg.distribution!r} needs weights")
+    if cfg.distribution == "orthonormal_weighted" and cfg.basis != "identity" and not (
+            cfg.basis.startswith("random:") and cfg.basis[7:].isdecimal()):
+        fail("basis", f"bad basis spec {cfg.basis!r}: expected identity or random:<seed>")
+    # the vector-valued keys, each of the run's dimension (d_state d_ctrl under lqr)
+    dim = cfg.d_state * cfg.d_ctrl if cfg.objective == "lqr" else cfg.dimension
+    for name, keywords, reads in (
+            ("x0", ("ones", "zeros"), True), ("shift", ("zeros",), cfg.objective == "quadratic"),
+            ("weights", (), weighted), ("is_p", ("uniform", "prop_L"), cfg.method == "smtp_is"),
+            ("is_w", ("coord_L", "ones"), cfg.method == "smtp_is")):
+        raw = getattr(cfg, name)
+        if reads and raw is not None and raw not in keywords:
+            try:
+                _parse_vector(raw, dim, _key(name))
+            except ConfigError as exc:
+                fail(name, str(exc))
     if cfg.max_iters < 0:
         fail("max_iters", "max_iters must be >= 0")
     if cfg.schedule_kind == "fixed_horizon":
@@ -255,6 +267,13 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
                 float(raw)
             except ValueError:
                 fail(name, f"{_key(name)} must be a number or {keyword!r}, got {raw!r}")
+    if _READ_ONLY_BY["r0"][0](cfg):  # a CVX theorem or schedule.alpha = auto reads r0
+        if cfg.r0 is None:
+            cause = "theorem" if cfg.theorem in _CVX_THEOREMS else "schedule_alpha"
+            fail(cause, f"{_key(cause)} = {getattr(cfg, cause)} needs r0 "
+                 "(set r0 = <float> or r0 = auto)")
+        if cfg.r0 == "auto" and cfg.objective != "quadratic":
+            fail("r0", "r0 = auto is only available for the quadratic objective")
     if cfg.checkpoints and not all(1 <= k <= cfg.max_iters for k in cfg.checkpoints):
         fail("checkpoints", "checkpoints must lie in [1, max_iters]")
     if cfg.jobs < 1:
@@ -406,7 +425,8 @@ class RunParts:
     """What a run is built from, for every method.
 
     smtp_is runs over coord_weighted(p), so its norm constants are that
-    law's; p and w are set for smtp_is only.
+    law's; p and w are set for smtp_is only.  loop holds the smtp_run and
+    run_block keywords: the law's norm constants, or optimizers.is_keywords.
     """
 
     dist: directions.DirectionDistribution
@@ -414,6 +434,7 @@ class RunParts:
     schedule: object
     p: np.ndarray | None = None
     w: np.ndarray | None = None
+    loop: dict = field(default_factory=dict)
 
 
 def build_run(cfg: ExperimentConfig, obj: objectives.Objective, x0) -> RunParts:
@@ -428,7 +449,15 @@ def build_run(cfg: ExperimentConfig, obj: objectives.Objective, x0) -> RunParts:
     else:
         dist = build_distribution(cfg, obj.dimension)
     nc = directions.constants(dist)
-    return RunParts(dist, nc, build_schedule(cfg, obj, x0, nc, p, w), p, w)
+    loop = dict(norm_constants=nc) if p is None else optimizers.is_keywords(obj.dimension)
+    return RunParts(dist, nc, build_schedule(cfg, obj, x0, nc, p, w), p, w, loop)
+
+
+def _build_row(cfg: ExperimentConfig, seed: int):
+    """A (config, seed) row's objective, x0 and run parts, built as every run builds them."""
+    obj = build_objective(cfg, seed)
+    x0 = build_x0(cfg, obj.dimension)
+    return obj, x0, build_run(cfg, obj, x0)
 
 
 def build_schedule(cfg: ExperimentConfig, obj: objectives.Objective, x0,
@@ -584,21 +613,12 @@ class RunSummary:
 
 
 def run_once(cfg: ExperimentConfig, seed: int) -> tuple[optimizers.RunTrace, objectives.Objective]:
-    """Build everything a seed needs and run it; returns the trace."""
-    obj = build_objective(cfg, seed)
-    x0 = build_x0(cfg, obj.dimension)
-    parts = build_run(cfg, obj, x0)
-    common = dict(
-        max_iters=cfg.max_iters, seed=seed, epsilon_gap=cfg.epsilon,
-        eval_budget=cfg.eval_budget, retain_internals=cfg.retain_internals,
-        track_grad_norm=cfg.track_grad_norm,
-    )
-    if cfg.method == "smtp_is":
-        trace = optimizers.smtp_is_run(obj, parts.p, parts.schedule, cfg.beta, x0, **common)
-    elif cfg.method == "smtp":
-        trace = optimizers.smtp_run(obj, parts.dist, parts.schedule, cfg.beta, x0, **common)
-    else:
-        trace = optimizers.stp_run(obj, parts.dist, parts.schedule, x0, **common)
+    """Build everything a seed needs and run it through the scalar loop, stp
+    at beta 0; returns the trace and the objective."""
+    obj, x0, parts = _build_row(cfg, seed)
+    trace = optimizers.smtp_run(obj, parts.dist, parts.schedule, _beta(cfg), x0, cfg.max_iters,
+                                seed, cfg.epsilon, cfg.eval_budget, cfg.retain_internals,
+                                cfg.track_grad_norm, **parts.loop)
     return trace, obj
 
 
@@ -623,7 +643,7 @@ def _envelope_params(cfg: ExperimentConfig, obj, x0, parts: RunParts) -> dict:
     if isinstance(rule, schedules.Decreasing):
         params["alpha"] = rule.alpha
         params["theta"] = rule.theta
-    if cfg.theorem in ("CVX-CONST", "CVX-DEC", "IS-CVX-CONST", "IS-CVX-DEC"):
+    if cfg.theorem in _CVX_THEOREMS:
         params["r0"] = _resolve_r0(cfg, obj, x0, nc)
     return {k: v for k, v in params.items() if v is not None}
 
@@ -633,9 +653,7 @@ def prepare(cfg: ExperimentConfig) -> tuple[list[int] | None, np.ndarray | None]
     x0 and run parts, and with a theorem its envelope.  Returns the
     checkpoints and the envelope's values there, both None without a theorem.
     """
-    obj = build_objective(cfg, cfg.seeds[0])
-    x0 = build_x0(cfg, obj.dimension)
-    parts = build_run(cfg, obj, x0)
+    obj, x0, parts = _build_row(cfg, cfg.seeds[0])
     if cfg.theorem is None:
         return None, None
     params = _envelope_params(cfg, obj, x0, parts)
@@ -653,15 +671,12 @@ def run_block(cfgs, seeds) -> tuple[list[optimizers.RunTrace], list[objectives.O
     first = cfgs[0]
     if first.eval_budget is not None or first.retain_internals:
         raise ValueError("a block neither stops on eval_budget nor retains internals")
-    objs = [build_objective(c, seed) for c, seed in zip(cfgs, seeds)]
-    x0 = build_x0(first, objs[0].dimension)
-    parts = [build_run(c, obj, x0) for c, obj in zip(cfgs, objs)]
-    shared = optimizers.loop_args(parts[0].dist, importance=first.method == "smtp_is")
+    objs, x0s, parts = zip(*map(_build_row, cfgs, seeds))
     traces = optimizers.run_block(
-        objs, [p.schedule for p in parts], _beta(first), x0, first.max_iters, list(seeds),
-        first.epsilon, first.track_grad_norm, [p.dist for p in parts], shared["norm_constants"],
-        shared.get("record_index", False))
-    return traces, objs
+        list(objs), [p.schedule for p in parts], _beta(first), x0s[0], first.max_iters,
+        list(seeds), first.epsilon, first.track_grad_norm, [p.dist for p in parts],
+        **parts[0].loop)
+    return traces, list(objs)
 
 
 def _block_key(cfg: ExperimentConfig) -> tuple:
@@ -677,30 +692,42 @@ def _block_key(cfg: ExperimentConfig) -> tuple:
             cfg.epsilon, cfg.retain_internals, cfg.track_grad_norm, norm)
 
 
+def _block_admits(cfg: ExperimentConfig, seed: int) -> bool:
+    """Whether run_block takes the rows of cfg's _block_key: no eval_budget,
+    no retained internals, and a row (cfg, seed) block_supports admits; the
+    key fixes the objective, the rule class and the kind of law."""
+    if cfg.eval_budget is not None or cfg.retain_internals:
+        return False
+    obj, _, parts = _build_row(cfg, seed)
+    return optimizers.block_supports(obj, parts.schedule, parts.dist)
+
+
 def _run_seeds(rows) -> list[tuple]:
     """(trace, objective, wall time) of each (config, seed) row, in order.
 
     Rows with one _block_key run as one block once there are
-    BLOCK_MIN_ROWS of them (the measured crossover) and run_block takes
+    BLOCK_MIN_ROWS of them (the measured crossover) and _block_admits
     them; the rest go one by one through run_once, in row order.  A block's
-    wall time is shared out by iterations.  A group run_block declines, or a
-    block that fails as a run fails (a ValueError or a non-finite value), is
-    run row by row, so the error is the one a one-seed run raises, for the
-    first row that fails, with that row's config label and seed put in front
-    of its message.
+    wall time is shared out by iterations.  A block that fails as a run
+    fails (a ValueError or a non-finite value) is run row by row, so the
+    error is the one a one-seed run raises, for the first row that fails,
+    with that row's config label and seed put in front of its message; if
+    no row fails alone, the block's own error is raised.
     """
     runs = [None] * len(rows)
     groups: dict[tuple, list[int]] = {}
     for at, (cfg, _) in enumerate(rows):
         groups.setdefault(_block_key(cfg), []).append(at)
+    failed = []  # the errors of blocks whose rows rerun alone
     for group in groups.values():
-        if len(group) < optimizers.BLOCK_MIN_ROWS:
+        if len(group) < optimizers.BLOCK_MIN_ROWS or not _block_admits(*rows[group[0]]):
             continue
         t0 = time.perf_counter()
         try:
             traces, objs = run_block([rows[at][0] for at in group], [rows[at][1] for at in group])
-        except (ValueError, optimizers.NonFiniteObjectiveError):
-            continue  # declined, or reported by the per-row rerun
+        except (ValueError, optimizers.NonFiniteObjectiveError) as exc:
+            failed.append(exc)
+            continue
         wall = time.perf_counter() - t0
         total = max(1, sum(len(t.f_z) for t in traces))
         for at, trace, obj in zip(group, traces, objs):
@@ -715,6 +742,8 @@ def _run_seeds(rows) -> list[tuple]:
                 exc.args = (f"{cfg.label} seed {seed}: {exc}",)
                 raise
             runs[at] = (trace, obj, time.perf_counter() - t0)
+    if failed:
+        raise failed[0]
     return runs
 
 

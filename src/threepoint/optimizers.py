@@ -1,12 +1,13 @@
 """Momentum three-point descent (smtp), its importance-sampling variant
 (smtp_is), and the momentum-free baseline (stp).
 
-One step, smtp_step, serves all three: stp is smtp at beta = 0, and smtp_is
-is smtp over coord_weighted(p).  It evaluates the two candidates
-z -/+ (gamma/(1-beta)) s and keeps the best of {current, plus, minus}, with
-ties resolved stay > plus > minus.  A "stay" freezes the point, the momentum
-buffer, and the cached objective value.  Every iteration costs exactly two
-evaluations plus one probe when the stepsize rule requires it.
+One step, smtp_step, and one loop, smtp_run, serve all three: stp is smtp
+at beta = 0, and smtp_is is smtp over coord_weighted(p).  The step evaluates
+the two candidates z -/+ (gamma/(1-beta)) s and keeps the best of {current,
+plus, minus}, with ties resolved stay > plus > minus.  A "stay" freezes the
+point, the momentum buffer, and the cached objective value.  Every iteration
+costs exactly two evaluations plus one probe when the stepsize rule requires
+it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from .directions import (
     COORD_KINDS,
     DirectionDistribution,
+    DistributionConstants,
     categorical_index,  # noqa: F401 - perfbench's traced runs wrap this name here
     chunk_rows,
     chunks,
@@ -31,7 +33,8 @@ from .directions import (
     draws,
     sample,
 )
-from .schedules import SolutionDependent, StepContext, require_unit_law, row_stepsizes, stepsize
+from .schedules import (SolutionDependent, StepContext, _check_beta, require_unit_law,
+                        row_stepsizes, stepsize)
 
 BRANCHES = ("plus", "minus", "stay")
 PLUS, MINUS, STAY = range(3)  # branch codes: indices into BRANCHES
@@ -164,11 +167,6 @@ def _set_gamma_column(trace: RunTrace, column: array | None) -> None:
 
 # a property after the class body, so the dataclass keeps gamma as a field
 RunTrace.gamma = property(_gamma_column, _set_gamma_column)
-
-
-def _check_beta(beta: float) -> None:
-    if not (0.0 <= beta < 1.0):
-        raise ValueError("beta must lie in [0,1)")
 
 
 def init_state(objective, x0, beta: float) -> OptimizerState:
@@ -320,17 +318,21 @@ def _evals(after_init: int, per_step: int, n: int) -> range:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the checks raise on a non-finite value
-def _run_loop(objective, schedule, beta, x0, max_iters, seed, epsilon_gap, eval_budget,
-              retain_internals, track_grad_norm, dist, norm_constants, record_index=False):
-    """Drive smtp_step over max_iters directions of dist.
+def smtp_run(objective, dist: DirectionDistribution, schedule, beta: float, x0, max_iters: int,
+             seed: int | None = None, epsilon_gap: float | None = None,
+             eval_budget: int | None = None, retain_internals: bool = False,
+             track_grad_norm: bool = False, norm_constants: DistributionConstants | None = None,
+             record_index: bool = False) -> RunTrace:
+    """Run smtp from x0 for up to max_iters iterations: the scalar loop over
+    directions of dist, and the reference for every trace.
 
-    Directions come from draws(), a bounded chunk at a time.  A context-free
-    rule is evaluated once, and over coordinate directions an index-only
-    rule once per coordinate (_fixed_steps); each step gets the value, or
-    the drawn coordinate's entry.  A rule that needs unit directions checks
-    the law once.  With track_grad_norm the trace records the gradient norm
-    at z before each step, measured by norm_constants, and with
-    record_index the drawn coordinate.
+    Deterministic given seed.  Stops early when the optimality gap reaches
+    epsilon_gap (requires known f_star) or when the evaluations consumed by
+    this run reach eval_budget.  A context-free rule is evaluated once, and
+    over coordinate directions an index-only rule once per coordinate
+    (_fixed_steps).  With track_grad_norm the trace records the gradient
+    norm at z before each step, measured by norm_constants (dist's own by
+    default), and with record_index the drawn coordinate.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
@@ -338,6 +340,8 @@ def _run_loop(objective, schedule, beta, x0, max_iters, seed, epsilon_gap, eval_
     if epsilon_gap is not None and f_star is None:
         raise ValueError("epsilon_gap stopping needs a known f_star")
     require_unit_law(schedule, dist.kind)
+    if norm_constants is None:
+        norm_constants = constants(dist)
     start_evals = objective.eval_counter
     state = init_state(objective, x0, beta)
     after_init = objective.eval_counter
@@ -385,6 +389,35 @@ def _run_loop(objective, schedule, beta, x0, max_iters, seed, epsilon_gap, eval_
                     stop_reason, grad_norm, index, z_before, drawn, steps)
 
 
+def stp_run(objective, dist: DirectionDistribution, schedule, x0, max_iters: int,
+            seed: int | None = None, epsilon_gap: float | None = None,
+            eval_budget: int | None = None, retain_internals: bool = False,
+            track_grad_norm: bool = False) -> RunTrace:
+    """Run the momentum-free baseline, which is smtp at beta = 0."""
+    return smtp_run(objective, dist, schedule, 0.0, x0, max_iters, seed, epsilon_gap, eval_budget,
+                    retain_internals, track_grad_norm)
+
+
+def smtp_is_run(objective, p, schedule, beta: float, x0, max_iters: int,
+                seed: int | None = None, epsilon_gap: float | None = None,
+                eval_budget: int | None = None, retain_internals: bool = False,
+                track_grad_norm: bool = False) -> RunTrace:
+    """Run smtp_is with coordinate probabilities p (importance sampling): smtp
+    over coord_weighted(p), so the direction is e_i with i ~ p and an
+    importance-sampling rule scales the step by coordinate i, with the
+    keywords of is_keywords."""
+    dist = DirectionDistribution("coord_weighted", objective.dimension, weights=p)
+    return smtp_run(objective, dist, schedule, beta, x0, max_iters, seed, epsilon_gap, eval_budget,
+                    retain_internals, track_grad_norm, **is_keywords(objective.dimension))
+
+
+def is_keywords(dim: int) -> dict:
+    """smtp_is's smtp_run keywords, set here alone: the tracked gradient norm
+    is the plain L1 norm of R^dim, and the trace records the drawn index."""
+    return dict(norm_constants=constants(DirectionDistribution("coord_uniform", dim)),
+                record_index=True)
+
+
 def _check_finite(k: int, values: np.ndarray) -> list[float]:
     """values as a list, each checked finite."""
     listed = values.tolist()
@@ -395,7 +428,7 @@ def _check_finite(k: int, values: np.ndarray) -> list[float]:
     return listed
 
 
-# The scalar loop (_run_loop) is the general path and the reference: every
+# The scalar loop (smtp_run) is the general path and the reference: every
 # trace is defined by it.  The block is a fast path for the rows block_supports
 # admits, from this many rows on.  Scalar-loop over block time per
 # seed-iteration, best of 7 interleaved runs of 4000 iterations on a 2-core VM
@@ -431,7 +464,7 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
 
     Row r runs seed seeds[r] over objectives[r] (one function, one copy per
     seed) under rules[r] and direction law dists[r], and its trace, final
-    state and eval_counter are bit for bit the ones _run_loop gives that
+    state and eval_counter are bit for bit the ones smtp_run gives that
     seed alone with the same arguments.  Every row must be one block_supports
     admits (ValueError otherwise).  The rows share the rest: beta, the
     dimension, a coordinate or a vector law, the rule class, the stop, the
@@ -673,81 +706,6 @@ def _replay_momenta(traces, columns, last, beta) -> None:
             i, z_i, g = last[r]
             state.move = (state.z.copy(), before[q], g, state.v)
             state.move[0][i] = z_i  # the move changed coordinate i alone
-
-
-def smtp_run(
-    objective,
-    dist: DirectionDistribution,
-    schedule,
-    beta: float,
-    x0,
-    max_iters: int,
-    seed: int | None = None,
-    epsilon_gap: float | None = None,
-    eval_budget: int | None = None,
-    retain_internals: bool = False,
-    track_grad_norm: bool = False,
-) -> RunTrace:
-    """Run smtp from x0 for up to max_iters iterations.
-
-    Deterministic given seed.  Stops early when the optimality gap reaches
-    epsilon_gap (requires known f_star) or when the evaluations consumed by
-    this run reach eval_budget.
-    """
-    return _run_loop(objective, schedule, beta, x0, max_iters, seed, epsilon_gap, eval_budget,
-                     retain_internals, track_grad_norm, **loop_args(dist))
-
-
-def stp_run(
-    objective,
-    dist: DirectionDistribution,
-    schedule,
-    x0,
-    max_iters: int,
-    seed: int | None = None,
-    epsilon_gap: float | None = None,
-    eval_budget: int | None = None,
-    retain_internals: bool = False,
-    track_grad_norm: bool = False,
-) -> RunTrace:
-    """Run the momentum-free baseline, which is smtp at beta = 0."""
-    return _run_loop(objective, schedule, 0.0, x0, max_iters, seed, epsilon_gap, eval_budget,
-                     retain_internals, track_grad_norm, **loop_args(dist))
-
-
-def smtp_is_run(
-    objective,
-    p,
-    schedule,
-    beta: float,
-    x0,
-    max_iters: int,
-    seed: int | None = None,
-    epsilon_gap: float | None = None,
-    eval_budget: int | None = None,
-    retain_internals: bool = False,
-    track_grad_norm: bool = False,
-) -> RunTrace:
-    """Run smtp_is with coordinate probabilities p (importance sampling).
-
-    This is smtp over coord_weighted(p): the direction is e_i with i ~ p, and
-    an importance-sampling rule scales the step by coordinate i.  The trace
-    records the drawn index, and the tracked gradient norm is the plain L1 norm.
-    """
-    dist = DirectionDistribution("coord_weighted", objective.dimension, weights=p)
-    return _run_loop(objective, schedule, beta, x0, max_iters, seed, epsilon_gap, eval_budget,
-                     retain_internals, track_grad_norm, **loop_args(dist, importance=True))
-
-
-def loop_args(dist: DirectionDistribution, importance: bool = False) -> dict:
-    """The run loop's arguments a method sets: the law dist, the constants of
-    the norm the tracked gradient norm is measured in, and whether the trace
-    records the drawn index.  smtp and stp measure dist's own norm; smtp_is
-    (importance) the plain L1 norm, and it records the index."""
-    if not importance:
-        return dict(dist=dist, norm_constants=constants(dist))
-    l1 = constants(DirectionDistribution("coord_uniform", dist.dim))
-    return dict(dist=dist, norm_constants=l1, record_index=True)
 
 
 def select_uniform_random_iterate(trace: RunTrace, rng: np.random.Generator) -> tuple[int, np.ndarray]:

@@ -133,7 +133,8 @@ def test_block_equals_per_seed_runs(text, seeds, extra):
 def test_block_with_staggered_stops(text, block, monkeypatch):
     # a dozen seeds that reach epsilon at scattered steps: rows leave one or
     # several at a time, often within one draw chunk, down to the last row;
-    # the shapes the block declines run each seed through run_once instead
+    # the shapes the block declines never reach it, and each seed runs
+    # through run_once instead
     cfg = parse_config(text + "\nobjective = quadratic\ndimension = 6\n"
                        "coord_L = logspace:1,30\nepsilon = 1e-3\nmax_iters = 3000\nseeds = 12")
     runs = [run_once(cfg, seed) for seed in cfg.seeds]
@@ -142,7 +143,7 @@ def test_block_with_staggered_stops(text, block, monkeypatch):
     calls = _counting(monkeypatch)
     got = harness._run_seeds([(cfg, seed) for seed in cfg.seeds])
     assert [_fingerprint(t, o) for t, o, _ in got] == expected
-    assert calls == [("block", 12)] + ([] if block else [("once", "run", s) for s in cfg.seeds])
+    assert calls == ([("block", 12)] if block else [("once", "run", s) for s in cfg.seeds])
 
 
 def _artifacts(out: str) -> dict:
@@ -276,6 +277,20 @@ def test_coordinate_block_overflow_reports_the_one_seed_error():
     assert str(run.value) == f"run seed 3: {alone.value}"
 
 
+def test_a_block_error_no_seed_reproduces_is_raised(monkeypatch):
+    # a block that fails where each seed runs fine alone has a fault of its
+    # own: the seeds rerun one by one, and then the block's error is raised
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(optimizers, "run_block", boom)
+    calls = _counting(monkeypatch)
+    cfg = parse_config(DECLINED_BASE.replace("seeds = 4", "seeds = 3"))
+    with pytest.raises(ValueError, match="^boom$"):
+        run_experiment(cfg, write=False)
+    assert calls == [("block", 3)] + [("once", "run", s) for s in cfg.seeds]
+
+
 def test_coordinate_block_with_subnormal_momentum():
     # coordinate 0 is drawn about once in 1e4 steps: after a move there, its v
     # decays by beta = 0.9 at every later move, into the subnormals, while the
@@ -308,8 +323,8 @@ def test_block_breaks_ties_as_the_scalar_step(law):
     dist, rule, seeds = directions.DirectionDistribution(law, 3), schedules.Constant(0.1), [0, 1, 2]
     nc = directions.constants(dist)
     objs = [make() for _ in seeds]
-    expected = [_fingerprint(optimizers._run_loop(o, rule, 0.5, np.zeros(3), 20, s, None, None,
-                                                  False, False, dist, nc), o)
+    expected = [_fingerprint(optimizers.smtp_run(o, dist, rule, 0.5, np.zeros(3), 20, seed=s,
+                                                 norm_constants=nc), o)
                 for o, s in zip(objs, seeds)]
     objs = [make() for _ in seeds]
     traces = optimizers.run_block(objs, [rule] * 3, 0.5, np.zeros(3), 20, seeds, None, False,
@@ -325,8 +340,8 @@ def test_wide_coordinate_block():
         schedules.Constant(0.01), list(range(40))
     nc, x0 = directions.constants(dist), np.ones(5)
     objs = [objectives.make_quadratic(np.logspace(0, 1, 5)) for _ in seeds]
-    expected = [_fingerprint(optimizers._run_loop(o, rule, 0.5, x0, 300, s, None, None, False,
-                                                  False, dist, nc), o)
+    expected = [_fingerprint(optimizers.smtp_run(o, dist, rule, 0.5, x0, 300, seed=s,
+                                                 norm_constants=nc), o)
                 for o, s in zip(objs, seeds)]
     objs = [objectives.make_quadratic(np.logspace(0, 1, 5)) for _ in seeds]
     traces = optimizers.run_block(objs, [rule] * 40, 0.5, x0, 300, seeds, None, False,
@@ -522,8 +537,9 @@ def test_run_block_equals_run_loop_per_row(case):
     nc = directions.constants(dists[0])
     x0 = np.ones(d)
     objs = [objectives.make_quadratic(coord_L) for _ in seeds]
-    expected = [_fingerprint(optimizers._run_loop(o, r, beta, x0, max_iters, s, eps, None,
-                                                  False, track, dist, nc, index), o)
+    expected = [_fingerprint(optimizers.smtp_run(o, dist, r, beta, x0, max_iters, seed=s,
+                                                 epsilon_gap=eps, track_grad_norm=track,
+                                                 norm_constants=nc, record_index=index), o)
                 for o, r, s, dist in zip(objs, rules, seeds, dists)]
     objs = [objectives.make_quadratic(coord_L) for _ in seeds]
     traces = optimizers.run_block(objs, rules, beta, x0, max_iters, seeds, eps, track, dists, nc,

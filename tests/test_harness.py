@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from threepoint import cli, harness
+from threepoint import cli, harness, optimizers
 from threepoint.harness import (
     CSV_HEADER,
     ConfigError,
@@ -279,6 +279,27 @@ class TestParsing:
         ("dimension = 4", "dimension = 0", 4, "dimension must be >= 1"),
         ("seeds = 3", "seeds = 3\nshift = 1,2", 10, "shift has 2 entries, expected 4"),
         ("seeds = 3", "seeds = 3\nnoise.sigma = 0.1\nnoise.k = 0", 11, "noise.k must be >= 1"),
+        ("seeds = 3", "seeds = 3\nx0 = 1,2", 10, "x0 has 2 entries, expected 4"),
+        ("objective = quadratic\ndimension = 4\ncoord_L = logspace:1,4",
+         "objective = lqr\nhorizon = 3\nd_state = 3\nd_ctrl = 2\nx0 = 1,2,3", 7,
+         "x0 has 3 entries, expected 6"),
+        ("distribution = sphere", "distribution = coord_weighted\nweights = 0.5,0.5", 7,
+         "weights has 2 entries, expected 4"),
+        ("distribution = sphere", "distribution = coord_weighted", 6,
+         "distribution 'coord_weighted' needs weights"),
+        (QUAD_BASE, QUAD_BASE.replace("method = smtp", "method = smtp_is").replace("distribution = sphere\n", "") + "\nis.p = 0.5,0.5", 9,
+         "is.p has 2 entries, expected 4"),
+        (QUAD_BASE, QUAD_BASE.replace("method = smtp", "method = smtp_is").replace("distribution = sphere\n", "") + "\nis.w = 1,2,3", 9,
+         "is.w has 3 entries, expected 4"),
+        ("distribution = sphere",
+         "distribution = orthonormal_weighted\nweights = 0.25,0.25,0.25,0.25\nbasis = foo", 8,
+         "bad basis spec 'foo'"),
+        ("seeds = 3", "seeds = 3\ntheorem = CVX-CONST", 10, "theorem = CVX-CONST needs r0"),
+        ("schedule.kind = solution_dependent", "schedule.kind = decreasing\nschedule.alpha = auto",
+         8, "schedule.alpha = auto needs r0"),
+        ("objective = quadratic\ndimension = 4\ncoord_L = logspace:1,4",
+         "objective = rosenbrock\ndimension = 4\nr0 = auto\ntheorem = CVX-CONST", 5,
+         "r0 = auto is only available for the quadratic objective"),
     ], ids=["jobs", "max_iters", "seeds", "noise.sigma", "dimension", "lqr_size", "distribution",
             "smtp_is_distribution", "repeated_seeds", "nc_needs_grad_norm", "envelope_max_iters",
             "lqr_grad_norm", "r0", "gamma0", "alpha", "theta", "t", "gaussian_weights",
@@ -288,7 +309,10 @@ class TestParsing:
             "constant_without_gamma", "solution_free_without_t", "smtp_is_p", "stp_is_w",
             "horizon_off_lqr", "d_state_off_lqr", "d_ctrl_off_lqr", "lqr_dimension",
             "noise_k_without_sigma", "checkpoints_without_theorem", "unread_r0",
-            "coord_L_positive", "dimension_0", "shift_entries", "noise_k_0"])
+            "coord_L_positive", "dimension_0", "shift_entries", "noise_k_0", "x0_entries",
+            "lqr_x0_entries", "weights_entries", "weights_missing", "is_p_entries",
+            "is_w_entries", "basis_spec", "cvx_without_r0", "alpha_auto_without_r0",
+            "r0_auto_off_quadratic"])
     def test_validation_errors_name_their_line(self, old, new, line, message):
         with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
             parse_config(QUAD_BASE.replace(old, new))
@@ -432,6 +456,36 @@ class TestBuilders:
         assert [(r.k, r.f_z_after, r.branch) for r in t1.records] == \
                [(r.k, r.f_z_after, r.branch) for r in t2.records]
         np.testing.assert_array_equal(t1.final_state.z, t2.final_state.z)
+
+    @pytest.mark.parametrize("method", ["stp", "smtp", "smtp_is"])
+    def test_run_once_equals_the_public_preset(self, method):
+        # run_once runs every method through smtp_run; the preset a library
+        # caller reaches for must give the same run
+        text = QUAD_BASE.replace("method = smtp", f"method = {method}") + "\ntrack_grad_norm = true"
+        if method == "stp":
+            text = text.replace("beta = 0.5", "beta = 0.0")
+        if method == "smtp_is":
+            text = text.replace("distribution = sphere\n", "") + "\nis.p = prop_L"
+        cfg = parse_config(text)
+        trace, obj = run_once(cfg, 5)
+        preset_obj = build_objective(cfg, 5)
+        x0 = build_x0(cfg, preset_obj.dimension)
+        parts = harness.build_run(cfg, preset_obj, x0)
+        args = (parts.schedule, cfg.beta, x0, cfg.max_iters)
+        if method == "stp":
+            preset = optimizers.stp_run(preset_obj, parts.dist, parts.schedule, x0, cfg.max_iters,
+                                        seed=5, track_grad_norm=True)
+        elif method == "smtp":
+            preset = optimizers.smtp_run(preset_obj, parts.dist, *args, seed=5, track_grad_norm=True)
+        else:
+            preset = optimizers.smtp_is_run(preset_obj, parts.p, *args, seed=5, track_grad_norm=True)
+        assert trace.grad_norm is not None and (trace.index is not None) == (method == "smtp_is")
+        columns = ("f_z", "gamma", "branch", "evals", "grad_norm", "index", "stop_reason", "f0")
+        assert [getattr(preset, c) for c in columns] == [getattr(trace, c) for c in columns]
+        assert [getattr(preset.final_state, a).tobytes() for a in "zvx"] == \
+            [getattr(trace.final_state, a).tobytes() for a in "zvx"]
+        assert (preset.final_state.f_z, preset.final_state.k, preset_obj.eval_counter) == \
+            (trace.final_state.f_z, trace.final_state.k, obj.eval_counter)
 
     def test_noisy_budget_counts_oracle_calls(self):
         # noise.k = 4 makes every query 4 oracle calls: f(x0) and 2 per
