@@ -180,6 +180,10 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
         for key in ("horizon", "d_state", "d_ctrl"):
             if getattr(cfg, key) is None:
                 fail("objective", f"objective lqr needs {key}")
+        if cfg.horizon < 1:
+            fail("horizon", "horizon must be >= 1")
+        if not 1 <= cfg.d_ctrl <= cfg.d_state:
+            fail("d_ctrl", "need 1 <= d_ctrl <= d_state")
         if cfg.track_grad_norm:
             fail("track_grad_norm", "objective lqr has no gradient oracle for track_grad_norm")
     if cfg.dimension is not None and cfg.dimension < 1:
@@ -227,9 +231,14 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
         raw = getattr(cfg, name)
         if reads and raw is not None and raw not in keywords:
             try:
-                _parse_vector(raw, dim, _key(name))
+                vector = _parse_vector(raw, dim, _key(name))
             except ConfigError as exc:
                 fail(name, str(exc))
+            if name in ("weights", "is_p"):  # a distribution over the directions
+                try:
+                    directions._check_weights(vector, dim)
+                except ValueError as exc:
+                    fail(name, f"bad {_key(name)}: {exc}")
     if cfg.max_iters < 0:
         fail("max_iters", "max_iters must be >= 0")
     if cfg.schedule_kind == "fixed_horizon":
@@ -692,14 +701,15 @@ def _block_key(cfg: ExperimentConfig) -> tuple:
             cfg.epsilon, cfg.retain_internals, cfg.track_grad_norm, norm)
 
 
-def _block_admits(cfg: ExperimentConfig, seed: int) -> bool:
-    """Whether run_block takes the rows of cfg's _block_key: no eval_budget,
-    no retained internals, and a row (cfg, seed) block_supports admits; the
-    key fixes the objective, the rule class and the kind of law."""
+def _block_admits(cfg: ExperimentConfig, seed: int, rows: int) -> bool:
+    """Whether run_block takes rows of cfg's _block_key: no eval_budget, no
+    retained internals, and a row (cfg, seed) block_supports admits in a block
+    of that many rows; the key fixes the objective, the rule class and the
+    kind of law."""
     if cfg.eval_budget is not None or cfg.retain_internals:
         return False
     obj, _, parts = _build_row(cfg, seed)
-    return optimizers.block_supports(obj, parts.schedule, parts.dist)
+    return optimizers.block_supports(obj, parts.schedule, parts.dist, rows)
 
 
 def _run_seeds(rows) -> list[tuple]:
@@ -720,7 +730,8 @@ def _run_seeds(rows) -> list[tuple]:
         groups.setdefault(_block_key(cfg), []).append(at)
     failed = []  # the errors of blocks whose rows rerun alone
     for group in groups.values():
-        if len(group) < optimizers.BLOCK_MIN_ROWS or not _block_admits(*rows[group[0]]):
+        if len(group) < optimizers.BLOCK_MIN_ROWS or not _block_admits(*rows[group[0]],
+                                                                      len(group)):
             continue
         t0 = time.perf_counter()
         try:

@@ -430,67 +430,103 @@ def _check_finite(k: int, values: np.ndarray) -> list[float]:
 
 # The scalar loop (smtp_run) is the general path and the reference: every
 # trace is defined by it.  The block is a fast path for the rows block_supports
-# admits, from this many rows on.  Scalar-loop over block time per
-# seed-iteration, best of 7 interleaved runs of 4000 iterations on a 2-core VM
-# (numpy 2.4), by seeds in the block:
-#   seeds                                          1     2     3     4     5     8    30
-#   coord_uniform, constant, stp, d = 10 (test_01) 0.67  1.57  1.54  1.97  2.83  3.56  6.38
-#   sphere, solution_dependent, d = 10 (quad_run)  0.52  0.79  1.22  1.75  1.83  2.52  5.29
-#   smtp_is, constant, d = 10 (is_compare)         0.45  0.76  1.22  1.11  1.59  2.15  3.51
-# A block step costs about 10 us plus about 1 us of Python per row, which one
-# row does not repay (CHANGES.md has the per-step floor).  3 is the floor:
+# admits, from this many rows on.  Scalar-loop over block time per row-step on
+# a 2-core VM (numpy 2.4).  Over a vector law a lockstep step costs about 10 us
+# of numpy calls plus about 1 us of Python per row (best of 7 interleaved runs
+# of 4000 steps):
+#   rows                                        1     2     3     4     5     8    30
+#   sphere, solution_dependent, d = 10          0.52  0.79  1.22  1.75  1.83  2.52  5.29
+# Over a coordinate law a round costs about 20 us of numpy calls for the table
+# of 2 d points per row, plus about 2 us of Python per row and a list lookup per
+# stay.  By rows, move rate and d (best of 3 runs of 4000 steps; coord_uniform,
+# constant, beta 0.5, each coordinate moving about rate * 4000 / d times from
+# x0, then staying):
+#   rows                                        1     2     3     5     10
+#   d = 10,   2% moves                          8.8   13.1  15.3  16.2  33.0
+#   d = 10,  30% moves                          0.97  1.70  2.02  2.39  1.99
+#   d = 10, 100% moves                          0.52  0.85  1.02  1.32  1.03
+#   d = 30,   2% moves                          7.2   9.9   17.8  23.2  24.3
+#   d = 30,  30% moves                          0.83  1.23  1.45  1.67  2.03
+#   d = 30, 100% moves                          0.30  0.45  0.48  0.58  0.65
+#   d = 60,   3% moves                          3.6   4.7   4.1   6.2   6.0
+#   d = 60,  30% moves                          0.49  0.70  0.83  0.87  0.87
+#   d = 60, 100% moves                          0.18  0.24  0.30  0.27  0.29
+# One row does not repay a block at high move rates.  3 is the floor:
 # perfbench's replay counts each is_compare seed through run_once as a 2-row
 # compare.  Rows that stop leave the block and the rest stay in it: handing
 # the last three or fewer to the scalar loop instead made is_compare's two
 # runs no faster (median 1.93 s against 1.82 s over 10 interleaved pairs).
 BLOCK_MIN_ROWS = 3
+# The coordinate rows' tables hold at most this many floats together: at 10
+# rows d <= 57, about where the walk stops beating the scalar loop at 30%
+# moves (0.87 at d = 60 above).  It bounds the table's memory, as _DRAW_FLOATS
+# bounds a chunk of draws, and the batch fn_batch must be bitwise at; below 10
+# rows it admits a larger d, which pays only at lower move rates.
+_TABLE_FLOATS = 1 << 16
 
 
-def block_supports(objective, rule, dist) -> bool:
-    """Whether run_block runs a row of this objective, rule and law: the
-    objective evaluates a batch at once (fn_batch), and the stepsize is known
-    up front (a context-free rule, or an index-only table over a coordinate
-    law) or is SolutionDependent's, which row_stepsizes gives for all rows at
-    once.  Every other row runs through the scalar loop, with the same trace."""
-    return objective.fn_batch is not None and (
-        getattr(rule, "context_free", False) or isinstance(rule, SolutionDependent)
-        or (getattr(rule, "index_only", False) and dist.kind in COORD_KINDS))
+def block_supports(objective, rule, dist, rows: int = 1) -> bool:
+    """Whether run_block runs a row of this objective, rule and law in a
+    block of this many rows: the objective evaluates a batch at once
+    (fn_batch), and the stepsize is known up front (a context-free rule, or
+    an index-only table over a coordinate law) or is SolutionDependent's,
+    which row_stepsizes gives for all rows at once.  Over a coordinate law
+    the stepsize must hold still while a row stays (no callable theta_k), and
+    the rows' candidate tables must hold at most _TABLE_FLOATS floats
+    together.  Every other row runs through the scalar loop, with the same
+    trace."""
+    if objective.fn_batch is None:
+        return False
+    if dist.kind not in COORD_KINDS:
+        return getattr(rule, "context_free", False) or isinstance(rule, SolutionDependent)
+    if 2 * rows * dist.dim * dist.dim > _TABLE_FLOATS:
+        return False
+    if isinstance(rule, SolutionDependent):
+        return not callable(rule.theta_k)
+    return getattr(rule, "context_free", False) or getattr(rule, "index_only", False)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the checks raise on a non-finite value
 def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_grad_norm,
               dists, norm_constants, record_index=False) -> list[RunTrace]:
-    """Run many seeds in lockstep, as the rows of (S, d) arrays.
+    """Run many seeds together, as the rows of (S, d) arrays.
 
     Row r runs seed seeds[r] over objectives[r] (one function, one copy per
     seed) under rules[r] and direction law dists[r], and its trace, final
     state and eval_counter are bit for bit the ones smtp_run gives that
     seed alone with the same arguments.  Every row must be one block_supports
-    admits (ValueError otherwise).  The rows share the rest: beta, the
-    dimension, a coordinate or a vector law, the rule class, the stop, the
-    recording and the norm constants.  Bit for bit, because:
+    admits in a block of len(seeds) rows (ValueError otherwise).  The rows
+    share the rest: beta, the dimension, a coordinate or a vector law, the
+    rule class, the stop, the recording and the norm constants.
+
+    Over a vector law the rows step in lockstep: each step evaluates every
+    row's two candidates in one fn_batch call.  Over a coordinate law they
+    go in rounds (_walk_rows): one fn_batch call evaluates each row's table
+    of all 2 d candidates it can draw before it moves, and each row walks its
+    own draws on those values to its first move or its stop.  Bit for bit,
+    because:
     - each row draws from its own generator, in chunks that together hold
       at most _DRAW_FLOATS floats;
-    - every row's two candidates are evaluated in one fn_batch call, whose
-      values equal the one-point ones;
+    - fn_batch gives every point the value the one-point call gives it;
     - stepsizes come from the per-row value or table of a fixed rule, or
       from row_stepsizes, which keeps the scalar formula's operation order;
     - each row is decided on Python floats by smtp_step's rule and tie
       order, and moved with smtp_step's arithmetic.
-    Every step costs the same oracle calls, so a row's eval_counter is set
-    when it finishes.  A row that stops on epsilon_gap leaves the block and
-    the others go on.
+    Every step costs the same oracle calls, the method's two, whatever the
+    block evaluates, so a row's eval_counter is set when it finishes.  A row
+    that stops on epsilon_gap leaves the block and the others go on.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
-    if not all(map(block_supports, objectives, rules, dists)):
+    n, d = len(seeds), dists[0].dim
+    if not all(block_supports(o, r, dist, n) for o, r, dist in zip(objectives, rules, dists)):
         raise ValueError("run_block runs an objective with fn_batch under a fixed or "
-                         "solution_dependent rule; run other rows through the scalar loop")
+                         "solution_dependent rule, over coordinate laws within its table "
+                         "bound; run other rows through the scalar loop")
     f_star = objectives[0].smoothness.f_star
     if epsilon_gap is not None and f_star is None:
         raise ValueError("epsilon_gap stopping needs a known f_star")
     coord = dists[0].kind in COORD_KINDS
-    n, d = len(seeds), dists[0].dim
     if any(dist.dim != d or (dist.kind in COORD_KINDS) != coord for dist in dists):
         raise ValueError("the rows of a block share one dimension and a coordinate or vector law")
     states = [init_state(o, x0, beta) for o in objectives]
@@ -517,11 +553,32 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
     rows = chunk_rows(d, n)
     streams = [chunks(dist, np.random.default_rng(seed), max_iters, rows)
                for dist, seed in zip(dists, seeds)]
+
+    def finish(r: int, z, v, f_z: float, reason: str, move=None) -> None:
+        """Row r's trace, from its columns and final state."""
+        f_col, gamma, branch, grad_norm, index = columns[r]
+        n_steps = len(f_col)
+        for col in (gamma, index):  # filled a chunk ahead
+            if col is not None:
+                del col[n_steps:]
+        objectives[r].eval_counter = after_init[r] + per_step * n_steps
+        state = OptimizerState(x=states[r].x, v=v, z=z, f_z=f_z, k=n_steps, beta=beta, move=move)
+        steps = _kept_steps(None if gammas is None else float(gammas[r]),
+                            None if table is None else table[r], record_index)
+        traces[r] = RunTrace(f_col, gamma, branch, _evals(after_init[r], per_step, n_steps), state,
+                             seeds[r], states[r].f_z, reason, grad_norm,
+                             index if record_index else None, steps=steps)
+
+    if coord:
+        last = _walk_rows(objectives[0], states, beta, max_iters, f_star, epsilon_gap,
+                          gammas, table, step, rules, streams, columns, code,
+                          norm_constants if track_grad_norm else None, finish)
+        _replay_momenta(traces, columns, last, beta)
+        return traces
+
     # rows p, m + p and 2m + p of XW[0] and XW[1] hold z, z+, z- and v, v+, v-
-    # of live row p.  Over a coordinate law the z+ and z- rows hold z between
-    # steps, and v is replayed at the end (XW[1] goes unused).  Over a vector
-    # law ZV is z and v, a new array at each step with a move.  last[r] is row
-    # r's last move: (i, old z_i, gamma), or (p, the ZV it left, gamma).
+    # of live row p.  ZV is z and v, a new array at each step with a move.
+    # last[r] is row r's last move: (p, the ZV it left, gamma).
     ZV = np.array([[st.z for st in states], [st.v for st in states]])
     XW = np.tile(ZV, (1, 3, 1))
     F = [st.f_z for st in states]
@@ -532,92 +589,59 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
     live = list(range(n))  # the seed position of each row
     G = None  # a fixed rule's steps over the chunk, (chunk rows, live rows)
 
-    def finish(p: int, r: int, reason: str) -> None:
-        """Row p's trace, from its columns and final state."""
-        f_z, gamma, branch, grad_norm, index = columns[r]
-        n_steps = len(f_z)
-        for col in (gamma, index):  # filled a chunk ahead
-            if col is not None:
-                del col[n_steps:]
-        objectives[r].eval_counter = after_init[r] + per_step * n_steps
-        z, v = XW[0, p].copy(), XW[1, p].copy()  # over coordinates, v is replayed at the end
+    def finish_row(p: int, r: int, reason: str) -> None:
         move = None
-        if last[r] is not None and not coord:
+        v = XW[1, p].copy()
+        if last[r] is not None:
             at, moved_from, g = last[r]
             move = (*moved_from[:, at], g, v)
-        state = OptimizerState(x=states[r].x, v=v, z=z, f_z=F[p], k=n_steps, beta=beta, move=move)
-        steps = _kept_steps(None if gammas is None else float(gammas[p]),
-                            None if table is None else table[p], record_index)
-        traces[r] = RunTrace(f_z, gamma, branch, _evals(after_init[r], per_step, n_steps), state,
-                             seeds[r], states[r].f_z, reason, grad_norm,
-                             index if record_index else None, steps=steps)
+        finish(r, XW[0, p].copy(), v, F[p], reason, move)
 
     def shape():
         """What depends on the live rows and the chunk: views of XW, the
-        rows' column appenders, over coordinates the drawn indices and their
-        flat cells in the z+ and z- rows of XW[0], and given a fixed rule's
-        steps G, h = gamma / (1 - beta) and the candidates' change (-h, h)
-        over coordinates, h otherwise."""
+        rows' column appenders, and given a fixed rule's steps G,
+        h = gamma / (1 - beta)."""
         m = len(live)
         appends = [(columns[r][0].append, columns[r][2].append) for r in live]
         gamma_appends = None if G is not None or keep_steps else [
             columns[r][1].append for r in live]
-        index = block.tolist() if coord else None
-        cells = np.tile(block, 2) + np.arange(m, 3 * m) * d if coord else None
-        H = delta = None
-        if G is not None:
-            H = G / one_minus_beta
-            delta = np.concatenate((-H, H), axis=1) if coord else H
-        return (m, XW[0, :m], XW[0, m:], XW[0].reshape(-1), appends, gamma_appends, index,
-                cells, H, delta)
+        H = None if G is None else G / one_minus_beta
+        return m, XW[0, :m], XW[0, m:], appends, gamma_appends, H
 
     for k in range(max_iters):
         j = k % rows
         if j == 0:
-            first = next(streams[0])  # (rows[, d]); the block holds every row's
+            first = next(streams[0])  # (rows, d); the block holds every row's
             block = np.empty(first.shape[:1] + (len(live),) + first.shape[1:], first.dtype)
             block[:, 0] = first
             for p in range(1, len(live)):
                 block[:, p] = next(streams[p])
             if step is None:  # a fixed rule: the chunk's steps are known
-                G = (np.broadcast_to(gammas, block.shape[:2]) if table is None
-                     else table.take(block + np.arange(len(live)) * d))
+                G = np.broadcast_to(gammas[live], block.shape[:2])
             for p, r in enumerate(live):  # columns known for the chunk, cut at finish
-                gamma_col, index_col = columns[r][1], columns[r][4]
+                gamma_col = columns[r][1]
                 if gamma_col is not None and G is not None:
                     gamma_col.frombytes(np.ascontiguousarray(G[:, p]).tobytes())
-                if index_col is not None:
-                    index_col.frombytes(block[:, p].astype(code).tobytes())
-            m, Z, C, flat, appends, gamma_appends, index, cells, H, delta = shape()
+            m, Z, C, appends, gamma_appends, H = shape()
         drawn = block[j]
         if track_grad_norm:
             for r, norm in zip(live, d_norm_rows(norm_constants, gradient(Z)).tolist()):
                 columns[r][3].append(norm)
         if step is None:
-            g, h, change = G[j], H[j], delta[j]
+            g, h = G[j], H[j]
         else:
             g = step(k, np.array(F))
             h = g / one_minus_beta
-            change = np.concatenate((-h, h)) if coord else h
             for append, gamma in zip(gamma_appends, g):
                 append(gamma)
-        if coord:  # z_i + -h and z_i + h: the scalar step's z_i - h and z_i + h
-            cand = cells[j]
-            z_i = flat.take(cand)
-            flat[cand] = z_i + change
-        else:
-            hs = change[:, None] * drawn
-            np.subtract(Z, hs, out=XW[0, m:2 * m])
-            np.add(Z, hs, out=XW[0, 2 * m:])
-            bv = beta * ZV[1]  # a + (-b) == a - b exactly, signed zeros too
-            np.add(bv, drawn, out=XW[1, m:2 * m])
-            np.subtract(bv, drawn, out=XW[1, 2 * m:])
+        hs = h[:, None] * drawn
+        np.subtract(Z, hs, out=XW[0, m:2 * m])
+        np.add(Z, hs, out=XW[0, 2 * m:])
+        bv = beta * ZV[1]  # a + (-b) == a - b exactly, signed zeros too
+        np.add(bv, drawn, out=XW[1, m:2 * m])
+        np.subtract(bv, drawn, out=XW[1, 2 * m:])
         values = _check_finite(k, evaluate(C))
-        if coord:  # z back in the candidate rows; a moved row writes its new z_i
-            flat[cand] = z_i
-            drawn_i, md = index[j], m * d
-        else:
-            pick = None
+        pick = None
         # smtp_step's rule and tie order: move when a candidate beats f(z),
         # to z+ unless z- is strictly lower
         for p, (r, f_z, f_p, f_m, (append_f, append_branch)) in enumerate(
@@ -625,29 +649,22 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
             if f_p < f_z or f_m < f_z:
                 plus = f_p <= f_m
                 f_z = F[p] = f_p if plus else f_m
-                if coord:
-                    i, z = drawn_i[p], z_i.item(p)
-                    cell = p * d + i  # and cell + md, cell + 2 md in the z+ and z- rows
-                    flat[cell] = flat[cell + md] = flat[cell + 2 * md] = (
-                        z - h[p] if plus else z + h[p])
-                    last[r] = (i, z, g[p])
-                else:
-                    last[r] = (p, ZV, g[p])
-                    if pick is None:
-                        pick = list(range(m))
-                    pick[p] = p + m if plus else p + 2 * m
+                last[r] = (p, ZV, g[p])
+                if pick is None:
+                    pick = list(range(m))
+                pick[p] = p + m if plus else p + 2 * m
                 append_branch(PLUS if plus else MINUS)
             else:
                 append_branch(STAY)
             append_f(f_z)
-        if not coord and pick is not None:  # the moved rows' candidates are the new z and v
+        if pick is not None:  # the moved rows' candidates are the new z and v
             ZV = XW[:, :m] = XW.take(pick, 1)
         # some row is done exactly when the least f(z) is, as x - f_star is monotone
         if epsilon_gap is not None and min(F) - f_star <= epsilon_gap:
             keep = []
             for p, r in enumerate(live):
                 if F[p] - f_star <= epsilon_gap:
-                    finish(p, r, "epsilon_gap")
+                    finish_row(p, r, "epsilon_gap")
                 else:
                     keep.append(p)
             if not keep:
@@ -658,17 +675,154 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
             ZV = XW[:, keep]
             XW = np.tile(ZV, (1, 3, 1))
             block = block[:, keep]
-            gammas, table = (None if a is None else a[keep] for a in (gammas, table))
             if step is not None:
                 step = row_stepsizes([rules[r] for r in live])
             G = None if G is None else G[:, keep]
-            m, Z, C, flat, appends, gamma_appends, index, cells, H, delta = shape()
+            m, Z, C, appends, gamma_appends, H = shape()
     else:
         for p, r in enumerate(live):
-            finish(p, r, "max_iters")
-    if coord:
-        _replay_momenta(traces, columns, last, beta)
+            finish_row(p, r, "max_iters")
     return traces
+
+
+def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, gammas, table, step,
+               rules, streams, columns, code, norm_constants, finish) -> list:
+    """run_block's coordinate-law rows, in rounds.  Returns each row's last
+    move as (i, old z_i, gamma), or None.
+
+    A stay leaves z and the stepsize as they are, so until a row moves, every
+    candidate it can draw is one of the 2 d points z -/+ h_i e_i, with
+    h_i = gamma_i / (1 - beta).  A round evaluates that table for every live
+    row in one fn_batch call: 2 d copies of each z (np.repeat), whose diagonal
+    cells take z_i - h_i (plus, at 2 d p + i) and z_i + h_i (minus, at
+    2 d p + d + i), the scalar step's arithmetic.  Each row then walks its
+    own draws on those values, by smtp_step's rule and tie order, to its
+    first move or its stop, and raises at a drawn non-finite value as
+    smtp_step does.  Its f_z and branch columns, and the gamma of
+    SolutionDependent and the tracked grad_norm, change only at moves, so
+    they are built when the row finishes, from typed records of its moves and
+    rounds.  The index column (and an index-only rule's gamma column) is
+    filled a chunk of draws ahead, as the lockstep loop fills it.
+    """
+    n, d = len(states), states[0].z.size
+    one_minus_beta = 1.0 - beta
+    Z = np.array([st.z for st in states])  # the live rows' z
+    F = [st.f_z for st in states]
+    done, limit = [0] * n, [max_iters] * n  # steps taken, and where each row stops
+    if epsilon_gap is not None:  # a row already within epsilon stops after its first step
+        limit = [min(max_iters, 1) if f - f_star <= epsilon_gap else max_iters for f in F]
+    moves = [(array("q"), array("d"), array("b")) for _ in states]  # step, f(z) after, branch
+    rounds = [(array("d"), array("d")) for _ in states]  # gamma, grad_norm at each round
+    last = [None] * n
+    drawn, at = [[] for _ in states], [0] * n  # each row's chunk of draws, and its place in it
+    G = H = None  # the live rows' steps and h = gamma / (1 - beta), (live rows, d)
+    if step is None and max_iters:  # a fixed rule's, for the whole run
+        G = table if table is not None else np.broadcast_to(gammas[:, None], (n, d))
+        H = G / one_minus_beta
+    evaluate, gradient = objective.fn_batch, objective.gradient_batch  # counted at finish
+
+    def diagonals(m: int) -> np.ndarray:
+        """The flat cells of the table of m rows that take C[s, p, i]: those
+        of point 2 d p + s d + i, at coordinate i."""
+        point = np.arange(2 * d * m).reshape(m, 2, d).transpose(1, 0, 2).ravel()
+        return point * d + point % d
+
+    def refill(r: int) -> list:
+        raw = next(streams[r])
+        gamma_col, index_col = columns[r][1], columns[r][4]
+        if table is not None and gamma_col is not None:
+            gamma_col.frombytes(table[r].take(raw).tobytes())
+        index_col.frombytes(raw.astype(code).tobytes())
+        drawn[r] = raw.tolist()
+        return drawn[r]
+
+    def finish_row(p: int, r: int) -> None:
+        k, f = done[r], F[r]
+        ks, fs, codes = moves[r]
+        ks = np.frombuffer(ks, np.int64)
+        f_col = np.repeat(np.r_[states[r].f_z, fs], np.diff(ks, prepend=0, append=k))
+        branch = np.full(k, STAY, np.int8)
+        branch[ks] = np.frombuffer(codes, np.int8)
+        spans = np.diff(ks, prepend=-1, append=k - 1)  # each round's steps; the last may be 0
+        _, gamma, _, grad_norm, index = columns[r]
+        if step is not None:
+            gamma = array("d", np.repeat(rounds[r][0], spans[:len(rounds[r][0])]).tobytes())
+        if grad_norm is not None:
+            grad_norm = array("d", np.repeat(rounds[r][1], spans[:len(rounds[r][1])]).tobytes())
+        columns[r] = (array("d", f_col.tobytes()), gamma, array("b", branch.tobytes()),
+                      grad_norm, index)
+        moves[r] = rounds[r] = None
+        reason = "epsilon_gap" if k and epsilon_gap is not None and f - f_star <= epsilon_gap \
+            else "max_iters"
+        finish(r, Z[p].copy(), states[r].v, f, reason)  # v is replayed once all rows finish
+
+    live = list(range(n))  # the seed position of each live row
+    if not max_iters:
+        for r in live:
+            finish_row(r, r)
+        return last
+    cells = diagonals(n)
+    while live:
+        m = len(live)
+        if step is not None:
+            g = step(0, np.array([F[r] for r in live]))  # theta_k is a constant here
+            for r, gamma in zip(live, g.tolist()):
+                rounds[r][0].append(gamma)
+            G = np.broadcast_to(g[:, None], (m, d))
+            H = G / one_minus_beta
+        if norm_constants is not None:
+            for r, norm in zip(live, d_norm_rows(norm_constants, gradient(Z)).tolist()):
+                rounds[r][1].append(norm)
+        C = np.empty((2, m, d))  # the plus and the minus cells
+        np.subtract(Z, H, out=C[0])
+        np.add(Z, H, out=C[1])
+        T = Z.repeat(2 * d, axis=0)
+        T.put(cells, C)
+        V = evaluate(T).tolist()
+        checked = not math.isfinite(sum(V))  # finite whenever every value is, bar an overflow
+        keep = []
+        for p, r in enumerate(live):
+            P, M = V[2 * d * p:2 * d * p + d], V[2 * d * p + d:2 * d * (p + 1)]
+            k, lim, f, chunk, t = done[r], limit[r], F[r], drawn[r], at[r]
+            end = len(chunk)
+            while k < lim:
+                if t == end:
+                    chunk, t = refill(r), 0
+                    end = len(chunk)
+                i = chunk[t]
+                t += 1
+                k += 1
+                f_p, f_m = P[i], M[i]
+                if checked and not (math.isfinite(f_p) and math.isfinite(f_m)):
+                    raise NonFiniteObjectiveError(k - 1, f_p if not math.isfinite(f_p) else f_m)
+                # smtp_step's rule and tie order: move when a candidate beats
+                # f(z), to z+ unless z- is strictly lower
+                if f_p < f or f_m < f:
+                    plus = f_p <= f_m
+                    f = f_p if plus else f_m
+                    step_at, f_after, branch = moves[r]
+                    step_at.append(k - 1)
+                    f_after.append(f)
+                    branch.append(PLUS if plus else MINUS)
+                    last[r] = (i, Z.item(p, i), G.item(p, i))
+                    Z[p, i] = C.item(0 if plus else 1, p, i)
+                    if epsilon_gap is not None and f - f_star <= epsilon_gap:
+                        lim = limit[r] = k
+                    break
+            done[r], F[r], at[r] = k, f, t
+            if k == lim:
+                finish_row(p, r)
+            else:
+                keep.append(p)
+        if len(keep) < m:
+            live = [live[p] for p in keep]
+            Z = Z[keep]
+            cells = diagonals(len(live))
+            if step is None:
+                G, H = G[keep], H[keep]
+            else:
+                step = row_stepsizes([rules[r] for r in live])
+    return last
 
 
 def _replay_momenta(traces, columns, last, beta) -> None:

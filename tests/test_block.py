@@ -81,14 +81,16 @@ def _csv(trace) -> bytes:
 
 
 def _fingerprint(trace, obj) -> tuple:
-    """Everything a run leaves: the trace CSV, its columns and stop, the
-    final state and the objective's counter."""
+    """Everything a run leaves: the trace CSV, its columns (whole, as the CSV
+    stops at the f_z column's length) and stop, the final state and the
+    objective's counter."""
     state = trace.final_state
     retained = None
     if trace.z_before is not None:
         retained = (b"".join(z.tobytes() for z in trace.z_before),
                     b"".join(np.asarray(s).tobytes() for s in trace.s))
     return (_csv(trace), trace.stop_reason, trace.seed, trace.f0, list(trace.evals),
+            list(trace.gamma), None if trace.grad_norm is None else list(trace.grad_norm),
             None if trace.index is None else (trace.index.typecode, list(trace.index)),
             state.z.tobytes(), state.v.tobytes(), state.x.tobytes(), state.f_z, state.k,
             obj.eval_counter, retained)
@@ -221,8 +223,10 @@ DECLINED_BASE = ("method = smtp\nbeta = 0.5\nobjective = quadratic\ndimension = 
      "schedule.gamma = 0.01", "method = smtp_is\nbeta = 0.5\nobjective = quadratic\n"
      "dimension = 4\ncoord_L = logspace:1,10\nschedule.kind = solution_dependent",
      "solution_dependent rule"),
+    ("dimension = 4\ncoord_L = logspace:1,10\ndistribution = sphere",
+     "dimension = 100\ncoord_L = logspace:1,10\ndistribution = coord_uniform", "table bound"),
 ], ids=["noisy", "rosenbrock", "eval_budget", "retain_internals", "solution_free",
-        "decreasing", "is_solution_dependent"])
+        "decreasing", "is_solution_dependent", "wide_table"])
 def test_declined_shapes_run_per_seed(old, new, message, monkeypatch):
     # the block declines these shapes, and a 4-seed run sends every row through
     # run_once, with the traces of the one-seed runs
@@ -245,12 +249,14 @@ def test_declined_shapes_run_per_seed(old, new, message, monkeypatch):
 
 def test_failing_block_reports_the_one_seed_error():
     # a step along coordinate 2 (L = 1e20) overflows f, and each seed first
-    # draws it at its own step (seed 6 at step 4, seed 9 at step 1): seed 9 fails
-    # first in the block, but a run reports seed 6's error, the one its one-seed
-    # run raises, named by label and seed
-    text = ("objective = quadratic\ndimension = 3\ncoord_L = 1,1,1e20\n"
-            "distribution = coord_uniform\nschedule.kind = constant\nschedule.gamma = 1e150\n"
-            "max_iters = 200\nseeds = 6,9,1,11\n")
+    # draws it at its own step (seed 6 at step 4, seed 2 at step 0); a step
+    # along coordinate 0 or 1 reaches the shift and moves, which ends a row's
+    # walk: seed 2 fails first in the block, in its first walk, but a run
+    # reports seed 6's error, the one its one-seed run raises, named by label
+    # and seed
+    text = ("objective = quadratic\ndimension = 3\ncoord_L = 1,1,1e20\nshift = 1e150,1e150,0\n"
+            "distribution = coord_uniform\nschedule.kind = constant\nschedule.gamma = 5e149\n"
+            "max_iters = 200\nseeds = 6,9,2,11\n")
     cfg = parse_config(text)
     with pytest.raises(optimizers.NonFiniteObjectiveError, match="iteration 4") as alone:
         run_once(cfg, 6)
@@ -494,11 +500,12 @@ def test_compare_below_the_crossover_runs_rows_in_config_order(monkeypatch):
 
 
 @st.composite
-def blocks(draw):
-    """Rows of one admitted shape and beta with their own law and rule parameters."""
+def blocks(draw, coord=None):
+    """Rows of one admitted shape and beta with their own law and rule
+    parameters, over coordinate laws if coord, vector laws if not coord."""
     d = draw(st.integers(2, 7))
     n = draw(st.integers(1, 6))
-    coord = draw(st.booleans())
+    coord = draw(st.booleans()) if coord is None else coord
     kind = draw(st.sampled_from(KINDS))
     beta = draw(st.sampled_from(BETAS))
     dists, rules = [], []
@@ -528,20 +535,132 @@ def blocks(draw):
     return d, beta, dists, rules, seeds, stops, (draw(st.booleans()), record_index)
 
 
-@settings(max_examples=60, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(case=blocks())
-def test_run_block_equals_run_loop_per_row(case):
-    d, beta, dists, rules, seeds, (max_iters, eps), (track, index) = case
+def _block_equals_runs(d, beta, dists, rules, seeds, stops, recording, make=None, x0=None):
+    """run_block's traces, final states and counters equal smtp_run's per
+    row; returns the traces."""
+    (max_iters, eps), (track, index) = stops, recording
     coord_L = np.logspace(0, 2, d)
+    make = make or (lambda: objectives.make_quadratic(coord_L))
     nc = directions.constants(dists[0])
-    x0 = np.ones(d)
-    objs = [objectives.make_quadratic(coord_L) for _ in seeds]
+    x0 = np.ones(d) if x0 is None else x0
+    objs = [make() for _ in seeds]
     expected = [_fingerprint(optimizers.smtp_run(o, dist, r, beta, x0, max_iters, seed=s,
                                                  epsilon_gap=eps, track_grad_norm=track,
                                                  norm_constants=nc, record_index=index), o)
                 for o, r, s, dist in zip(objs, rules, seeds, dists)]
-    objs = [objectives.make_quadratic(coord_L) for _ in seeds]
+    objs = [make() for _ in seeds]
     traces = optimizers.run_block(objs, rules, beta, x0, max_iters, seeds, eps, track, dists, nc,
                                   index)
     assert [_fingerprint(t, o) for t, o in zip(traces, objs)] == expected
+    return traces
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=blocks())
+def test_run_block_equals_run_loop_per_row(case):
+    _block_equals_runs(*case)
+
+
+# --- the coordinate walk: a table of candidates per row, rows on their own --
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(case=blocks(coord=True))
+def test_walks_cross_draw_chunks(case, monkeypatch):
+    # blocks() and configs() stop by 300 steps, below a chunk of draws at
+    # 1 << 16 floats; at 64 floats a chunk holds at most 32 draws, and walks
+    # run across refills of their rows' draws
+    monkeypatch.setattr(directions, "_DRAW_FLOATS", 64)
+    _block_equals_runs(*case)
+
+
+def _guarded(bound: float):
+    """A d = 4 quadratic that is inf where x_2 > bound."""
+    L = np.linspace(1.0, 4.0, 4)
+
+    def fn_batch(X):
+        return np.where(X[:, 2] > bound, np.inf, 0.5 * np.vecdot(X * X, L))
+
+    return objectives.Objective(lambda x: float(fn_batch(x[None])[0]), 4, fn_batch=fn_batch)
+
+
+# coordinate 2 is drawn about once in 1e9 steps
+RARE_2 = directions.DirectionDistribution("coord_weighted", 4,
+                                          weights=np.array([0.4, 0.3, 1e-9, 0.3 - 1e-9]))
+UNIFORM_4 = directions.DirectionDistribution("coord_uniform", 4)
+
+
+def test_an_undrawn_non_finite_candidate_does_not_raise():
+    # from x_2 = 1 every table holds z + h e_2, where f is inf, but no row
+    # draws coordinate 2, and the rows run as they do alone
+    rules = [schedules.Constant(g) for g in (0.05, 0.02, 0.05)]
+    traces = _block_equals_runs(4, 0.5, [RARE_2] * 3, rules, [0, 1, 2], (300, None),
+                                (False, True), make=lambda: _guarded(1.0))
+    assert all(2 not in trace.index and len(trace.f_z) == 300 for trace in traces)
+
+
+def test_a_drawn_non_finite_value_raises_the_one_seed_error():
+    # seed 13 first draws coordinate 2 at step 12, after moves that each ended
+    # a walk; the other rows never draw it
+    rule, x0 = schedules.Constant(0.05), np.ones(4)
+    nc = directions.constants(UNIFORM_4)
+    with pytest.raises(optimizers.NonFiniteObjectiveError) as alone:
+        optimizers.smtp_run(_guarded(1.0), UNIFORM_4, rule, 0.5, x0, 300, seed=13,
+                            norm_constants=nc)
+    assert alone.value.k == 12
+    with pytest.raises(optimizers.NonFiniteObjectiveError) as block:
+        optimizers.run_block([_guarded(1.0) for _ in range(3)], [rule] * 3, 0.5, x0, 300,
+                             [0, 13, 2], None, False, [RARE_2, UNIFORM_4, RARE_2], nc)
+    assert (block.value.k, block.value.value) == (alone.value.k, alone.value.value)
+    assert str(block.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("max_iters, eps", [(37, None), (400, 100.0)], ids=["max_iters", "epsilon"])
+def test_rows_stop_in_the_middle_of_a_walk(max_iters, eps):
+    # from x0 = 1, a step of 10 stays at every draw, and one of 0.3 moves a
+    # few times along each coordinate, then stays.  At max_iters a row stops
+    # after a stay, within a walk; from an f(x0) within epsilon every row
+    # stops after its first step, a move or a stay
+    d = 5
+    rules = [schedules.Constant(g) for g in (0.3, 10.0, 0.3, 10.0)]
+    traces = _block_equals_runs(d, 0.5, [directions.DirectionDistribution("coord_uniform", d)] * 4,
+                                rules, [3, 1, 4, 5], (max_iters, eps), (True, False))
+    branches = [list(trace.branch) for trace in traces]
+    if eps is None:
+        assert all(len(b) == max_iters and b[-1] == optimizers.STAY for b in branches)
+        assert any(optimizers.STAY != code for code in branches[0])
+    else:
+        assert {trace.stop_reason for trace in traces} == {"epsilon_gap"}
+        assert [b[0] == optimizers.STAY for b in branches] == [False, True, False, True]
+        assert all(len(b) == 1 for b in branches)
+
+
+def test_coordinate_solution_dependent_with_grad_norm():
+    # the stepsize and the tracked norm hold still between moves and change
+    # at each; the block builds both columns from its rounds
+    d, beta = 6, 0.5
+    dists = [directions.DirectionDistribution("coord_uniform", d),
+             directions.DirectionDistribution("coord_weighted", d,
+                                              weights=np.arange(1.0, d + 1.0) / 21.0)] * 2
+    rules = [schedules.SolutionDependent(1.0, 100.0, mu_d, 0.0, beta, theta_k)
+             for mu_d, theta_k in ((1 / 6, 1.0), (0.5, 0.8), (1 / 6, 1.5), (0.5, 0.5))]
+    traces = _block_equals_runs(d, beta, dists, rules, [5, 6, 7, 8], (3000, 1e-4),
+                                (True, True))
+    for trace in traces:
+        assert len(set(trace.gamma)) > 10 and len(set(trace.grad_norm)) > 10
+        assert optimizers.STAY in trace.branch
+
+
+def test_block_admission_of_coordinate_rows():
+    # coordinate rows need a stepsize that holds still while they stay, and
+    # candidate tables that fit _TABLE_FLOATS together; vector rows need neither
+    obj, d = objectives.make_quadratic(np.ones(20)), 20
+    coord, sphere = (directions.DirectionDistribution(k, d) for k in ("coord_uniform", "sphere"))
+    moving = schedules.SolutionDependent(1.0, 1.0, 0.05, 0.0, 0.5, theta_k=lambda k: 1.0)
+    assert not optimizers.block_supports(obj, moving, coord)
+    assert optimizers.block_supports(obj, moving, sphere)
+    rule, most = schedules.Constant(0.1), optimizers._TABLE_FLOATS // (2 * d * d)
+    assert optimizers.block_supports(obj, rule, coord, most)
+    assert not optimizers.block_supports(obj, rule, coord, most + 1)
+    assert optimizers.block_supports(obj, rule, sphere, 10 * most)

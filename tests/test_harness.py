@@ -300,6 +300,17 @@ class TestParsing:
         ("objective = quadratic\ndimension = 4\ncoord_L = logspace:1,4",
          "objective = rosenbrock\ndimension = 4\nr0 = auto\ntheorem = CVX-CONST", 5,
          "r0 = auto is only available for the quadratic objective"),
+        ("objective = quadratic\ndimension = 4\ncoord_L = logspace:1,4",
+         "objective = lqr\nhorizon = 0\nd_state = 2\nd_ctrl = 1", 4, "horizon must be >= 1"),
+        ("objective = quadratic\ndimension = 4\ncoord_L = logspace:1,4",
+         "objective = lqr\nhorizon = 3\nd_state = 2\nd_ctrl = 3", 6,
+         "need 1 <= d_ctrl <= d_state"),
+        ("distribution = sphere", "distribution = coord_weighted\nweights = 0.1,0.2,0.3,0.5", 7,
+         r"bad weights: weights must sum to 1 within 1e-12, got 1.1"),
+        ("distribution = sphere", "distribution = orthonormal_weighted\nweights = 0.5,0.5,0.5,-0.5",
+         7, "bad weights: weights must be strictly positive"),
+        (QUAD_BASE, QUAD_BASE.replace("method = smtp", "method = smtp_is").replace("distribution = sphere\n", "") + "\nis.p = 0.1,0.2,0.3,0.5", 9,
+         r"bad is.p: weights must sum to 1 within 1e-12, got 1.1"),
     ], ids=["jobs", "max_iters", "seeds", "noise.sigma", "dimension", "lqr_size", "distribution",
             "smtp_is_distribution", "repeated_seeds", "nc_needs_grad_norm", "envelope_max_iters",
             "lqr_grad_norm", "r0", "gamma0", "alpha", "theta", "t", "gaussian_weights",
@@ -312,7 +323,8 @@ class TestParsing:
             "coord_L_positive", "dimension_0", "shift_entries", "noise_k_0", "x0_entries",
             "lqr_x0_entries", "weights_entries", "weights_missing", "is_p_entries",
             "is_w_entries", "basis_spec", "cvx_without_r0", "alpha_auto_without_r0",
-            "r0_auto_off_quadratic"])
+            "r0_auto_off_quadratic", "lqr_horizon_0", "lqr_d_ctrl", "weights_sum",
+            "weights_positive", "is_p_sum"])
     def test_validation_errors_name_their_line(self, old, new, line, message):
         with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
             parse_config(QUAD_BASE.replace(old, new))

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from threepoint import optimizers
 from threepoint.diagnostics import finite_diff_gradient_check
+from threepoint.directions import DirectionDistribution
 from threepoint.objectives import (
     NoiseSpec,
     coord_L_from_spec,
@@ -16,6 +18,7 @@ from threepoint.objectives import (
     make_rosenbrock,
     wrap_noise,
 )
+from threepoint.schedules import Constant
 
 
 class TestQuadratic:
@@ -248,7 +251,13 @@ class TestBatch:
             if obj.fn_batch is None:
                 continue
             batched += 1
-            for size in range(1, 65):
+            # up to the largest candidate table optimizers.block_supports admits:
+            # 2 d points of each of its most coordinate rows
+            rows = optimizers._TABLE_FLOATS // (2 * d * d)
+            law = DirectionDistribution("coord_uniform", d)
+            assert optimizers.block_supports(obj, Constant(0.1), law, rows)
+            assert not optimizers.block_supports(obj, Constant(0.1), law, rows + 1)
+            for size in [*range(1, 65), 2 * d * rows]:
                 X = rng.standard_normal((size, d)) * 10.0 ** rng.integers(-4, 2)
                 got = obj.fn_batch(X)
                 assert got.shape == (size,), name
