@@ -603,8 +603,7 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
         h = gamma / (1 - beta)."""
         m = len(live)
         appends = [(columns[r][0].append, columns[r][2].append) for r in live]
-        gamma_appends = None if G is not None or keep_steps else [
-            columns[r][1].append for r in live]
+        gamma_appends = None if keep_steps else [columns[r][1].append for r in live]
         H = None if G is None else G / one_minus_beta
         return m, XW[0, :m], XW[0, m:], appends, gamma_appends, H
 
@@ -616,12 +615,8 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
             block[:, 0] = first
             for p in range(1, len(live)):
                 block[:, p] = next(streams[p])
-            if step is None:  # a fixed rule: the chunk's steps are known
+            if step is None:  # a context-free rule: the chunk's steps are known
                 G = np.broadcast_to(gammas[live], block.shape[:2])
-            for p, r in enumerate(live):  # columns known for the chunk, cut at finish
-                gamma_col = columns[r][1]
-                if gamma_col is not None and G is not None:
-                    gamma_col.frombytes(np.ascontiguousarray(G[:, p]).tobytes())
             m, Z, C, appends, gamma_appends, H = shape()
         drawn = block[j]
         if track_grad_norm:
@@ -702,7 +697,7 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, gammas, 
     SolutionDependent and the tracked grad_norm, change only at moves, so
     they are built when the row finishes, from typed records of its moves and
     rounds.  The index column (and an index-only rule's gamma column) is
-    filled a chunk of draws ahead, as the lockstep loop fills it.
+    filled a chunk of draws ahead and cut when the row finishes.
     """
     n, d = len(states), states[0].z.size
     one_minus_beta = 1.0 - beta

@@ -535,14 +535,14 @@ def blocks(draw, coord=None):
     return d, beta, dists, rules, seeds, stops, (draw(st.booleans()), record_index)
 
 
-def _block_equals_runs(d, beta, dists, rules, seeds, stops, recording, make=None, x0=None):
+def _block_equals_runs(d, beta, dists, rules, seeds, stops, recording, make=None):
     """run_block's traces, final states and counters equal smtp_run's per
     row; returns the traces."""
     (max_iters, eps), (track, index) = stops, recording
     coord_L = np.logspace(0, 2, d)
     make = make or (lambda: objectives.make_quadratic(coord_L))
     nc = directions.constants(dists[0])
-    x0 = np.ones(d) if x0 is None else x0
+    x0 = np.ones(d)
     objs = [make() for _ in seeds]
     expected = [_fingerprint(optimizers.smtp_run(o, dist, r, beta, x0, max_iters, seed=s,
                                                  epsilon_gap=eps, track_grad_norm=track,
@@ -568,9 +568,9 @@ def test_run_block_equals_run_loop_per_row(case):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(case=blocks(coord=True))
 def test_walks_cross_draw_chunks(case, monkeypatch):
-    # blocks() and configs() stop by 300 steps, below a chunk of draws at
-    # 1 << 16 floats; at 64 floats a chunk holds at most 32 draws, and walks
-    # run across refills of their rows' draws
+    # blocks() stops by 150 steps and configs() by 300, below a chunk of
+    # draws at 1 << 16 floats; at 64 floats a chunk holds at most 32 draws,
+    # and walks run across refills of their rows' draws
     monkeypatch.setattr(directions, "_DRAW_FLOATS", 64)
     _block_equals_runs(*case)
 
