@@ -363,20 +363,15 @@ def build_x0(cfg: ExperimentConfig, dimension: int) -> np.ndarray:
 
 def build_distribution(cfg: ExperimentConfig, dimension: int) -> directions.DirectionDistribution:
     kind = cfg.distribution
-    weights = None
-    basis = None
+    weights = basis = None
     if kind in ("coord_weighted", "orthonormal_weighted"):
-        if cfg.weights is None:
-            raise ConfigError(f"distribution {kind!r} needs weights")
         weights = _parse_vector(cfg.weights, dimension, "weights")
     if kind == "orthonormal_weighted":
         if cfg.basis == "identity":
             basis = np.eye(dimension)
-        elif cfg.basis.startswith("random:"):
+        else:  # random:<seed>
             gen = np.random.default_rng(int(cfg.basis.split(":", 1)[1]))
             basis, _ = np.linalg.qr(gen.standard_normal((dimension, dimension)))
-        else:
-            raise ConfigError(f"bad basis spec {cfg.basis!r}")
     return directions.DirectionDistribution(kind, dimension, weights=weights, basis=basis)
 
 
@@ -403,13 +398,9 @@ def build_is_vectors(cfg: ExperimentConfig, obj: objectives.Objective):
 
 
 def _resolve_r0(cfg: ExperimentConfig, obj: objectives.Objective, x0, norm_constants) -> float:
-    if cfg.r0 is None:
-        raise ConfigError("this schedule/theorem needs r0 (set r0 = <float> or r0 = auto)")
     if cfg.r0 != "auto":
         r0 = float(cfg.r0)
-    elif cfg.objective != "quadratic":
-        raise ConfigError("r0 = auto is only available for the quadratic objective")
-    else:
+    else:  # a quadratic's (_validate)
         gap0 = obj.value(x0) - obj.smoothness.f_star
         r0 = schedules.quadratic_level_radius(obj.smoothness.coord_L, gap0, norm_constants)
     if not r0 > 0.0:
@@ -463,7 +454,10 @@ def build_run(cfg: ExperimentConfig, obj: objectives.Objective, x0) -> RunParts:
 
 
 def _build_row(cfg: ExperimentConfig, seed: int):
-    """A (config, seed) row's objective, x0 and run parts, built as every run builds them."""
+    """A (config, seed) row's objective, x0 and run parts, built as every run
+    builds them, after parse_config's checks: the builders trust those, and
+    a config built without parse_config raises the same ConfigError."""
+    _validate(cfg, {})
     obj = build_objective(cfg, seed)
     x0 = build_x0(cfg, obj.dimension)
     return obj, x0, build_run(cfg, obj, x0)
@@ -499,12 +493,8 @@ def build_schedule(cfg: ExperimentConfig, obj: objectives.Objective, x0,
         return schedules.PerCoordinate(rule, w) if is_mode else rule
 
     if kind == "constant":
-        if cfg.schedule_gamma is None:
-            raise ConfigError("schedule.kind = constant needs schedule.gamma")
         return over_w(schedules.Constant(cfg.schedule_gamma))
     if kind == "fixed_horizon":
-        if cfg.schedule_gamma0 is None:
-            raise ConfigError("schedule.kind = fixed_horizon needs schedule.gamma0")
         if cfg.schedule_gamma0 == "optimal":
             if is_mode:
                 L, gamma_d = schedules.is_sum_weighted_L(p, w, need_coord_L()), 1.0
@@ -528,17 +518,13 @@ def build_schedule(cfg: ExperimentConfig, obj: objectives.Objective, x0,
                 mu, p, w, need_coord_L(), info.f_star, beta, cfg.schedule_theta_k)
         return schedules.SolutionDependent(
             mu, need_L(), norm_constants.mu_d, info.f_star, beta, cfg.schedule_theta_k)
-    if kind == "solution_free":
-        t = _resolve_t(cfg, obj, norm_constants, p)
-        if is_mode:
-            return schedules.ISSolutionFree(need_coord_L(), t, beta)
-        return schedules.SolutionFree(need_L(), t, beta)
-    raise ConfigError(f"unsupported schedule kind {kind!r}")
+    t = _resolve_t(cfg, obj, norm_constants, p)  # solution_free, the last of SCHEDULE_KINDS
+    if is_mode:
+        return schedules.ISSolutionFree(need_coord_L(), t, beta)
+    return schedules.SolutionFree(need_L(), t, beta)
 
 
 def _resolve_alpha_theta(cfg, obj, x0, mu_like, norm_constants):
-    if cfg.schedule_alpha is None:
-        raise ConfigError("schedule.kind = decreasing needs schedule.alpha")
     if cfg.schedule_alpha == "auto":
         r0 = _resolve_r0(cfg, obj, x0, norm_constants)
         alpha = mu_like / ((1.0 - _beta(cfg)) * r0)
@@ -552,8 +538,6 @@ def _resolve_alpha_theta(cfg, obj, x0, mu_like, norm_constants):
 
 
 def _resolve_t(cfg, obj, norm_constants, p=None) -> float:
-    if cfg.schedule_t is None:
-        raise ConfigError("schedule.kind = solution_free needs schedule.t")
     if cfg.schedule_t != "auto":
         return float(cfg.schedule_t)
     if cfg.epsilon is None:

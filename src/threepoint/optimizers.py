@@ -24,7 +24,6 @@ from .directions import (
     COORD_KINDS,
     DirectionDistribution,
     DistributionConstants,
-    categorical_index,  # noqa: F401 - perfbench's traced runs wrap this name here
     chunk_rows,
     chunks,
     constants,
@@ -332,20 +331,23 @@ def smtp_run(objective, dist: DirectionDistribution, schedule, beta: float, x0, 
     over coordinate directions an index-only rule once per coordinate
     (_fixed_steps).  With track_grad_norm the trace records the gradient
     norm at z before each step, measured by norm_constants (dist's own by
-    default), and with record_index the drawn coordinate.
+    default), and with record_index the drawn coordinate, which only a
+    coordinate law draws (ValueError otherwise).
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
     f_star = objective.smoothness.f_star
     if epsilon_gap is not None and f_star is None:
         raise ValueError("epsilon_gap stopping needs a known f_star")
+    coord = dist.kind in COORD_KINDS
+    if record_index and not coord:
+        raise ValueError("record_index needs a coordinate law")
     require_unit_law(schedule, dist.kind)
     if norm_constants is None:
         norm_constants = constants(dist)
     start_evals = objective.eval_counter
     state = init_state(objective, x0, beta)
     after_init = objective.eval_counter
-    coord = dist.kind in COORD_KINDS
     gamma = table = None
     if max_iters > 0:
         gamma, table = _fixed_steps(schedule, coord, state.f_z, dist.dim)
@@ -468,22 +470,19 @@ _TABLE_FLOATS = 1 << 16
 def block_supports(objective, rule, dist, rows: int = 1) -> bool:
     """Whether run_block runs a row of this objective, rule and law in a
     block of this many rows: the objective evaluates a batch at once
-    (fn_batch), and the stepsize is known up front (a context-free rule, or
-    an index-only table over a coordinate law) or is SolutionDependent's,
-    which row_stepsizes gives for all rows at once.  Over a coordinate law
-    the stepsize must hold still while a row stays (no callable theta_k), and
-    the rows' candidate tables must hold at most _TABLE_FLOATS floats
-    together.  Every other row runs through the scalar loop, with the same
-    trace."""
+    (fn_batch), and the stepsize is known up front, or over a vector law is
+    SolutionDependent's with a constant theta_k, which row_stepsizes gives for
+    all rows at once.  Over a coordinate law the rule is fixed (context-free,
+    or index-only: a table of d stepsizes), and the rows' candidate tables
+    hold at most _TABLE_FLOATS floats together.  Every other row runs through
+    the scalar loop, with the same trace."""
     if objective.fn_batch is None:
         return False
     if dist.kind not in COORD_KINDS:
-        return getattr(rule, "context_free", False) or isinstance(rule, SolutionDependent)
-    if 2 * rows * dist.dim * dist.dim > _TABLE_FLOATS:
-        return False
-    if isinstance(rule, SolutionDependent):
-        return not callable(rule.theta_k)
-    return getattr(rule, "context_free", False) or getattr(rule, "index_only", False)
+        return getattr(rule, "context_free", False) or (
+            isinstance(rule, SolutionDependent) and not callable(rule.theta_k))
+    return 2 * rows * dist.dim * dist.dim <= _TABLE_FLOATS and (
+        getattr(rule, "context_free", False) or getattr(rule, "index_only", False))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the checks raise on a non-finite value
@@ -500,11 +499,12 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
     rule class, the stop, the recording and the norm constants.
 
     Over a vector law the rows step in lockstep: each step evaluates every
-    row's two candidates in one fn_batch call.  Over a coordinate law they
-    go in rounds (_walk_rows): one fn_batch call evaluates each row's table
-    of all 2 d candidates it can draw before it moves, and each row walks its
-    own draws on those values to its first move or its stop.  Bit for bit,
-    because:
+    row's two candidates in one fn_batch call, under a context-free rule's
+    per-row steps or SolutionDependent's, with a constant theta_k.  Over a
+    coordinate law the rule is fixed, and the rows go in rounds (_walk_rows):
+    one fn_batch call evaluates each row's table of all 2 d candidates it can
+    draw before it moves, and each row walks its own draws on those values to
+    its first move or its stop.  Bit for bit, because:
     - each row draws from its own generator, in chunks that together hold
       at most _DRAW_FLOATS floats;
     - fn_batch gives every point the value the one-point call gives it;
@@ -520,15 +520,18 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
         raise ValueError("max_iters must be >= 0")
     n, d = len(seeds), dists[0].dim
     if not all(block_supports(o, r, dist, n) for o, r, dist in zip(objectives, rules, dists)):
-        raise ValueError("run_block runs an objective with fn_batch under a fixed or "
-                         "solution_dependent rule, over coordinate laws within its table "
-                         "bound; run other rows through the scalar loop")
+        raise ValueError("run_block runs an objective with fn_batch under a fixed rule, or "
+                         "a solution_dependent rule with a constant theta_k over a vector law, "
+                         "over coordinate laws within its table bound; run other rows through "
+                         "the scalar loop")
     f_star = objectives[0].smoothness.f_star
     if epsilon_gap is not None and f_star is None:
         raise ValueError("epsilon_gap stopping needs a known f_star")
     coord = dists[0].kind in COORD_KINDS
     if any(dist.dim != d or (dist.kind in COORD_KINDS) != coord for dist in dists):
         raise ValueError("the rows of a block share one dimension and a coordinate or vector law")
+    if record_index and not coord:
+        raise ValueError("record_index needs a coordinate law")
     states = [init_state(o, x0, beta) for o in objectives]
     after_init = [o.eval_counter for o in objectives]
     gammas = table = step = None
@@ -570,9 +573,10 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
                              index if record_index else None, steps=steps)
 
     if coord:
-        last = _walk_rows(objectives[0], states, beta, max_iters, f_star, epsilon_gap,
-                          gammas, table, step, rules, streams, columns, code,
-                          norm_constants if track_grad_norm else None, finish)
+        G = table if gammas is None else np.broadcast_to(gammas[:, None], (n, d))
+        last = _walk_rows(objectives[0], states, beta, max_iters, f_star, epsilon_gap, G,
+                          streams, columns, code, norm_constants if track_grad_norm else None,
+                          finish)
         _replay_momenta(traces, columns, last, beta)
         return traces
 
@@ -587,7 +591,8 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
     evaluate = objectives[0].fn_batch  # counted when a row finishes
     one_minus_beta = 1.0 - beta
     live = list(range(n))  # the seed position of each row
-    G = None  # a fixed rule's steps over the chunk, (chunk rows, live rows)
+    if gammas is not None:  # a context-free rule's steps, and h = gamma / (1 - beta)
+        g, h = gammas, gammas / one_minus_beta
 
     def finish_row(p: int, r: int, reason: str) -> None:
         move = None
@@ -598,15 +603,14 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
         finish(r, XW[0, p].copy(), v, F[p], reason, move)
 
     def shape():
-        """What depends on the live rows and the chunk: views of XW, the
-        rows' column appenders, and given a fixed rule's steps G,
-        h = gamma / (1 - beta)."""
+        """What depends on the live rows: views of XW and the rows' column
+        appenders."""
         m = len(live)
         appends = [(columns[r][0].append, columns[r][2].append) for r in live]
         gamma_appends = None if keep_steps else [columns[r][1].append for r in live]
-        H = None if G is None else G / one_minus_beta
-        return m, XW[0, :m], XW[0, m:], appends, gamma_appends, H
+        return m, XW[0, :m], XW[0, m:], appends, gamma_appends
 
+    m, Z, C, appends, gamma_appends = shape()
     for k in range(max_iters):
         j = k % rows
         if j == 0:
@@ -615,17 +619,12 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
             block[:, 0] = first
             for p in range(1, len(live)):
                 block[:, p] = next(streams[p])
-            if step is None:  # a context-free rule: the chunk's steps are known
-                G = np.broadcast_to(gammas[live], block.shape[:2])
-            m, Z, C, appends, gamma_appends, H = shape()
         drawn = block[j]
         if track_grad_norm:
             for r, norm in zip(live, d_norm_rows(norm_constants, gradient(Z)).tolist()):
                 columns[r][3].append(norm)
-        if step is None:
-            g, h = G[j], H[j]
-        else:
-            g = step(k, np.array(F))
+        if step is not None:
+            g = step(np.array(F))
             h = g / one_minus_beta
             for append, gamma in zip(gamma_appends, g):
                 append(gamma)
@@ -670,50 +669,46 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
             ZV = XW[:, keep]
             XW = np.tile(ZV, (1, 3, 1))
             block = block[:, keep]
-            if step is not None:
+            if step is None:
+                g, h = g[keep], h[keep]
+            else:
                 step = row_stepsizes([rules[r] for r in live])
-            G = None if G is None else G[:, keep]
-            m, Z, C, appends, gamma_appends, H = shape()
+            m, Z, C, appends, gamma_appends = shape()
     else:
         for p, r in enumerate(live):
             finish_row(p, r, "max_iters")
     return traces
 
 
-def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, gammas, table, step,
-               rules, streams, columns, code, norm_constants, finish) -> list:
-    """run_block's coordinate-law rows, in rounds.  Returns each row's last
-    move as (i, old z_i, gamma), or None.
+def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, streams, columns,
+               code, norm_constants, finish) -> list:
+    """run_block's coordinate-law rows, in rounds, under a fixed rule: row r
+    steps by G[r, i] along coordinate i (G is None when max_iters is 0).
+    Returns each row's last move as (i, old z_i, gamma), or None.
 
-    A stay leaves z and the stepsize as they are, so until a row moves, every
-    candidate it can draw is one of the 2 d points z -/+ h_i e_i, with
-    h_i = gamma_i / (1 - beta).  A round evaluates that table for every live
-    row in one fn_batch call: 2 d copies of each z (np.repeat), whose diagonal
-    cells take z_i - h_i (plus, at 2 d p + i) and z_i + h_i (minus, at
-    2 d p + d + i), the scalar step's arithmetic.  Each row then walks its
-    own draws on those values, by smtp_step's rule and tie order, to its
-    first move or its stop, and raises at a drawn non-finite value as
-    smtp_step does.  Its f_z and branch columns, and the gamma of
-    SolutionDependent and the tracked grad_norm, change only at moves, so
-    they are built when the row finishes, from typed records of its moves and
-    rounds.  The index column (and an index-only rule's gamma column) is
-    filled a chunk of draws ahead and cut when the row finishes.
+    A stay leaves z as it is, so until a row moves, every candidate it can
+    draw is one of the 2 d points z -/+ h_i e_i, with h_i = G[r, i] / (1 - beta).
+    A round evaluates that table for every live row in one fn_batch call: 2 d
+    copies of each z (np.repeat), whose diagonal cells take z_i - h_i (plus,
+    at 2 d p + i) and z_i + h_i (minus, at 2 d p + d + i), the scalar step's
+    arithmetic.  Each row then walks its own draws on those values, by
+    smtp_step's rule and tie order, to its first move or its stop, and raises
+    at a drawn non-finite value as smtp_step does.  Its f_z and branch
+    columns, and the tracked grad_norm, change only at moves, so they are
+    built when the row finishes, from typed records of its moves and rounds.
+    The index column (and an index-only rule's gamma column) is filled a
+    chunk of draws ahead and cut when the row finishes.
     """
     n, d = len(states), states[0].z.size
-    one_minus_beta = 1.0 - beta
     Z = np.array([st.z for st in states])  # the live rows' z
     F = [st.f_z for st in states]
     done, limit = [0] * n, [max_iters] * n  # steps taken, and where each row stops
     if epsilon_gap is not None:  # a row already within epsilon stops after its first step
         limit = [min(max_iters, 1) if f - f_star <= epsilon_gap else max_iters for f in F]
     moves = [(array("q"), array("d"), array("b")) for _ in states]  # step, f(z) after, branch
-    rounds = [(array("d"), array("d")) for _ in states]  # gamma, grad_norm at each round
+    norms = [array("d") for _ in states]  # grad_norm at each round
     last = [None] * n
     drawn, at = [[] for _ in states], [0] * n  # each row's chunk of draws, and its place in it
-    G = H = None  # the live rows' steps and h = gamma / (1 - beta), (live rows, d)
-    if step is None and max_iters:  # a fixed rule's, for the whole run
-        G = table if table is not None else np.broadcast_to(gammas[:, None], (n, d))
-        H = G / one_minus_beta
     evaluate, gradient = objective.fn_batch, objective.gradient_batch  # counted at finish
 
     def diagonals(m: int) -> np.ndarray:
@@ -725,8 +720,8 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, gammas, 
     def refill(r: int) -> list:
         raw = next(streams[r])
         gamma_col, index_col = columns[r][1], columns[r][4]
-        if table is not None and gamma_col is not None:
-            gamma_col.frombytes(table[r].take(raw).tobytes())
+        if gamma_col is not None:  # an index-only rule's
+            gamma_col.frombytes(G[r].take(raw).tobytes())
         index_col.frombytes(raw.astype(code).tobytes())
         drawn[r] = raw.tolist()
         return drawn[r]
@@ -738,15 +733,13 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, gammas, 
         f_col = np.repeat(np.r_[states[r].f_z, fs], np.diff(ks, prepend=0, append=k))
         branch = np.full(k, STAY, np.int8)
         branch[ks] = np.frombuffer(codes, np.int8)
-        spans = np.diff(ks, prepend=-1, append=k - 1)  # each round's steps; the last may be 0
         _, gamma, _, grad_norm, index = columns[r]
-        if step is not None:
-            gamma = array("d", np.repeat(rounds[r][0], spans[:len(rounds[r][0])]).tobytes())
         if grad_norm is not None:
-            grad_norm = array("d", np.repeat(rounds[r][1], spans[:len(rounds[r][1])]).tobytes())
+            spans = np.diff(ks, prepend=-1, append=k - 1)  # each round's steps; the last may be 0
+            grad_norm = array("d", np.repeat(norms[r], spans[:len(norms[r])]).tobytes())
         columns[r] = (array("d", f_col.tobytes()), gamma, array("b", branch.tobytes()),
                       grad_norm, index)
-        moves[r] = rounds[r] = None
+        moves[r] = norms[r] = None
         reason = "epsilon_gap" if k and epsilon_gap is not None and f - f_star <= epsilon_gap \
             else "max_iters"
         finish(r, Z[p].copy(), states[r].v, f, reason)  # v is replayed once all rows finish
@@ -757,17 +750,12 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, gammas, 
             finish_row(r, r)
         return last
     cells = diagonals(n)
+    H = G / (1.0 - beta)  # the live rows' h, (live rows, d)
     while live:
         m = len(live)
-        if step is not None:
-            g = step(0, np.array([F[r] for r in live]))  # theta_k is a constant here
-            for r, gamma in zip(live, g.tolist()):
-                rounds[r][0].append(gamma)
-            G = np.broadcast_to(g[:, None], (m, d))
-            H = G / one_minus_beta
         if norm_constants is not None:
             for r, norm in zip(live, d_norm_rows(norm_constants, gradient(Z)).tolist()):
-                rounds[r][1].append(norm)
+                norms[r].append(norm)
         C = np.empty((2, m, d))  # the plus and the minus cells
         np.subtract(Z, H, out=C[0])
         np.add(Z, H, out=C[1])
@@ -799,7 +787,7 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, gammas, 
                     step_at.append(k - 1)
                     f_after.append(f)
                     branch.append(PLUS if plus else MINUS)
-                    last[r] = (i, Z.item(p, i), G.item(p, i))
+                    last[r] = (i, Z.item(p, i), G.item(r, i))
                     Z[p, i] = C.item(0 if plus else 1, p, i)
                     if epsilon_gap is not None and f - f_star <= epsilon_gap:
                         lim = limit[r] = k
@@ -813,10 +801,7 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, gammas, 
             live = [live[p] for p in keep]
             Z = Z[keep]
             cells = diagonals(len(live))
-            if step is None:
-                G, H = G[keep], H[keep]
-            else:
-                step = row_stepsizes([rules[r] for r in live])
+            H = H[keep]
     return last
 
 

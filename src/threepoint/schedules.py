@@ -322,31 +322,31 @@ def require_unit_law(schedule, kind: str) -> None:
 
 
 def row_stepsizes(rules: list):
-    """SolutionDependent's stepsize of many rows at once, row r under rules[r].
+    """SolutionDependent's stepsize of many rows at once, row r under rules[r],
+    each with a constant theta_k (ValueError for a callable one).
 
-    Returns step(k, f_z): gamma for every row at iteration k from the rows'
-    f(z), checked as stepsize() checks it.  It runs elementwise in the scalar
-    form's order over per-row parameter columns, so each row gets bit for
-    bit what stepsize() gives its rule.
+    Returns step(f_z): gamma for every row from the rows' f(z), checked as
+    stepsize() checks it.  It runs elementwise in the scalar form's order over
+    per-row parameter columns, so each row gets bit for bit what stepsize()
+    gives its rule at any iteration.
     """
+    if any(callable(r.theta_k) for r in rules):
+        raise ValueError("row_stepsizes needs a constant theta_k")
+
     def col(name):
-        return np.array([getattr(r, name) for r in rules])
+        return np.array([float(getattr(r, name)) for r in rules])
 
-    f_star, two_mu, one_minus_beta = col("f_star"), 2.0 * col("mu"), 1.0 - col("beta")
-    mu_d, L = col("mu_d"), col("L")
-    fixed = not any(callable(r.theta_k) for r in rules)
+    f_star, two_mu, L = col("f_star"), 2.0 * col("mu"), col("L")
     # ((1-beta) theta_k) mu_d: the scalar form's head
-    head = one_minus_beta * np.array([_theta_k_value(r.theta_k, 0) for r in rules]) * mu_d
+    head = (1.0 - col("beta")) * col("theta_k") * col("mu_d")
 
-    def step(k, f_z):
+    def step(f_z):
         gap = f_z - f_star
         if min(gap.tolist()) < 0.0:
             r = int(np.argmin(gap))
             raise ValueError(f"f_z = {float(f_z[r])!r} is below the declared f_star = "
                              f"{float(f_star[r])!r}")
-        lead = head if fixed else one_minus_beta * np.array(
-            [_theta_k_value(r.theta_k, k) for r in rules]) * mu_d
-        gamma = lead * np.sqrt(two_mu * gap) / L
+        gamma = head * np.sqrt(two_mu * gap) / L
         values = gamma.tolist()
         if not math.isfinite(sum(values)):  # finite whenever every value is, bar an overflow
             for g in values:

@@ -23,7 +23,11 @@ from threepoint import directions, harness, objectives, optimizers, schedules
 from threepoint.harness import parse_config, run_experiment, run_once
 
 LAWS = ("sphere", "gaussian", "coord_uniform", "coord_weighted", "orthonormal_weighted")
-KINDS = ("constant", "fixed_horizon", "solution_dependent")  # the rules the block admits
+# the rules the block admits: the fixed ones over any law, solution_dependent
+# over vector laws
+KINDS = ("constant", "fixed_horizon", "solution_dependent")
+FIXED_KINDS = KINDS[:2]
+VECTOR_LAWS = ("sphere", "gaussian", "orthonormal_weighted")
 
 
 def _weights(d: int) -> str:
@@ -34,8 +38,9 @@ def _weights(d: int) -> str:
 @st.composite
 def configs(draw) -> str:
     """A small config that parses, over any method, law, fixed or
-    solution_dependent rule and epsilon stop the block admits: a quadratic,
-    shifted or not, with no noise, eval_budget or retained internals."""
+    solution_dependent rule and epsilon stop the block admits (a
+    solution_dependent rule over a vector law): a quadratic, shifted or not,
+    with no noise, eval_budget or retained internals."""
     method = draw(st.sampled_from(("smtp", "stp", "smtp_is")))
     betas = (0.0,) if method == "stp" else (0.0, 0.3, 0.5, 0.9)  # stp takes beta 0 alone
     max_iters = draw(st.integers(0, 300))
@@ -47,10 +52,9 @@ def configs(draw) -> str:
              f"track_grad_norm = {draw(st.booleans())}"]
     if draw(st.booleans()):
         lines.append("shift = " + ",".join(repr(0.25 * (-1) ** i) for i in range(d)))
-    # smtp_is's solution_dependent rule has no row formula
-    rule = draw(st.sampled_from(KINDS[:2] if method == "smtp_is" else KINDS))
-    if method != "smtp_is":
-        law = draw(st.sampled_from(LAWS))
+    law = None if method == "smtp_is" else draw(st.sampled_from(LAWS))
+    rule = draw(st.sampled_from(KINDS if law in VECTOR_LAWS else FIXED_KINDS))
+    if law is not None:
         lines.append(f"distribution = {law}")
         if law in ("coord_weighted", "orthonormal_weighted"):
             lines.append(f"weights = {_weights(d)}")
@@ -225,12 +229,22 @@ DECLINED_BASE = ("method = smtp\nbeta = 0.5\nobjective = quadratic\ndimension = 
      "solution_dependent rule"),
     ("dimension = 4\ncoord_L = logspace:1,10\ndistribution = sphere",
      "dimension = 100\ncoord_L = logspace:1,10\ndistribution = coord_uniform", "table bound"),
+    # the stepsize and the tracked norm change at each move, and over a
+    # coordinate law the walk would need both per round
+    ("distribution = sphere\nschedule.kind = constant\nschedule.gamma = 0.01",
+     "distribution = coord_uniform\nschedule.kind = solution_dependent\n"
+     "track_grad_norm = true", "constant theta_k"),
+    ("schedule.kind = constant\nschedule.gamma = 0.01", "schedule.kind = solution_dependent",
+     "constant theta_k"),
 ], ids=["noisy", "rosenbrock", "eval_budget", "retain_internals", "solution_free",
-        "decreasing", "is_solution_dependent", "wide_table"])
-def test_declined_shapes_run_per_seed(old, new, message, monkeypatch):
+        "decreasing", "is_solution_dependent", "wide_table", "coord_solution_dependent",
+        "callable_theta_k"])
+def test_declined_shapes_run_per_seed(old, new, message, monkeypatch, request):
     # the block declines these shapes, and a 4-seed run sends every row through
     # run_once, with the traces of the one-seed runs
     cfg = parse_config(DECLINED_BASE.replace(old, new))
+    if request.node.callspec.id == "callable_theta_k":  # no config key gives one
+        cfg.schedule_theta_k = lambda k: 1.0 + 0.5 / (k + 1)
     expected = [_fingerprint(*run_once(cfg, seed)) for seed in cfg.seeds]
     with pytest.raises(ValueError, match=message):
         harness.run_block([cfg] * len(cfg.seeds), cfg.seeds)
@@ -363,7 +377,8 @@ BETAS = (0.0, 0.3, 0.5, 0.9)
 @st.composite
 def compares(draw) -> list[str]:
     """Two to four configs over one noise-free quadratic and epsilon, of the
-    shapes the block admits.  Most share the method, beta, rule kind,
+    shapes the block admits or, for solution_dependent over a coordinate law,
+    runs per seed.  Most share the method, beta, rule kind,
     max_iters and track_grad_norm, so their rows share a block across uniform
     and prop_L is.p and laws of one shape; the rest, stp beside smtp among
     them, force separate groups."""
@@ -506,7 +521,7 @@ def blocks(draw, coord=None):
     d = draw(st.integers(2, 7))
     n = draw(st.integers(1, 6))
     coord = draw(st.booleans()) if coord is None else coord
-    kind = draw(st.sampled_from(KINDS))
+    kind = draw(st.sampled_from(FIXED_KINDS if coord else KINDS))
     beta = draw(st.sampled_from(BETAS))
     dists, rules = [], []
     for _ in range(n):
@@ -515,7 +530,7 @@ def blocks(draw, coord=None):
         if coord:
             law = draw(st.sampled_from(("coord_uniform", "coord_weighted")))
         else:
-            law = draw(st.sampled_from(("sphere", "gaussian", "orthonormal_weighted")))
+            law = draw(st.sampled_from(VECTOR_LAWS))
         basis = None
         if law == "orthonormal_weighted":
             gen = np.random.default_rng(draw(st.integers(0, 9)))
@@ -636,30 +651,28 @@ def test_rows_stop_in_the_middle_of_a_walk(max_iters, eps):
         assert all(len(b) == 1 for b in branches)
 
 
-def test_coordinate_solution_dependent_with_grad_norm():
-    # the stepsize and the tracked norm hold still between moves and change
-    # at each; the block builds both columns from its rounds
-    d, beta = 6, 0.5
-    dists = [directions.DirectionDistribution("coord_uniform", d),
-             directions.DirectionDistribution("coord_weighted", d,
-                                              weights=np.arange(1.0, d + 1.0) / 21.0)] * 2
-    rules = [schedules.SolutionDependent(1.0, 100.0, mu_d, 0.0, beta, theta_k)
-             for mu_d, theta_k in ((1 / 6, 1.0), (0.5, 0.8), (1 / 6, 1.5), (0.5, 0.5))]
-    traces = _block_equals_runs(d, beta, dists, rules, [5, 6, 7, 8], (3000, 1e-4),
-                                (True, True))
-    for trace in traces:
-        assert len(set(trace.gamma)) > 10 and len(set(trace.grad_norm)) > 10
-        assert optimizers.STAY in trace.branch
+def test_block_record_index_needs_a_coordinate_law():
+    # as in the scalar loop: a vector law draws no index, and the block fails
+    # before any f(x0)
+    dist, rule = directions.DirectionDistribution("sphere", 3), schedules.Constant(0.1)
+    objs = [objectives.make_quadratic(np.ones(3)) for _ in range(3)]
+    with pytest.raises(ValueError, match="record_index needs a coordinate law"):
+        optimizers.run_block(objs, [rule] * 3, 0.5, np.ones(3), 50, [0, 1, 2], None, False,
+                             [dist] * 3, directions.constants(dist), record_index=True)
+    assert [o.eval_counter for o in objs] == [0, 0, 0]
 
 
 def test_block_admission_of_coordinate_rows():
-    # coordinate rows need a stepsize that holds still while they stay, and
-    # candidate tables that fit _TABLE_FLOATS together; vector rows need neither
+    # coordinate rows need a fixed rule and candidate tables that fit
+    # _TABLE_FLOATS together; vector rows need no table, and take
+    # solution_dependent with a constant theta_k
     obj, d = objectives.make_quadratic(np.ones(20)), 20
     coord, sphere = (directions.DirectionDistribution(k, d) for k in ("coord_uniform", "sphere"))
+    dependent = schedules.SolutionDependent(1.0, 1.0, 0.05, 0.0, 0.5)
+    assert not optimizers.block_supports(obj, dependent, coord)
+    assert optimizers.block_supports(obj, dependent, sphere)
     moving = schedules.SolutionDependent(1.0, 1.0, 0.05, 0.0, 0.5, theta_k=lambda k: 1.0)
-    assert not optimizers.block_supports(obj, moving, coord)
-    assert optimizers.block_supports(obj, moving, sphere)
+    assert not optimizers.block_supports(obj, moving, sphere)
     rule, most = schedules.Constant(0.1), optimizers._TABLE_FLOATS // (2 * d * d)
     assert optimizers.block_supports(obj, rule, coord, most)
     assert not optimizers.block_supports(obj, rule, coord, most + 1)

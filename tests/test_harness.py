@@ -549,6 +549,24 @@ class TestRunExperiment:
         assert "envelope=none" in text
         assert "seed2.stop=max_iters" in text
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(schedule_kind="constant"), "schedule.kind = constant needs schedule.gamma"),
+        (dict(schedule_kind="steepest"), "unknown schedule.kind 'steepest'"),
+        (dict(distribution="coord_weighted"), "distribution 'coord_weighted' needs weights"),
+    ], ids=["no_gamma", "unknown_kind", "no_weights"])
+    def test_directly_built_configs_are_checked(self, fields, message, monkeypatch):
+        # a config built without parse_config gets parse_config's checks
+        # before any seed runs: the builders trust them
+        cfg = harness.ExperimentConfig(**{
+            "objective": "quadratic", "dimension": 4, "distribution": "sphere",
+            "schedule_kind": "solution_dependent", "max_iters": 20, **fields})
+        with pytest.raises(ConfigError) as one_seed:
+            run_once(cfg, 0)
+        monkeypatch.setattr(harness, "_run_seeds", None)
+        with pytest.raises(ConfigError) as raised:
+            run_experiment(cfg, write=False)
+        assert str(raised.value) == str(one_seed.value) == message
+
     @pytest.mark.parametrize("track", [False, True])
     def test_trace_csv_chunks(self, tmp_path, track):
         # the writer formats CSV_CHUNK rows at a time; the bytes must equal

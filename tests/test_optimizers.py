@@ -253,6 +253,14 @@ class TestRunLoop:
         assert trace.final_state.f_z <= 0.05
         assert len(trace.records) < 5000
 
+    def test_record_index_needs_a_coordinate_law(self):
+        # a vector law draws no index to record: the run fails before f(x0)
+        obj = make_quadratic(np.ones(2))
+        with pytest.raises(ValueError, match="record_index needs a coordinate law"):
+            smtp_run(obj, SPHERE2, Constant(0.1), 0.5, np.ones(2), max_iters=50, seed=0,
+                     record_index=True)
+        assert obj.eval_counter == 0
+
     def test_epsilon_needs_fstar(self):
         obj = Objective(lambda x: float(x @ x), 2)
         with pytest.raises(ValueError, match="f_star"):

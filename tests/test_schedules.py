@@ -40,17 +40,17 @@ class TestRowStepsizes:
     @pytest.mark.parametrize("make", [
         lambda r: SolutionDependent(mu=0.5 + r, L=7.0, mu_d=0.3, f_star=0.1, beta=0.2 * r),
         lambda r: SolutionDependent(mu=1.0, L=3.0, mu_d=0.4, f_star=0.0, beta=0.5,
-                                    theta_k=lambda k: 1.0 + 0.5 / (k + r + 1)),
-    ], ids=["solution_dependent", "theta_k_schedule"])
+                                    theta_k=0.5 + 0.3 * r),
+    ], ids=["solution_dependent", "constant_theta_k"])
     def test_rows_equal_scalar_stepsizes_bitwise(self, make):
-        # the block loop's stepsizes: every row bit for bit what stepsize() gives it,
-        # whatever each row's own parameters
+        # the block loop's stepsizes: every row bit for bit what stepsize() gives it
+        # at any iteration, whatever each row's own parameters
         rng = np.random.default_rng(3)
         rules = [make(r) for r in range(4)]
         step = row_stepsizes(rules)
         for k in (0, 1, 7, 300):
             f_z = 0.1 + rng.random(4) * 10.0 ** rng.integers(-6, 3, 4)
-            got = step(k, f_z)
+            got = step(f_z)
             for r, rule in enumerate(rules):
                 assert got[r] == stepsize(rule, StepContext(k, float(f_z[r]))), (r, k)
 
@@ -58,14 +58,21 @@ class TestRowStepsizes:
         rule = SolutionDependent(2.0, 1.0, 1.0, f_star=1.0, beta=0.0)
         step = row_stepsizes([rule] * 3)
         with pytest.raises(ValueError, match="below the declared f_star"):
-            step(0, np.array([2.0, 0.5, 3.0]))
+            step(np.array([2.0, 0.5, 3.0]))
         # 2 mu (f_z - f_star) overflows: inf, as the scalar rule gives
         f_z = np.array([2.0, 1e308, 3.0])
         with pytest.raises(ValueError, match="invalid stepsize inf") as scalar:
             stepsize(rule, StepContext(0, 1e308))
         with pytest.raises(ValueError) as rows, np.errstate(over="ignore"):  # as run_block
-            step(0, f_z)
+            step(f_z)
         assert str(rows.value) == str(scalar.value)
+
+    def test_rows_refuse_a_callable_theta_k(self):
+        # the rows' stepsize has no iteration to give theta_k
+        rules = [SolutionDependent(1.0, 3.0, 0.4, 0.0, 0.5),
+                 SolutionDependent(1.0, 3.0, 0.4, 0.0, 0.5, theta_k=lambda k: 1.0)]
+        with pytest.raises(ValueError, match="constant theta_k"):
+            row_stepsizes(rules)
 
 
 class TestRules:
