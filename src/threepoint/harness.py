@@ -657,7 +657,7 @@ def prepare(cfg: ExperimentConfig) -> tuple[list[int] | None, np.ndarray | None]
 
 def run_block(cfgs, seeds) -> tuple[list[optimizers.RunTrace], list[objectives.Objective]]:
     """Build each row's objective and run parts as run_once does, then run
-    the rows in lockstep; each trace equals that row's run_once trace.
+    the rows as one block; each trace equals that row's run_once trace.
     cfgs holds one config per seed, all with one _block_key.  Raises
     ValueError for rows the block does not run: with eval_budget or
     retain_internals, or those optimizers.block_supports declines."""

@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import NamedTuple
+from itertools import chain, repeat
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -420,24 +420,14 @@ def is_keywords(dim: int) -> dict:
                 record_index=True)
 
 
-def _check_finite(k: int, values: np.ndarray) -> list[float]:
-    """values as a list, each checked finite."""
-    listed = values.tolist()
-    if not math.isfinite(sum(listed)):  # finite whenever every value is, bar an overflow
-        bad = [value for value in listed if not math.isfinite(value)]
-        if bad:
-            raise NonFiniteObjectiveError(k, bad[0])
-    return listed
-
-
 # The scalar loop (smtp_run) is the general path and the reference: every
 # trace is defined by it.  The block is a fast path for the rows block_supports
 # admits, from this many rows on.  Scalar-loop over block time per row-step on
-# a 2-core VM (numpy 2.4).  Over a vector law a lockstep step costs about 10 us
-# of numpy calls plus about 1 us of Python per row (best of 7 interleaved runs
-# of 4000 steps):
+# a 2-core VM (numpy 2.4).  Over a vector law a round is one step of each row
+# and costs about 15 us of numpy calls plus about 1.2 us of Python per row
+# (median of the ratios of 15 interleaved pairs of runs of 4000 steps):
 #   rows                                        1     2     3     4     5     8    30
-#   sphere, solution_dependent, d = 10          0.52  0.79  1.22  1.75  1.83  2.52  5.29
+#   sphere, solution_dependent, d = 10          0.47  0.89  1.21  1.55  1.90  2.59  4.44
 # Over a coordinate law a round costs about 20 us of numpy calls for the table
 # of 2 d points per row, plus about 2 us of Python per row and a list lookup per
 # stay.  By rows, move rate and d (best of 3 runs of 4000 steps; coord_uniform,
@@ -498,13 +488,10 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
     share the rest: beta, the dimension, a coordinate or a vector law, the
     rule class, the stop, the recording and the norm constants.
 
-    Over a vector law the rows step in lockstep: each step evaluates every
-    row's two candidates in one fn_batch call, under a context-free rule's
-    per-row steps or SolutionDependent's, with a constant theta_k.  Over a
-    coordinate law the rule is fixed, and the rows go in rounds (_walk_rows):
-    one fn_batch call evaluates each row's table of all 2 d candidates it can
-    draw before it moves, and each row walks its own draws on those values to
-    its first move or its stop.  Bit for bit, because:
+    The rows go in rounds (_walk_rows): one fn_batch call evaluates each
+    row's table of the candidates it can draw before it moves, and each row
+    walks its own draws on those values to its first move or its stop.  Bit
+    for bit, because:
     - each row draws from its own generator, in chunks that together hold
       at most _DRAW_FLOATS floats;
     - fn_batch gives every point the value the one-point call gives it;
@@ -520,10 +507,7 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
         raise ValueError("max_iters must be >= 0")
     n, d = len(seeds), dists[0].dim
     if not all(block_supports(o, r, dist, n) for o, r, dist in zip(objectives, rules, dists)):
-        raise ValueError("run_block runs an objective with fn_batch under a fixed rule, or "
-                         "a solution_dependent rule with a constant theta_k over a vector law, "
-                         "over coordinate laws within its table bound; run other rows through "
-                         "the scalar loop")
+        raise ValueError(f"block_supports declines a row of this block of {n} rows")
     f_star = objectives[0].smoothness.f_star
     if epsilon_gap is not None and f_star is None:
         raise ValueError("epsilon_gap stopping needs a known f_star")
@@ -534,17 +518,16 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
         raise ValueError("record_index needs a coordinate law")
     states = [init_state(o, x0, beta) for o in objectives]
     after_init = [o.eval_counter for o in objectives]
-    gammas = table = step = None
+    gammas = table = G = None
     if max_iters > 0:
         fixed = [_fixed_steps(r, coord, st.f_z, d) for r, st in zip(rules, states)]
         if len({(g is None, t is None) for g, t in fixed}) > 1:
             raise ValueError("the rows of a block share one rule class")
         if fixed[0][0] is not None:
             gammas = np.array([g for g, _ in fixed])
+            G = np.broadcast_to(gammas[:, None], (n, d))
         elif fixed[0][1] is not None:
-            table = np.array([t for _, t in fixed])
-        else:
-            step = row_stepsizes(list(rules))
+            G = table = np.array([t for _, t in fixed])
     per_step = 2 * objectives[0].calls_per_value
 
     code = _index_code(d)
@@ -572,236 +555,207 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
                              seeds[r], states[r].f_z, reason, grad_norm,
                              index if record_index else None, steps=steps)
 
+    last = _walk_rows(objectives[0], states, beta, max_iters, f_star, epsilon_gap, G, rules,
+                      streams, columns, code, norm_constants if track_grad_norm else None,
+                      finish, coord)
     if coord:
-        G = table if gammas is None else np.broadcast_to(gammas[:, None], (n, d))
-        last = _walk_rows(objectives[0], states, beta, max_iters, f_star, epsilon_gap, G,
-                          streams, columns, code, norm_constants if track_grad_norm else None,
-                          finish)
         _replay_momenta(traces, columns, last, beta)
-        return traces
-
-    # rows p, m + p and 2m + p of XW[0] and XW[1] hold z, z+, z- and v, v+, v-
-    # of live row p.  ZV is z and v, a new array at each step with a move.
-    # last[r] is row r's last move: (p, the ZV it left, gamma).
-    ZV = np.array([[st.z for st in states], [st.v for st in states]])
-    XW = np.tile(ZV, (1, 3, 1))
-    F = [st.f_z for st in states]
-    last = [None] * n
-    gradient = objectives[0].gradient_batch
-    evaluate = objectives[0].fn_batch  # counted when a row finishes
-    one_minus_beta = 1.0 - beta
-    live = list(range(n))  # the seed position of each row
-    if gammas is not None:  # a context-free rule's steps, and h = gamma / (1 - beta)
-        g, h = gammas, gammas / one_minus_beta
-
-    def finish_row(p: int, r: int, reason: str) -> None:
-        move = None
-        v = XW[1, p].copy()
-        if last[r] is not None:
-            at, moved_from, g = last[r]
-            move = (*moved_from[:, at], g, v)
-        finish(r, XW[0, p].copy(), v, F[p], reason, move)
-
-    def shape():
-        """What depends on the live rows: views of XW and the rows' column
-        appenders."""
-        m = len(live)
-        appends = [(columns[r][0].append, columns[r][2].append) for r in live]
-        gamma_appends = None if keep_steps else [columns[r][1].append for r in live]
-        return m, XW[0, :m], XW[0, m:], appends, gamma_appends
-
-    m, Z, C, appends, gamma_appends = shape()
-    for k in range(max_iters):
-        j = k % rows
-        if j == 0:
-            first = next(streams[0])  # (rows, d); the block holds every row's
-            block = np.empty(first.shape[:1] + (len(live),) + first.shape[1:], first.dtype)
-            block[:, 0] = first
-            for p in range(1, len(live)):
-                block[:, p] = next(streams[p])
-        drawn = block[j]
-        if track_grad_norm:
-            for r, norm in zip(live, d_norm_rows(norm_constants, gradient(Z)).tolist()):
-                columns[r][3].append(norm)
-        if step is not None:
-            g = step(np.array(F))
-            h = g / one_minus_beta
-            for append, gamma in zip(gamma_appends, g):
-                append(gamma)
-        hs = h[:, None] * drawn
-        np.subtract(Z, hs, out=XW[0, m:2 * m])
-        np.add(Z, hs, out=XW[0, 2 * m:])
-        bv = beta * ZV[1]  # a + (-b) == a - b exactly, signed zeros too
-        np.add(bv, drawn, out=XW[1, m:2 * m])
-        np.subtract(bv, drawn, out=XW[1, 2 * m:])
-        values = _check_finite(k, evaluate(C))
-        pick = None
-        # smtp_step's rule and tie order: move when a candidate beats f(z),
-        # to z+ unless z- is strictly lower
-        for p, (r, f_z, f_p, f_m, (append_f, append_branch)) in enumerate(
-                zip(live, F, values, values[m:], appends)):
-            if f_p < f_z or f_m < f_z:
-                plus = f_p <= f_m
-                f_z = F[p] = f_p if plus else f_m
-                last[r] = (p, ZV, g[p])
-                if pick is None:
-                    pick = list(range(m))
-                pick[p] = p + m if plus else p + 2 * m
-                append_branch(PLUS if plus else MINUS)
-            else:
-                append_branch(STAY)
-            append_f(f_z)
-        if pick is not None:  # the moved rows' candidates are the new z and v
-            ZV = XW[:, :m] = XW.take(pick, 1)
-        # some row is done exactly when the least f(z) is, as x - f_star is monotone
-        if epsilon_gap is not None and min(F) - f_star <= epsilon_gap:
-            keep = []
-            for p, r in enumerate(live):
-                if F[p] - f_star <= epsilon_gap:
-                    finish_row(p, r, "epsilon_gap")
-                else:
-                    keep.append(p)
-            if not keep:
-                break
-            live = [live[p] for p in keep]
-            streams = [streams[p] for p in keep]
-            F = [F[p] for p in keep]
-            ZV = XW[:, keep]
-            XW = np.tile(ZV, (1, 3, 1))
-            block = block[:, keep]
-            if step is None:
-                g, h = g[keep], h[keep]
-            else:
-                step = row_stepsizes([rules[r] for r in live])
-            m, Z, C, appends, gamma_appends = shape()
-    else:
-        for p, r in enumerate(live):
-            finish_row(p, r, "max_iters")
     return traces
 
 
-def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, streams, columns,
-               code, norm_constants, finish) -> list:
-    """run_block's coordinate-law rows, in rounds, under a fixed rule: row r
-    steps by G[r, i] along coordinate i (G is None when max_iters is 0).
-    Returns each row's last move as (i, old z_i, gamma), or None.
+def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules, streams,
+               columns, code, norm_constants, finish, coord) -> list:
+    """run_block's rows, in rounds: live row p steps by G[p, i] along
+    coordinate i, or by G[p, 0] along a vector; G is None when max_iters is
+    0, and under SolutionDependent, whose row_stepsizes gives it each round.
+    Returns each row's last move: over a coordinate law as (i, old z_i,
+    gamma), over a vector law as (p, the z and v it left, the G it stepped
+    by); None for a row that never moved.
 
-    A stay leaves z as it is, so until a row moves, every candidate it can
-    draw is one of the 2 d points z -/+ h_i e_i, with h_i = G[r, i] / (1 - beta).
-    A round evaluates that table for every live row in one fn_batch call: 2 d
-    copies of each z (np.repeat), whose diagonal cells take z_i - h_i (plus,
-    at 2 d p + i) and z_i + h_i (minus, at 2 d p + d + i), the scalar step's
-    arithmetic.  Each row then walks its own draws on those values, by
-    smtp_step's rule and tie order, to its first move or its stop, and raises
-    at a drawn non-finite value as smtp_step does.  Its f_z and branch
-    columns, and the tracked grad_norm, change only at moves, so they are
-    built when the row finishes, from typed records of its moves and rounds.
-    The index column (and an index-only rule's gamma column) is filled a
-    chunk of draws ahead and cut when the row finishes.
+    A stay leaves z, v and f(z) as they are, so until a row moves, each
+    candidate it can draw is known, and its table holds them all: over a
+    coordinate law the 2 d points z -/+ h_i e_i, with h_i = G[p, i] /
+    (1 - beta); over a vector law the 2 points z -/+ h s of its next draw,
+    so its walk is one step.  One fn_batch call a round evaluates the tables
+    of all m live rows, w = d points per row and branch over a coordinate
+    law and w = 1 over a vector law: point p w + i is row p's plus
+    candidate along coordinate i (i = 0 along s), and point (m + p) w + i
+    its minus one, each built with the scalar step's arithmetic.  Each row
+    then walks its own draws on those values, by smtp_step's rule and tie
+    order, to its first move or its stop, and raises at a drawn non-finite
+    value as smtp_step does.  It records f(z) and the branch at the end of
+    each round, and the tracked grad_norm and a SolutionDependent gamma at
+    its start, in its columns: a vector row's round is one step, so these
+    are its columns, and a coordinate row's runs to a move, so they are
+    expanded over the round's steps when the row finishes.  A vector row's
+    v moves with its z; a coordinate row's is replayed once all rows finish
+    (_replay_momenta).
     """
     n, d = len(states), states[0].z.size
-    Z = np.array([st.z for st in states])  # the live rows' z
-    F = [st.f_z for st in states]
-    done, limit = [0] * n, [max_iters] * n  # steps taken, and where each row stops
+    w = d if coord else 1
+    dependent = G is None
+    ZV = np.array([[st.z for st in states], [st.v for st in states]])  # the live rows' z and v
+    F = [st.f_z for st in states]  # the live rows' f(z)
+    limit = [max_iters] * n
     if epsilon_gap is not None:  # a row already within epsilon stops after its first step
         limit = [min(max_iters, 1) if f - f_star <= epsilon_gap else max_iters for f in F]
-    moves = [(array("q"), array("d"), array("b")) for _ in states]  # step, f(z) after, branch
-    norms = [array("d") for _ in states]  # grad_norm at each round
-    last = [None] * n
-    drawn, at = [[] for _ in states], [0] * n  # each row's chunk of draws, and its place in it
+    ends = [array(_index_code(max_iters + 1)) for _ in states]  # a coordinate row's round ends
+    # one list per live row: its seed position, steps taken, where it stops,
+    # its draws as the table cells they read, and the appenders of its f_z,
+    # branch, round-end, grad_norm and gamma records
+    rows = [[r, 0, limit[r], None, f_col.append, branch.append, ends[r].append,
+             None if norm is None else norm.append, None if gamma is None else gamma.append]
+            for r, (f_col, gamma, branch, norm, _) in enumerate(columns)]
+    last = [None] * n  # by seed position
     evaluate, gradient = objective.fn_batch, objective.gradient_batch  # counted at finish
 
-    def diagonals(m: int) -> np.ndarray:
-        """The flat cells of the table of m rows that take C[s, p, i]: those
-        of point 2 d p + s d + i, at coordinate i."""
-        point = np.arange(2 * d * m).reshape(m, 2, d).transpose(1, 0, 2).ravel()
-        return point * d + point % d
-
-    def refill(r: int) -> list:
-        raw = next(streams[r])
+    def coordinates(r: int, steps) -> Iterator[list]:
+        """Row r's drawn coordinates, a chunk at a time, with its index
+        column (and an index-only rule's gamma column, from its steps)
+        filled a chunk ahead."""
         gamma_col, index_col = columns[r][1], columns[r][4]
-        if gamma_col is not None:  # an index-only rule's
-            gamma_col.frombytes(G[r].take(raw).tobytes())
-        index_col.frombytes(raw.astype(code).tobytes())
-        drawn[r] = raw.tolist()
-        return drawn[r]
+        for raw in streams[r]:
+            if gamma_col is not None:
+                gamma_col.frombytes(steps.take(raw).tobytes())
+            index_col.frombytes(raw.astype(code).tobytes())
+            yield raw.tolist()
 
-    def finish_row(p: int, r: int) -> None:
-        k, f = done[r], F[r]
-        ks, fs, codes = moves[r]
-        ks = np.frombuffer(ks, np.int64)
-        f_col = np.repeat(np.r_[states[r].f_z, fs], np.diff(ks, prepend=0, append=k))
-        branch = np.full(k, STAY, np.int8)
-        branch[ks] = np.frombuffer(codes, np.int8)
-        _, gamma, _, grad_norm, index = columns[r]
-        if grad_norm is not None:
-            spans = np.diff(ks, prepend=-1, append=k - 1)  # each round's steps; the last may be 0
-            grad_norm = array("d", np.repeat(norms[r], spans[:len(norms[r])]).tobytes())
-        columns[r] = (array("d", f_col.tobytes()), gamma, array("b", branch.tobytes()),
-                      grad_norm, index)
-        moves[r] = norms[r] = None
+    def finish_row(p: int) -> None:
+        r, k = rows[p][:2]
+        f = F[p]
+        if coord:  # a round's records, once for each of its steps
+            f_col, gamma, branch, grad_norm, index = columns[r]
+            last_steps = np.frombuffer(ends[r], ends[r].typecode) - 1
+            spans = np.diff(last_steps, prepend=-1)
+            f_after = np.frombuffer(f_col)
+            f_steps = np.repeat(np.r_[states[r].f_z, f_after][:-1], spans)
+            f_steps[last_steps] = f_after
+            codes = np.full(k, STAY, np.int8)
+            codes[last_steps] = np.frombuffer(branch, np.int8)
+            if grad_norm is not None:
+                grad_norm = array("d", np.repeat(grad_norm, spans).tobytes())
+            f_col, branch = array("d"), array("b")
+            f_col.frombytes(memoryview(f_steps).cast("B"))
+            branch.frombytes(memoryview(codes).cast("B"))
+            columns[r] = (f_col, gamma, branch, grad_norm, index)
+            rows[p] = ends[r] = None  # frees the records before the other rows finish
         reason = "epsilon_gap" if k and epsilon_gap is not None and f - f_star <= epsilon_gap \
             else "max_iters"
-        finish(r, Z[p].copy(), states[r].v, f, reason)  # v is replayed once all rows finish
+        v, move = states[r].v, None  # a coordinate row's v is replayed once all rows finish
+        if not coord:
+            v = ZV[1, p].copy()
+            if last[r] is not None:
+                at_p, moved_from, steps = last[r]
+                move = (*moved_from[:, at_p], steps.item(at_p, 0), v)
+        finish(r, ZV[0, p].copy(), v, f, reason, move)
 
-    live = list(range(n))  # the seed position of each live row
     if not max_iters:
-        for r in live:
-            finish_row(r, r)
+        for p in range(n):
+            finish_row(p)
         return last
-    cells = diagonals(n)
-    H = G / (1.0 - beta)  # the live rows' h, (live rows, d)
-    while live:
-        m = len(live)
+    for row in rows:  # a vector row's draw reads cell 0: its table holds that draw alone
+        row[3] = chain.from_iterable(coordinates(row[0], G[row[0]])) if coord else repeat(0)
+    # a vector row's chunk of directions is column p of D; vector rows step
+    # once a round, so all are at place t of chunks of one length
+    D, t, end = None if coord else np.empty((chunk_rows(d, n), n, d)), 0, 0
+    one_minus_beta = 1.0 - beta
+    if dependent:
+        step = row_stepsizes(rules)
+    else:
+        H = G / one_minus_beta  # the live rows' h
+    while rows:
+        m = len(rows)
+        Z = ZV[0]
         if norm_constants is not None:
-            for r, norm in zip(live, d_norm_rows(norm_constants, gradient(Z)).tolist()):
-                norms[r].append(norm)
-        C = np.empty((2, m, d))  # the plus and the minus cells
-        np.subtract(Z, H, out=C[0])
-        np.add(Z, H, out=C[1])
-        T = Z.repeat(2 * d, axis=0)
-        T.put(cells, C)
-        V = evaluate(T).tolist()
-        checked = not math.isfinite(sum(V))  # finite whenever every value is, bar an overflow
-        keep = []
-        for p, r in enumerate(live):
-            P, M = V[2 * d * p:2 * d * p + d], V[2 * d * p + d:2 * d * (p + 1)]
-            k, lim, f, chunk, t = done[r], limit[r], F[r], drawn[r], at[r]
-            end = len(chunk)
-            while k < lim:
-                if t == end:
-                    chunk, t = refill(r), 0
-                    end = len(chunk)
-                i = chunk[t]
-                t += 1
+            for row, norm in zip(rows, d_norm_rows(norm_constants, gradient(Z)).tolist()):
+                row[7](norm)
+        if dependent:  # exact once a round, as f(z) changes only at moves
+            g = step(np.array(F))
+            for row, gamma in zip(rows, g.tolist()):
+                row[8](gamma)
+            G = g[:, None]
+            H = G / one_minus_beta
+        if coord:
+            T = np.empty((2, m, d, d))  # T[PLUS or MINUS, p, i]: z with cell i moved
+            T[:] = Z[:, None]
+            C = T.reshape(2, m, d * d)[:, :, ::d + 1]  # the moved cells
+            np.subtract(Z, H, out=C[PLUS])
+            np.add(Z, H, out=C[MINUS])
+            T = T.reshape(2 * m * d, d)
+        else:  # z, then its plus and minus candidates, of z (X[0]) and of v (X[1])
+            if t == end:
+                for p, row in enumerate(rows):
+                    raw = next(streams[row[0]])
+                    D[:len(raw), p] = raw
+                t, end = 0, len(raw)
+            S = D[t]
+            t += 1
+            hs = H * S
+            X = np.empty((2, 3 * m, d))
+            np.subtract(Z, hs, out=X[0, m:2 * m])
+            np.add(Z, hs, out=X[0, 2 * m:])
+            bv = beta * ZV[1]  # a + (-b) == a - b exactly, signed zeros too
+            np.add(bv, S, out=X[1, m:2 * m])
+            np.subtract(bv, S, out=X[1, 2 * m:])
+            T = X[0, m:]
+        values = evaluate(T).tolist()
+        checked = not math.isfinite(sum(values))  # finite whenever every value is, bar an overflow
+        ended, pick, a, b = [], None, 0, w * m
+        for p, row in enumerate(rows):
+            r, k, lim, draws, record_f, record_branch, record_end, _, _ = row
+            f, s = F[p], STAY
+            stop = lim if coord else k + 1  # a vector row's table holds its next draw alone
+            for i in draws:
                 k += 1
-                f_p, f_m = P[i], M[i]
+                f_p = values[a + i]
+                f_m = values[b + i]
                 if checked and not (math.isfinite(f_p) and math.isfinite(f_m)):
                     raise NonFiniteObjectiveError(k - 1, f_p if not math.isfinite(f_p) else f_m)
                 # smtp_step's rule and tie order: move when a candidate beats
                 # f(z), to z+ unless z- is strictly lower
                 if f_p < f or f_m < f:
-                    plus = f_p <= f_m
-                    f = f_p if plus else f_m
-                    step_at, f_after, branch = moves[r]
-                    step_at.append(k - 1)
-                    f_after.append(f)
-                    branch.append(PLUS if plus else MINUS)
-                    last[r] = (i, Z.item(p, i), G.item(r, i))
-                    Z[p, i] = C.item(0 if plus else 1, p, i)
+                    if f_p <= f_m:
+                        f, s = f_p, PLUS
+                    else:
+                        f, s = f_m, MINUS
+                    if coord:
+                        last[r] = (i, Z.item(p, i), G.item(p, i))
+                        Z[p, i] = C.item(s, p, i)
+                    else:
+                        last[r] = (p, ZV, G)
+                        if pick is None:
+                            pick = list(range(m))
+                        pick[p] = (1 + s) * m + p  # X[:, m:] holds z+ (PLUS) then z- (MINUS)
                     if epsilon_gap is not None and f - f_star <= epsilon_gap:
-                        lim = limit[r] = k
+                        lim = row[2] = k
                     break
-            done[r], F[r], at[r] = k, f, t
+                if k == stop:
+                    break
+            record_f(f)
+            record_branch(s)
+            if coord:
+                record_end(k)
+            row[1] = k
+            F[p] = f
             if k == lim:
-                finish_row(p, r)
+                ended.append(p)
+            a += w
+            b += w
+        if pick is not None:  # the moved vector rows' z and v, the others' as they are
+            X[:, :m] = ZV
+            ZV = X.take(pick, 1)
+        for p in ended:
+            finish_row(p)
+        if ended:
+            keep = [p for p in range(m) if p not in ended]
+            rows, F = [rows[p] for p in keep], [F[p] for p in keep]
+            ZV = ZV[:, keep]
+            if not coord:
+                D = D[:, keep]
+            if dependent:
+                step = row_stepsizes([rules[row[0]] for row in rows])
             else:
-                keep.append(p)
-        if len(keep) < m:
-            live = [live[p] for p in keep]
-            Z = Z[keep]
-            cells = diagonals(len(live))
-            H = H[keep]
+                G, H = G[keep], H[keep]
     return last
 
 

@@ -1,4 +1,4 @@
-"""Lockstep seeds: a block run must equal one-seed runs byte for byte.
+"""Blocks of seeds: a block run must equal one-seed runs byte for byte.
 
 harness.run_block advances the seeds of a config together as the rows of
 (S, d) arrays; harness.run_once runs one seed through the scalar loop, which
@@ -213,29 +213,28 @@ DECLINED_BASE = ("method = smtp\nbeta = 0.5\nobjective = quadratic\ndimension = 
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("seeds = 4", "seeds = 4\nnoise.sigma = 1e-4", "fn_batch"),
+    ("seeds = 4", "seeds = 4\nnoise.sigma = 1e-4", "block_supports"),
     ("objective = quadratic\ndimension = 4\ncoord_L = logspace:1,10",
-     "objective = rosenbrock\ndimension = 4\nx0_scale = 0.5", "fn_batch"),
+     "objective = rosenbrock\ndimension = 4\nx0_scale = 0.5", "block_supports"),
     ("seeds = 4", "seeds = 4\neval_budget = 150", "eval_budget"),
     ("seeds = 4", "seeds = 4\nretain_internals = true", "retains"),
     ("schedule.kind = constant\nschedule.gamma = 0.01", "schedule.kind = solution_free\n"
-     "schedule.t = 1e-3", "solution_dependent rule"),
+     "schedule.t = 1e-3", "block_supports"),
     ("schedule.kind = constant\nschedule.gamma = 0.01", "schedule.kind = decreasing\n"
-     "schedule.alpha = 1\nschedule.theta = 4", "solution_dependent rule"),
+     "schedule.alpha = 1\nschedule.theta = 4", "block_supports"),
     ("method = smtp\nbeta = 0.5\nobjective = quadratic\ndimension = 4\n"
      "coord_L = logspace:1,10\ndistribution = sphere\nschedule.kind = constant\n"
      "schedule.gamma = 0.01", "method = smtp_is\nbeta = 0.5\nobjective = quadratic\n"
      "dimension = 4\ncoord_L = logspace:1,10\nschedule.kind = solution_dependent",
-     "solution_dependent rule"),
+     "block_supports"),
     ("dimension = 4\ncoord_L = logspace:1,10\ndistribution = sphere",
-     "dimension = 100\ncoord_L = logspace:1,10\ndistribution = coord_uniform", "table bound"),
-    # the stepsize and the tracked norm change at each move, and over a
-    # coordinate law the walk would need both per round
+     "dimension = 100\ncoord_L = logspace:1,10\ndistribution = coord_uniform", "block_supports"),
+    # block_supports takes solution_dependent over vector laws alone
     ("distribution = sphere\nschedule.kind = constant\nschedule.gamma = 0.01",
      "distribution = coord_uniform\nschedule.kind = solution_dependent\n"
-     "track_grad_norm = true", "constant theta_k"),
+     "track_grad_norm = true", "block_supports"),
     ("schedule.kind = constant\nschedule.gamma = 0.01", "schedule.kind = solution_dependent",
-     "constant theta_k"),
+     "block_supports"),
 ], ids=["noisy", "rosenbrock", "eval_budget", "retain_internals", "solution_free",
         "decreasing", "is_solution_dependent", "wide_table", "coord_solution_dependent",
         "callable_theta_k"])
@@ -515,12 +514,12 @@ def test_compare_below_the_crossover_runs_rows_in_config_order(monkeypatch):
 
 
 @st.composite
-def blocks(draw, coord=None):
+def blocks(draw):
     """Rows of one admitted shape and beta with their own law and rule
-    parameters, over coordinate laws if coord, vector laws if not coord."""
+    parameters, over coordinate laws or over vector laws."""
     d = draw(st.integers(2, 7))
     n = draw(st.integers(1, 6))
-    coord = draw(st.booleans()) if coord is None else coord
+    coord = draw(st.booleans())
     kind = draw(st.sampled_from(FIXED_KINDS if coord else KINDS))
     beta = draw(st.sampled_from(BETAS))
     dists, rules = [], []
@@ -532,9 +531,10 @@ def blocks(draw, coord=None):
         else:
             law = draw(st.sampled_from(VECTOR_LAWS))
         basis = None
-        if law == "orthonormal_weighted":
+        if law == "orthonormal_weighted":  # the identity's exact zeros reach v, signed
             gen = np.random.default_rng(draw(st.integers(0, 9)))
-            basis = np.linalg.qr(gen.standard_normal((d, d)))[0]
+            basis = np.eye(d) if draw(st.booleans()) else np.linalg.qr(
+                gen.standard_normal((d, d)))[0]
         dists.append(directions.DirectionDistribution(
             law, d, weights=w if law in ("coord_weighted", "orthonormal_weighted") else None,
             basis=basis))
@@ -581,11 +581,11 @@ def test_run_block_equals_run_loop_per_row(case):
 
 @settings(max_examples=40, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
-@given(case=blocks(coord=True))
+@given(case=blocks())
 def test_walks_cross_draw_chunks(case, monkeypatch):
     # blocks() stops by 150 steps and configs() by 300, below a chunk of
     # draws at 1 << 16 floats; at 64 floats a chunk holds at most 32 draws,
-    # and walks run across refills of their rows' draws
+    # and walks, of either law, run across refills of their rows' draws
     monkeypatch.setattr(directions, "_DRAW_FLOATS", 64)
     _block_equals_runs(*case)
 
