@@ -765,19 +765,23 @@ def _row_results(rows, jobs: int, out_dir: str | None = None, ks: list[int] | No
 
 def _seed_result(cfg: ExperimentConfig, seed: int, trace, obj, wall: float,
                  out_dir: str | None, ks: list[int] | None):
-    if out_dir is not None:
-        _write_trace(trace, os.path.join(out_dir, f"trace_seed{seed}.csv"))
     f_star = obj.smoothness.f_star
     final_gap = None if f_star is None else trace.final_state.f_z - f_star
-    contraction = r_squared = None
-    # the rate fit is read by summary.txt alone, which is written with the traces
     n = len(trace.f_z)
-    if out_dir is not None and f_star is not None and n >= 12 and final_gap >= 0.0:
-        try:
-            fit = diagnostics.fit_linear_rate(trace, f_star)
-            contraction, r_squared = fit.rate, fit.r_squared
-        except ValueError:
-            pass
+    contraction = r_squared = branch_mix = gamma_range = None
+    # summary.txt alone, written with the traces, reads the fit, branch mix and stepsize range
+    if out_dir is not None:
+        _write_trace(trace, os.path.join(out_dir, f"trace_seed{seed}.csv"))
+        if f_star is not None and n >= 12 and final_gap >= 0.0:
+            try:
+                fit = diagnostics.fit_linear_rate(trace, f_star)
+                contraction, r_squared = fit.rate, fit.r_squared
+            except ValueError:
+                pass
+        if n:
+            branch_mix = tuple((np.bincount(np.asarray(trace.branch), minlength=3) / n).tolist())
+            gammas = np.asarray(trace.gamma)
+            gamma_range = (float(gammas.min()), _median(gammas), float(gammas.max()))
     # the NC guarantees bound the running mean gradient norm, the others the gap
     checked = None
     if ks is not None:
@@ -786,11 +790,6 @@ def _seed_result(cfg: ExperimentConfig, seed: int, trace, obj, wall: float,
             checked = [float(np.mean(grad_norm[:k])) for k in ks]
         else:  # a trace that stopped early is padded with its last gap (conservative)
             checked = [trace.f_z[min(k, n) - 1] - f_star for k in ks]
-    branch_mix = gamma_range = None
-    if n:
-        branch_mix = tuple((np.bincount(np.asarray(trace.branch), minlength=3) / n).tolist())
-        gammas = np.asarray(trace.gamma)
-        gamma_range = tuple(float(x) for x in (gammas.min(), np.median(gammas), gammas.max()))
     result = SeedResult(
         seed=seed,
         iterations=n,
@@ -805,6 +804,14 @@ def _seed_result(cfg: ExperimentConfig, seed: int, trace, obj, wall: float,
         gamma_range=gamma_range,
     )
     return result, checked
+
+
+def _median(a: np.ndarray) -> float:
+    """np.median of a 1-d array with no NaN, bit for bit, without np.median's
+    NaN check, which imports numpy.ma: of an even count, (lo + hi) / 2."""
+    half, odd = divmod(len(a), 2)
+    part = np.partition(a, half if odd else (half - 1, half))
+    return float(part[half] if odd else (part[half - 1] + part[half]) / 2)
 
 
 def _process_pool(workers: int):
@@ -822,8 +829,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     per worker process; each process runs its seeds through _run_seeds.
     Returns a RunSummary; envelope_ok is None when no theorem is configured,
     otherwise the seed-mean trajectory is compared against 1.05 x envelope
-    at the checkpoints.  Without write, no rate is fitted: contraction and
-    r_squared stay None.
+    at the checkpoints.  Without write, contraction, r_squared, branch_mix
+    and gamma_range stay None: summary.txt alone reads them.
     """
     ks, bounds = prepare(cfg)
     if write:
@@ -925,7 +932,7 @@ def compare_methods(configs: list[ExperimentConfig], out_dir: str | None = None)
             "label": cfg.label,
             "n_seeds": len(cfg.seeds),
             "n_reached": int(np.sum(np.isfinite(evals_arr))),
-            "median_evals": float(np.median(evals_arr)),
+            "median_evals": _median(evals_arr),
             "min_evals": float(np.min(evals_arr)),
             "max_evals": float(np.max(evals_arr)),
         })

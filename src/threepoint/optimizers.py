@@ -57,7 +57,8 @@ class OptimizerState:
 
     smtp_step stores its move as move = (z, v, gamma, v_new), the iterate and
     buffer it moved from, and x is derived from it when read: nothing reads
-    the anchor while a run goes on.
+    the anchor while a run goes on.  A block row's v, x and last move are
+    rebuilt when first read, written or pickled, at 2-5 us a move (_RowState).
     """
 
     x: np.ndarray
@@ -84,6 +85,59 @@ def _set_anchor(state: OptimizerState, x: np.ndarray) -> None:
 
 # a property after the class body, so the dataclass keeps x as a field
 OptimizerState.x = property(_anchor, _set_anchor)
+
+
+class _RowState(OptimizerState):
+    """A block row's final state: its replay data stands in for v, x and move
+    until one is first read or written, or the state pickled (_replay_row)."""
+
+    def __init__(self, z, f_z: float, k: int, beta: float, replay: tuple):
+        self.z, self.f_z, self.k, self.beta, self._replay = z, f_z, k, beta, replay
+
+    def __reduce_ex__(self, protocol):
+        return _replay_row(self).__reduce_ex__(protocol)
+
+    v, x, move = (property(lambda state, name=name: getattr(_replay_row(state), name),
+                           lambda state, value, name=name: setattr(_replay_row(state), name, value))
+                  for name in ("v", "x", "move"))
+
+
+def _replay_row(state: _RowState) -> OptimizerState:
+    """Make a block row's state the OptimizerState smtp_run leaves: replay v
+    and the last move from x0 over the row's branch column, by smtp_step's
+    arithmetic.  A coordinate row's v = beta v, then +/- 1.0 at i from its
+    index column; the z it left is z but at i, replayed as z_i -/+ G[i] /
+    (1 - beta).  A vector row's seed draws its s again: v = beta v +/- s and
+    z -/+ (gamma / (1 - beta)) s, gamma from its gamma column or G row."""
+    dist, seed, x0, branch, index, steps = state._replay
+    beta, one_minus_beta = state.beta, 1.0 - state.beta
+    codes = np.frombuffer(branch, np.int8)
+    moved = np.flatnonzero(codes != STAY).tolist()
+    z, v, move = x0, np.zeros(x0.size), None
+    if moved and dist.kind in COORD_KINDS:
+        cells = np.frombuffer(index, index.typecode)[moved].tolist()
+        i = cells[-1]
+        h, z_i = steps.item(i) / one_minus_beta, x0.item(i)
+        for j, code in zip(cells, codes[moved].tolist()):
+            v_old, v = v, beta * v
+            v[j] += 1.0 - 2 * code  # PLUS, MINUS = 0, 1
+            if j == i:
+                z_old, z_i = z_i, z_i - h if code == PLUS else z_i + h
+        move = (state.z.copy(), v_old, steps.item(i), v)
+        move[0][i] = z_old
+    elif moved:
+        gammas = steps if isinstance(steps, array) else repeat(steps.item(0))
+        for (s, _), code, gamma in zip(draws(dist, np.random.default_rng(seed), moved[-1] + 1),
+                                       codes.tolist(), gammas):
+            if code != STAY:  # a + (-b) == a - b exactly, signed zeros too
+                hs = (gamma / one_minus_beta) * s
+                last = (z, v, gamma)
+                z, v = (z - hs, beta * v + s) if code == PLUS else (z + hs, beta * v - s)
+        move = (*last, v)
+    del state._replay
+    state.__class__ = OptimizerState
+    state._x, state.v, state.move = x0, v, move
+    return state
 
 
 class IterationRecord(NamedTuple):
@@ -501,7 +555,9 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
       order, and moved with smtp_step's arithmetic.
     Every step costs the same oracle calls, the method's two, whatever the
     block evaluates, so a row's eval_counter is set when it finishes.  A row
-    that stops on epsilon_gap leaves the block and the others go on.
+    that stops on epsilon_gap leaves the block and the others go on.  No run
+    reads a row's v or x, so the block keeps z alone, and a final state
+    rebuilds v, x and the last move when first read (OptimizerState).
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
@@ -540,37 +596,33 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
     streams = [chunks(dist, np.random.default_rng(seed), max_iters, rows)
                for dist, seed in zip(dists, seeds)]
 
-    def finish(r: int, z, v, f_z: float, reason: str, move=None) -> None:
-        """Row r's trace, from its columns and final state."""
+    def finish(r: int, z, f_z: float, reason: str) -> None:
+        """Row r's trace, from its columns and final z and f(z)."""
         f_col, gamma, branch, grad_norm, index = columns[r]
         n_steps = len(f_col)
         for col in (gamma, index):  # filled a chunk ahead
             if col is not None:
                 del col[n_steps:]
         objectives[r].eval_counter = after_init[r] + per_step * n_steps
-        state = OptimizerState(x=states[r].x, v=v, z=z, f_z=f_z, k=n_steps, beta=beta, move=move)
+        state = _RowState(z, f_z, n_steps, beta,  # G is None under SolutionDependent
+                          (dists[r], seeds[r], states[r].x, branch, index,
+                           gamma if G is None else G[r].copy()))
         steps = _kept_steps(None if gammas is None else float(gammas[r]),
                             None if table is None else table[r], record_index)
         traces[r] = RunTrace(f_col, gamma, branch, _evals(after_init[r], per_step, n_steps), state,
                              seeds[r], states[r].f_z, reason, grad_norm,
                              index if record_index else None, steps=steps)
 
-    last = _walk_rows(objectives[0], states, beta, max_iters, f_star, epsilon_gap, G, rules,
-                      streams, columns, code, norm_constants if track_grad_norm else None,
-                      finish, coord)
-    if coord:
-        _replay_momenta(traces, columns, last, beta)
+    _walk_rows(objectives[0], states, beta, max_iters, f_star, epsilon_gap, G, rules, streams,
+               columns, code, norm_constants if track_grad_norm else None, finish, coord)
     return traces
 
 
 def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules, streams,
-               columns, code, norm_constants, finish, coord) -> list:
+               columns, code, norm_constants, finish, coord) -> None:
     """run_block's rows, in rounds: live row p steps by G[p, i] along
     coordinate i, or by G[p, 0] along a vector; G is None when max_iters is
     0, and under SolutionDependent, whose row_stepsizes gives it each round.
-    Returns each row's last move: over a coordinate law as (i, old z_i,
-    gamma), over a vector law as (p, the z and v it left, the G it stepped
-    by); None for a row that never moved.
 
     A stay leaves z, v and f(z) as they are, so until a row moves, each
     candidate it can draw is known, and its table holds them all: over a
@@ -587,14 +639,13 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules
     each round, and the tracked grad_norm and a SolutionDependent gamma at
     its start, in its columns: a vector row's round is one step, so these
     are its columns, and a coordinate row's runs to a move, so they are
-    expanded over the round's steps when the row finishes.  A vector row's
-    v moves with its z; a coordinate row's is replayed once all rows finish
-    (_replay_momenta).
+    expanded over the round's steps when the row finishes.  No candidate
+    reads v: a row holds z alone (_RowState).
     """
     n, d = len(states), states[0].z.size
     w = d if coord else 1
     dependent = G is None
-    ZV = np.array([[st.z for st in states], [st.v for st in states]])  # the live rows' z and v
+    Z = np.array([st.z for st in states])  # the live rows' z
     F = [st.f_z for st in states]  # the live rows' f(z)
     limit = [max_iters] * n
     if epsilon_gap is not None:  # a row already within epsilon stops after its first step
@@ -606,7 +657,6 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules
     rows = [[r, 0, limit[r], None, f_col.append, branch.append, ends[r].append,
              None if norm is None else norm.append, None if gamma is None else gamma.append]
             for r, (f_col, gamma, branch, norm, _) in enumerate(columns)]
-    last = [None] * n  # by seed position
     evaluate, gradient = objective.fn_batch, objective.gradient_batch  # counted at finish
 
     def coordinates(r: int, steps) -> Iterator[list]:
@@ -641,18 +691,12 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules
             rows[p] = ends[r] = None  # frees the records before the other rows finish
         reason = "epsilon_gap" if k and epsilon_gap is not None and f - f_star <= epsilon_gap \
             else "max_iters"
-        v, move = states[r].v, None  # a coordinate row's v is replayed once all rows finish
-        if not coord:
-            v = ZV[1, p].copy()
-            if last[r] is not None:
-                at_p, moved_from, steps = last[r]
-                move = (*moved_from[:, at_p], steps.item(at_p, 0), v)
-        finish(r, ZV[0, p].copy(), v, f, reason, move)
+        finish(r, Z[p].copy(), f, reason)
 
     if not max_iters:
         for p in range(n):
             finish_row(p)
-        return last
+        return
     for row in rows:  # a vector row's draw reads cell 0: its table holds that draw alone
         row[3] = chain.from_iterable(coordinates(row[0], G[row[0]])) if coord else repeat(0)
     # a vector row's chunk of directions is column p of D; vector rows step
@@ -665,16 +709,14 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules
         H = G / one_minus_beta  # the live rows' h
     while rows:
         m = len(rows)
-        Z = ZV[0]
         if norm_constants is not None:
             for row, norm in zip(rows, d_norm_rows(norm_constants, gradient(Z)).tolist()):
                 row[7](norm)
         if dependent:  # exact once a round, as f(z) changes only at moves
-            g = step(np.array(F))
-            for row, gamma in zip(rows, g.tolist()):
+            g = step(F)
+            for row, gamma in zip(rows, g):
                 row[8](gamma)
-            G = g[:, None]
-            H = G / one_minus_beta
+            H = np.divide(g, one_minus_beta)[:, None]
         if coord:
             T = np.empty((2, m, d, d))  # T[PLUS or MINUS, p, i]: z with cell i moved
             T[:] = Z[:, None]
@@ -682,7 +724,7 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules
             np.subtract(Z, H, out=C[PLUS])
             np.add(Z, H, out=C[MINUS])
             T = T.reshape(2 * m * d, d)
-        else:  # z, then its plus and minus candidates, of z (X[0]) and of v (X[1])
+        else:  # z, then its plus and minus candidates
             if t == end:
                 for p, row in enumerate(rows):
                     raw = next(streams[row[0]])
@@ -691,13 +733,10 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules
             S = D[t]
             t += 1
             hs = H * S
-            X = np.empty((2, 3 * m, d))
-            np.subtract(Z, hs, out=X[0, m:2 * m])
-            np.add(Z, hs, out=X[0, 2 * m:])
-            bv = beta * ZV[1]  # a + (-b) == a - b exactly, signed zeros too
-            np.add(bv, S, out=X[1, m:2 * m])
-            np.subtract(bv, S, out=X[1, 2 * m:])
-            T = X[0, m:]
+            X = np.empty((3 * m, d))
+            np.subtract(Z, hs, out=X[m:2 * m])
+            np.add(Z, hs, out=X[2 * m:])
+            T = X[m:]
         values = evaluate(T).tolist()
         checked = not math.isfinite(sum(values))  # finite whenever every value is, bar an overflow
         ended, pick, a, b = [], None, 0, w * m
@@ -719,13 +758,11 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules
                     else:
                         f, s = f_m, MINUS
                     if coord:
-                        last[r] = (i, Z.item(p, i), G.item(p, i))
                         Z[p, i] = C.item(s, p, i)
                     else:
-                        last[r] = (p, ZV, G)
                         if pick is None:
                             pick = list(range(m))
-                        pick[p] = (1 + s) * m + p  # X[:, m:] holds z+ (PLUS) then z- (MINUS)
+                        pick[p] = (1 + s) * m + p  # X[m:] holds z+ (PLUS) then z- (MINUS)
                     if epsilon_gap is not None and f - f_star <= epsilon_gap:
                         lim = row[2] = k
                     break
@@ -741,59 +778,21 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules
                 ended.append(p)
             a += w
             b += w
-        if pick is not None:  # the moved vector rows' z and v, the others' as they are
-            X[:, :m] = ZV
-            ZV = X.take(pick, 1)
+        if pick is not None:  # the moved vector rows' z, the others' as they are
+            X[:m] = Z
+            Z = X.take(pick, 0)
         for p in ended:
             finish_row(p)
         if ended:
             keep = [p for p in range(m) if p not in ended]
             rows, F = [rows[p] for p in keep], [F[p] for p in keep]
-            ZV = ZV[:, keep]
+            Z = Z[keep]
             if not coord:
                 D = D[:, keep]
             if dependent:
                 step = row_stepsizes([rules[row[0]] for row in rows])
             else:
-                G, H = G[keep], H[keep]
-    return last
-
-
-def _replay_momenta(traces, columns, last, beta) -> None:
-    """Set the final v and last move of a coordinate-law block's traces by
-    replaying smtp_step's v = beta v, then + 1 at i on a plus and - 1 on a
-    minus, from each row's branch and index columns (last[r]: row r's last
-    move as (i, old z_i, gamma)), move by move for all rows at once."""
-    moves = []
-    for _, _, branch, _, index in columns:
-        codes = np.frombuffer(branch, np.int8)
-        moved = codes != STAY  # PLUS, MINUS = 0, 1: the sign is 1 - 2 code
-        moves.append((np.frombuffer(index, index.typecode)[moved], 1 - 2 * codes[moved]))
-    n, d = len(traces), traces[0].final_state.z.size
-    order = sorted(range(n), key=lambda r: -moves[r][0].size)  # the most moves first
-    ends = [moves[r][0].size - 1 for r in order]  # each row's last move
-    width, code = ends[0] + 1, np.min_scalar_type(-n * d)  # a signed type that holds n d
-    cells, signs = np.zeros((n, width), code), np.zeros((n, width), np.int8)
-    for q, r in enumerate(order):
-        cells[q, :ends[q] + 1], signs[q, :ends[q] + 1] = moves[r]
-    cells += np.arange(0, n * d, d, dtype=code)[:, None]  # flat cells of V
-    V, live = np.zeros((n, d)), n
-    flat = V.reshape(-1)
-    for t in range(ends[0]):  # every move but each row's last
-        while ends[live - 1] <= t:
-            live -= 1
-        V[:live] *= beta
-        flat[cells[:live, t]] += signs[:live, t]
-    before, live = V.copy(), sum(e >= 0 for e in ends)
-    V[:live] *= beta
-    flat[cells[range(live), ends[:live]]] += signs[range(live), ends[:live]]
-    for q, r in enumerate(order):
-        state = traces[r].final_state
-        state.v = V[q].copy()
-        if ends[q] >= 0:
-            i, z_i, g = last[r]
-            state.move = (state.z.copy(), before[q], g, state.v)
-            state.move[0][i] = z_i  # the move changed coordinate i alone
+                H = H[keep]
 
 
 def select_uniform_random_iterate(trace: RunTrace, rng: np.random.Generator) -> tuple[int, np.ndarray]:

@@ -325,34 +325,28 @@ def row_stepsizes(rules: list):
     """SolutionDependent's stepsize of many rows at once, row r under rules[r],
     each with a constant theta_k (ValueError for a callable one).
 
-    Returns step(f_z): gamma for every row from the rows' f(z), checked as
-    stepsize() checks it.  It runs elementwise in the scalar form's order over
-    per-row parameter columns, so each row gets bit for bit what stepsize()
-    gives its rule at any iteration.
+    Returns step(f_z): the rows' gammas from their f(z), checked as stepsize()
+    checks them, on floats in the scalar form's order, so each row gets bit
+    for bit what stepsize() gives its rule at any iteration.
     """
     if any(callable(r.theta_k) for r in rules):
         raise ValueError("row_stepsizes needs a constant theta_k")
-
-    def col(name):
-        return np.array([float(getattr(r, name)) for r in rules])
-
-    f_star, two_mu, L = col("f_star"), 2.0 * col("mu"), col("L")
-    # ((1-beta) theta_k) mu_d: the scalar form's head
-    head = (1.0 - col("beta")) * col("theta_k") * col("mu_d")
+    # per row: f_star, 2 mu, L, and ((1-beta) theta_k) mu_d, the scalar form's head
+    params = [(float(r.f_star), 2.0 * float(r.mu), float(r.L),
+               (1.0 - float(r.beta)) * float(r.theta_k) * float(r.mu_d)) for r in rules]
 
     def step(f_z):
-        gap = f_z - f_star
-        if min(gap.tolist()) < 0.0:
-            r = int(np.argmin(gap))
+        gaps = [f - f_star for f, (f_star, *_) in zip(f_z, params)]
+        if min(gaps) < 0.0:
+            r = gaps.index(min(gaps))
             raise ValueError(f"f_z = {float(f_z[r])!r} is below the declared f_star = "
-                             f"{float(f_star[r])!r}")
-        gamma = head * np.sqrt(two_mu * gap) / L
-        values = gamma.tolist()
-        if not math.isfinite(sum(values)):  # finite whenever every value is, bar an overflow
-            for g in values:
-                if not math.isfinite(g):
-                    raise ValueError(f"schedule produced an invalid stepsize {g!r}")
-        return gamma
+                             f"{params[r][0]!r}")
+        gammas = [head * math.sqrt(two_mu * gap) / L
+                  for gap, (_, two_mu, L, head) in zip(gaps, params)]
+        for g in gammas:
+            if not math.isfinite(g):
+                raise ValueError(f"schedule produced an invalid stepsize {g!r}")
+        return gammas
 
     return step
 

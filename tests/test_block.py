@@ -11,8 +11,11 @@ through run_once, with the same traces.
 
 from __future__ import annotations
 
+import gc
 import os
+import pickle
 import tempfile
+import weakref
 
 import numpy as np
 import pytest
@@ -550,24 +553,32 @@ def blocks(draw):
     return d, beta, dists, rules, seeds, stops, (draw(st.booleans()), record_index)
 
 
-def _block_equals_runs(d, beta, dists, rules, seeds, stops, recording, make=None):
-    """run_block's traces, final states and counters equal smtp_run's per
-    row; returns the traces."""
+def _runs(d, beta, dists, rules, seeds, stops, recording, block, make=None):
+    """Each row's (trace, objective), from run_block's rows or smtp_run alone."""
     (max_iters, eps), (track, index) = stops, recording
     coord_L = np.logspace(0, 2, d)
     make = make or (lambda: objectives.make_quadratic(coord_L))
     nc = directions.constants(dists[0])
     x0 = np.ones(d)
     objs = [make() for _ in seeds]
-    expected = [_fingerprint(optimizers.smtp_run(o, dist, r, beta, x0, max_iters, seed=s,
-                                                 epsilon_gap=eps, track_grad_norm=track,
-                                                 norm_constants=nc, record_index=index), o)
-                for o, r, s, dist in zip(objs, rules, seeds, dists)]
-    objs = [make() for _ in seeds]
-    traces = optimizers.run_block(objs, rules, beta, x0, max_iters, seeds, eps, track, dists, nc,
-                                  index)
-    assert [_fingerprint(t, o) for t, o in zip(traces, objs)] == expected
-    return traces
+    if block:
+        traces = optimizers.run_block(objs, rules, beta, x0, max_iters, seeds, eps, track, dists,
+                                      nc, index)
+    else:
+        traces = [optimizers.smtp_run(o, dist, r, beta, x0, max_iters, seed=s, epsilon_gap=eps,
+                                      track_grad_norm=track, norm_constants=nc,
+                                      record_index=index)
+                  for o, r, s, dist in zip(objs, rules, seeds, dists)]
+    return list(zip(traces, objs))
+
+
+def _block_equals_runs(*case, make=None):
+    """run_block's traces, final states and counters equal smtp_run's per
+    row; returns the traces."""
+    expected = [_fingerprint(*run) for run in _runs(*case, block=False, make=make)]
+    runs = _runs(*case, block=True, make=make)
+    assert [_fingerprint(*run) for run in runs] == expected
+    return [trace for trace, _ in runs]
 
 
 @settings(max_examples=60, deadline=None, database=None,
@@ -588,6 +599,84 @@ def test_walks_cross_draw_chunks(case, monkeypatch):
     # and walks, of either law, run across refills of their rows' draws
     monkeypatch.setattr(directions, "_DRAW_FLOATS", 64)
     _block_equals_runs(*case)
+
+
+# --- a block row's state: v, x and the last move rebuilt on first read ------
+
+def _state_bytes(state) -> tuple:
+    """A final state's class, v, last move, x and z, byte for byte; the move
+    is read first, as reading x drops it."""
+    move = state.move
+    if move is not None:
+        z, v, gamma, v_new = move
+        move = (z.tobytes(), v.tobytes(), float(gamma), v_new.tobytes(), v_new is state.v)
+    return type(state), state.v.tobytes(), move, state.x.tobytes(), state.z.tobytes()
+
+
+def _pickled(trace):
+    trace = pickle.loads(pickle.dumps(trace))
+    assert type(trace.final_state) is optimizers.OptimizerState  # replayed when pickled
+    return trace
+
+
+def _new_x(trace):
+    trace.final_state.x = np.full(trace.final_state.z.size, 0.25)
+    return trace
+
+
+def _new_v(trace):
+    trace.final_state.v = np.full(trace.final_state.z.size, -0.5)
+    return trace
+
+
+def _states_equal_per_seed_states(case) -> None:
+    """A block row's final state, read, pickled, or given a new x or v before
+    any read, equals smtp_run's treated the same way, byte for byte."""
+    for touch in (lambda trace: trace, _pickled, _new_x, _new_v):
+        expected = [_state_bytes(touch(trace).final_state)
+                    for trace, _ in _runs(*case, block=False)]
+        got = [_state_bytes(touch(trace).final_state) for trace, _ in _runs(*case, block=True)]
+        assert got == expected
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=blocks())
+def test_block_states_equal_per_seed_states(case):
+    _states_equal_per_seed_states(case)
+
+
+@pytest.mark.parametrize("max_iters", [0, 40])
+@pytest.mark.parametrize("law", ["coord_uniform", "sphere"])
+def test_block_state_of_a_row_with_no_moves(law, max_iters):
+    # from x0 = 1 every step of 10 stays: v stays 0 and x is x0, with no move
+    dist = directions.DirectionDistribution(law, 4)
+    case = (4, 0.5, [dist] * 3, [schedules.Constant(10.0)] * 3, [0, 1, 2], (max_iters, None),
+            (False, False))
+    for trace, _ in _runs(*case, block=True):
+        assert list(trace.branch) == [optimizers.STAY] * max_iters
+        assert trace.final_state.move is None
+    _states_equal_per_seed_states(case)
+
+
+@pytest.mark.parametrize("law", ["coord_uniform", "sphere"])
+def test_a_dropped_block_trace_is_freed_by_refcount(law):
+    # a row's replay data refers to neither its trace nor the other rows, so
+    # each trace goes with its last reference, its state replayed or not, as
+    # _seeds_worker lets each trace go once its result is written; with the
+    # collector off, a reference cycle would keep it
+    dist = directions.DirectionDistribution(law, 4)
+    case = (4, 0.5, [dist] * 3, [schedules.Constant(0.05)] * 3, [0, 1, 2], (100, None),
+            (False, False))
+    gc.disable()
+    try:
+        runs = _runs(*case, block=True)
+        assert runs[1][0].final_state.x is not None  # one row replayed, two not
+        refs = [weakref.ref(obj) for trace, _ in runs for obj in (trace, trace.final_state)]
+        del runs
+        assert [ref() for ref in refs] == [None] * 6
+    finally:
+        gc.enable()
 
 
 def _guarded(bound: float):

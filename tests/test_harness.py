@@ -638,6 +638,18 @@ class TestRunExperiment:
 
 
 class TestCompare:
+    def test_median_equals_np_median_bitwise(self):
+        # odd and even counts from 1 to 9, with inf present (a seed that never
+        # reaches the target) or not, and with ties
+        rng = np.random.default_rng(0)
+        for n in range(1, 10):
+            for _ in range(20):
+                a = rng.choice([0.1, 3.0, 7.25, 1e300, rng.random(), rng.random() * 1e6], n)
+                for b in (a, np.where(rng.random(n) < 0.3, math.inf, a)):
+                    got, want = harness._median(b.copy()), np.median(b)
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == want.tobytes(), b
+
     def test_momentum_wins_at_shared_step(self):
         # same constant gamma on an ill-conditioned quadratic: the momentum
         # form takes an effective step gamma/(1-beta) and needs fewer evals
@@ -857,3 +869,20 @@ class TestCli:
                                big], capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 1
         assert done.stderr == "error: big seed 4: non-finite objective value inf at iteration 0\n"
+
+    def test_run_and_compare_leave_numpy_ma_unimported(self, tmp_path):
+        # np.median's NaN check imports numpy.ma, about 15 ms and 1 MB of a CLI
+        # run; harness._median gives its values without it
+        run = self._write(tmp_path, "run.cfg", QUAD_BASE + "\ntheorem = SC-DEP")
+        short = SHARED_STEP.replace("max_iters = 4000", "max_iters = 300")
+        a = self._write(tmp_path, "stp.cfg", short + "\nmethod = stp")
+        b = self._write(tmp_path, "smtp.cfg", short + "\nmethod = smtp\nbeta = 0.5")
+        script = ("import sys\nfrom threepoint import cli\n"
+                  f"assert cli.main(['run', '--config', {run!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+                  f"assert cli.main(['compare', '--configs', {a!r}, {b!r}]) == 0\n"
+                  "assert 'numpy.ma' not in sys.modules\n")
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
