@@ -807,8 +807,7 @@ def _seed_result(cfg: ExperimentConfig, seed: int, trace, obj, wall: float,
 
 
 def _median(a: np.ndarray) -> float:
-    """np.median of a 1-d array with no NaN, bit for bit, without np.median's
-    NaN check, which imports numpy.ma: of an even count, (lo + hi) / 2."""
+    """np.median of a NaN-free 1-d array, bit for bit, without its numpy.ma NaN check."""
     half, odd = divmod(len(a), 2)
     part = np.partition(a, half if odd else (half - 1, half))
     return float(part[half] if odd else (part[half - 1] + part[half]) / 2)

@@ -88,8 +88,7 @@ OptimizerState.x = property(_anchor, _set_anchor)
 
 
 class _RowState(OptimizerState):
-    """A block row's final state: its replay data stands in for v, x and move
-    until one is first read or written, or the state pickled (_replay_row)."""
+    """A block row's final state until v, x or move is read, written or pickled."""
 
     def __init__(self, z, f_z: float, k: int, beta: float, replay: tuple):
         self.z, self.f_z, self.k, self.beta, self._replay = z, f_z, k, beta, replay
@@ -97,18 +96,20 @@ class _RowState(OptimizerState):
     def __reduce_ex__(self, protocol):
         return _replay_row(self).__reduce_ex__(protocol)
 
-    v, x, move = (property(lambda state, name=name: getattr(_replay_row(state), name),
-                           lambda state, value, name=name: setattr(_replay_row(state), name, value))
+    def __repr__(self):
+        return repr(_replay_row(self))
+
+    v, x, move = (property(lambda st, name=name: getattr(_replay_row(st), name),
+                           lambda st, value, name=name: setattr(_replay_row(st), name, value))
                   for name in ("v", "x", "move"))
 
 
 def _replay_row(state: _RowState) -> OptimizerState:
-    """Make a block row's state the OptimizerState smtp_run leaves: replay v
-    and the last move from x0 over the row's branch column, by smtp_step's
-    arithmetic.  A coordinate row's v = beta v, then +/- 1.0 at i from its
-    index column; the z it left is z but at i, replayed as z_i -/+ G[i] /
-    (1 - beta).  A vector row's seed draws its s again: v = beta v +/- s and
-    z -/+ (gamma / (1 - beta)) s, gamma from its gamma column or G row."""
+    """Make a block row's state the OptimizerState smtp_run leaves: v and the
+    last move replayed from x0 over its branch column by smtp_step's
+    arithmetic.  Coordinate rows: v = beta v, then +/- 1.0 at the index
+    column's i, and z_i -/+ G[i] / (1 - beta) along the last move's i.  Vector
+    rows draw s again from the seed: v = beta v +/- s, z -/+ (gamma/(1-beta)) s."""
     dist, seed, x0, branch, index, steps = state._replay
     beta, one_minus_beta = state.beta, 1.0 - state.beta
     codes = np.frombuffer(branch, np.int8)
@@ -123,8 +124,7 @@ def _replay_row(state: _RowState) -> OptimizerState:
             v[j] += 1.0 - 2 * code  # PLUS, MINUS = 0, 1
             if j == i:
                 z_old, z_i = z_i, z_i - h if code == PLUS else z_i + h
-        move = (state.z.copy(), v_old, steps.item(i), v)
-        move[0][i] = z_old
+        move = (np.where(np.arange(x0.size) == i, z_old, state.z), v_old, steps.item(i), v)
     elif moved:
         gammas = steps if isinstance(steps, array) else repeat(steps.item(0))
         for (s, _), code, gamma in zip(draws(dist, np.random.default_rng(seed), moved[-1] + 1),
@@ -555,9 +555,8 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
       order, and moved with smtp_step's arithmetic.
     Every step costs the same oracle calls, the method's two, whatever the
     block evaluates, so a row's eval_counter is set when it finishes.  A row
-    that stops on epsilon_gap leaves the block and the others go on.  No run
-    reads a row's v or x, so the block keeps z alone, and a final state
-    rebuilds v, x and the last move when first read (OptimizerState).
+    that stops on epsilon_gap leaves the block and the others go on.  A row
+    holds z alone: its v, x and last move are rebuilt when read (_RowState).
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
@@ -621,10 +620,10 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
 def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules, streams,
                columns, code, norm_constants, finish, coord) -> None:
     """run_block's rows, in rounds: live row p steps by G[p, i] along
-    coordinate i, or by G[p, 0] along a vector; G is None when max_iters is
-    0, and under SolutionDependent, whose row_stepsizes gives it each round.
+    coordinate i, or by G[p, 0] along a vector; G is None when max_iters is 0,
+    and under SolutionDependent, whose row_stepsizes gives it each round.
 
-    A stay leaves z, v and f(z) as they are, so until a row moves, each
+    A stay leaves z and f(z) as they are, so until a row moves, each
     candidate it can draw is known, and its table holds them all: over a
     coordinate law the 2 d points z -/+ h_i e_i, with h_i = G[p, i] /
     (1 - beta); over a vector law the 2 points z -/+ h s of its next draw,
@@ -640,7 +639,8 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules
     its start, in its columns: a vector row's round is one step, so these
     are its columns, and a coordinate row's runs to a move, so they are
     expanded over the round's steps when the row finishes.  No candidate
-    reads v: a row holds z alone (_RowState).
+    reads v, so a row holds z alone; its v, x and last move are rebuilt on
+    first read (_RowState).
     """
     n, d = len(states), states[0].z.size
     w = d if coord else 1

@@ -331,21 +331,22 @@ def row_stepsizes(rules: list):
     """
     if any(callable(r.theta_k) for r in rules):
         raise ValueError("row_stepsizes needs a constant theta_k")
-    # per row: f_star, 2 mu, L, and ((1-beta) theta_k) mu_d, the scalar form's head
-    params = [(float(r.f_star), 2.0 * float(r.mu), float(r.L),
-               (1.0 - float(r.beta)) * float(r.theta_k) * float(r.mu_d)) for r in rules]
+    f_star, mu, L, beta, theta_k, mu_d = ([float(getattr(r, name)) for r in rules] for name in
+                                          ("f_star", "mu", "L", "beta", "theta_k", "mu_d"))
+    # ((1-beta) theta_k) mu_d: the scalar form's head
+    head = [(1.0 - b) * t * m for b, t, m in zip(beta, theta_k, mu_d)]
 
     def step(f_z):
-        gaps = [f - f_star for f, (f_star, *_) in zip(f_z, params)]
+        gaps = [f - s for f, s in zip(f_z, f_star)]
         if min(gaps) < 0.0:
             r = gaps.index(min(gaps))
             raise ValueError(f"f_z = {float(f_z[r])!r} is below the declared f_star = "
-                             f"{params[r][0]!r}")
-        gammas = [head * math.sqrt(two_mu * gap) / L
-                  for gap, (_, two_mu, L, head) in zip(gaps, params)]
-        for g in gammas:
-            if not math.isfinite(g):
-                raise ValueError(f"schedule produced an invalid stepsize {g!r}")
+                             f"{f_star[r]!r}")
+        gammas = [h * math.sqrt(2.0 * m * g) / l for h, m, g, l in zip(head, mu, gaps, L)]
+        if not math.isfinite(sum(gammas)):  # finite whenever every value is, bar an overflow
+            for g in gammas:
+                if not math.isfinite(g):
+                    raise ValueError(f"schedule produced an invalid stepsize {g!r}")
         return gammas
 
     return step

@@ -630,8 +630,10 @@ def _new_v(trace):
 
 
 def _states_equal_per_seed_states(case) -> None:
-    """A block row's final state, read, pickled, or given a new x or v before
-    any read, equals smtp_run's treated the same way, byte for byte."""
+    """A block row's final state, read, printed, pickled, or given a new x or v
+    before any read, equals smtp_run's treated the same way, byte for byte."""
+    assert [repr(trace.final_state) for trace, _ in _runs(*case, block=True)] == \
+        [repr(trace.final_state) for trace, _ in _runs(*case, block=False)]
     for touch in (lambda trace: trace, _pickled, _new_x, _new_v):
         expected = [_state_bytes(touch(trace).final_state)
                     for trace, _ in _runs(*case, block=False)]
