@@ -15,7 +15,6 @@ from .diagnostics import (
     InequalityReport,
     RateFit,
     bound_envelope,
-    finite_diff_gradient_check,
     fit_linear_rate,
     verify_trace_inequalities,
 )
@@ -25,7 +24,6 @@ from .directions import (
     MCValidation,
     constants,
     d_norm,
-    dual_norm,
     mc_validate,
     sample,
 )
@@ -56,7 +54,6 @@ from .optimizers import (
     candidate_points,
     init_state,
     run_block,
-    select_uniform_random_iterate,
     smtp_is_run,
     smtp_run,
     smtp_step,
@@ -113,8 +110,6 @@ __all__ = [
     "compare_methods",
     "constants",
     "d_norm",
-    "dual_norm",
-    "finite_diff_gradient_check",
     "fit_linear_rate",
     "init_state",
     "load_config",
@@ -130,7 +125,6 @@ __all__ = [
     "run_experiment",
     "run_once",
     "sample",
-    "select_uniform_random_iterate",
     "smtp_is_run",
     "smtp_run",
     "smtp_step",

@@ -209,42 +209,3 @@ def verify_trace_inequalities(trace: RunTrace, objective, slack_tol: float = SLA
                 violations.append((k, slack))
         f_before = f_after
     return InequalityReport(violations, out_of_domain, len(trace.f_z))
-
-
-def finite_diff_gradient_check(
-    objective,
-    n_points: int = 100,
-    h: float = 1e-6,
-    rng: np.random.Generator | None = None,
-    halfwidth: float = 2.0,
-) -> float:
-    """Max relative error between central differences and the gradient oracle.
-
-    Points are drawn uniformly from [-halfwidth, halfwidth]^d (clipped to the
-    objective's own box when it declares one).  Does not perturb the
-    evaluation counter semantics; FD evaluations are counted like any query.
-    """
-    if not objective.has_gradient:
-        raise ValueError("objective has no gradient oracle to check")
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
-    if h <= 0.0:
-        raise ValueError("h must be > 0")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    box = objective.smoothness.box_halfwidth
-    if box is not None:
-        halfwidth = min(halfwidth, box)
-    d = objective.dimension
-    worst = 0.0
-    for _ in range(n_points):
-        x = rng.uniform(-halfwidth, halfwidth, size=d)
-        g = objective.gradient(x)
-        fd = np.empty(d)
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = h
-            fd[i] = (objective.value(x + e) - objective.value(x - e)) / (2.0 * h)
-        denom = max(float(np.linalg.norm(g)), 1e-12)
-        worst = max(worst, float(np.linalg.norm(fd - g)) / denom)
-    return worst

@@ -229,19 +229,6 @@ def d_norm_rows(c: DistributionConstants, G: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown norm tag {c.norm_tag!r}")
 
 
-def dual_norm(c: DistributionConstants, x: np.ndarray) -> float:
-    """Dual of d_norm: L2 -> L2, L1 -> Linf, weighted L1 -> max |x_i| / p_i."""
-    x = np.asarray(x, dtype=float)
-    if c.norm_tag == L2:
-        return float(np.linalg.norm(x))
-    if c.norm_tag == L1:
-        return float(np.max(np.abs(x)))
-    if c.norm_tag == WEIGHTED_L1:
-        comp = x if c.basis is None else c.basis.T @ x
-        return float(np.max(np.abs(comp) / c.weights))
-    raise ValueError(f"unknown norm tag {c.norm_tag!r}")
-
-
 @dataclass(frozen=True)
 class MCValidation:
     n_samples: int

@@ -73,6 +73,9 @@ class ExperimentConfig:
     checkpoints: tuple[int, ...] | None = None
     out: str | None = None
     jobs: int = 1
+    # parse_config's key -> line map, for errors found once a run is built;
+    # a plain attribute, so neither fields() nor fingerprint() reads it
+    _lines = {}
 
     def fingerprint(self) -> str:
         parts = []
@@ -145,6 +148,7 @@ def parse_config(text: str, label: str | None = None) -> ExperimentConfig:
                 f"line {lineno}: duplicate key {key!r}, first set on line {seen_lines[field_name]}")
         setattr(cfg, field_name, _parse_scalar(field_name, raw, lineno))
         seen_lines[field_name] = lineno
+    cfg._lines = seen_lines
     if label is not None and "label" not in seen_lines:
         cfg.label = label
     _validate(cfg, seen_lines)
@@ -405,7 +409,8 @@ def _resolve_r0(cfg: ExperimentConfig, obj: objectives.Objective, x0, norm_const
         r0 = schedules.quadratic_level_radius(obj.smoothness.coord_L, gap0, norm_constants)
     if not r0 > 0.0:
         # the convex rules and envelopes divide by r0; auto gives 0 at a minimiser
-        raise ConfigError(f"r0 = {cfg.r0} resolves to {r0!r}; r0 must be > 0")
+        raise ConfigError(f"{_line_of(cfg._lines, 'r0')}r0 = {cfg.r0} resolves to {r0!r}; "
+                          "r0 must be > 0")
     return r0
 
 

@@ -478,10 +478,10 @@ def is_keywords(dim: int) -> dict:
 # trace is defined by it.  The block is a fast path for the rows block_supports
 # admits, from this many rows on.  Scalar-loop over block time per row-step on
 # a 2-core VM (numpy 2.4).  Over a vector law a round is one step of each row
-# and costs about 15 us of numpy calls plus about 1.2 us of Python per row
-# (median of the ratios of 15 interleaved pairs of runs of 4000 steps):
+# and costs about 16 us plus about 1.5 us per row (median of the ratios of 15
+# interleaved pairs of runs of 4000 steps, harness.run_once against run_block):
 #   rows                                        1     2     3     4     5     8    30
-#   sphere, solution_dependent, d = 10          0.47  0.89  1.21  1.55  1.90  2.59  4.44
+#   sphere, solution_dependent, d = 10          0.65  1.17  1.58  1.85  2.27  2.82  4.76
 # Over a coordinate law a round costs about 20 us of numpy calls for the table
 # of 2 d points per row, plus about 2 us of Python per row and a list lookup per
 # stay.  By rows, move rate and d (best of 3 runs of 4000 steps; coord_uniform,
@@ -497,11 +497,12 @@ def is_keywords(dim: int) -> dict:
 #   d = 60,   3% moves                          3.6   4.7   4.1   6.2   6.0
 #   d = 60,  30% moves                          0.49  0.70  0.83  0.87  0.87
 #   d = 60, 100% moves                          0.18  0.24  0.30  0.27  0.29
-# One row does not repay a block at high move rates.  3 is the floor:
-# perfbench's replay counts each is_compare seed through run_once as a 2-row
-# compare.  Rows that stop leave the block and the rest stay in it: handing
-# the last three or fewer to the scalar loop instead made is_compare's two
-# runs no faster (median 1.93 s against 1.82 s over 10 interleaved pairs).
+# One row does not repay a block at high move rates, and two barely do over
+# a vector law.  3 is the floor: perfbench's replay counts each is_compare
+# seed through run_once as a 2-row compare.  Rows that stop leave the block
+# and the rest stay in it: handing the last three or fewer to the scalar loop
+# instead made is_compare's two runs no faster (median 1.93 s against 1.82 s
+# over 10 interleaved pairs).
 BLOCK_MIN_ROWS = 3
 # The coordinate rows' tables hold at most this many floats together: at 10
 # rows d <= 57, about where the walk stops beating the scalar loop at 30%
@@ -793,14 +794,3 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules
                 step = row_stepsizes([rules[row[0]] for row in rows])
             else:
                 H = H[keep]
-
-
-def select_uniform_random_iterate(trace: RunTrace, rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """Uniform draw over the visited iterates z^0 .. z^{K-1}.
-
-    Needs a trace recorded with retain_internals=True.
-    """
-    if trace.z_before is None or len(trace.f_z) == 0:
-        raise ValueError("trace has no retained iterates; rerun with retain_internals=True")
-    idx = int(rng.integers(len(trace.f_z)))
-    return idx, trace.z_before[idx].copy()

@@ -1,4 +1,4 @@
-"""Envelopes, rate fits, inequality verification, gradient checking."""
+"""Envelopes, rate fits, and inequality verification."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 
 from threepoint.diagnostics import (
     bound_envelope,
-    finite_diff_gradient_check,
     fit_linear_rate,
     verify_trace_inequalities,
 )
@@ -209,27 +208,3 @@ class TestVerifyInequalities:
         t_out = self._handmade_trace(obj, outside, obj._fn(outside) + 1e6)
         rep_out = verify_trace_inequalities(t_out, obj)
         assert rep_out.out_of_domain and not rep_out.violations
-
-
-class TestFiniteDifference:
-    def test_quadratic_is_machine_exact(self):
-        obj = make_quadratic(np.array([1.0, 4.0, 9.0]))
-        assert finite_diff_gradient_check(obj, n_points=20) < 1e-7
-
-    def test_large_h_still_exact_on_quadratic(self):
-        obj = make_quadratic(np.array([2.0, 3.0]))
-        assert finite_diff_gradient_check(obj, n_points=10, h=1.0) < 1e-12
-
-    def test_rosenbrock_truncation(self):
-        obj = make_rosenbrock(4)
-        assert finite_diff_gradient_check(obj, n_points=50) < 1e-5
-
-    def test_validations(self):
-        lqr = make_lqr(2, 2, 1)
-        with pytest.raises(ValueError, match="gradient"):
-            finite_diff_gradient_check(lqr)
-        obj = make_quadratic(np.ones(2))
-        with pytest.raises(ValueError, match="n_points"):
-            finite_diff_gradient_check(obj, n_points=0)
-        with pytest.raises(ValueError, match="h"):
-            finite_diff_gradient_check(obj, h=0.0)

@@ -15,7 +15,6 @@ from threepoint.directions import (
     d_norm,
     d_norm_rows,
     draws,
-    dual_norm,
     mc_validate,
     sample,
 )
@@ -185,21 +184,17 @@ class TestNorms:
         g = np.array([3.0, -4.0])
         assert d_norm(c, g) == 7.0
         assert c.mu_d * d_norm(c, g) == 3.5
-        assert dual_norm(c, g) == 4.0
 
     def test_weighted_norm_oracle(self):
         w = np.array([0.25, 0.75])
         c = constants(DirectionDistribution("coord_weighted", 2, weights=w))
         # 0.25 * 10 + 0.75 * 2.5 = 4.375, exact in binary
         assert d_norm(c, np.array([10.0, -2.5])) == 4.375
-        # max(1/0.25, 4.5/0.75) = 6, exact in binary
-        assert dual_norm(c, np.array([1.0, -4.5])) == 6.0
 
     def test_l2_norms(self):
         c = constants(DirectionDistribution("sphere", 3))
         g = np.array([3.0, 0.0, 4.0])
         assert d_norm(c, g) == 5.0
-        assert dual_norm(c, g) == 5.0
 
     def test_rotated_weighted_norm(self):
         basis = _rotation(3)
@@ -208,27 +203,6 @@ class TestNorms:
         g = np.array([1.0, -2.0, 0.5])
         comp = basis.T @ g
         assert d_norm(c, g) == pytest.approx(float(w @ np.abs(comp)), rel=1e-14)
-        assert dual_norm(c, g) == pytest.approx(float(np.max(np.abs(comp) / w)), rel=1e-14)
-
-    @pytest.mark.parametrize("kind", ["sphere", "coord_uniform", "coord_weighted",
-                                      "orthonormal_weighted"])
-    def test_hoelder_inequality(self, kind):
-        d = 5
-        w = np.array([0.1, 0.15, 0.2, 0.25, 0.3])
-        basis = _rotation(d) if kind == "orthonormal_weighted" else None
-        weights = w if kind in ("coord_weighted", "orthonormal_weighted") else None
-        c = constants(DirectionDistribution(kind, d, weights=weights, basis=basis))
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            g = rng.standard_normal(d)
-            x = rng.standard_normal(d)
-            assert abs(float(g @ x)) <= d_norm(c, g) * dual_norm(c, x) + 1e-12
-
-    def test_hoelder_equality_l1_linf(self):
-        c = constants(DirectionDistribution("coord_uniform", 3))
-        g = np.array([1.0, -2.0, 3.0])
-        x = np.array([5.0, -5.0, 5.0])  # sign-aligned, constant magnitude
-        assert abs(float(g @ x)) == d_norm(c, g) * dual_norm(c, x)
 
 
 class TestCategoricalIndex:

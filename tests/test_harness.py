@@ -810,8 +810,12 @@ class TestCli:
         # x0 at the minimiser: the level-set radius is 0, and alpha = auto divides by it
         ("schedule.kind = solution_dependent",
          "schedule.kind = decreasing\nschedule.alpha = auto\nr0 = auto\nx0 = zeros",
-         "r0 = auto resolves to 0.0; r0 must be > 0"),
-    ], ids=["cvx_without_r0", "checkpoints_range", "repeated_seeds", "r0_auto_at_minimiser"])
+         "error: line 9: r0 = auto resolves to 0.0; r0 must be > 0"),
+        # and the CVX envelope divides by it
+        ("seeds = 3", "seeds = 3\nx0 = zeros\nr0 = auto\ntheorem = CVX-CONST",
+         "error: line 11: r0 = auto resolves to 0.0; r0 must be > 0"),
+    ], ids=["cvx_without_r0", "checkpoints_range", "repeated_seeds", "r0_auto_at_minimiser",
+            "r0_auto_at_minimiser_cvx"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, old, new, message):
         cfg_path = self._write(tmp_path, "bad.cfg", QUAD_BASE.replace(old, new))
         assert cli.main(["validate", "--config", cfg_path]) == 1

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from threepoint import optimizers
-from threepoint.diagnostics import finite_diff_gradient_check
 from threepoint.directions import DirectionDistribution
 from threepoint.objectives import (
     NoiseSpec,
@@ -19,6 +18,21 @@ from threepoint.objectives import (
     wrap_noise,
 )
 from threepoint.schedules import Constant
+
+
+def _max_fd_gradient_error(obj, n_points: int) -> float:
+    """Max relative error of the gradient oracle against central differences
+    of step 1e-6, at points drawn uniformly from [-2, 2]^d."""
+    h = 1e-6
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(n_points):
+        x = rng.uniform(-2.0, 2.0, size=obj.dimension)
+        g = obj.gradient(x)
+        fd = np.array([(obj.value(x + e) - obj.value(x - e)) / (2.0 * h)
+                       for e in np.eye(obj.dimension) * h])
+        worst = max(worst, float(np.linalg.norm(fd - g)) / max(float(np.linalg.norm(g)), 1e-12))
+    return worst
 
 
 class TestQuadratic:
@@ -64,7 +78,7 @@ class TestQuadratic:
 
     def test_finite_differences(self):
         obj = make_quadratic(np.array([1.0, 4.0, 9.0]))
-        assert finite_diff_gradient_check(obj, n_points=20) < 1e-6
+        assert _max_fd_gradient_error(obj, n_points=20) < 1e-6
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -94,7 +108,7 @@ class TestRosenbrock:
 
     def test_finite_differences(self):
         obj = make_rosenbrock(5)
-        assert finite_diff_gradient_check(obj, n_points=50) < 1e-5
+        assert _max_fd_gradient_error(obj, n_points=50) < 1e-5
 
     def test_needs_two_dimensions(self):
         with pytest.raises(ValueError):

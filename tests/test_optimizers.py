@@ -26,7 +26,6 @@ from threepoint.optimizers import (
     NonFiniteObjectiveError,
     candidate_points,
     init_state,
-    select_uniform_random_iterate,
     smtp_is_run,
     smtp_run,
     smtp_step,
@@ -404,17 +403,6 @@ class TestRunLoop:
                          0.5, np.ones(2), max_iters=30, seed=9, retain_internals=True)
         assert len(trace.z_before) == len(trace.records) == len(trace.s)
         np.testing.assert_array_equal(trace.z_before[0], np.ones(2))
-        idx, z = select_uniform_random_iterate(trace, np.random.default_rng(0))
-        assert 0 <= idx < len(trace.records)
-        np.testing.assert_array_equal(z, trace.z_before[idx])
-        z[0] = 123.0  # returned array is a copy
-        assert trace.z_before[idx][0] != 123.0
-
-    def test_random_iterate_needs_retention(self):
-        trace = smtp_run(make_quadratic(np.ones(2)), SPHERE2, Constant(0.1),
-                         0.5, np.ones(2), max_iters=5, seed=9)
-        with pytest.raises(ValueError, match="retain"):
-            select_uniform_random_iterate(trace, np.random.default_rng(0))
 
 
 class TestImportanceSampling:
