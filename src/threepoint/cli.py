@@ -45,9 +45,8 @@ def _cmd_run(args) -> int:
     print(f"label={summary.label} fingerprint={summary.fingerprint} "
           f"seeds={len(summary.seed_results)} out={summary.out_dir}")
     for r in summary.seed_results:
-        gap = "" if r.final_gap is None else f" final_gap={r.final_gap:.6g}"
         print(f"seed {r.seed}: iterations={r.iterations} evals={r.evals} "
-              f"stop={r.stop_reason}{gap}")
+              f"stop={r.stop_reason} final_gap={r.final_gap:.6g}")
     if summary.envelope_ok is not None:
         print(f"envelope: {'pass' if summary.envelope_ok else 'fail'}")
         if not summary.envelope_ok:

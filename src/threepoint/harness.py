@@ -382,17 +382,17 @@ def build_distribution(cfg: ExperimentConfig, dimension: int) -> directions.Dire
 def build_is_vectors(cfg: ExperimentConfig, obj: objectives.Objective):
     coord_L = obj.smoothness.coord_L
     d = obj.dimension
+    for name, keyword in (("is_p", "prop_L"), ("is_w", "coord_L")):
+        if coord_L is None and getattr(cfg, name) == keyword:
+            raise ConfigError(f"{_line_of(cfg._lines, name)}{_key(name)} = {keyword} "
+                              "needs coordinate smoothness metadata")
     if cfg.is_p == "uniform":
         p = np.full(d, 1.0 / d)
     elif cfg.is_p == "prop_L":
-        if coord_L is None:
-            raise ConfigError("is.p = prop_L needs coordinate smoothness metadata")
         p = coord_L / float(np.sum(coord_L))
     else:
         p = _parse_vector(cfg.is_p, d, "is.p")
     if cfg.is_w == "coord_L":
-        if coord_L is None:
-            raise ConfigError("is.w = coord_L needs coordinate smoothness metadata")
         w = coord_L.copy()
     elif cfg.is_w == "ones":
         w = np.ones(d)
@@ -412,12 +412,6 @@ def _resolve_r0(cfg: ExperimentConfig, obj: objectives.Objective, x0, norm_const
         raise ConfigError(f"{_line_of(cfg._lines, 'r0')}r0 = {cfg.r0} resolves to {r0!r}; "
                           "r0 must be > 0")
     return r0
-
-
-def _gap0(obj: objectives.Objective, x0) -> float:
-    if obj.smoothness.f_star is None:
-        raise ConfigError("this schedule needs a known f_star")
-    return obj.value(x0) - obj.smoothness.f_star
 
 
 def _beta(cfg: ExperimentConfig) -> float:
@@ -485,7 +479,8 @@ def build_schedule(cfg: ExperimentConfig, obj: objectives.Objective, x0,
 
     def need(value, what: str):
         if value is None:
-            raise ConfigError(f"objective {cfg.objective!r} has no {what}")
+            raise ConfigError(f"{_line_of(cfg._lines, 'schedule_kind')}"
+                              f"objective {cfg.objective!r} has no {what}")
         return value
 
     def need_L() -> float:
@@ -505,7 +500,7 @@ def build_schedule(cfg: ExperimentConfig, obj: objectives.Objective, x0,
                 L, gamma_d = schedules.is_sum_weighted_L(p, w, need_coord_L()), 1.0
             else:
                 L, gamma_d = need_L(), norm_constants.gamma_d
-            g0 = schedules.optimal_gamma0(beta, _gap0(obj, x0), L, gamma_d)
+            g0 = schedules.optimal_gamma0(beta, obj.value(x0) - info.f_star, L, gamma_d)
         else:
             g0 = float(cfg.schedule_gamma0)
         horizon = cfg.schedule_horizon if cfg.schedule_horizon is not None else cfg.max_iters
@@ -515,8 +510,6 @@ def build_schedule(cfg: ExperimentConfig, obj: objectives.Objective, x0,
         alpha, theta = _resolve_alpha_theta(cfg, obj, x0, mu_like, norm_constants)
         return over_w(schedules.Decreasing(alpha, theta))
     if kind == "solution_dependent":
-        if info.f_star is None:
-            raise ConfigError("solution_dependent needs a known f_star")
         mu = need(info.mu, "strong convexity constant mu")
         if is_mode:
             return schedules.ISSolutionDependent(
@@ -545,15 +538,16 @@ def _resolve_alpha_theta(cfg, obj, x0, mu_like, norm_constants):
 def _resolve_t(cfg, obj, norm_constants, p=None) -> float:
     if cfg.schedule_t != "auto":
         return float(cfg.schedule_t)
+    line = _line_of(cfg._lines, "schedule_t")
     if cfg.epsilon is None:
-        raise ConfigError("schedule.t = auto needs epsilon")
+        raise ConfigError(f"{line}schedule.t = auto needs epsilon")
     info = obj.smoothness
     if p is not None:
         if info.mu is None or info.coord_L is None:
-            raise ConfigError("schedule.t = auto needs mu and coord_L metadata")
+            raise ConfigError(f"{line}schedule.t = auto needs mu and coord_L metadata")
         return schedules.solution_free_t_max_is(cfg.epsilon, info.mu, p, info.coord_L)
     if info.mu is None or info.L is None:
-        raise ConfigError("schedule.t = auto needs mu and L metadata")
+        raise ConfigError(f"{line}schedule.t = auto needs mu and L metadata")
     return schedules.solution_free_t_max(cfg.epsilon, norm_constants.mu_d, info.mu, info.L)
 
 
@@ -592,7 +586,7 @@ class SeedResult:
     iterations: int
     evals: int
     stop_reason: str
-    final_gap: float | None
+    final_gap: float
     contraction: float | None
     r_squared: float | None
     envelope_ok: bool | None
@@ -624,8 +618,6 @@ def _envelope_params(cfg: ExperimentConfig, obj, x0, parts: RunParts) -> dict:
     """The constants a theorem's envelope reads; an IS theorem maps p, w and
     coord_L onto L, gamma_d and mu_d itself, so one set serves both kinds."""
     info = obj.smoothness
-    if info.f_star is None:
-        raise ConfigError("envelope checks need a known f_star")
     nc = parts.norm_constants
     schedule = parts.schedule
     rule = getattr(schedule, "rule", schedule)  # the plain rule under a w divisor
@@ -657,7 +649,11 @@ def prepare(cfg: ExperimentConfig) -> tuple[list[int] | None, np.ndarray | None]
     params = _envelope_params(cfg, obj, x0, parts)
     m = cfg.max_iters  # default checkpoints: K/4, K/2, K
     ks = sorted(set(cfg.checkpoints or (max(1, m // 4), max(1, m // 2), m)))
-    return ks, diagnostics.bound_envelope(cfg.theorem, params, cfg.max_iters).values[ks]
+    try:
+        envelope = diagnostics.bound_envelope(cfg.theorem, params, cfg.max_iters)
+    except ValueError as exc:  # the theorem refuses these constants
+        raise ConfigError(f"{_line_of(cfg._lines, 'theorem')}{exc}") from None
+    return ks, envelope.values[ks]
 
 
 def run_block(cfgs, seeds) -> tuple[list[optimizers.RunTrace], list[objectives.Objective]]:
@@ -771,13 +767,13 @@ def _row_results(rows, jobs: int, out_dir: str | None = None, ks: list[int] | No
 def _seed_result(cfg: ExperimentConfig, seed: int, trace, obj, wall: float,
                  out_dir: str | None, ks: list[int] | None):
     f_star = obj.smoothness.f_star
-    final_gap = None if f_star is None else trace.final_state.f_z - f_star
+    final_gap = trace.final_state.f_z - f_star
     n = len(trace.f_z)
     contraction = r_squared = branch_mix = gamma_range = None
     # summary.txt alone, written with the traces, reads the fit, branch mix and stepsize range
     if out_dir is not None:
         _write_trace(trace, os.path.join(out_dir, f"trace_seed{seed}.csv"))
-        if f_star is not None and n >= 12 and final_gap >= 0.0:
+        if n >= 12 and final_gap >= 0.0:
             try:
                 fit = diagnostics.fit_linear_rate(trace, f_star)
                 contraction, r_squared = fit.rate, fit.r_squared

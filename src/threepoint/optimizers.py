@@ -58,7 +58,8 @@ class OptimizerState:
     smtp_step stores its move as move = (z, v, gamma, v_new), the iterate and
     buffer it moved from, and x is derived from it when read: nothing reads
     the anchor while a run goes on.  A block row's v, x and last move are
-    rebuilt when first read, written or pickled, at 2-5 us a move (_RowState).
+    rebuilt when first read, written or pickled, by rerunning smtp_run over
+    the row (_RowState).
     """
 
     x: np.ndarray
@@ -88,7 +89,8 @@ OptimizerState.x = property(_anchor, _set_anchor)
 
 
 class _RowState(OptimizerState):
-    """A block row's final state until v, x or move is read, written or pickled."""
+    """A block row's final state until v, x or move is read, written or pickled;
+    replay holds the (objective, dist, rule, x0, seed) _replay_row reruns."""
 
     def __init__(self, z, f_z: float, k: int, beta: float, replay: tuple):
         self.z, self.f_z, self.k, self.beta, self._replay = z, f_z, k, beta, replay
@@ -105,38 +107,16 @@ class _RowState(OptimizerState):
 
 
 def _replay_row(state: _RowState) -> OptimizerState:
-    """Make a block row's state the OptimizerState smtp_run leaves: v and the
-    last move replayed from x0 over its branch column by smtp_step's
-    arithmetic.  Coordinate rows: v = beta v, then +/- 1.0 at the index
-    column's i, and z_i -/+ G[i] / (1 - beta) along the last move's i.  Vector
-    rows draw s again from the seed: v = beta v +/- s, z -/+ (gamma/(1-beta)) s."""
-    dist, seed, x0, branch, index, steps = state._replay
-    beta, one_minus_beta = state.beta, 1.0 - state.beta
-    codes = np.frombuffer(branch, np.int8)
-    moved = np.flatnonzero(codes != STAY).tolist()
-    z, v, move = x0, np.zeros(x0.size), None
-    if moved and dist.kind in COORD_KINDS:
-        cells = np.frombuffer(index, index.typecode)[moved].tolist()
-        i = cells[-1]
-        h, z_i = steps.item(i) / one_minus_beta, x0.item(i)
-        for j, code in zip(cells, codes[moved].tolist()):
-            v_old, v = v, beta * v
-            v[j] += 1.0 - 2 * code  # PLUS, MINUS = 0, 1
-            if j == i:
-                z_old, z_i = z_i, z_i - h if code == PLUS else z_i + h
-        move = (np.where(np.arange(x0.size) == i, z_old, state.z), v_old, steps.item(i), v)
-    elif moved:
-        gammas = steps if isinstance(steps, array) else repeat(steps.item(0))
-        for (s, _), code, gamma in zip(draws(dist, np.random.default_rng(seed), moved[-1] + 1),
-                                       codes.tolist(), gammas):
-            if code != STAY:  # a + (-b) == a - b exactly, signed zeros too
-                hs = (gamma / one_minus_beta) * s
-                last = (z, v, gamma)
-                z, v = (z - hs, beta * v + s) if code == PLUS else (z + hs, beta * v - s)
-        move = (*last, v)
+    """Make a block row's state the OptimizerState smtp_run leaves, by running
+    smtp_run over the row's k steps and taking its v, x and last move; the
+    objective's eval_counter is left as the block set it."""
+    objective, dist, rule, x0, seed = state._replay
+    counter = objective.eval_counter
+    final = smtp_run(objective, dist, rule, state.beta, x0, state.k, seed).final_state
+    objective.eval_counter = counter
     del state._replay
     state.__class__ = OptimizerState
-    state._x, state.v, state.move = x0, v, move
+    state._x, state.v, state.move = final._x, final.v, final.move
     return state
 
 
@@ -557,7 +537,8 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
     Every step costs the same oracle calls, the method's two, whatever the
     block evaluates, so a row's eval_counter is set when it finishes.  A row
     that stops on epsilon_gap leaves the block and the others go on.  A row
-    holds z alone: its v, x and last move are rebuilt when read (_RowState).
+    holds z alone: its v, x and last move are smtp_run's over the row, rerun
+    when first read (_RowState).
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
@@ -590,7 +571,7 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
     keep_steps = _kept_steps(gammas, table, record_index) is not None  # no gamma column
     columns = [(array("d"), None if keep_steps else array("d"), array("b"),
                 array("d") if track_grad_norm else None,
-                array(code) if record_index or coord else None) for _ in seeds]
+                array(code) if record_index else None) for _ in seeds]
     traces: list[RunTrace | None] = [None] * n
     rows = chunk_rows(d, n)
     streams = [chunks(dist, np.random.default_rng(seed), max_iters, rows)
@@ -604,9 +585,8 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
             if col is not None:
                 del col[n_steps:]
         objectives[r].eval_counter = after_init[r] + per_step * n_steps
-        state = _RowState(z, f_z, n_steps, beta,  # G is None under SolutionDependent
-                          (dists[r], seeds[r], states[r].x, branch, index,
-                           gamma if G is None else G[r].copy()))
+        state = _RowState(z, f_z, n_steps, beta,
+                          (objectives[r], dists[r], rules[r], states[r].z, seeds[r]))
         steps = _kept_steps(None if gammas is None else float(gammas[r]),
                             None if table is None else table[r], record_index)
         traces[r] = RunTrace(f_col, gamma, branch, _evals(after_init[r], per_step, n_steps), state,
@@ -640,8 +620,8 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules
     its start, in its columns: a vector row's round is one step, so these
     are its columns, and a coordinate row's runs to a move, so they are
     expanded over the round's steps when the row finishes.  No candidate
-    reads v, so a row holds z alone; its v, x and last move are rebuilt on
-    first read (_RowState).
+    reads v, so a row holds z alone; its v, x and last move come from
+    rerunning smtp_run on first read (_RowState).
     """
     n, d = len(states), states[0].z.size
     w = d if coord else 1
@@ -661,14 +641,15 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules
     evaluate, gradient = objective.fn_batch, objective.gradient_batch  # counted at finish
 
     def coordinates(r: int, steps) -> Iterator[list]:
-        """Row r's drawn coordinates, a chunk at a time, with its index
-        column (and an index-only rule's gamma column, from its steps)
+        """Row r's drawn coordinates, a chunk at a time, with its recorded
+        index column (and an index-only rule's gamma column, from its steps)
         filled a chunk ahead."""
         gamma_col, index_col = columns[r][1], columns[r][4]
         for raw in streams[r]:
             if gamma_col is not None:
                 gamma_col.frombytes(steps.take(raw).tobytes())
-            index_col.frombytes(raw.astype(code).tobytes())
+            if index_col is not None:
+                index_col.frombytes(raw.astype(code).tobytes())
             yield raw.tolist()
 
     def finish_row(p: int) -> None:

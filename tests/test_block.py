@@ -601,7 +601,7 @@ def test_walks_cross_draw_chunks(case, monkeypatch):
     _block_equals_runs(*case)
 
 
-# --- a block row's state: v, x and the last move rebuilt on first read ------
+# --- a block row's state: v, x and the last move from smtp_run, on first read
 
 def _state_bytes(state) -> tuple:
     """A final state's class, v, last move, x and z, byte for byte; the move

@@ -795,7 +795,7 @@ class TestCli:
         assert capsys.readouterr().out.startswith("ok label=demo")
 
     def test_validate_catches_metadata_errors(self, tmp_path, capsys):
-        # parses fine, but the schedule needs an f_star the objective lacks
+        # parses fine, but the schedule needs a mu the objective lacks
         text = QUAD_BASE.replace("objective = quadratic", "objective = rosenbrock")
         text = text.replace("coord_L = logspace:1,4\n", "")
         cfg_path = self._write(tmp_path, "bad.cfg", text)
@@ -814,14 +814,51 @@ class TestCli:
         # and the CVX envelope divides by it
         ("seeds = 3", "seeds = 3\nx0 = zeros\nr0 = auto\ntheorem = CVX-CONST",
          "error: line 11: r0 = auto resolves to 0.0; r0 must be > 0"),
+        # errors found while the run is prepared cite the key that needs the value
+        ("objective = quadratic\ndimension = 4\ncoord_L = logspace:1,4",
+         "objective = rosenbrock\ndimension = 4",
+         "error: line 6: objective 'rosenbrock' has no strong convexity constant mu"),
+        ("objective = quadratic\ndimension = 4\ncoord_L = logspace:1,4",
+         "objective = lqr\nhorizon = 3\nd_state = 2\nd_ctrl = 1",
+         "error: line 8: objective 'lqr' has no strong convexity constant mu"),
+        ("schedule.kind = solution_dependent", "schedule.kind = solution_free\nschedule.t = auto",
+         "error: line 8: schedule.t = auto needs epsilon"),
+        ("method = smtp\nbeta = 0.5\nobjective = quadratic\ndimension = 4\n"
+         "coord_L = logspace:1,4\ndistribution = sphere\nschedule.kind = solution_dependent",
+         "method = smtp_is\nbeta = 0.5\nobjective = rosenbrock\ndimension = 4\n"
+         "is.p = prop_L\nschedule.kind = constant\nschedule.gamma = 0.01",
+         "error: line 5: is.p = prop_L needs coordinate smoothness metadata"),
+        ("method = smtp\nbeta = 0.5\nobjective = quadratic\ndimension = 4\n"
+         "coord_L = logspace:1,4\ndistribution = sphere\nschedule.kind = solution_dependent",
+         "method = smtp_is\nbeta = 0.5\nobjective = rosenbrock\ndimension = 4\n"
+         "is.w = coord_L\nschedule.kind = constant\nschedule.gamma = 0.01",
+         "error: line 5: is.w = coord_L needs coordinate smoothness metadata"),
+        ("schedule.kind = solution_dependent",
+         "schedule.kind = constant\nschedule.gamma = 10\nr0 = 1\ntheorem = CVX-CONST",
+         "error: line 10: stepsize gamma = 10.0 outside the contractive range"),
+        ("objective = quadratic\ndimension = 4\ncoord_L = logspace:1,4\ndistribution = sphere\n"
+         "schedule.kind = solution_dependent",
+         "objective = lqr\nhorizon = 3\nd_state = 2\nd_ctrl = 1\ndistribution = sphere\n"
+         "schedule.kind = constant\nschedule.gamma = 0.001\ntheorem = SC-DEP",
+         "error: line 10: bound_envelope('SC-DEP') missing parameter 'mu'"),
     ], ids=["cvx_without_r0", "checkpoints_range", "repeated_seeds", "r0_auto_at_minimiser",
-            "r0_auto_at_minimiser_cvx"])
+            "r0_auto_at_minimiser_cvx", "rosenbrock_without_mu", "lqr_without_mu",
+            "t_auto_without_epsilon", "prop_L_without_coord_L", "coord_L_w_without_coord_L",
+            "non_contractive_envelope", "envelope_without_mu"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, old, new, message):
         cfg_path = self._write(tmp_path, "bad.cfg", QUAD_BASE.replace(old, new))
         assert cli.main(["validate", "--config", cfg_path]) == 1
         assert message in capsys.readouterr().err
         assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
+
+    def test_readme_example_runs(self, tmp_path, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        text = readme.split("# quadratic.cfg\n", 1)[1].split("```", 1)[0]
+        cfg_path = self._write(tmp_path, "quadratic.cfg", text)
+        assert cli.main(["validate", "--config", cfg_path]) == 0
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "runs")]) == 0
+        assert "envelope: pass" in capsys.readouterr().out
 
     def test_missing_file(self, tmp_path, capsys):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
