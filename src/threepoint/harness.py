@@ -199,11 +199,7 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
             objectives.coord_L_from_spec(cfg.coord_L, cfg.dimension)
         except ValueError as exc:
             fail("coord_L", str(exc))
-    if cfg.schedule_kind not in schedules.SCHEDULE_KINDS:
-        fail("schedule_kind", f"unknown schedule.kind {cfg.schedule_kind!r}")
-    needed = _SCHEDULE_KEY_NEEDED.get(cfg.schedule_kind)
-    if needed is not None and getattr(cfg, needed) is None:
-        fail("schedule_kind", f"schedule.kind = {cfg.schedule_kind} needs {_key(needed)}")
+    _check_schedule_kind(cfg, seen)
     if cfg.method == "smtp_is":
         if cfg.distribution is not None:
             fail("distribution", "method smtp_is takes no distribution: "
@@ -324,6 +320,16 @@ _READ_ONLY_BY = {
 # the key each schedule.kind cannot do without
 _SCHEDULE_KEY_NEEDED = {"constant": "schedule_gamma", "fixed_horizon": "schedule_gamma0",
                         "decreasing": "schedule_alpha", "solution_free": "schedule_t"}
+
+
+def _check_schedule_kind(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
+    """schedule.kind is known and has the key it cannot do without."""
+    line = _line_of(seen, "schedule_kind")
+    if cfg.schedule_kind not in schedules.SCHEDULE_KINDS:
+        raise ConfigError(f"{line}unknown schedule.kind {cfg.schedule_kind!r}")
+    needed = _SCHEDULE_KEY_NEEDED.get(cfg.schedule_kind)
+    if needed is not None and getattr(cfg, needed) is None:
+        raise ConfigError(f"{line}schedule.kind = {cfg.schedule_kind} needs {_key(needed)}")
 
 
 def _parse_vector(spec: str, dimension: int, what: str) -> np.ndarray:
@@ -472,6 +478,7 @@ def build_schedule(cfg: ExperimentConfig, obj: objectives.Objective, x0,
     choices ('auto'/'optimal') may evaluate f(x0) once; those evaluations
     happen before the run starts and are counted like any query.
     """
+    _check_schedule_kind(cfg, cfg._lines)
     info = obj.smoothness
     kind = cfg.schedule_kind
     beta = _beta(cfg)
@@ -767,8 +774,8 @@ def _row_results(rows, jobs: int, out_dir: str | None = None, ks: list[int] | No
 def _seed_result(cfg: ExperimentConfig, seed: int, trace, obj, wall: float,
                  out_dir: str | None, ks: list[int] | None):
     f_star = obj.smoothness.f_star
-    final_gap = trace.final_state.f_z - f_star
     n = len(trace.f_z)
+    final_gap = (trace.f_z[-1] if n else trace.f0) - f_star
     contraction = r_squared = branch_mix = gamma_range = None
     # summary.txt alone, written with the traces, reads the fit, branch mix and stepsize range
     if out_dir is not None:

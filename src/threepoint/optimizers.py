@@ -57,9 +57,7 @@ class OptimizerState:
 
     smtp_step stores its move as move = (z, v, gamma, v_new), the iterate and
     buffer it moved from, and x is derived from it when read: nothing reads
-    the anchor while a run goes on.  A block row's v, x and last move are
-    rebuilt when first read, written or pickled, by rerunning smtp_run over
-    the row (_RowState).
+    the anchor while a run goes on.
     """
 
     x: np.ndarray
@@ -86,38 +84,6 @@ def _set_anchor(state: OptimizerState, x: np.ndarray) -> None:
 
 # a property after the class body, so the dataclass keeps x as a field
 OptimizerState.x = property(_anchor, _set_anchor)
-
-
-class _RowState(OptimizerState):
-    """A block row's final state until v, x or move is read, written or pickled;
-    replay holds the (objective, dist, rule, x0, seed) _replay_row reruns."""
-
-    def __init__(self, z, f_z: float, k: int, beta: float, replay: tuple):
-        self.z, self.f_z, self.k, self.beta, self._replay = z, f_z, k, beta, replay
-
-    def __reduce_ex__(self, protocol):
-        return _replay_row(self).__reduce_ex__(protocol)
-
-    def __repr__(self):
-        return repr(_replay_row(self))
-
-    v, x, move = (property(lambda st, name=name: getattr(_replay_row(st), name),
-                           lambda st, value, name=name: setattr(_replay_row(st), name, value))
-                  for name in ("v", "x", "move"))
-
-
-def _replay_row(state: _RowState) -> OptimizerState:
-    """Make a block row's state the OptimizerState smtp_run leaves, by running
-    smtp_run over the row's k steps and taking its v, x and last move; the
-    objective's eval_counter is left as the block set it."""
-    objective, dist, rule, x0, seed = state._replay
-    counter = objective.eval_counter
-    final = smtp_run(objective, dist, rule, state.beta, x0, state.k, seed).final_state
-    objective.eval_counter = counter
-    del state._replay
-    state.__class__ = OptimizerState
-    state._x, state.v, state.move = final._x, final.v, final.move
-    return state
 
 
 class IterationRecord(NamedTuple):
@@ -148,6 +114,12 @@ class RunTrace:
     context-free rule keeps its one stepsize, and of an index-only rule over
     a recorded index its per-coordinate table, in steps (gamma then None);
     the gamma column is built from them when first read.
+
+    A block row's trace (run_block) holds no final_state but the
+    (objective, dist, rule, beta, x0) of its row in rerun: its final state
+    is smtp_run's over the row's steps with its seed, run when final_state
+    is first read or the trace is pickled, with the objective's
+    eval_counter left as the block set it.
     """
 
     f_z: array
@@ -163,6 +135,11 @@ class RunTrace:
     z_before: list[np.ndarray] | None = None
     drawn: list[np.ndarray] | array | None = None
     steps: float | list[float] | np.ndarray | None = field(default=None, repr=False)
+    rerun: tuple | None = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        self.final_state  # a block row's, run before it is pickled
+        return self.__dict__
 
     @property
     def beta(self) -> float:
@@ -198,8 +175,24 @@ def _set_gamma_column(trace: RunTrace, column: array | None) -> None:
     trace._gamma = column
 
 
-# a property after the class body, so the dataclass keeps gamma as a field
+def _final_state(trace: RunTrace) -> OptimizerState:
+    if trace.rerun is not None:
+        objective, dist, rule, beta, x0 = trace.rerun
+        counter = objective.eval_counter
+        trace._final_state = smtp_run(objective, dist, rule, beta, x0, len(trace.f_z),
+                                      trace.seed).final_state
+        objective.eval_counter = counter
+        trace.rerun = None
+    return trace._final_state
+
+
+def _set_final_state(trace: RunTrace, state: OptimizerState | None) -> None:
+    trace._final_state = state
+
+
+# properties after the class body, so the dataclass keeps gamma and final_state as fields
 RunTrace.gamma = property(_gamma_column, _set_gamma_column)
+RunTrace.final_state = property(_final_state, _set_final_state)
 
 
 def init_state(objective, x0, beta: float) -> OptimizerState:
@@ -523,8 +516,17 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
     share the rest: beta, the dimension, a coordinate or a vector law, the
     rule class, the stop, the recording and the norm constants.
 
-    The rows go in rounds (_walk_rows): one fn_batch call evaluates each
-    row's table of the candidates it can draw before it moves, and each row
+    The rows go in rounds.  Live row p steps by G[p, i] along coordinate i,
+    or by G[p, 0] along a vector; G is None when max_iters is 0, and under
+    SolutionDependent, whose row_stepsizes gives it each round.  A stay
+    leaves z and f(z) as they are, so until a row moves, each candidate it
+    can draw is known, and its table holds them all: over a coordinate law
+    the 2 d points z -/+ h_i e_i, with h_i = G[p, i] / (1 - beta); over a
+    vector law the 2 points z -/+ h s of its next draw, so its walk is one
+    step.  One fn_batch call a round evaluates the tables of all m live rows,
+    w = d points per row and branch over a coordinate law and w = 1 over a
+    vector law: point p w + i is row p's plus candidate along coordinate i
+    (i = 0 along s), and point (m + p) w + i its minus one.  Each row then
     walks its own draws on those values to its first move or its stop.  Bit
     for bit, because:
     - each row draws from its own generator, in chunks that together hold
@@ -533,12 +535,17 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
     - stepsizes come from the per-row value or table of a fixed rule, or
       from row_stepsizes, which keeps the scalar formula's operation order;
     - each row is decided on Python floats by smtp_step's rule and tie
-      order, and moved with smtp_step's arithmetic.
-    Every step costs the same oracle calls, the method's two, whatever the
-    block evaluates, so a row's eval_counter is set when it finishes.  A row
-    that stops on epsilon_gap leaves the block and the others go on.  A row
-    holds z alone: its v, x and last move are smtp_run's over the row, rerun
-    when first read (_RowState).
+      order, moved with smtp_step's arithmetic, and raises at a drawn
+      non-finite value as smtp_step does.
+    A row records f(z) and the branch at the end of each round, and the
+    tracked grad_norm and a SolutionDependent gamma at its start: a vector
+    row's round is one step, so these are its columns, and a coordinate
+    row's runs to a move, so they are expanded over the round's steps when
+    the row finishes.  Every step costs the same oracle calls, the method's
+    two, whatever the block evaluates, so a row's eval_counter is set when
+    it finishes.  A row that stops on epsilon_gap leaves the block and the
+    others go on.  No candidate reads v, so a row holds z alone, and its
+    trace's final state is rerun by smtp_run when first read (RunTrace).
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
@@ -555,75 +562,25 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
         raise ValueError("record_index needs a coordinate law")
     states = [init_state(o, x0, beta) for o in objectives]
     after_init = [o.eval_counter for o in objectives]
-    gammas = table = G = None
+    fixed, G = [(None, None)] * n, None
     if max_iters > 0:
         fixed = [_fixed_steps(r, coord, st.f_z, d) for r, st in zip(rules, states)]
         if len({(g is None, t is None) for g, t in fixed}) > 1:
             raise ValueError("the rows of a block share one rule class")
         if fixed[0][0] is not None:
-            gammas = np.array([g for g, _ in fixed])
-            G = np.broadcast_to(gammas[:, None], (n, d))
+            G = np.broadcast_to(np.array([g for g, _ in fixed])[:, None], (n, d))
         elif fixed[0][1] is not None:
-            G = table = np.array([t for _, t in fixed])
+            G = np.array([t for _, t in fixed])
     per_step = 2 * objectives[0].calls_per_value
 
     code = _index_code(d)
-    keep_steps = _kept_steps(gammas, table, record_index) is not None  # no gamma column
+    keep_steps = _kept_steps(*fixed[0], record_index) is not None  # no gamma column
     columns = [(array("d"), None if keep_steps else array("d"), array("b"),
                 array("d") if track_grad_norm else None,
                 array(code) if record_index else None) for _ in seeds]
     traces: list[RunTrace | None] = [None] * n
-    rows = chunk_rows(d, n)
-    streams = [chunks(dist, np.random.default_rng(seed), max_iters, rows)
+    streams = [chunks(dist, np.random.default_rng(seed), max_iters, chunk_rows(d, n))
                for dist, seed in zip(dists, seeds)]
-
-    def finish(r: int, z, f_z: float, reason: str) -> None:
-        """Row r's trace, from its columns and final z and f(z)."""
-        f_col, gamma, branch, grad_norm, index = columns[r]
-        n_steps = len(f_col)
-        for col in (gamma, index):  # filled a chunk ahead
-            if col is not None:
-                del col[n_steps:]
-        objectives[r].eval_counter = after_init[r] + per_step * n_steps
-        state = _RowState(z, f_z, n_steps, beta,
-                          (objectives[r], dists[r], rules[r], states[r].z, seeds[r]))
-        steps = _kept_steps(None if gammas is None else float(gammas[r]),
-                            None if table is None else table[r], record_index)
-        traces[r] = RunTrace(f_col, gamma, branch, _evals(after_init[r], per_step, n_steps), state,
-                             seeds[r], states[r].f_z, reason, grad_norm,
-                             index if record_index else None, steps=steps)
-
-    _walk_rows(objectives[0], states, beta, max_iters, f_star, epsilon_gap, G, rules, streams,
-               columns, code, norm_constants if track_grad_norm else None, finish, coord)
-    return traces
-
-
-def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules, streams,
-               columns, code, norm_constants, finish, coord) -> None:
-    """run_block's rows, in rounds: live row p steps by G[p, i] along
-    coordinate i, or by G[p, 0] along a vector; G is None when max_iters is 0,
-    and under SolutionDependent, whose row_stepsizes gives it each round.
-
-    A stay leaves z and f(z) as they are, so until a row moves, each
-    candidate it can draw is known, and its table holds them all: over a
-    coordinate law the 2 d points z -/+ h_i e_i, with h_i = G[p, i] /
-    (1 - beta); over a vector law the 2 points z -/+ h s of its next draw,
-    so its walk is one step.  One fn_batch call a round evaluates the tables
-    of all m live rows, w = d points per row and branch over a coordinate
-    law and w = 1 over a vector law: point p w + i is row p's plus
-    candidate along coordinate i (i = 0 along s), and point (m + p) w + i
-    its minus one, each built with the scalar step's arithmetic.  Each row
-    then walks its own draws on those values, by smtp_step's rule and tie
-    order, to its first move or its stop, and raises at a drawn non-finite
-    value as smtp_step does.  It records f(z) and the branch at the end of
-    each round, and the tracked grad_norm and a SolutionDependent gamma at
-    its start, in its columns: a vector row's round is one step, so these
-    are its columns, and a coordinate row's runs to a move, so they are
-    expanded over the round's steps when the row finishes.  No candidate
-    reads v, so a row holds z alone; its v, x and last move come from
-    rerunning smtp_run on first read (_RowState).
-    """
-    n, d = len(states), states[0].z.size
     w = d if coord else 1
     dependent = G is None
     Z = np.array([st.z for st in states])  # the live rows' z
@@ -631,14 +588,14 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules
     limit = [max_iters] * n
     if epsilon_gap is not None:  # a row already within epsilon stops after its first step
         limit = [min(max_iters, 1) if f - f_star <= epsilon_gap else max_iters for f in F]
-    ends = [array(_index_code(max_iters + 1)) for _ in states]  # a coordinate row's round ends
+    ends = [array(_index_code(max_iters + 1)) for _ in seeds]  # a coordinate row's round ends
     # one list per live row: its seed position, steps taken, where it stops,
     # its draws as the table cells they read, and the appenders of its f_z,
     # branch, round-end, grad_norm and gamma records
     rows = [[r, 0, limit[r], None, f_col.append, branch.append, ends[r].append,
              None if norm is None else norm.append, None if gamma is None else gamma.append]
             for r, (f_col, gamma, branch, norm, _) in enumerate(columns)]
-    evaluate, gradient = objective.fn_batch, objective.gradient_batch  # counted at finish
+    evaluate, gradient = objectives[0].fn_batch, objectives[0].gradient_batch  # counted at finish
 
     def coordinates(r: int, steps) -> Iterator[list]:
         """Row r's drawn coordinates, a chunk at a time, with its recorded
@@ -652,11 +609,14 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules
                 index_col.frombytes(raw.astype(code).tobytes())
             yield raw.tolist()
 
-    def finish_row(p: int) -> None:
+    def finish(p: int) -> None:
+        """Live row p's trace, from its records and f(z)."""
         r, k = rows[p][:2]
-        f = F[p]
+        f_col, gamma, branch, grad_norm, index = columns[r]
+        for col in (gamma, index):  # filled a chunk ahead
+            if col is not None:
+                del col[k:]
         if coord:  # a round's records, once for each of its steps
-            f_col, gamma, branch, grad_norm, index = columns[r]
             last_steps = np.frombuffer(ends[r], ends[r].typecode) - 1
             spans = np.diff(last_steps, prepend=-1)
             f_after = np.frombuffer(f_col)
@@ -669,16 +629,19 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules
             f_col, branch = array("d"), array("b")
             f_col.frombytes(memoryview(f_steps).cast("B"))
             branch.frombytes(memoryview(codes).cast("B"))
-            columns[r] = (f_col, gamma, branch, grad_norm, index)
-            rows[p] = ends[r] = None  # frees the records before the other rows finish
-        reason = "epsilon_gap" if k and epsilon_gap is not None and f - f_star <= epsilon_gap \
+        rows[p] = ends[r] = columns[r] = None  # frees the records before the other rows finish
+        reason = "epsilon_gap" if k and epsilon_gap is not None and F[p] - f_star <= epsilon_gap \
             else "max_iters"
-        finish(r, Z[p].copy(), f, reason)
+        objectives[r].eval_counter = after_init[r] + per_step * k
+        traces[r] = RunTrace(f_col, gamma, branch, _evals(after_init[r], per_step, k), None,
+                             seeds[r], states[r].f_z, reason, grad_norm, index,
+                             steps=_kept_steps(*fixed[r], record_index),
+                             rerun=(objectives[r], dists[r], rules[r], beta, states[r].z))
 
     if not max_iters:
         for p in range(n):
-            finish_row(p)
-        return
+            finish(p)
+        return traces
     for row in rows:  # a vector row's draw reads cell 0: its table holds that draw alone
         row[3] = chain.from_iterable(coordinates(row[0], G[row[0]])) if coord else repeat(0)
     # a vector row's chunk of directions is column p of D; vector rows step
@@ -691,7 +654,7 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules
         H = G / one_minus_beta  # the live rows' h
     while rows:
         m = len(rows)
-        if norm_constants is not None:
+        if track_grad_norm:
             for row, norm in zip(rows, d_norm_rows(norm_constants, gradient(Z)).tolist()):
                 row[7](norm)
         if dependent:  # exact once a round, as f(z) changes only at moves
@@ -764,7 +727,7 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules
             X[:m] = Z
             Z = X.take(pick, 0)
         for p in ended:
-            finish_row(p)
+            finish(p)
         if ended:
             keep = [p for p in range(m) if p not in ended]
             rows, F = [rows[p] for p in keep], [F[p] for p in keep]
@@ -775,3 +738,4 @@ def _walk_rows(objective, states, beta, max_iters, f_star, epsilon_gap, G, rules
                 step = row_stepsizes([rules[row[0]] for row in rows])
             else:
                 H = H[keep]
+    return traces

@@ -488,6 +488,26 @@ def test_compare_runs_a_pair_as_one_block(monkeypatch):
     assert rows[0]["median_evals"] < rows[1]["median_evals"]
 
 
+def test_run_and_compare_never_rerun_a_block_row(monkeypatch, tmp_path):
+    # run and compare read a row's final gap from its f_z column: no block
+    # trace's final state is run, written traces and summaries included
+    calls = _counting(monkeypatch)
+    reruns = []
+    smtp_run = optimizers.smtp_run
+
+    def counting_smtp_run(*args, **kwargs):
+        reruns.append(args)
+        return smtp_run(*args, **kwargs)
+
+    monkeypatch.setattr(optimizers, "smtp_run", counting_smtp_run)
+    run_experiment(parse_config("objective = quadratic\ndimension = 4\ndistribution = sphere\n"
+                                "schedule.kind = solution_dependent\nmax_iters = 200\nseeds = 4"),
+                   out_dir=str(tmp_path), write=True)
+    harness.compare_methods([parse_config(IS_PAIR + f"is.p = {p}\nseeds = 2", label=p)
+                             for p in ("prop_L", "uniform")])
+    assert (calls, reruns) == ([("block", 4), ("block", 4)], [])
+
+
 def test_compare_below_the_crossover_runs_rows_in_config_order(monkeypatch):
     # perfbench's replay pairs run_once's calls with the table rows in this order
     calls = _counting(monkeypatch)
@@ -601,7 +621,7 @@ def test_walks_cross_draw_chunks(case, monkeypatch):
     _block_equals_runs(*case)
 
 
-# --- a block row's state: v, x and the last move from smtp_run, on first read
+# --- a block row's final state: smtp_run's over the row, run on first read
 
 def _state_bytes(state) -> tuple:
     """A final state's class, v, last move, x and z, byte for byte; the move
@@ -663,8 +683,8 @@ def test_block_state_of_a_row_with_no_moves(law, max_iters):
 
 @pytest.mark.parametrize("law", ["coord_uniform", "sphere"])
 def test_a_dropped_block_trace_is_freed_by_refcount(law):
-    # a row's replay data refers to neither its trace nor the other rows, so
-    # each trace goes with its last reference, its state replayed or not, as
+    # a row's rerun data refers to neither its trace nor the other rows, so
+    # each trace goes with its last reference, its state run or not, as
     # _seeds_worker lets each trace go once its result is written; with the
     # collector off, a reference cycle would keep it
     dist = directions.DirectionDistribution(law, 4)
@@ -673,10 +693,10 @@ def test_a_dropped_block_trace_is_freed_by_refcount(law):
     gc.disable()
     try:
         runs = _runs(*case, block=True)
-        assert runs[1][0].final_state.x is not None  # one row replayed, two not
-        refs = [weakref.ref(obj) for trace, _ in runs for obj in (trace, trace.final_state)]
+        refs = [weakref.ref(trace) for trace, _ in runs] + [weakref.ref(runs[1][0].final_state)]
+        assert [trace.rerun is None for trace, _ in runs] == [False, True, False]  # one row run
         del runs
-        assert [ref() for ref in refs] == [None] * 6
+        assert [ref() for ref in refs] == [None] * 4
     finally:
         gc.enable()
 

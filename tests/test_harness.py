@@ -567,6 +567,19 @@ class TestRunExperiment:
             run_experiment(cfg, write=False)
         assert str(raised.value) == str(one_seed.value) == message
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(schedule_kind="steepest"), "unknown schedule.kind 'steepest'"),
+        (dict(schedule_kind="constant"), "schedule.kind = constant needs schedule.gamma"),
+    ], ids=["unknown_kind", "no_gamma"])
+    def test_build_schedule_checks_a_direct_config(self, fields, message):
+        # build_schedule called on its own checks schedule.kind as parse_config does
+        cfg = harness.ExperimentConfig(objective="quadratic", dimension=3, distribution="sphere",
+                                       **fields)
+        obj = build_objective(cfg, 0)
+        nc = harness.directions.constants(harness.directions.DirectionDistribution("sphere", 3))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            harness.build_schedule(cfg, obj, build_x0(cfg, 3), nc)
+
     @pytest.mark.parametrize("track", [False, True])
     def test_trace_csv_chunks(self, tmp_path, track):
         # the writer formats CSV_CHUNK rows at a time; the bytes must equal
