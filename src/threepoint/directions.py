@@ -5,6 +5,10 @@ envelopes: gamma_d = E ||s||_2^2 and mu_d, a lower bound on E |<g, s>| in
 units of a distribution-specific norm of g.  The sphere's mu_d is an
 asymptotic lower bound and is therefore only validated one-sided; the other
 kinds are exact.
+
+Batches of directions come from `chunks`, the one place they consume the
+stream: `draws`, the block runs and `mc_validate` all read it.  `sample`
+draws one direction per call, the reference `chunks` is tested against.
 """
 
 from __future__ import annotations
@@ -149,22 +153,6 @@ _DRAW_ROWS = 1024
 _DRAW_FLOATS = 1 << 16
 
 
-def _raw_chunks(dist: DirectionDistribution, rng: np.random.Generator, n: int, rows: int):
-    """Yield the raw draws of n directions, at most rows at a time: an (m, dim)
-    block of standard normals for sphere and gaussian, m indices for the
-    other kinds.  This is the one place directions consume the stream."""
-    d = dist.dim
-    while n > 0:
-        m = min(rows, n)
-        n -= m
-        if dist.kind in ("sphere", "gaussian"):
-            yield rng.standard_normal((m, d))
-        elif dist.kind == "coord_uniform":
-            yield rng.integers(d, size=m)
-        else:
-            yield np.minimum(np.searchsorted(dist.cdf, rng.random(m), side="right"), d - 1)
-
-
 def chunk_rows(dim: int, streams: int = 1) -> int:
     """Rows per draw chunk, so that one chunk of every stream holds at most
     _DRAW_FLOATS floats together (and each at most _DRAW_ROWS rows)."""
@@ -174,23 +162,28 @@ def chunk_rows(dim: int, streams: int = 1) -> int:
 def chunks(dist: DirectionDistribution, rng: np.random.Generator, n: int, rows: int):
     """Yield n directions, at most rows at a time: an (m, dim) block of unit
     or scaled vectors, or for a coordinate kind the m drawn indices (s = e_i).
+    This is the one place a batch of directions consumes the stream.
 
     Row j of a block equals the (j+1)-th of n calls of sample(dist, rng): the
     sphere's rows are normalised by sqrt(vecdot), which is bitwise the
     per-row sqrt(g @ g), and numpy's array draws consume the same stream as
-    its scalar ones.
+    its scalar ones, so rows never changes the stream.
     """
-    kind = dist.kind
-    scale = math.sqrt(dist.dim)
-    for raw in _raw_chunks(dist, rng, n, rows):
+    kind, d = dist.kind, dist.dim
+    scale = math.sqrt(d)
+    while n > 0:
+        m = min(rows, n)
+        n -= m
         if kind == "sphere":
+            raw = rng.standard_normal((m, d))
             yield raw / np.sqrt(np.vecdot(raw, raw))[:, None]
         elif kind == "gaussian":
-            yield raw / scale
-        elif kind == "orthonormal_weighted":
-            yield dist.basis.T[raw]
+            yield rng.standard_normal((m, d)) / scale
+        elif kind == "coord_uniform":
+            yield rng.integers(d, size=m)
         else:
-            yield raw
+            i = np.minimum(np.searchsorted(dist.cdf, rng.random(m), side="right"), d - 1)
+            yield dist.basis.T[i] if kind == "orthonormal_weighted" else i
 
 
 def draws(dist: DirectionDistribution, rng: np.random.Generator, n: int):
@@ -238,9 +231,6 @@ class MCValidation:
     mu_lower_ok: bool
 
 
-_CHUNK = 1 << 16
-
-
 def mc_validate(
     dist: DirectionDistribution,
     g: np.ndarray,
@@ -259,27 +249,14 @@ def mc_validate(
     if not np.any(g != 0.0):
         raise ValueError("g must be nonzero")
     c = constants(dist)
-    d = dist.dim
-
-    gamma_sum = 0.0
-    inner_sum = 0.0
-    if dist.kind == "orthonormal_weighted":
-        proj = dist.basis.T @ g
-        col_sq = np.sum(dist.basis * dist.basis, axis=0)
-    for raw in _raw_chunks(dist, rng, n_samples, _CHUNK):
-        if dist.kind in ("sphere", "gaussian"):
-            if dist.kind == "sphere":
-                raw /= np.sqrt(np.einsum("ij,ij->i", raw, raw))[:, None]
-            else:
-                raw /= math.sqrt(d)
-            gamma_sum += float(np.sum(np.einsum("ij,ij->i", raw, raw)))
-            inner_sum += float(np.sum(np.abs(raw @ g)))
-        elif dist.kind == "orthonormal_weighted":
-            gamma_sum += float(np.sum(col_sq[raw]))
-            inner_sum += float(np.sum(np.abs(proj[raw])))
+    gamma_sum = inner_sum = 0.0
+    for block in chunks(dist, rng, n_samples, chunk_rows(dist.dim)):
+        if dist.kind in COORD_KINDS:  # s = e_i: ||s||^2 = 1 and <g, s> = g[i]
+            gamma_sum += block.size
+            inner_sum += float(np.sum(np.abs(g[block])))
         else:
-            gamma_sum += float(raw.size)
-            inner_sum += float(np.sum(np.abs(g[raw])))
+            gamma_sum += float(np.sum(np.vecdot(block, block)))
+            inner_sum += float(np.sum(np.abs(block @ g)))
 
     gamma_hat = gamma_sum / n_samples
     inner_hat = inner_sum / n_samples

@@ -217,11 +217,7 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
         fail("weights", "weights are read only by distribution coord_weighted or "
              "orthonormal_weighted" + ("; smtp_is draws coordinates by is.p"
                                        if cfg.method == "smtp_is" else ""))
-    if weighted and cfg.weights is None:
-        fail("distribution", f"distribution {cfg.distribution!r} needs weights")
-    if cfg.distribution == "orthonormal_weighted" and cfg.basis != "identity" and not (
-            cfg.basis.startswith("random:") and cfg.basis[7:].isdecimal()):
-        fail("basis", f"bad basis spec {cfg.basis!r}: expected identity or random:<seed>")
+    _check_distribution(cfg, seen)
     # the vector-valued keys, each of the run's dimension (d_state d_ctrl under lqr)
     dim = cfg.d_state * cfg.d_ctrl if cfg.objective == "lqr" else cfg.dimension
     for name, keywords, reads in (
@@ -332,6 +328,17 @@ def _check_schedule_kind(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
         raise ConfigError(f"{line}schedule.kind = {cfg.schedule_kind} needs {_key(needed)}")
 
 
+def _check_distribution(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
+    """A weighted distribution has weights, and orthonormal_weighted a basis spec."""
+    if cfg.distribution in ("coord_weighted", "orthonormal_weighted") and cfg.weights is None:
+        raise ConfigError(f"{_line_of(seen, 'distribution')}"
+                          f"distribution {cfg.distribution!r} needs weights")
+    if cfg.distribution == "orthonormal_weighted" and cfg.basis != "identity" and not (
+            cfg.basis.startswith("random:") and cfg.basis[7:].isdecimal()):
+        raise ConfigError(f"{_line_of(seen, 'basis')}bad basis spec {cfg.basis!r}: "
+                          "expected identity or random:<seed>")
+
+
 def _parse_vector(spec: str, dimension: int, what: str) -> np.ndarray:
     try:
         vals = np.asarray([float(p) for p in spec.split(",")], dtype=float)
@@ -372,6 +379,7 @@ def build_x0(cfg: ExperimentConfig, dimension: int) -> np.ndarray:
 
 
 def build_distribution(cfg: ExperimentConfig, dimension: int) -> directions.DirectionDistribution:
+    _check_distribution(cfg, cfg._lines)
     kind = cfg.distribution
     weights = basis = None
     if kind in ("coord_weighted", "orthonormal_weighted"):

@@ -6,12 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threepoint.directions import (
+    KINDS,
     DirectionDistribution,
     constants,
     categorical_index,
     chunk_rows,
+    chunks,
     d_norm,
     d_norm_rows,
     draws,
@@ -141,16 +145,44 @@ class TestSampling:
                 sizes.append(size[0])
                 return self.rng.standard_normal(size)
 
+        dist = DirectionDistribution("sphere", d)
         n = 0
-        for _ in draws(DirectionDistribution("sphere", d), Recording(), 5000):
+        for _ in draws(dist, Recording(), 5000):
             n += 1
         assert n == 5000
         assert max(sizes) <= 1024 and max(sizes) * d <= 1 << 16
         assert sum(sizes) == 5000
+        # mc_validate draws through the same bounded chunks
+        sizes.clear()
+        mc_validate(dist, np.ones(d), 10_000, Recording())
+        assert max(sizes) <= 1024 and max(sizes) * d <= 1 << 16
+        assert sum(sizes) == 10_000
         # a block of streams shares one chunk's floats
         for streams in (1, 8, 30, 10**6):
             rows = chunk_rows(d, streams)
             assert rows >= 1 and (rows == 1 or rows * d * streams <= 1 << 16)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(kind=st.sampled_from(KINDS), d=st.integers(1, 40), n=st.integers(0, 3000),
+           rows=st.lists(st.integers(1, 1100), min_size=2, max_size=2), seed=st.integers(0, 99))
+    def test_chunk_size_never_changes_the_stream(self, kind, d, n, rows, seed):
+        # run_block and mc_validate pass their own rows; the blocks, joined,
+        # and the generator state after them must not depend on it
+        w = np.random.default_rng(seed).random(d) + 0.5
+        w /= w.sum()
+        weighted = kind in ("coord_weighted", "orthonormal_weighted")
+        dist = DirectionDistribution(kind, d, weights=w if weighted else None,
+                                     basis=_rotation(d, seed) if kind == "orthonormal_weighted"
+                                     else None)
+        streams = []
+        for r in rows:
+            rng = np.random.default_rng(seed)
+            blocks = list(chunks(dist, rng, n, r))
+            assert all(len(block) <= r for block in blocks)
+            assert sum(len(block) for block in blocks) == n
+            streams.append((b"".join(block.tobytes() for block in blocks),
+                            rng.bit_generator.state))
+        assert streams[0] == streams[1]
 
     def test_orthonormal_draws_are_basis_columns(self):
         basis = _rotation(3)

@@ -580,6 +580,18 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             harness.build_schedule(cfg, obj, build_x0(cfg, 3), nc)
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(distribution="coord_weighted"), "distribution 'coord_weighted' needs weights"),
+        (dict(distribution="orthonormal_weighted", weights="0.25,0.25,0.25,0.25", basis="foo"),
+         "bad basis spec 'foo': expected identity or random:<seed>"),
+    ], ids=["no_weights", "bad_basis"])
+    def test_build_distribution_checks_a_direct_config(self, fields, message):
+        # build_distribution called on its own checks the weights and basis
+        # spec as parse_config does
+        cfg = harness.ExperimentConfig(objective="quadratic", dimension=4, **fields)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            harness.build_distribution(cfg, 4)
+
     @pytest.mark.parametrize("track", [False, True])
     def test_trace_csv_chunks(self, tmp_path, track):
         # the writer formats CSV_CHUNK rows at a time; the bytes must equal
