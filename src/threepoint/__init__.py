@@ -8,6 +8,7 @@ The library is organized as plain functions over small dataclasses:
 - optimizers: the three-point steps and run loops
 - diagnostics: rate envelopes, rate fits, per-step inequality checks
 - harness: key=value configs, CSV traces, method comparison
+- render: trace CSV rows in numpy, imported by the trace writer alone
 """
 
 from .diagnostics import (

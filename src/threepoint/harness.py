@@ -522,26 +522,15 @@ def _format(x) -> str:
 
 
 def _write_trace(trace: optimizers.RunTrace, path: str) -> None:
-    """Write a trace CSV straight from the columns, CSV_CHUNK rows at a time:
-    one % over a chunk's interleaved cells, which formats floats as
-    format(x, '.17g') does."""
-    names, n = optimizers.BRANCHES, len(trace.f_z)
-    grad = trace.grad_norm
-    row = "%d,%.17g,%.17g,%s,%d," + ("\n" if grad is None else "%.17g\n")
-    width = row.count("%")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
+    """Write a trace CSV straight from the columns, CSV_CHUNK rows at a time,
+    each rendered in numpy by render.rows as '%d' and format(x, '.17g') give it."""
+    from . import render  # imported here alone, so that validate and compare skip it
+
+    n = len(trace.f_z)
+    with open(path, "wb") as fh:
+        fh.write(CSV_HEADER.encode() + b"\n")
         for lo in range(0, n, CSV_CHUNK):
-            hi = min(lo + CSV_CHUNK, n)
-            cells = [None] * (width * (hi - lo))
-            cells[0::width] = range(lo, hi)
-            cells[1::width] = trace.f_z[lo:hi]
-            cells[2::width] = trace.gamma[lo:hi]
-            cells[3::width] = map(names.__getitem__, trace.branch[lo:hi])
-            cells[4::width] = trace.evals[lo:hi]
-            if grad is not None:
-                cells[5::width] = grad[lo:hi]
-            fh.write(row * (hi - lo) % tuple(cells))
+            fh.write(render.rows(trace, lo, min(lo + CSV_CHUNK, n)))
 
 
 @dataclass
@@ -557,6 +546,7 @@ class SeedResult:
     wall_time: float
     branch_mix: tuple[float, float, float] | None = None  # plus, minus, stay rates
     gamma_range: tuple[float, float, float] | None = None  # min, median, max stepsize
+    final_gap_noise_free: float | None = None  # noisy: the true gap at the final z
 
 
 @dataclass
@@ -796,6 +786,8 @@ def _seed_result(cfg: ExperimentConfig, seed: int, trace, obj, wall: float,
         wall_time=wall,
         branch_mix=branch_mix,
         gamma_range=gamma_range,
+        final_gap_noise_free=(None if obj.base is obj
+                              else obj.base.value(trace.final_state.z) - f_star),
     )
     return result, checked
 
@@ -867,6 +859,8 @@ def _write_summary(summary: RunSummary, cfg: ExperimentConfig, out_dir: str) -> 
         lines.append(f"{prefix}.evals={r.evals}")
         lines.append(f"{prefix}.stop={r.stop_reason}")
         lines.append(f"{prefix}.final_gap={_format(r.final_gap)}")
+        if r.final_gap_noise_free is not None:
+            lines.append(f"{prefix}.final_gap_noise_free={_format(r.final_gap_noise_free)}")
         lines.append(f"{prefix}.contraction={_format(r.contraction)}")
         lines.append(f"{prefix}.r_squared={_format(r.r_squared)}")
         for name, value in zip(optimizers.BRANCHES, r.branch_mix or repeat(None)):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from threepoint import cli, harness, optimizers
+from threepoint import cli, harness, optimizers, render
 from threepoint.harness import (
     CSV_HEADER,
     ConfigError,
@@ -664,10 +664,18 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             harness.build_distribution(cfg, 4)
 
-    @pytest.mark.parametrize("track", [False, True])
-    def test_trace_csv_chunks(self, tmp_path, track):
+    @pytest.mark.parametrize("track, long_double", [
+        pytest.param(False, True, id="False"), pytest.param(True, True, id="True"),
+        pytest.param(False, False, id="False-double"), pytest.param(True, False, id="True-double"),
+    ])
+    def test_trace_csv_chunks(self, tmp_path, monkeypatch, track, long_double):
         # the writer formats CSV_CHUNK rows at a time; the bytes must equal
-        # one join over every row, at and across a chunk boundary
+        # one join over every row, at and across a chunk boundary.  With the
+        # powers of ten in double, as where long double is double (macOS
+        # arm64, Windows), every float is formatted by Python's fallback
+        if not long_double:
+            with np.errstate(over="ignore"):
+                monkeypatch.setattr(render, "_POW10", render._POW10.astype(float))
         for n in (0, harness.CSV_CHUNK, harness.CSV_CHUNK + 1):
             text = QUAD_BASE.replace("max_iters = 80", f"max_iters = {n}")
             cfg = parse_config(text + ("\ntrack_grad_norm = true" if track else ""))
@@ -871,6 +879,31 @@ class TestCli:
                     "gamma.min", "gamma.median", "gamma.max"):
             assert f"seed0.{key}=" in lines
 
+    def test_noisy_run_summary_reports_the_noise_free_gap(self, tmp_path):
+        # a noisy run compares fresh draws with one cached noisy f(z): seed 0
+        # freezes with a cached gap of 0.80 where the true gap is 4.26
+        noisy = QUAD_BASE.replace("schedule.kind = solution_dependent",
+                                  "schedule.kind = constant\nschedule.gamma = 0.01")
+        noisy = noisy.replace("max_iters = 80", "max_iters = 2000").replace("seeds = 3", "seeds = 0,1")
+        cfg_path = self._write(tmp_path, "noisy.cfg", noisy + "\nnoise.sigma = 1")
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+        text = (tmp_path / "out" / "noisy" / "summary.txt").read_text()
+        summary = dict(line.split("=", 1) for line in text.splitlines())
+        cfg = load_config(cfg_path)
+        for seed in (0, 1):
+            trace, obj = run_once(cfg, seed)
+            true_gap = obj.base.value(trace.final_state.z) - obj.smoothness.f_star
+            assert float(summary[f"seed{seed}.final_gap_noise_free"]) == true_gap
+            assert float(summary[f"seed{seed}.final_gap"]) == trace.f_z[-1]
+            # read outside the run: its evals are the trace's
+            assert int(summary[f"seed{seed}.evals"]) == trace.evals[-1]
+        assert round(float(summary["seed0.final_gap"]), 2) == 0.80
+        assert round(float(summary["seed0.final_gap_noise_free"]), 2) == 4.26
+        # a noise-free run writes no such key
+        cfg_path = self._write(tmp_path, "plain.cfg", QUAD_BASE)
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+        assert "final_gap_noise_free" not in (tmp_path / "out" / "plain" / "summary.txt").read_text()
+
     def test_run_seed_override(self, tmp_path):
         cfg_path = self._write(tmp_path, "demo.cfg", QUAD_BASE)
         code = cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out"),
@@ -1016,10 +1049,14 @@ class TestCli:
         short = SHARED_STEP.replace("max_iters = 4000", "max_iters = 300")
         a = self._write(tmp_path, "stp.cfg", short + "\nmethod = stp")
         b = self._write(tmp_path, "smtp.cfg", short + "\nmethod = smtp\nbeta = 0.5")
+        # and the trace renderer is imported by the first trace written, so
+        # that validate and compare skip its import
         script = ("import sys\nfrom threepoint import cli\n"
                   f"assert cli.main(['validate', '--config', {run!r}]) == 0\n"
-                  f"assert cli.main(['run', '--config', {run!r}, '--out', {str(tmp_path)!r}]) == 0\n"
                   f"assert cli.main(['compare', '--configs', {a!r}, {b!r}]) == 0\n"
+                  "assert 'threepoint.render' not in sys.modules\n"
+                  f"assert cli.main(['run', '--config', {run!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+                  "assert 'threepoint.render' in sys.modules\n"
                   "assert 'numpy.ma' not in sys.modules\n"
                   "assert 'scipy' not in sys.modules\n")
         src = str(Path(harness.__file__).resolve().parents[1])
