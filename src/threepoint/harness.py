@@ -639,9 +639,11 @@ def prepare(cfg: ExperimentConfig) -> tuple[list[int] | None, np.ndarray | None]
     return ks, bounds
 
 
-def run_block(cfgs, seeds) -> tuple[list[optimizers.RunTrace], list[objectives.Objective]]:
+def run_block(cfgs, seeds, columns: bool = True
+              ) -> tuple[list[optimizers.RunTrace], list[objectives.Objective]]:
     """Build each row's objective and run parts as run_once does, then run
-    the rows as one block; each trace equals that row's run_once trace.
+    the rows as one block; each trace equals that row's run_once trace, or
+    without columns keeps its evals, stop and f_last alone (RunTrace).
     cfgs holds one config per seed, all with one _block_key.  Raises
     ValueError for rows the block does not run: with eval_budget or
     retain_internals, or those optimizers.block_supports declines."""
@@ -652,7 +654,7 @@ def run_block(cfgs, seeds) -> tuple[list[optimizers.RunTrace], list[objectives.O
     traces = optimizers.run_block(
         list(objs), [p.schedule for p in parts], _beta(first), x0s[0], first.max_iters,
         list(seeds), first.epsilon, first.track_grad_norm, [p.dist for p in parts],
-        **parts[0].loop)
+        **parts[0].loop, columns=columns)
     return traces, list(objs)
 
 
@@ -680,14 +682,15 @@ def _block_admits(cfg: ExperimentConfig, seed: int, rows: int) -> bool:
     return optimizers.block_supports(obj, parts.schedule, parts.dist, rows)
 
 
-def _run_seeds(rows) -> list[tuple]:
+def _run_seeds(rows, columns: bool = True) -> list[tuple]:
     """(trace, objective, wall time) of each (config, seed) row, in order.
 
     Rows with one _block_key run as one block once there are
     BLOCK_MIN_ROWS of them (the measured crossover) and _block_admits
     them; the rest go one by one through run_once, in row order.  A block's
-    wall time is shared out by iterations.  A block that fails as a run
-    fails (a ValueError or a non-finite value) is run row by row, so the
+    wall time is shared out by iterations, and without columns its traces
+    keep no per-step record (optimizers.run_block).  A block that fails as
+    a run fails (a ValueError or a non-finite value) is run row by row, so the
     error is the one a one-seed run raises, for the first row that fails,
     with that row's config label and seed put in front of its message; if
     no row fails alone, the block's own error is raised.
@@ -703,14 +706,15 @@ def _run_seeds(rows) -> list[tuple]:
             continue
         t0 = time.perf_counter()
         try:
-            traces, objs = run_block([rows[at][0] for at in group], [rows[at][1] for at in group])
+            traces, objs = run_block([rows[at][0] for at in group], [rows[at][1] for at in group],
+                                     columns)
         except (ValueError, optimizers.NonFiniteObjectiveError) as exc:
             failed.append(exc)
             continue
         wall = time.perf_counter() - t0
-        total = max(1, sum(len(t.f_z) for t in traces))
+        total = max(1, sum(len(t.evals) for t in traces))
         for at, trace, obj in zip(group, traces, objs):
-            runs[at] = (trace, obj, wall * len(trace.f_z) / total)
+            runs[at] = (trace, obj, wall * len(trace.evals) / total)
     for at, (cfg, seed) in enumerate(rows):
         if runs[at] is None:
             t0 = time.perf_counter()
@@ -727,7 +731,9 @@ def _run_seeds(rows) -> list[tuple]:
 
 
 def _seeds_worker(rows, out_dir: str | None, ks: list[int] | None):
-    runs = _run_seeds(rows)
+    # only the trace CSVs and summary.txt (out_dir) and the envelope's checkpoints (ks) read
+    # the per-step columns
+    runs = _run_seeds(rows, out_dir is not None or ks is not None)
     runs.reverse()
     # each trace is let go once its CSV and result are written
     return [_seed_result(cfg, seed, *runs.pop(), out_dir, ks) for cfg, seed in rows]
@@ -750,8 +756,8 @@ def _row_results(rows, jobs: int, out_dir: str | None = None, ks: list[int] | No
 def _seed_result(cfg: ExperimentConfig, seed: int, trace, obj, wall: float,
                  out_dir: str | None, ks: list[int] | None):
     f_star = obj.smoothness.f_star
-    n = len(trace.f_z)
-    final_gap = (trace.f_z[-1] if n else trace.f0) - f_star
+    n = len(trace.evals)
+    final_gap = trace.f_last - f_star
     contraction = r_squared = branch_mix = gamma_range = None
     # summary.txt alone, written with the traces, reads the fit, branch mix and stepsize range
     if out_dir is not None:

@@ -40,15 +40,16 @@ PLUS, MINUS, STAY = range(3)  # branch codes: indices into BRANCHES
 
 
 class NonFiniteObjectiveError(RuntimeError):
-    """The objective returned NaN or inf; the run cannot continue."""
+    """The objective returned NaN or inf; the run cannot continue.  z_norm is
+    ||z||_2 of the point the failing step started from (x0 at setup)."""
 
-    def __init__(self, k: int, value: float, message: str | None = None):
-        super().__init__(message or f"non-finite objective value {value!r} at iteration {k}")
-        self.k = k
-        self.value = value
+    def __init__(self, k: int, value: float, z_norm: float, message: str | None = None):
+        super().__init__(message or f"non-finite objective value {value!r} at iteration {k}, "
+                                    f"from z with ||z||_2 = {z_norm!r}")
+        self.k, self.value, self.z_norm = k, value, z_norm
 
     def __reduce__(self):  # through a process pool with its message, prefixed or not
-        return type(self), (self.k, self.value, str(self))
+        return type(self), (self.k, self.value, self.z_norm, str(self))
 
 
 @dataclass
@@ -119,7 +120,9 @@ class RunTrace:
     (objective, dist, rule, beta, x0) of its row in rerun: its final state
     is smtp_run's over the row's steps with its seed, run when final_state
     is first read or the trace is pickled, with the objective's
-    eval_counter left as the block set it.
+    eval_counter left as the block set it.  A block run without columns
+    keeps no per-step record: f_z, gamma and branch are None, and evals,
+    the stop and f_last (f(z) at the end, or f0 at k = 0) tell the run.
     """
 
     f_z: array
@@ -136,6 +139,7 @@ class RunTrace:
     drawn: list[np.ndarray] | array | None = None
     steps: float | list[float] | np.ndarray | None = field(default=None, repr=False)
     rerun: tuple | None = field(default=None, repr=False, compare=False)
+    f_last: float | None = None
 
     def __getstate__(self) -> dict:
         self.final_state  # a block row's, run before it is pickled
@@ -162,7 +166,7 @@ class RunTrace:
 
 
 def _gamma_column(trace: RunTrace) -> array:
-    if trace._gamma is None:
+    if trace._gamma is None and trace.f_z is not None:
         if np.ndim(trace.steps) == 0:  # a context-free rule's one stepsize
             trace._gamma = array("d", [trace.steps]) * len(trace.f_z)
         else:  # an index-only rule's table at each drawn coordinate
@@ -179,7 +183,7 @@ def _final_state(trace: RunTrace) -> OptimizerState:
     if trace.rerun is not None:
         objective, dist, rule, beta, x0 = trace.rerun
         counter = objective.eval_counter
-        trace._final_state = smtp_run(objective, dist, rule, beta, x0, len(trace.f_z),
+        trace._final_state = smtp_run(objective, dist, rule, beta, x0, len(trace.evals),
                                       trace.seed).final_state
         objective.eval_counter = counter
         trace.rerun = None
@@ -202,7 +206,7 @@ def init_state(objective, x0, beta: float) -> OptimizerState:
         raise ValueError(f"x0 must have shape ({objective.dimension},), got {x0.shape}")
     f0 = objective.value(x0)
     if not math.isfinite(f0):
-        raise NonFiniteObjectiveError(0, f0)
+        raise NonFiniteObjectiveError(0, f0, float(np.linalg.norm(x0)))
     return OptimizerState(x=x0, v=np.zeros_like(x0), z=x0, f_z=f0, k=0, beta=beta)
 
 
@@ -243,7 +247,7 @@ def _rule_stepsize(objective, schedule, k: int, z, f_z: float, s, index: int | N
             zt[index] += schedule.t
         probe = objective.value(zt)
         if not math.isfinite(probe):
-            raise NonFiniteObjectiveError(k, probe)
+            raise NonFiniteObjectiveError(k, probe, float(np.linalg.norm(z)))
     return stepsize(schedule, StepContext(k, f_z, probe, index, s, unit_checked))
 
 
@@ -292,7 +296,8 @@ def smtp_step(
     f_p = objective.value(z_p)
     f_m = objective.value(z_m)
     if not (math.isfinite(f_p) and math.isfinite(f_m)):
-        raise NonFiniteObjectiveError(k, f_p if not math.isfinite(f_p) else f_m)
+        raise NonFiniteObjectiveError(k, f_p if not math.isfinite(f_p) else f_m,
+                                      float(np.linalg.norm(z)))
 
     if f_p < f_z or f_m < f_z:
         if f_p <= f_m:
@@ -415,7 +420,7 @@ def smtp_run(objective, dist: DirectionDistribution, schedule, beta: float, x0, 
             break
     per_step = (2 + (schedule.needs_probe and not fixed)) * objective.calls_per_value
     return RunTrace(f_z, gammas, branches, _evals(after_init, per_step, len(f_z)), state, seed, f0,
-                    stop_reason, grad_norm, index, z_before, drawn, steps)
+                    stop_reason, grad_norm, index, z_before, drawn, steps, f_last=state.f_z)
 
 
 def stp_run(objective, dist: DirectionDistribution, schedule, x0, max_iters: int,
@@ -505,7 +510,7 @@ def block_supports(objective, rule, dist, rows: int = 1) -> bool:
 
 @np.errstate(over="ignore", invalid="ignore")  # the checks raise on a non-finite value
 def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_grad_norm,
-              dists, norm_constants, record_index=False) -> list[RunTrace]:
+              dists, norm_constants, record_index=False, columns=True) -> list[RunTrace]:
     """Run many seeds together, as the rows of (S, d) arrays.
 
     Row r runs seed seeds[r] over objectives[r] (one function, one copy per
@@ -546,6 +551,8 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
     it finishes.  A row that stops on epsilon_gap leaves the block and the
     others go on.  No candidate reads v, so a row holds z alone, and its
     trace's final state is rerun by smtp_run when first read (RunTrace).
+    Without columns a row records nothing per step, and its trace holds
+    its evals, stop and f_last alone (RunTrace): for callers that read no more.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
@@ -575,9 +582,10 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
 
     code = _index_code(d)
     keep_steps = _kept_steps(*fixed[0], record_index) is not None  # no gamma column
-    columns = [(array("d"), None if keep_steps else array("d"), array("b"),
-                array("d") if track_grad_norm else None,
-                array(code) if record_index else None) for _ in seeds]
+    track_grad_norm = track_grad_norm and columns
+    cols = [(array("d"), None if keep_steps else array("d"), array("b"),
+             array("d") if track_grad_norm else None,
+             array(code) if record_index else None) if columns else (None,) * 5 for _ in seeds]
     traces: list[RunTrace | None] = [None] * n
     streams = [chunks(dist, np.random.default_rng(seed), max_iters, chunk_rows(d, n))
                for dist, seed in zip(dists, seeds)]
@@ -588,20 +596,21 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
     limit = [max_iters] * n
     if epsilon_gap is not None:  # a row already within epsilon stops after its first step
         limit = [min(max_iters, 1) if f - f_star <= epsilon_gap else max_iters for f in F]
-    ends = [array(_index_code(max_iters + 1)) for _ in seeds]  # a coordinate row's round ends
+    # a coordinate row's round ends
+    ends = [array(_index_code(max_iters + 1)) if columns else None for _ in seeds]
     # one list per live row: its seed position, steps taken, where it stops,
     # its draws as the table cells they read, and the appenders of its f_z,
-    # branch, round-end, grad_norm and gamma records
-    rows = [[r, 0, limit[r], None, f_col.append, branch.append, ends[r].append,
-             None if norm is None else norm.append, None if gamma is None else gamma.append]
-            for r, (f_col, gamma, branch, norm, _) in enumerate(columns)]
+    # branch, round-end, grad_norm and gamma records (None when not kept)
+    rows = [[r, 0, limit[r], None] + [getattr(c, "append", None)
+                                      for c in (f_col, branch, ends[r], norm, gamma)]
+            for r, (f_col, gamma, branch, norm, _) in enumerate(cols)]
     evaluate, gradient = objectives[0].fn_batch, objectives[0].gradient_batch  # counted at finish
 
     def coordinates(r: int, steps) -> Iterator[list]:
         """Row r's drawn coordinates, a chunk at a time, with its recorded
         index column (and an index-only rule's gamma column, from its steps)
         filled a chunk ahead."""
-        gamma_col, index_col = columns[r][1], columns[r][4]
+        gamma_col, index_col = cols[r][1], cols[r][4]
         for raw in streams[r]:
             if gamma_col is not None:
                 gamma_col.frombytes(steps.take(raw).tobytes())
@@ -612,11 +621,11 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
     def finish(p: int) -> None:
         """Live row p's trace, from its records and f(z)."""
         r, k = rows[p][:2]
-        f_col, gamma, branch, grad_norm, index = columns[r]
+        f_col, gamma, branch, grad_norm, index = cols[r]
         for col in (gamma, index):  # filled a chunk ahead
             if col is not None:
                 del col[k:]
-        if coord:  # a round's records, once for each of its steps
+        if coord and columns:  # a round's records, once for each of its steps
             last_steps = np.frombuffer(ends[r], ends[r].typecode) - 1
             spans = np.diff(last_steps, prepend=-1)
             f_after = np.frombuffer(f_col)
@@ -629,14 +638,15 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
             f_col, branch = array("d"), array("b")
             f_col.frombytes(memoryview(f_steps).cast("B"))
             branch.frombytes(memoryview(codes).cast("B"))
-        rows[p] = ends[r] = columns[r] = None  # frees the records before the other rows finish
+        rows[p] = ends[r] = cols[r] = None  # frees the records before the other rows finish
         reason = "epsilon_gap" if k and epsilon_gap is not None and F[p] - f_star <= epsilon_gap \
             else "max_iters"
         objectives[r].eval_counter = after_init[r] + per_step * k
         traces[r] = RunTrace(f_col, gamma, branch, _evals(after_init[r], per_step, k), None,
                              seeds[r], states[r].f_z, reason, grad_norm, index,
                              steps=_kept_steps(*fixed[r], record_index),
-                             rerun=(objectives[r], dists[r], rules[r], beta, states[r].z))
+                             rerun=(objectives[r], dists[r], rules[r], beta, states[r].z),
+                             f_last=F[p])
 
     if not max_iters:
         for p in range(n):
@@ -652,6 +662,9 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
         step = row_stepsizes(rules)
     else:
         H = G / one_minus_beta  # the live rows' h
+        if coord:  # +h on the PLUS diagonal, -h on the MINUS one, 0 elsewhere
+            offs = np.zeros((2, n, d, d))
+            offs.reshape(2, n, d * d)[:, :, ::d + 1] = H, -H
     while rows:
         m = len(rows)
         if track_grad_norm:
@@ -659,16 +672,12 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
                 row[7](norm)
         if dependent:  # exact once a round, as f(z) changes only at moves
             g = step(F)
-            for row, gamma in zip(rows, g):
-                row[8](gamma)
+            if columns:
+                for row, gamma in zip(rows, g):
+                    row[8](gamma)
             H = np.divide(g, one_minus_beta)[:, None]
-        if coord:
-            T = np.empty((2, m, d, d))  # T[PLUS or MINUS, p, i]: z with cell i moved
-            T[:] = Z[:, None]
-            C = T.reshape(2, m, d * d)[:, :, ::d + 1]  # the moved cells
-            np.subtract(Z, H, out=C[PLUS])
-            np.add(Z, H, out=C[MINUS])
-            T = T.reshape(2 * m * d, d)
+        if coord:  # z - (-h) == z + h and z - 0.0 == z, so these are z -/+ h e_i exactly
+            T = (Z[:, None] - offs).reshape(2 * m * d, d)
         else:  # z, then its plus and minus candidates
             if t == end:
                 for p, row in enumerate(rows):
@@ -694,7 +703,8 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
                 f_p = values[a + i]
                 f_m = values[b + i]
                 if checked and not (math.isfinite(f_p) and math.isfinite(f_m)):
-                    raise NonFiniteObjectiveError(k - 1, f_p if not math.isfinite(f_p) else f_m)
+                    raise NonFiniteObjectiveError(k - 1, f_p if not math.isfinite(f_p) else f_m,
+                                                  float(np.linalg.norm(Z[p])))
                 # smtp_step's rule and tie order: move when a candidate beats
                 # f(z), to z+ unless z- is strictly lower
                 if f_p < f or f_m < f:
@@ -703,7 +713,7 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
                     else:
                         f, s = f_m, MINUS
                     if coord:
-                        Z[p, i] = C.item(s, p, i)
+                        Z[p, i] = T.item((b if s else a) + i, i)
                     else:
                         if pick is None:
                             pick = list(range(m))
@@ -713,10 +723,11 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
                     break
                 if k == stop:
                     break
-            record_f(f)
-            record_branch(s)
-            if coord:
-                record_end(k)
+            if columns:
+                record_f(f)
+                record_branch(s)
+                if coord:
+                    record_end(k)
             row[1] = k
             F[p] = f
             if k == lim:
@@ -732,7 +743,9 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
             keep = [p for p in range(m) if p not in ended]
             rows, F = [rows[p] for p in keep], [F[p] for p in keep]
             Z = Z[keep]
-            if not coord:
+            if coord:
+                offs = offs[:, keep]
+            else:
                 D = D[:, keep]
             if dependent:
                 step = row_stepsizes([rules[row[0]] for row in rows])

@@ -15,6 +15,7 @@ import gc
 import os
 import pickle
 import tempfile
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -191,9 +192,9 @@ def test_run_experiment_runs_blocks_from_the_crossover(monkeypatch):
     calls = {"block": 0, "once": 0}
     block, once = harness.run_block, harness.run_once
 
-    def counting_block(cfgs, seeds):
+    def counting_block(cfgs, seeds, *args, **kwargs):
         calls["block"] += 1
-        return block(cfgs, seeds)
+        return block(cfgs, seeds, *args, **kwargs)
 
     def counting_once(cfg, seed):
         calls["once"] += 1
@@ -252,8 +253,8 @@ def test_declined_shapes_run_per_seed(old, new, message, monkeypatch, request):
         harness.run_block([cfg] * len(cfg.seeds), cfg.seeds)
     calls, got, run_seeds = _counting(monkeypatch), [], harness._run_seeds
 
-    def recording(rows):
-        runs = run_seeds(rows)
+    def recording(rows, *args):
+        runs = run_seeds(rows, *args)
         got.extend(_fingerprint(t, o) for t, o, _ in runs)
         return runs
 
@@ -459,9 +460,9 @@ def _counting(monkeypatch) -> list:
     calls = []
     block, once = harness.run_block, harness.run_once
 
-    def counting_block(cfgs, seeds):
+    def counting_block(cfgs, seeds, *args, **kwargs):  # passes on what else run_block takes
         calls.append(("block", len(seeds)))
-        return block(cfgs, seeds)
+        return block(cfgs, seeds, *args, **kwargs)
 
     def counting_once(cfg, seed):
         calls.append(("once", cfg.label, seed))
@@ -488,8 +489,37 @@ def test_compare_runs_a_pair_as_one_block(monkeypatch):
     assert rows[0]["median_evals"] < rows[1]["median_evals"]
 
 
+def test_compare_memory_does_not_grow_with_steps(monkeypatch):
+    # compare reads each seed's evals, stop and final gap alone, so its block
+    # rows keep no per-step columns: tracemalloc's peak barely moves from 5000
+    # to 20000 steps (with columns it grows by about 10 bytes a row-step), and
+    # the table is the one-seed runs'
+    calls = _counting(monkeypatch)
+
+    def compare(max_iters: int):
+        text = IS_PAIR.replace("max_iters = 80000", f"max_iters = {max_iters}").replace(
+            "epsilon = 0.001", "epsilon = 1e-300")  # never reached: every row runs max_iters
+        configs = [parse_config(text + f"is.p = {p}\nseeds = 3", label=p)
+                   for p in ("prop_L", "uniform")]
+        tracemalloc.start()
+        try:
+            rows = harness.compare_methods(configs)
+            return configs, rows, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    compare(100)  # the first run's imports and caches
+    short = compare(5000)[2]
+    configs, rows, long = compare(20000)
+    assert long - short < 64 * 1024
+    assert calls == [("block", 6)] * 3
+    assert [row["n_reached"] for row in rows] == [0, 0]
+    assert rows == [_table_row(cfg, [run_once(cfg, seed) for seed in cfg.seeds])
+                    for cfg in configs]
+
+
 def test_run_and_compare_never_rerun_a_block_row(monkeypatch, tmp_path):
-    # run and compare read a row's final gap from its f_z column: no block
+    # run and compare read a row's final gap from its f_last: no block
     # trace's final state is run, written traces and summaries included
     calls = _counting(monkeypatch)
     reruns = []
@@ -740,6 +770,33 @@ def test_a_drawn_non_finite_value_raises_the_one_seed_error():
                              [0, 13, 2], None, False, [RARE_2, UNIFORM_4, RARE_2], nc)
     assert (block.value.k, block.value.value) == (alone.value.k, alone.value.value)
     assert str(block.value) == str(alone.value)
+
+
+def test_non_finite_error_names_the_norm_of_its_starting_point():
+    # init_state, smtp_step and run_block name ||z||_2 of the point the failing
+    # step started from, in one text: x0 at setup, and for seed 13 the z its
+    # moves reached before step 12
+    with pytest.raises(optimizers.NonFiniteObjectiveError) as setup:
+        optimizers.init_state(_guarded(0.5), np.ones(4), 0.5)
+    assert str(setup.value) == \
+        "non-finite objective value inf at iteration 0, from z with ||z||_2 = 2.0"
+    rule, x0 = schedules.Constant(0.05), np.ones(4)
+    nc = directions.constants(UNIFORM_4)
+    with pytest.raises(optimizers.NonFiniteObjectiveError) as alone:
+        optimizers.smtp_run(_guarded(1.0), UNIFORM_4, rule, 0.5, x0, 300, seed=13,
+                            norm_constants=nc)
+    start = optimizers.smtp_run(_guarded(1.0), UNIFORM_4, rule, 0.5, x0, alone.value.k, seed=13,
+                                norm_constants=nc).final_state.z
+    assert not np.array_equal(start, x0)
+    assert alone.value.z_norm == float(np.linalg.norm(start))
+    assert str(alone.value) == ("non-finite objective value inf at iteration 12, "
+                                f"from z with ||z||_2 = {float(np.linalg.norm(start))!r}")
+    with pytest.raises(optimizers.NonFiniteObjectiveError) as block:
+        optimizers.run_block([_guarded(1.0) for _ in range(3)], [rule] * 3, 0.5, x0, 300,
+                             [0, 13, 2], None, False, [RARE_2, UNIFORM_4, RARE_2], nc)
+    assert (str(block.value), block.value.z_norm) == (str(alone.value), alone.value.z_norm)
+    passed = pickle.loads(pickle.dumps(alone.value))  # as a process pool passes it
+    assert (str(passed), passed.z_norm) == (str(alone.value), alone.value.z_norm)
 
 
 @pytest.mark.parametrize("max_iters, eps", [(37, None), (400, 100.0)], ids=["max_iters", "epsilon"])

@@ -1020,9 +1020,10 @@ class TestCli:
                                                              "schedule.gamma = 1e300")
                           .replace("seeds = 5", "seeds = 4,7") + "\nmethod = smtp")
         assert cli.main(["compare", "--configs", ok, big]) == 1
-        assert capsys.readouterr().err == \
-            "error: big seed 4: non-finite objective value inf at iteration 0\n"
-        message = r"^big seed 4: non-finite objective value inf at iteration 0$"
+        error = ("big seed 4: non-finite objective value inf at iteration 0, "
+                 "from z with ||z||_2 = 3.1622776601683795")  # x0 = ones in R^10
+        assert capsys.readouterr().err == f"error: {error}\n"
+        message = f"^{re.escape(error)}$"
         with pytest.raises(NonFiniteObjectiveError, match=message) as raised:
             compare_methods([load_config(ok), load_config(big)])
         assert (raised.value.k, raised.value.value) == (0, math.inf)
@@ -1039,7 +1040,8 @@ class TestCli:
         done = subprocess.run([sys.executable, "-m", "threepoint.cli", "compare", "--configs", ok,
                                big], capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 1
-        assert done.stderr == "error: big seed 4: non-finite objective value inf at iteration 0\n"
+        assert done.stderr == ("error: big seed 4: non-finite objective value inf at iteration 0, "
+                               "from z with ||z||_2 = 3.1622776601683795\n")
 
     def test_run_and_compare_leave_numpy_ma_unimported(self, tmp_path):
         # np.median's NaN check imports numpy.ma, about 15 ms and 1 MB of a CLI
