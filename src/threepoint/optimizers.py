@@ -120,9 +120,10 @@ class RunTrace:
     (objective, dist, rule, beta, x0) of its row in rerun: its final state
     is smtp_run's over the row's steps with its seed, run when final_state
     is first read or the trace is pickled, with the objective's
-    eval_counter left as the block set it.  A block run without columns
-    keeps no per-step record: f_z, gamma and branch are None, and evals,
-    the stop and f_last (f(z) at the end, or f0 at k = 0) tell the run.
+    eval_counter left as the block set it.  f_last is f(z) at the end, or
+    f0 at k = 0.  A block run without columns keeps no per-step record:
+    f_z, gamma and branch are None, and evals, the stop and f_last tell
+    the run.
     """
 
     f_z: array

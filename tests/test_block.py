@@ -187,6 +187,27 @@ def test_serial_equals_two_jobs(text, seeds):
             _artifacts(os.path.join(tmp, "jobs2", "p"))
 
 
+@settings(max_examples=10, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=configs(),
+       seeds=st.lists(st.integers(0, 10**6), min_size=3, max_size=6, unique=True))
+def test_unwritten_run_reports_the_one_seed_results(text, seeds):
+    # unwritten, with no theorem, a block keeps no columns; each seed's
+    # iterations, evals, stop and final gap are still its one-seed trace's
+    cfg = parse_config(text + f"\nseeds = {','.join(map(str, seeds))}", label="p")
+    try:
+        runs = [run_once(cfg, seed) for seed in cfg.seeds]
+    except Exception as exc:  # noqa: BLE001 - then the run fails alike
+        with pytest.raises(type(exc)):
+            run_experiment(cfg, write=False)
+        return
+    expected = [(seed, len(t.f_z), t.evals[-1] if len(t.f_z) else o.eval_counter, t.stop_reason,
+                 (t.f_z[-1] if len(t.f_z) else t.f0) - o.smoothness.f_star)
+                for seed, (t, o) in zip(cfg.seeds, runs)]
+    assert [(r.seed, r.iterations, r.evals, r.stop_reason, r.final_gap)
+            for r in run_experiment(cfg, write=False).seed_results] == expected
+
+
 def test_run_experiment_runs_blocks_from_the_crossover(monkeypatch):
     # below BLOCK_MIN_ROWS seeds go one by one through run_once, from it on as one block
     calls = {"block": 0, "once": 0}
