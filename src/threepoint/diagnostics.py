@@ -1,89 +1,31 @@
-"""Rate envelopes, empirical rate fits, and per-step inequality checks."""
+"""Rate envelopes, empirical rate fits, and per-step inequality checks.
+
+The envelopes' closed forms live in schedules, beside the iteration counts
+and the THEOREMS table; bound_envelope checks their values.
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
 from .optimizers import RunTrace
-from .schedules import is_substitution
+from .schedules import envelope_values
 
 SLACK_TOL = -1e-10
 
 
 @dataclass(frozen=True)
 class BoundEnvelope:
-    """values[k] bounds the tracked quantity after k iterations.
-
-    Gap-type guarantees bound E[f(z^k) - f_star]; the NC variants bound the
-    running average of the distribution-norm gradient, and their k = 0 entry
-    repeats k = 1 (the rate diverges at zero iterations).
-    """
+    """values[k] bounds the tracked quantity after k iterations: the gap
+    E[f(z^k) - f_star], or under a grad_norm guarantee (schedules.THEOREMS)
+    the running mean of the distribution-norm gradient."""
 
     theorem_id: str
     values: np.ndarray
     params: dict
-
-
-def _envelope_values(theorem_id: str, params: dict, n_iters: int) -> np.ndarray:
-    ks = np.arange(n_iters + 1, dtype=float)
-    theorem_id, params = is_substitution(theorem_id, params)
-    get = params.__getitem__
-
-    if theorem_id == "NC":
-        scale = math.sqrt(2.0 * get("gap") * get("L") * get("gamma_d")) / get("mu_d")
-        return scale / np.sqrt(np.maximum(ks, 1.0))
-
-    gap = get("gap")
-    if theorem_id == "CVX-CONST":
-        beta, r0, mu_d, L, gamma_d, gamma = (
-            get("beta"), get("r0"), get("mu_d"), get("L"), get("gamma_d"), get("gamma"))
-        rate = 1.0 - gamma * mu_d / ((1.0 - beta) * r0)
-        if not (0.0 <= rate < 1.0):
-            raise ValueError(f"stepsize gamma = {gamma!r} outside the contractive range")
-        floor = L * gamma * gamma_d * r0 / (2.0 * (1.0 - beta) * mu_d)
-        return rate**ks * gap + floor
-
-    if theorem_id == "CVX-DEC":
-        beta, alpha, theta = get("beta"), get("alpha"), get("theta")
-        cap = max(gap, 2.0 * get("L") * get("gamma_d") / (alpha * theta * (1.0 - beta) ** 2))
-        eta = alpha / theta
-        return cap / (eta * ks + 1.0)
-
-    if theorem_id == "SC-DEP":
-        mu_d, mu, L = get("mu_d"), get("mu"), get("L")
-        theta = params.get("theta")
-        if theta is None:
-            theta_k = get("theta_k")
-            theta = 2.0 * theta_k - get("gamma_d") * theta_k**2
-        rate = 1.0 - theta * mu_d**2 * mu / L
-        if not (0.0 <= rate < 1.0):
-            raise ValueError(f"contraction factor {rate!r} outside [0,1)")
-        return rate**ks * gap
-
-    if theorem_id == "SC-FREE":
-        mu_d, mu, L, t = get("mu_d"), get("mu"), get("L"), get("t")
-        rate = 1.0 - mu_d**2 * mu / L
-        if not (0.0 <= rate < 1.0):
-            raise ValueError(f"contraction factor {rate!r} outside [0,1)")
-        floor = L**2 * t**2 / (8.0 * mu_d**2 * mu)
-        return rate**ks * gap + floor
-
-    if theorem_id == "IS-SC-FREE":
-        mu, t = get("mu"), get("t")
-        p = np.asarray(get("p"), dtype=float)
-        coord_L = np.asarray(get("coord_L"), dtype=float)
-        ratio = float(np.min(p / coord_L))
-        rate = 1.0 - mu * ratio
-        if not (0.0 <= rate < 1.0):
-            raise ValueError(f"contraction factor {rate!r} outside [0,1)")
-        floor = t**2 / (8.0 * mu * ratio) * float(np.sum(p * coord_L))
-        return rate**ks * gap + floor
-
-    raise ValueError(f"unknown theorem id {theorem_id!r}")
 
 
 def bound_envelope(theorem_id: str, params: dict, n_iters: int) -> BoundEnvelope:
@@ -95,7 +37,7 @@ def bound_envelope(theorem_id: str, params: dict, n_iters: int) -> BoundEnvelope
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
     try:
-        values = _envelope_values(theorem_id, params, n_iters)
+        values = envelope_values(theorem_id, params, n_iters)
     except KeyError as exc:
         raise ValueError(f"bound_envelope({theorem_id!r}) missing parameter {exc}") from None
     if np.any(~np.isfinite(values)) or np.any(values < 0.0):

@@ -231,7 +231,7 @@ def _validate(cfg: ExperimentConfig) -> None:
                  "the IS- theorems are smtp_is's, the others stp's and smtp's")
         if cfg.max_iters < 1:
             fail("max_iters", "an envelope check needs max_iters >= 1")
-        if cfg.theorem in ("NC", "IS-NC") and not cfg.track_grad_norm:
+        if schedules.THEOREMS[cfg.theorem].grad_norm and not cfg.track_grad_norm:
             fail("theorem", f"theorem {cfg.theorem!r} bounds the gradient norm: "
                  "it needs track_grad_norm = true")
     # the string-typed fields that hold a number or one keyword
@@ -244,10 +244,10 @@ def _validate(cfg: ExperimentConfig) -> None:
                 float(raw)
             except ValueError:
                 fail(name, f"{_key(name)} must be a number or {keyword!r}, got {raw!r}")
-    if cfg.theorem in _CVX_THEOREMS or (cfg.schedule_kind == "decreasing"
-                                         and cfg.schedule_alpha == "auto"):
+    reads_r0 = cfg.theorem is not None and "r0" in schedules.THEOREMS[cfg.theorem].reads
+    if reads_r0 or (cfg.schedule_kind == "decreasing" and cfg.schedule_alpha == "auto"):
         if cfg.r0 is None:  # a CVX theorem or schedule.alpha = auto reads r0
-            cause = "theorem" if cfg.theorem in _CVX_THEOREMS else "schedule_alpha"
+            cause = "theorem" if reads_r0 else "schedule_alpha"
             fail(cause, f"{_key(cause)} = {getattr(cfg, cause)} needs r0 "
                  "(set r0 = <float> or r0 = auto)")
         if cfg.r0 == "auto" and cfg.objective != "quadratic":
@@ -258,7 +258,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         fail("jobs", "jobs must be >= 1")
 
 
-_CVX_THEOREMS = ("CVX-CONST", "CVX-DEC", "IS-CVX-CONST", "IS-CVX-DEC")
 # the key each schedule.kind cannot do without
 _SCHEDULE_KEY_NEEDED = {"constant": "schedule_gamma", "fixed_horizon": "schedule_gamma0",
                         "decreasing": "schedule_alpha", "solution_free": "schedule_t"}
@@ -569,30 +568,30 @@ def run_once(cfg: ExperimentConfig, seed: int) -> tuple[optimizers.RunTrace, obj
 
 
 def _envelope_params(cfg: ExperimentConfig, obj, x0, parts: RunParts) -> dict:
-    """The constants a theorem's envelope reads; an IS theorem maps p, w and
-    coord_L onto L, gamma_d and mu_d itself, so one set serves both kinds.  The
-    gap and r0 = auto come from the noise-free objective, not a noisy draw.
-    alpha and theta go to the CVX-DEC envelopes alone (SC-DEP's would take that
-    theta as its contraction), and theta_k to the SC-DEP ones alone."""
+    """The constants a theorem's envelope reads: the run's own, and those its
+    schedules.THEOREMS row reads, the stepsize's (gamma, alpha and theta, or
+    t) from the plain rule under a w divisor.  An IS theorem maps p, w and
+    coord_L onto L, gamma_d and mu_d itself, so one set serves both kinds.
+    The gap and r0 = auto come from the noise-free objective, not a noisy draw."""
     info = obj.smoothness
     nc = parts.norm_constants
-    schedule = parts.schedule
-    rule = getattr(schedule, "rule", schedule)  # the plain rule under a w divisor
+    rule = getattr(parts.schedule, "rule", parts.schedule)
+    if isinstance(rule, schedules.FixedHorizon):  # a constant gamma over its horizon
+        rule = schedules.Constant(rule.gamma0 / math.sqrt(rule.horizon))
     params = {
         "gap": obj.base.value(x0) - info.f_star, "beta": _beta(cfg), "L": info.L, "mu": info.mu,
-        "mu_d": nc.mu_d, "gamma_d": nc.gamma_d, "p": parts.p, "w": parts.w,
-        "coord_L": info.coord_L, "t": getattr(schedule, "t", None),
+        "mu_d": nc.mu_d, "gamma_d": nc.gamma_d, "p": parts.p, "w": parts.w, "coord_L": info.coord_L,
     }
-    if isinstance(rule, schedules.Constant):
-        params["gamma"] = rule.gamma
-    if isinstance(rule, schedules.FixedHorizon):
-        params["gamma"] = rule.gamma0 / math.sqrt(rule.horizon)
-    if isinstance(rule, schedules.Decreasing) and cfg.theorem in ("CVX-DEC", "IS-CVX-DEC"):
-        params.update(alpha=rule.alpha, theta=rule.theta)
-    if cfg.theorem in ("SC-DEP", "IS-SC-DEP"):
-        params["theta_k"] = cfg.schedule_theta_k
-    if cfg.theorem in _CVX_THEOREMS:
-        params["r0"] = _resolve_r0(cfg, obj.base, x0, nc)
+    for key in schedules.THEOREMS[cfg.theorem].reads:
+        if key == "r0":
+            params["r0"] = _resolve_r0(cfg, obj.base, x0, nc)
+        elif key == "theta_k":
+            params["theta_k"] = cfg.schedule_theta_k
+        elif hasattr(rule, key):
+            params[key] = getattr(rule, key)
+        else:
+            raise ConfigError(f"{_line_of(cfg._lines, 'theorem')}theorem {cfg.theorem!r} reads the "
+                              f"stepsize's {key}, which schedule.kind = {cfg.schedule_kind} lacks")
     return {k: v for k, v in params.items() if v is not None}
 
 
@@ -772,10 +771,10 @@ def _seed_result(cfg: ExperimentConfig, seed: int, trace, obj, wall: float,
             branch_mix = tuple((np.bincount(np.asarray(trace.branch), minlength=3) / n).tolist())
             gammas = np.asarray(trace.gamma)
             gamma_range = (float(gammas.min()), _median(gammas), float(gammas.max()))
-    # the NC guarantees bound the running mean gradient norm, the others the gap
+    # the grad_norm guarantees (NC) bound the running mean gradient norm, the others the gap
     checked = None
     if ks is not None:
-        if cfg.theorem in ("NC", "IS-NC"):
+        if schedules.THEOREMS[cfg.theorem].grad_norm:
             grad_norm = np.asarray(trace.grad_norm)
             checked = [float(np.mean(grad_norm[:k])) for k in ks]
         else:  # a trace that stopped early is padded with its last gap (conservative)

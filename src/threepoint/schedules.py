@@ -1,4 +1,6 @@
-"""Stepsize rules and the closed-form iteration counts that go with them.
+"""Stepsize rules, and the paper's guarantees: THEOREMS, their iteration
+counts and their rate envelopes' closed forms (diagnostics.bound_envelope
+checks and returns the latter).
 
 Every rule is a frozen dataclass with a pure stepsize(ctx) method: same
 context in, same stepsize out.  Rules whose stepsize depends on a probe
@@ -383,9 +385,7 @@ def solution_free_t_max_is(epsilon: float, mu: float, p, coord_L) -> float:
     if epsilon <= 0.0 or mu <= 0.0:
         raise ValueError("epsilon and mu must be > 0")
     p, coord_L, _ = _check_pw(p, coord_L)
-    ratio = float(np.min(p / coord_L))
-    total = float(np.sum(p * coord_L))
-    return math.sqrt(4.0 * epsilon * mu * ratio / total)
+    return math.sqrt(4.0 * epsilon * mu * is_min_ratio(p, coord_L) / float(np.sum(p * coord_L)))
 
 
 def quadratic_level_radius(coord_L, f0_gap: float, c: DistributionConstants) -> float:
@@ -403,63 +403,56 @@ def quadratic_level_radius(coord_L, f0_gap: float, c: DistributionConstants) -> 
     raise ValueError(f"unknown norm tag {c.norm_tag!r}")
 
 
-THEOREM_IDS = (
-    "NC",
-    "CVX-CONST",
-    "CVX-DEC",
-    "SC-DEP",
-    "SC-FREE",
-    "IS-NC",
-    "IS-CVX-CONST",
-    "IS-CVX-DEC",
-    "IS-SC-DEP",
-    "IS-SC-FREE",
-)
+class Theorem(NamedTuple):
+    """One of the paper's guarantees, as the harness checks it."""
+
+    plain: str | None = None  # the smtp guarantee an IS one restates (is_substitution)
+    grad_norm: bool = False  # bounds the running mean of grad_norm, not the gap
+    reads: tuple[str, ...] = ()  # the constants the harness adds to the run's own
 
 
-def _need(params: dict, theorem_id: str, *keys):
-    out = []
-    for key in keys:
-        if key not in params:
-            raise ValueError(f"required_iterations({theorem_id!r}) missing parameter {key!r}")
-        out.append(params[key])
-    return out
-
-
-def _kappa(params: dict, theorem_id: str) -> float:
-    if "kappa" in params:
-        return float(params["kappa"])
-    L, mu = _need(params, theorem_id, "L", "mu")
-    return float(L) / float(mu)
-
-
-def _pos_log(x: float) -> float:
-    return max(0.0, math.log(x))
-
-
-def _count(value: float) -> int:
-    return max(0, math.ceil(value))
-
-
-IS_SUBSTITUTED = ("IS-NC", "IS-CVX-CONST", "IS-CVX-DEC", "IS-SC-DEP")
+THEOREMS = {
+    "NC": Theorem(grad_norm=True),
+    "CVX-CONST": Theorem(reads=("r0", "gamma")),
+    "CVX-DEC": Theorem(reads=("r0", "alpha", "theta")),
+    "SC-DEP": Theorem(reads=("theta_k",)),
+    "SC-FREE": Theorem(reads=("t",)),
+    "IS-NC": Theorem("NC", grad_norm=True),
+    "IS-CVX-CONST": Theorem("CVX-CONST", reads=("r0", "gamma")),
+    "IS-CVX-DEC": Theorem("CVX-DEC", reads=("r0", "alpha", "theta")),
+    "IS-SC-DEP": Theorem("SC-DEP", reads=("theta_k",)),
+    "IS-SC-FREE": Theorem(reads=("t",)),
+}
+THEOREM_IDS = tuple(THEOREMS)
 
 
 def is_substitution(theorem_id: str, params: dict) -> tuple[str, dict]:
     """Map an importance-sampling guarantee onto the plain one it restates.
 
-    IS-NC, IS-CVX-CONST, IS-CVX-DEC and IS-SC-DEP are the smtp guarantees
-    with L gamma_d replaced by S_w and mu_d by m: the plain id is returned
-    with params carrying L = S_w, gamma_d = 1, mu_d = m (and no kappa, which
-    would override L).  Other ids, IS-SC-FREE among them, pass through.
-    A missing p, w or coord_L raises KeyError.
+    The THEOREMS rows with a plain id are that smtp guarantee with L gamma_d
+    replaced by S_w and mu_d by m: the plain id is returned with params
+    carrying L = S_w, gamma_d = 1, mu_d = m (and no kappa, which would
+    override L).  Other ids, IS-SC-FREE among them, pass through.  An unknown
+    id raises ValueError, a missing p, w or coord_L KeyError.
     """
-    if theorem_id not in IS_SUBSTITUTED:
+    if theorem_id not in THEOREMS:
+        raise ValueError(f"unknown theorem id {theorem_id!r}")
+    plain = THEOREMS[theorem_id].plain
+    if plain is None:
         return theorem_id, params
     p, w = params["p"], params["w"]
     mapped = {k: v for k, v in params.items() if k != "kappa"}
     mapped.update(L=is_sum_weighted_L(p, w, params["coord_L"]), gamma_d=1.0,
                   mu_d=is_min_ratio(p, w))
-    return theorem_id[3:], mapped
+    return plain, mapped
+
+
+def _kappa(p: dict) -> float:
+    return float(p["kappa"]) if "kappa" in p else float(p["L"]) / float(p["mu"])
+
+
+def _pos_log(x: float) -> float:
+    return max(0.0, math.log(x))
 
 
 def required_iterations(theorem_id: str, params: dict) -> int:
@@ -469,45 +462,85 @@ def required_iterations(theorem_id: str, params: dict) -> int:
     already met.  Raises on unknown ids, missing parameters, or epsilon
     outside the admissible range of the constant-stepsize rules.
     """
-    if theorem_id not in THEOREM_IDS:
-        raise ValueError(f"unknown theorem id {theorem_id!r}")
-    eps = float(_need(params, theorem_id, "epsilon")[0])
-    if eps <= 0.0:
-        raise ValueError("epsilon must be > 0")
-    gap = float(_need(params, theorem_id, "gap")[0])
-    if gap < 0.0:
-        raise ValueError("gap must be >= 0")
     try:
-        kind, params = is_substitution(theorem_id, params)
+        return max(0, math.ceil(_iterations(*is_substitution(theorem_id, params))))
     except KeyError as exc:
         raise ValueError(f"required_iterations({theorem_id!r}) missing parameter {exc}") from None
 
-    if kind == "NC":
-        L, gamma_d, mu_d = _need(params, theorem_id, "L", "gamma_d", "mu_d")
-        return _count(2.0 * gap * L * gamma_d / (mu_d**2 * eps**2))
 
+def _iterations(kind: str, params: dict) -> float:
+    get = params.__getitem__
+    eps, gap = float(get("epsilon")), float(get("gap"))
+    if eps <= 0.0:
+        raise ValueError("epsilon must be > 0")
+    if gap < 0.0:
+        raise ValueError("gap must be >= 0")
+    if kind == "NC":
+        L, gamma_d, mu_d = map(get, ("L", "gamma_d", "mu_d"))
+        return 2.0 * gap * L * gamma_d / (mu_d**2 * eps**2)
     if kind == "CVX-CONST":
-        L, gamma_d, mu_d, r0 = _need(params, theorem_id, "L", "gamma_d", "mu_d", "r0")
+        L, gamma_d, mu_d, r0 = map(get, ("L", "gamma_d", "mu_d", "r0"))
         cap = L * gamma_d * r0**2 / mu_d**2
         if eps > cap:
             raise ValueError(f"epsilon = {eps!r} above admissible bound {cap!r}")
-        return _count(cap / eps * _pos_log(2.0 * gap / eps))
-
+        return cap / eps * _pos_log(2.0 * gap / eps)
     if kind == "CVX-DEC":
-        L, gamma_d, mu_d, r0, beta = _need(params, theorem_id, "L", "gamma_d", "mu_d", "r0", "beta")
+        L, gamma_d, mu_d, r0, beta = map(get, ("L", "gamma_d", "mu_d", "r0", "beta"))
         lead = 2.0 * r0**2 / mu_d**2
-        return _count(lead / eps * max((1.0 - beta) ** 2 * gap, L * gamma_d) - lead * (1.0 - beta) ** 2)
-
+        return lead / eps * max((1.0 - beta) ** 2 * gap, L * gamma_d) - lead * (1.0 - beta) ** 2
     if kind == "SC-DEP":
-        mu_d, theta = _need(params, theorem_id, "mu_d", "theta")
-        return _count(_kappa(params, theorem_id) / (theta * mu_d**2) * _pos_log(gap / eps))
-
+        mu_d, theta = get("mu_d"), get("theta")
+        return _kappa(params) / (theta * mu_d**2) * _pos_log(gap / eps)
     if kind == "SC-FREE":
-        (mu_d,) = _need(params, theorem_id, "mu_d")
-        return _count(_kappa(params, theorem_id) / mu_d**2 * _pos_log(2.0 * gap / eps))
+        mu_d = get("mu_d")
+        return _kappa(params) / mu_d**2 * _pos_log(2.0 * gap / eps)
+    # IS-SC-FREE, which is_substitution passes through
+    p, coord_L, mu = map(get, ("p", "coord_L", "mu"))
+    return 1.0 / (float(mu) * is_min_ratio(p, coord_L)) * _pos_log(2.0 * gap / eps)
 
-    if kind == "IS-SC-FREE":
-        p, coord_L, mu = _need(params, theorem_id, "p", "coord_L", "mu")
-        return _count(1.0 / (float(mu) * is_min_ratio(p, coord_L)) * _pos_log(2.0 * gap / eps))
 
-    raise AssertionError("unreachable")
+def envelope_values(theorem_id: str, params: dict, n_iters: int) -> np.ndarray:
+    """The named guarantee's bound at k = 0 .. n_iters, which
+    diagnostics.bound_envelope checks.  Raises ValueError on unknown ids and
+    non-contractive constants, KeyError on missing ones."""
+    kind, params = is_substitution(theorem_id, params)
+    get = params.__getitem__
+    ks = np.arange(n_iters + 1, dtype=float)
+    gap = get("gap")
+    if kind == "NC":  # k = 0 repeats k = 1: the rate diverges at zero iterations
+        scale = math.sqrt(2.0 * gap * get("L") * get("gamma_d")) / get("mu_d")
+        return scale / np.sqrt(np.maximum(ks, 1.0))
+    if kind == "CVX-CONST":
+        beta, r0, mu_d, L, gamma_d, gamma = map(
+            get, ("beta", "r0", "mu_d", "L", "gamma_d", "gamma"))
+        rate = 1.0 - gamma * mu_d / ((1.0 - beta) * r0)
+        if not (0.0 <= rate < 1.0):
+            raise ValueError(f"stepsize gamma = {gamma!r} outside the contractive range")
+        return rate**ks * gap + L * gamma * gamma_d * r0 / (2.0 * (1.0 - beta) * mu_d)
+    if kind == "CVX-DEC":
+        beta, alpha, theta = map(get, ("beta", "alpha", "theta"))
+        cap = max(gap, 2.0 * get("L") * get("gamma_d") / (alpha * theta * (1.0 - beta) ** 2))
+        return cap / (alpha / theta * ks + 1.0)
+    if kind == "SC-DEP":
+        mu_d, mu, L = map(get, ("mu_d", "mu", "L"))
+        theta = params.get("theta")
+        if theta is None:
+            theta_k = get("theta_k")
+            theta = 2.0 * theta_k - get("gamma_d") * theta_k**2
+        return _contraction(1.0 - theta * mu_d**2 * mu / L, gap, ks)
+    if kind == "SC-FREE":
+        mu_d, mu, L, t = map(get, ("mu_d", "mu", "L", "t"))
+        return _contraction(1.0 - mu_d**2 * mu / L, gap, ks) + L**2 * t**2 / (8.0 * mu_d**2 * mu)
+    # IS-SC-FREE, which is_substitution passes through
+    mu, t = get("mu"), get("t")
+    p, coord_L = (np.asarray(get(key), dtype=float) for key in ("p", "coord_L"))
+    ratio = is_min_ratio(p, coord_L)
+    return (_contraction(1.0 - mu * ratio, gap, ks)
+            + t**2 / (8.0 * mu * ratio) * float(np.sum(p * coord_L)))
+
+
+def _contraction(rate: float, gap, ks: np.ndarray) -> np.ndarray:
+    """rate^k gap, for a contraction factor rate in [0,1)."""
+    if not (0.0 <= rate < 1.0):
+        raise ValueError(f"contraction factor {rate!r} outside [0,1)")
+    return rate**ks * gap

@@ -924,6 +924,14 @@ class TestCli:
         assert cli.main(["validate", "--config", cfg_path]) == 0
         assert capsys.readouterr().out.startswith("ok label=demo")
 
+    def test_sc_dep_over_decreasing_validates(self, tmp_path, capsys):
+        # SC-DEP reads theta_k alone, which every rule's config has
+        text = QUAD_BASE.replace("schedule.kind = solution_dependent",
+                                 "schedule.kind = decreasing\nschedule.alpha = 0.5\ntheorem = SC-DEP")
+        cfg_path = self._write(tmp_path, "dec.cfg", text)
+        assert cli.main(["validate", "--config", cfg_path]) == 0
+        assert capsys.readouterr().out.startswith("ok label=dec")
+
     def test_validate_catches_metadata_errors(self, tmp_path, capsys):
         # parses fine, but the schedule needs a mu the objective lacks
         text = QUAD_BASE.replace("objective = quadratic", "objective = rosenbrock")
@@ -971,10 +979,23 @@ class TestCli:
          "objective = lqr\nhorizon = 3\nd_state = 2\nd_ctrl = 1\ndistribution = sphere\n"
          "schedule.kind = constant\nschedule.gamma = 0.001\ntheorem = SC-DEP",
          "error: line 10: bound_envelope('SC-DEP') missing parameter 'mu'"),
+        # a theorem that reads a stepsize constant the rule does not have names both
+        ("schedule.kind = solution_dependent",
+         "schedule.kind = solution_dependent\nr0 = 1\ntheorem = CVX-CONST",
+         "error: line 9: theorem 'CVX-CONST' reads the stepsize's gamma, which "
+         "schedule.kind = solution_dependent lacks"),
+        ("schedule.kind = solution_dependent",
+         "schedule.kind = constant\nschedule.gamma = 0.01\nr0 = 1\ntheorem = CVX-DEC",
+         "error: line 10: theorem 'CVX-DEC' reads the stepsize's alpha, which "
+         "schedule.kind = constant lacks"),
+        ("schedule.kind = solution_dependent", "schedule.kind = solution_dependent\ntheorem = SC-FREE",
+         "error: line 8: theorem 'SC-FREE' reads the stepsize's t, which "
+         "schedule.kind = solution_dependent lacks"),
     ], ids=["cvx_without_r0", "checkpoints_range", "repeated_seeds", "r0_auto_at_minimiser",
             "r0_auto_at_minimiser_cvx", "rosenbrock_without_mu", "lqr_without_mu",
             "t_auto_without_epsilon", "prop_L_without_coord_L", "coord_L_w_without_coord_L",
-            "non_contractive_envelope", "envelope_without_mu"])
+            "non_contractive_envelope", "envelope_without_mu", "cvx_const_without_gamma",
+            "cvx_dec_without_alpha", "sc_free_without_t"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, old, new, message):
         cfg_path = self._write(tmp_path, "bad.cfg", QUAD_BASE.replace(old, new))
         assert cli.main(["validate", "--config", cfg_path]) == 1

@@ -55,3 +55,20 @@ def test_every_private_module_name_is_used():
                 used.add(node.name)
     assert len(defined) > 50  # the walk above found the modules' names
     assert {name: where for name, where in defined.items() if name not in used} == {}
+
+
+def test_only_schedules_names_a_theorem_id():
+    # schedules.THEOREMS says what each guarantee restates, bounds and reads;
+    # an id spelled out elsewhere is a second copy of part of that table
+    src = Path(threepoint.__file__).resolve().parent
+    ids = set(threepoint.schedules.THEOREM_IDS)
+    named = {}
+    for path in sorted(src.glob("*.py")):
+        if path.name != "schedules.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found = {node.value for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant) and node.value in ids}
+            if found:
+                named[path.name] = sorted(found)
+    assert len(ids) == 10
+    assert named == {}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from threepoint.diagnostics import bound_envelope
 from threepoint.directions import DirectionDistribution, constants
 from threepoint.schedules import (
+    THEOREM_IDS,
     Constant,
     Decreasing,
     FixedHorizon,
@@ -400,3 +402,58 @@ class TestISSubstitution:
         assert is_substitution("SC-DEP", q) == ("SC-DEP", q)
         with pytest.raises(ValueError, match="required_iterations\\('IS-NC'\\) missing parameter 'w'"):
             required_iterations("IS-NC", dict(gap=1.0, epsilon=0.1, p=q["p"], coord_L=q["coord_L"]))
+
+
+# one parameter set every guarantee accepts, of non-dyadic values, and what
+# the counts and envelopes were on it before the THEOREMS table: a reordered
+# float operation moves an envelope's bytes even where rtol = 1e-15 passes
+_PINNED_PARAMS = dict(
+    gap=3.7, epsilon=0.013, L=7.3, mu=0.37, mu_d=0.61, gamma_d=1.3, r0=2.9, beta=0.3,
+    gamma=0.07, alpha=0.45, theta=0.7, theta_k=0.9, t=0.011, p=np.array([0.15, 0.35, 0.5]),
+    w=np.array([1.3, 0.7, 2.1]), coord_L=np.array([1.7, 5.3, 11.0]))
+_PINNED_COUNTS = {
+    "NC": 1116739, "CVX-CONST": 104675, "CVX-DEC": 32976, "SC-DEP": 429, "SC-FREE": 337,
+    "IS-NC": 17048835, "IS-CVX-CONST": 1598031, "IS-CVX-DEC": 503151, "IS-SC-DEP": 8496,
+    "IS-SC-FREE": 378,
+}
+# sha256 of bound_envelope(id, _PINNED_PARAMS, 50).values.tobytes(); "/theta_k"
+# drops theta, so the SC-DEP envelopes take their contraction from theta_k
+_PINNED_ENVELOPES = {
+    "NC": "3d6f6cf23a913bf308106c6273cb4a38254a7b03662ae9b3e8a85c99f16e97bb",
+    "CVX-CONST": "4b4f433cd5caf5316b1a1375eb976f8a7e1569a5fdc373a7c4f338964879d781",
+    "CVX-DEC": "7acece1b4fdddf4fef2fb28f924b3c61370b53812d7e078d1dcb50e6c5835260",
+    "SC-DEP": "090ed91e99195c616874a2672c6ee0af5e7f1742e5bc7bde832a9a52f3c56af6",
+    "SC-FREE": "30a4360d62be1cf1010bb998927f2d04bb90b311f829e9c6b0495c56df63663b",
+    "IS-NC": "fac4408b4acd40c264d6261eaeb55716cbe98baf11e8ade5c33d92bcdd85b6ff",
+    "IS-CVX-CONST": "c36790cae43e255ccef0628e5eb54f0a586eeff5674166e8cf5a501a750cbb8a",
+    "IS-CVX-DEC": "2f36b72b9dd823fe343c66ac945ea9bb214f16960500d218e33b5d67789cefe6",
+    "IS-SC-DEP": "427643bc4852985e81926a5ffdc98b4f9aaedbc39f9db9a22871a9bd23918ad3",
+    "IS-SC-FREE": "71c6351e70df9026461067aff2b5d8ddfe6fd27fb1a1625d801e6b0d42b12bd8",
+    "SC-DEP/theta_k": "fb68e040e3f40ee3572e8baeefb84164fd8f9ed8470ad035dfff42eb967d3e19",
+    "IS-SC-DEP/theta_k": "2b2eca2f333623ccffb84ca53ae979bfaf2261d1980b6587238f102f51f6d36c",
+}
+
+
+def test_counts_and_envelopes_are_pinned_bitwise():
+    counts = {i: required_iterations(i, _PINNED_PARAMS) for i in THEOREM_IDS}
+    assert counts == _PINNED_COUNTS
+    without_theta = {k: v for k, v in _PINNED_PARAMS.items() if k != "theta"}
+    digests = {}
+    for key in _PINNED_ENVELOPES:
+        theorem_id, _, variant = key.partition("/")
+        params = without_theta if variant else _PINNED_PARAMS
+        values = bound_envelope(theorem_id, params, 50).values
+        digests[key] = hashlib.sha256(values.tobytes()).hexdigest()
+    assert digests == _PINNED_ENVELOPES
+    # the IS-SC-FREE probe offset shares the envelope's min_i p_i / L_i
+    p, coord_L = _PINNED_PARAMS["p"], _PINNED_PARAMS["coord_L"]
+    assert solution_free_t_max_is(0.013, 0.37, p, coord_L).hex() == "0x1.5f46b8f6b23c9p-7"
+
+
+def test_is_sc_free_envelope_rejects_p_off_the_simplex():
+    # the count already rejected it; the envelope shares its is_min_ratio
+    params = dict(gap=1.0, mu=1.0, t=0.0, p=np.array([0.5, 0.6]), coord_L=np.array([1.0, 3.0]))
+    with pytest.raises(ValueError, match="p must sum to 1"):
+        required_iterations("IS-SC-FREE", dict(params, epsilon=0.1))
+    with pytest.raises(ValueError, match="p must sum to 1"):
+        bound_envelope("IS-SC-FREE", params, 4)
