@@ -205,6 +205,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         if cfg.schedule_kind == "solution_free" and cfg.distribution == "gaussian":
             fail("schedule_kind", "solution_free needs unit-norm directions; "
                  "the gaussian distribution does not provide them")
+    elif cfg.schedule_kind == "solution_free" and "is_w" in cfg._lines:
+        fail("is_w", "schedule.kind = solution_free takes no is.w: its steps scale by coord_L")
     if cfg.max_iters < 0:
         fail("max_iters", "max_iters must be >= 0")
     if cfg.schedule_kind == "fixed_horizon":
@@ -546,6 +548,7 @@ class SeedResult:
     branch_mix: tuple[float, float, float] | None = None  # plus, minus, stay rates
     gamma_range: tuple[float, float, float] | None = None  # min, median, max stepsize
     final_gap_noise_free: float | None = None  # noisy: the true gap at the final z
+    last_move: int | None = None  # noisy: the k of the last plus or minus step
 
 
 @dataclass
@@ -757,8 +760,8 @@ def _seed_result(cfg: ExperimentConfig, seed: int, trace, obj, wall: float,
     f_star = obj.smoothness.f_star
     n = len(trace.evals)
     final_gap = trace.f_last - f_star
-    contraction = r_squared = branch_mix = gamma_range = None
-    # summary.txt alone, written with the traces, reads the fit, branch mix and stepsize range
+    contraction = r_squared = branch_mix = gamma_range = last_move = None
+    # summary.txt alone, written with the traces, reads the fit, branch mix, gammas and last move
     if out_dir is not None:
         _write_trace(trace, os.path.join(out_dir, f"trace_seed{seed}.csv"))
         if n >= 12 and final_gap >= 0.0:
@@ -771,6 +774,9 @@ def _seed_result(cfg: ExperimentConfig, seed: int, trace, obj, wall: float,
             branch_mix = tuple((np.bincount(np.asarray(trace.branch), minlength=3) / n).tolist())
             gammas = np.asarray(trace.gamma)
             gamma_range = (float(gammas.min()), _median(gammas), float(gammas.max()))
+            if obj.base is not obj:
+                moved = np.flatnonzero(np.asarray(trace.branch) != optimizers.STAY)
+                last_move = int(moved[-1]) if moved.size else None
     # the grad_norm guarantees (NC) bound the running mean gradient norm, the others the gap
     checked = None
     if ks is not None:
@@ -793,6 +799,7 @@ def _seed_result(cfg: ExperimentConfig, seed: int, trace, obj, wall: float,
         gamma_range=gamma_range,
         final_gap_noise_free=(None if obj.base is obj
                               else obj.base.value(trace.final_state.z) - f_star),
+        last_move=last_move,
     )
     return result, checked
 
@@ -866,6 +873,7 @@ def _write_summary(summary: RunSummary, cfg: ExperimentConfig, out_dir: str) -> 
         lines.append(f"{prefix}.final_gap={_format(r.final_gap)}")
         if r.final_gap_noise_free is not None:
             lines.append(f"{prefix}.final_gap_noise_free={_format(r.final_gap_noise_free)}")
+            lines.append(f"{prefix}.last_move={_format(r.last_move)}")
         lines.append(f"{prefix}.contraction={_format(r.contraction)}")
         lines.append(f"{prefix}.r_squared={_format(r.r_squared)}")
         for name, value in zip(optimizers.BRANCHES, r.branch_mix or repeat(None)):

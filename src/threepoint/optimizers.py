@@ -103,18 +103,13 @@ class IterationRecord(NamedTuple):
 class RunTrace:
     """A run's outcomes, one typed column per quantity; row k is iteration k.
 
-    f_z holds f(z^{k+1}), branch a code into BRANCHES, and evals the
-    objective's counter after the step: a range, as every step costs the
-    same oracle calls.  grad_norm (||grad f(z^k)||_D) and index (the drawn
-    coordinate, in the smallest typecode that holds it) are None unless
-    recorded.  With
+    f_z holds f(z^{k+1}), gamma the step's stepsize gamma^k, branch a code
+    into BRANCHES, and evals the objective's counter after the step: a
+    range, as every step costs the same oracle calls.  grad_norm
+    (||grad f(z^k)||_D) and index (the drawn coordinate, in the smallest
+    typecode that holds it) are None unless recorded.  With
     retain_internals, z_before keeps each z^k and drawn each direction, as
     the index alone for a coordinate law: s builds the e_i on read.
-
-    Under a fixed rule every step's gamma is known up front: a run of a
-    context-free rule keeps its one stepsize, and of an index-only rule over
-    a recorded index its per-coordinate table, in steps (gamma then None);
-    the gamma column is built from them when first read.
 
     A block row's trace (run_block) holds no final_state but the
     (objective, dist, rule, beta, x0) of its row in rerun: its final state
@@ -138,7 +133,6 @@ class RunTrace:
     index: array | None = None
     z_before: list[np.ndarray] | None = None
     drawn: list[np.ndarray] | array | None = None
-    steps: float | list[float] | np.ndarray | None = field(default=None, repr=False)
     rerun: tuple | None = field(default=None, repr=False, compare=False)
     f_last: float | None = None
 
@@ -166,20 +160,6 @@ class RunTrace:
         return list(np.eye(self.final_state.z.size)[np.asarray(self.drawn)])
 
 
-def _gamma_column(trace: RunTrace) -> array:
-    if trace._gamma is None and trace.f_z is not None:
-        if np.ndim(trace.steps) == 0:  # a context-free rule's one stepsize
-            trace._gamma = array("d", [trace.steps]) * len(trace.f_z)
-        else:  # an index-only rule's table at each drawn coordinate
-            steps = np.asarray(trace.steps, dtype=float)
-            trace._gamma = array("d", steps.take(np.asarray(trace.index)).tobytes())
-    return trace._gamma
-
-
-def _set_gamma_column(trace: RunTrace, column: array | None) -> None:
-    trace._gamma = column
-
-
 def _final_state(trace: RunTrace) -> OptimizerState:
     if trace.rerun is not None:
         objective, dist, rule, beta, x0 = trace.rerun
@@ -195,8 +175,7 @@ def _set_final_state(trace: RunTrace, state: OptimizerState | None) -> None:
     trace._final_state = state
 
 
-# properties after the class body, so the dataclass keeps gamma and final_state as fields
-RunTrace.gamma = property(_gamma_column, _set_gamma_column)
+# a property after the class body, so the dataclass keeps final_state as a field
 RunTrace.final_state = property(_final_state, _set_final_state)
 
 
@@ -338,12 +317,6 @@ def _fixed_steps(schedule, coord: bool, f0: float, dim: int):
     return None, None
 
 
-def _kept_steps(gamma, table, indexed: bool):
-    """What a trace keeps in place of a gamma column: a context-free rule's
-    stepsize, or an index-only rule's table when the index is recorded."""
-    return gamma if gamma is not None else table if indexed else None
-
-
 def _evals(after_init: int, per_step: int, n: int) -> range:
     """The evals column: the objective's counter after each of n steps."""
     return range(after_init + per_step, after_init + per_step * (n + 1), per_step)
@@ -384,9 +357,8 @@ def smtp_run(objective, dist: DirectionDistribution, schedule, beta: float, x0, 
     gamma = table = None
     if max_iters > 0:
         gamma, table = _fixed_steps(schedule, coord, state.f_z, dist.dim)
-    steps = _kept_steps(gamma, table, record_index)
     code = _index_code(dist.dim)
-    f_z, gammas, branches = array("d"), None if steps is not None else array("d"), array("b")
+    f_z, gammas, branches = array("d"), array("d"), array("b")
     grad_norm = array("d") if track_grad_norm else None
     index = array(code) if record_index else None
     z_before = [] if retain_internals else None
@@ -408,8 +380,7 @@ def smtp_run(objective, dist: DirectionDistribution, schedule, beta: float, x0, 
                                    unit_checked=True)
         branch, step_gamma = smtp_step(state, objective, None, schedule, None, s, i, gamma)
         f_z.append(state.f_z)
-        if gammas is not None:
-            gammas.append(step_gamma)
+        gammas.append(step_gamma)
         branches.append(branch)
         if record_index:
             index.append(i)
@@ -421,7 +392,7 @@ def smtp_run(objective, dist: DirectionDistribution, schedule, beta: float, x0, 
             break
     per_step = (2 + (schedule.needs_probe and not fixed)) * objective.calls_per_value
     return RunTrace(f_z, gammas, branches, _evals(after_init, per_step, len(f_z)), state, seed, f0,
-                    stop_reason, grad_norm, index, z_before, drawn, steps, f_last=state.f_z)
+                    stop_reason, grad_norm, index, z_before, drawn, f_last=state.f_z)
 
 
 def stp_run(objective, dist: DirectionDistribution, schedule, x0, max_iters: int,
@@ -547,11 +518,13 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
     tracked grad_norm and a SolutionDependent gamma at its start: a vector
     row's round is one step, so these are its columns, and a coordinate
     row's runs to a move, so they are expanded over the round's steps when
-    the row finishes.  Every step costs the same oracle calls, the method's
-    two, whatever the block evaluates, so a row's eval_counter is set when
-    it finishes.  A row that stops on epsilon_gap leaves the block and the
-    others go on.  No candidate reads v, so a row holds z alone, and its
-    trace's final state is rerun by smtp_run when first read (RunTrace).
+    the row finishes.  Under a fixed rule a coordinate row's gamma is G[p]
+    at each draw, filled a chunk ahead, and a vector row's its one stepsize.
+    Every step costs the same oracle calls, the method's two, whatever the
+    block evaluates, so a row's eval_counter is set when it finishes.  A row
+    that stops on epsilon_gap leaves the block and the others go on.  No
+    candidate reads v, so a row holds z alone, and its trace's final state
+    is rerun by smtp_run when first read (RunTrace).
     Without columns a row records nothing per step, and its trace holds
     its evals, stop and f_last alone (RunTrace): for callers that read no more.
     """
@@ -570,7 +543,7 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
         raise ValueError("record_index needs a coordinate law")
     states = [init_state(o, x0, beta) for o in objectives]
     after_init = [o.eval_counter for o in objectives]
-    fixed, G = [(None, None)] * n, None
+    G = None
     if max_iters > 0:
         fixed = [_fixed_steps(r, coord, st.f_z, d) for r, st in zip(rules, states)]
         if len({(g is None, t is None) for g, t in fixed}) > 1:
@@ -582,9 +555,8 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
     per_step = 2 * objectives[0].calls_per_value
 
     code = _index_code(d)
-    keep_steps = _kept_steps(*fixed[0], record_index) is not None  # no gamma column
     track_grad_norm = track_grad_norm and columns
-    cols = [(array("d"), None if keep_steps else array("d"), array("b"),
+    cols = [(array("d"), array("d"), array("b"),
              array("d") if track_grad_norm else None,
              array(code) if record_index else None) if columns else (None,) * 5 for _ in seeds]
     traces: list[RunTrace | None] = [None] * n
@@ -607,14 +579,14 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
             for r, (f_col, gamma, branch, norm, _) in enumerate(cols)]
     evaluate, gradient = objectives[0].fn_batch, objectives[0].gradient_batch  # counted at finish
 
-    def coordinates(r: int, steps) -> Iterator[list]:
-        """Row r's drawn coordinates, a chunk at a time, with its recorded
-        index column (and an index-only rule's gamma column, from its steps)
-        filled a chunk ahead."""
+    def coordinates(r: int) -> Iterator[list]:
+        """Row r's drawn coordinates, a chunk at a time, with its gamma column
+        (G[r] at each draw) and its recorded index column filled a chunk
+        ahead."""
         gamma_col, index_col = cols[r][1], cols[r][4]
         for raw in streams[r]:
             if gamma_col is not None:
-                gamma_col.frombytes(steps.take(raw).tobytes())
+                gamma_col.frombytes(G[r].take(raw).tobytes())
             if index_col is not None:
                 index_col.frombytes(raw.astype(code).tobytes())
             yield raw.tolist()
@@ -626,6 +598,8 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
         for col in (gamma, index):  # filled a chunk ahead
             if col is not None:
                 del col[k:]
+        if gamma is not None and G is not None and not coord:  # a fixed rule's one stepsize
+            gamma = array("d", [G.item(r, 0)]) * k
         if coord and columns:  # a round's records, once for each of its steps
             last_steps = np.frombuffer(ends[r], ends[r].typecode) - 1
             spans = np.diff(last_steps, prepend=-1)
@@ -645,7 +619,6 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
         objectives[r].eval_counter = after_init[r] + per_step * k
         traces[r] = RunTrace(f_col, gamma, branch, _evals(after_init[r], per_step, k), None,
                              seeds[r], states[r].f_z, reason, grad_norm, index,
-                             steps=_kept_steps(*fixed[r], record_index),
                              rerun=(objectives[r], dists[r], rules[r], beta, states[r].z),
                              f_last=F[p])
 
@@ -654,7 +627,7 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
             finish(p)
         return traces
     for row in rows:  # a vector row's draw reads cell 0: its table holds that draw alone
-        row[3] = chain.from_iterable(coordinates(row[0], G[row[0]])) if coord else repeat(0)
+        row[3] = chain.from_iterable(coordinates(row[0])) if coord else repeat(0)
     # a vector row's chunk of directions is column p of D; vector rows step
     # once a round, so all are at place t of chunks of one length
     D, t, end = None if coord else np.empty((chunk_rows(d, n), n, d)), 0, 0

@@ -188,7 +188,8 @@ def _cases():
                 yield f"stp-{dist}-{sched}", f"method = stp\nbeta = 0.0\n{dist_lines}\n{sched_lines}"
     for p in ("uniform", "prop_L"):
         for sched, sched_lines in SCHEDULES.items():
-            text = f"method = smtp_is\nbeta = 0.5\nis.p = {p}\nis.w = coord_L\n{sched_lines}"
+            w = "" if sched == "solution_free" else "is.w = coord_L\n"  # solution_free reads no w
+            text = f"method = smtp_is\nbeta = 0.5\nis.p = {p}\n{w}{sched_lines}"
             yield f"smtp_is-{p}-{sched}", text
     for sched, sched_lines in MORE_SCHEDULES.items():
         yield (f"smtp-sphere-{sched}",

@@ -298,6 +298,9 @@ class TestParsing:
          "is.p has 2 entries, expected 4"),
         (QUAD_BASE, QUAD_BASE.replace("method = smtp", "method = smtp_is").replace("distribution = sphere\n", "") + "\nis.w = 1,2,3", 9,
          "is.w has 3 entries, expected 4"),
+        (QUAD_BASE, QUAD_BASE.replace("method = smtp", "method = smtp_is").replace("distribution = sphere\n", "")
+         .replace("solution_dependent", "solution_free\nschedule.t = 0.3") + "\nis.w = 5,6,7,8", 10,
+         "schedule.kind = solution_free takes no is.w: its steps scale by coord_L$"),
         ("distribution = sphere",
          "distribution = orthonormal_weighted\nweights = 0.25,0.25,0.25,0.25\nbasis = foo", 8,
          "bad basis spec 'foo'"),
@@ -357,7 +360,7 @@ class TestParsing:
             "noise_k_without_sigma", "checkpoints_without_theorem", "unread_r0",
             "coord_L_positive", "dimension_0", "shift_entries", "noise_k_0", "x0_entries",
             "lqr_x0_entries", "weights_entries", "weights_missing", "is_p_entries",
-            "is_w_entries", "basis_spec", "cvx_without_r0", "alpha_auto_without_r0",
+            "is_w_entries", "is_w_solution_free", "basis_spec", "cvx_without_r0", "alpha_auto_without_r0",
             "r0_auto_off_quadratic", "lqr_horizon_0", "lqr_d_ctrl", "weights_sum",
             "weights_positive", "is_p_sum", "negative_gamma", "theta_below_2_over_alpha",
             "theta_k_3", "optimal_gamma0_at_minimiser", "default_is_w_off_quadratic",
@@ -881,7 +884,8 @@ class TestCli:
 
     def test_noisy_run_summary_reports_the_noise_free_gap(self, tmp_path):
         # a noisy run compares fresh draws with one cached noisy f(z): seed 0
-        # freezes with a cached gap of 0.80 where the true gap is 4.26
+        # freezes after its move at k = 590 with a cached gap of 0.80 where the
+        # true gap is 4.26
         noisy = QUAD_BASE.replace("schedule.kind = solution_dependent",
                                   "schedule.kind = constant\nschedule.gamma = 0.01")
         noisy = noisy.replace("max_iters = 80", "max_iters = 2000").replace("seeds = 3", "seeds = 0,1")
@@ -897,12 +901,21 @@ class TestCli:
             assert float(summary[f"seed{seed}.final_gap"]) == trace.f_z[-1]
             # read outside the run: its evals are the trace's
             assert int(summary[f"seed{seed}.evals"]) == trace.evals[-1]
+            moves = [k for k, branch in enumerate(trace.branch) if branch != optimizers.STAY]
+            assert int(summary[f"seed{seed}.last_move"]) == moves[-1]
         assert round(float(summary["seed0.final_gap"]), 2) == 0.80
         assert round(float(summary["seed0.final_gap_noise_free"]), 2) == 4.26
-        # a noise-free run writes no such key
+        assert (summary["seed0.last_move"], summary["seed1.last_move"]) == ("590", "644")
+        # a seed that never moved leaves last_move empty
+        cfg_path = self._write(tmp_path, "still.cfg",
+                               noisy.replace("max_iters = 2000", "max_iters = 0") + "\nnoise.sigma = 1")
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+        assert "seed0.last_move=" in (tmp_path / "out" / "still" / "summary.txt").read_text().splitlines()
+        # a noise-free run writes no such keys
         cfg_path = self._write(tmp_path, "plain.cfg", QUAD_BASE)
         assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
-        assert "final_gap_noise_free" not in (tmp_path / "out" / "plain" / "summary.txt").read_text()
+        text = (tmp_path / "out" / "plain" / "summary.txt").read_text()
+        assert "final_gap_noise_free" not in text and "last_move" not in text
 
     def test_run_seed_override(self, tmp_path):
         cfg_path = self._write(tmp_path, "demo.cfg", QUAD_BASE)

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import sys
 from array import array
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from threepoint.directions import DirectionDistribution, categorical_index, sample
+from threepoint.directions import DirectionDistribution, categorical_index, constants, sample
 from threepoint.objectives import (
     NoiseSpec,
     Objective,
@@ -24,8 +25,11 @@ from threepoint.optimizers import (
     STAY,
     IterationRecord,
     NonFiniteObjectiveError,
+    RunTrace,
     candidate_points,
     init_state,
+    is_keywords,
+    run_block,
     smtp_is_run,
     smtp_run,
     smtp_step,
@@ -526,24 +530,41 @@ class TestColumnarTrace:
         assert trace.index.typecode == "b"  # d = 4 indices fit one byte
         assert sum(sys.getsizeof(c) for c in (*columns, trace.evals)) / 20_000 <= 64
 
-    def test_fixed_rules_keep_their_steps_not_a_column(self):
-        # a fixed rule's gamma is known from the drawn index: no column is grown,
-        # and the one built on read holds each step's stepsize
+    def test_every_run_keeps_a_plain_gamma_column(self):
+        # gamma is a dataclass field that each run fills as it goes, whatever
+        # its rule, with each step's stepsize bit for bit; only a column-free
+        # block row keeps none
+        assert "steps" not in {f.name for f in fields(RunTrace)}
+        assert "gamma" in {f.name for f in fields(RunTrace)}
         coord_L = np.linspace(1.0, 4.0, 4)
-        plain = smtp_run(make_quadratic(coord_L), DirectionDistribution("sphere", 4),
-                         Constant(0.05), 0.5, np.ones(4), max_iters=300, seed=5)
-        weighted = smtp_is_run(make_quadratic(coord_L), coord_L / coord_L.sum(),
-                               PerCoordinate(Constant(0.01), coord_L), 0.5, np.ones(4),
-                               max_iters=300, seed=5)
-        for trace in (plain, weighted):
-            assert trace.steps is not None and trace._gamma is None
-        assert plain.gamma == array("d", [0.05] * 300)
-        assert list(weighted.gamma) == [0.01 / coord_L[i] for i in weighted.index]
-        assert weighted.gamma is weighted.gamma  # built once
-        decreasing = smtp_run(make_quadratic(coord_L), DirectionDistribution("sphere", 4),
-                              Decreasing(alpha=0.5, theta=4.0), 0.5, np.ones(4), max_iters=30,
-                              seed=5)
-        assert decreasing.steps is None and len(decreasing.gamma) == 30
+        sphere = DirectionDistribution("sphere", 4)
+        weighted = DirectionDistribution("coord_weighted", 4, weights=coord_L / coord_L.sum())
+        is_rule = PerCoordinate(Constant(0.01), coord_L)
+
+        def block(dist, rule, columns=True):  # 3 rows, seeds 5-7
+            loop = is_keywords(4) if dist is weighted else dict(norm_constants=constants(dist))
+            return run_block([make_quadratic(coord_L) for _ in range(3)], [rule] * 3, 0.5,
+                             np.ones(4), 300, [5, 6, 7], None, False, [dist] * 3,
+                             columns=columns, **loop)
+
+        plain = [smtp_run(make_quadratic(coord_L), sphere, Constant(0.05), 0.5, np.ones(4),
+                          max_iters=300, seed=5), *block(sphere, Constant(0.05))]
+        is_runs = [smtp_is_run(make_quadratic(coord_L), coord_L / coord_L.sum(), is_rule, 0.5,
+                               np.ones(4), max_iters=300, seed=5),
+                   *block(weighted, is_rule)]
+        decreasing = smtp_run(make_quadratic(coord_L), sphere, Decreasing(alpha=0.5, theta=4.0),
+                              0.5, np.ones(4), max_iters=30, seed=5)
+        for trace in (*plain, *is_runs, decreasing):
+            assert isinstance(vars(trace)["gamma"], array) and trace.gamma.typecode == "d"
+            assert len(trace.gamma) == len(trace.f_z)
+        for trace in plain:
+            assert trace.gamma == array("d", [0.05] * 300)
+        for trace in is_runs:
+            assert list(trace.gamma) == [0.01 / coord_L[i] for i in trace.index]
+        assert len(decreasing.gamma) == 30
+        for trace in (*block(sphere, Constant(0.05), columns=False),
+                      *block(weighted, is_rule, columns=False)):
+            assert trace.gamma is None and trace.f_z is None
 
     def test_retained_coordinate_draws_are_indices(self):
         dist = DirectionDistribution("coord_uniform", 5)
