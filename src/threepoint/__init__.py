@@ -11,6 +11,8 @@ The library is organized as plain functions over small dataclasses:
 - render: trace CSV rows in numpy, imported by the trace writer alone
 """
 
+import types
+
 from .diagnostics import (
     BoundEnvelope,
     InequalityReport,
@@ -80,59 +82,7 @@ from .schedules import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundEnvelope",
-    "Constant",
-    "Decreasing",
-    "DirectionDistribution",
-    "DistributionConstants",
-    "ExperimentConfig",
-    "FixedHorizon",
-    "ISSolutionDependent",
-    "ISSolutionFree",
-    "InequalityReport",
-    "IterationRecord",
-    "MCValidation",
-    "NoiseSpec",
-    "NonFiniteObjectiveError",
-    "Objective",
-    "OptimizerState",
-    "PerCoordinate",
-    "RateFit",
-    "RunSummary",
-    "RunTrace",
-    "SeedResult",
-    "SmoothnessInfo",
-    "SolutionDependent",
-    "SolutionFree",
-    "StepContext",
-    "bound_envelope",
-    "candidate_points",
-    "compare_methods",
-    "constants",
-    "d_norm",
-    "fit_linear_rate",
-    "init_state",
-    "load_config",
-    "make_lqr",
-    "make_quadratic",
-    "make_rosenbrock",
-    "mc_validate",
-    "optimal_gamma0",
-    "parse_config",
-    "quadratic_level_radius",
-    "required_iterations",
-    "run_block",
-    "run_experiment",
-    "run_once",
-    "sample",
-    "smtp_is_run",
-    "smtp_run",
-    "smtp_step",
-    "solution_free_t_max",
-    "solution_free_t_max_is",
-    "stepsize",
-    "stp_run",
-    "verify_trace_inequalities",
-    "wrap_noise",
-]
+# every public name is declared once, in the imports above: __all__ is each
+# bound name without a leading underscore that is not a submodule
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -225,6 +225,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         fail("noise_sigma", "noise.sigma must be >= 0")
     if cfg.noise_obs < 1:
         fail("noise_obs", "noise.k must be >= 1")
+    if cfg.noise_sigma and cfg.schedule_kind == "solution_dependent":
+        fail("noise_sigma", "schedule.kind = solution_dependent steps by f(z) - f_star, "
+             "which noise leaves undefined near the optimum: it takes no noise.sigma > 0")
     if cfg.theorem is not None:
         if cfg.theorem not in schedules.THEOREM_IDS:
             fail("theorem", f"unknown theorem {cfg.theorem!r}")
@@ -359,11 +362,11 @@ def _resolve_r0(cfg: ExperimentConfig, obj: objectives.Objective, x0, norm_const
     line = _line_of(cfg._lines, "r0")
     if cfg.r0 != "auto":
         r0 = float(cfg.r0)
-    else:  # a quadratic's (_validate)
-        gap0 = obj.value(x0) - obj.smoothness.f_star
+    else:  # a quadratic's (_validate), from its noise-free value
+        gap0 = obj.base.value(x0) - obj.smoothness.f_star
         try:
             r0 = schedules.quadratic_level_radius(obj.smoothness.coord_L, gap0, norm_constants)
-        except ValueError as exc:  # a rotated basis, or a noisy draw of f(x0) below f_star
+        except ValueError as exc:  # a rotated basis
             raise ConfigError(f"{line}r0 = auto: {exc}") from None
     if not r0 > 0.0:
         # the convex rules and envelopes divide by r0; auto gives 0 at a minimiser
@@ -423,9 +426,10 @@ def build_schedule(cfg: ExperimentConfig, obj: objectives.Objective, x0,
     Given w (smtp_is), each kind builds its importance-sampling rule, with
     S_w and m = min p_i / w_i standing in for L gamma_d and mu_d: constant,
     fixed_horizon and decreasing are the plain rule over the divisor w.  Derived
-    choices ('auto'/'optimal') may evaluate f(x0) once; those evaluations
-    happen before the run starts and are counted like any query.  A rule's
-    own ValueError (a stepsize <= 0, say) cites schedule.kind's line.
+    choices ('auto'/'optimal') evaluate the noise-free f(x0) once, before the
+    run starts: a noise-free run counts that call like any query, and a noisy
+    run's objective neither answers nor counts it.  A rule's own ValueError
+    (a stepsize <= 0, say) cites schedule.kind's line.
     """
     line = _line_of(cfg._lines, "schedule_kind")
     kind = cfg.schedule_kind
@@ -461,7 +465,7 @@ def build_schedule(cfg: ExperimentConfig, obj: objectives.Objective, x0,
                     L, gamma_d = schedules.is_sum_weighted_L(p, w, need_coord_L()), 1.0
                 else:
                     L, gamma_d = need_L(), norm_constants.gamma_d
-                g0 = schedules.optimal_gamma0(beta, obj.value(x0) - info.f_star, L, gamma_d)
+                g0 = schedules.optimal_gamma0(beta, obj.base.value(x0) - info.f_star, L, gamma_d)
             else:
                 g0 = float(cfg.schedule_gamma0)
             horizon = cfg.schedule_horizon if cfg.schedule_horizon is not None else cfg.max_iters
@@ -587,7 +591,7 @@ def _envelope_params(cfg: ExperimentConfig, obj, x0, parts: RunParts) -> dict:
     }
     for key in schedules.THEOREMS[cfg.theorem].reads:
         if key == "r0":
-            params["r0"] = _resolve_r0(cfg, obj.base, x0, nc)
+            params["r0"] = _resolve_r0(cfg, obj, x0, nc)
         elif key == "theta_k":
             params["theta_k"] = cfg.schedule_theta_k
         elif hasattr(rule, key):
@@ -949,14 +953,6 @@ def compare_table(rows: list[dict]) -> list[str]:
     lines = ["label,n_seeds,n_reached,median_evals,min_evals,max_evals"]
     for row in rows:
         lines.append(
-            f"{row['label']},{row['n_seeds']},{row['n_reached']},"
-            f"{_num(row['median_evals'])},{_num(row['min_evals'])},{_num(row['max_evals'])}")
+            f"{row['label']},{row['n_seeds']},{row['n_reached']},{_format(row['median_evals'])},"
+            f"{_format(row['min_evals'])},{_format(row['max_evals'])}")
     return lines
-
-
-def _num(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
-    if float(x).is_integer():
-        return str(int(x))
-    return format(x, ".17g")

@@ -129,8 +129,4 @@ def test_a_config_that_parses_runs_and_one_that_does_not_cites_a_line(text):
     try:
         run_once(cfg, cfg.seeds[0])
     except NonFiniteObjectiveError:
-        pass  # a step of 1e300 overflows f
-    except ValueError as exc:
-        # a noisy f(z) can fall below f_star, where a solution-dependent rule
-        # has no step: a fault of the run, which no config check can foresee
-        assert cfg.noise_sigma and "below the declared f_star" in str(exc), f"{exc}\n---\n{text}"
+        pass  # a step of 1e300 overflows f: the one fault a run may still meet

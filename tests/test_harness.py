@@ -39,6 +39,12 @@ QUAD_BASE = "\n".join([
     "seeds = 3",
 ])
 
+NOISY_DEPENDENT = (r"schedule.kind = solution_dependent steps by f\(z\) - f_star, which noise "
+                   "leaves undefined near the optimum: it takes no noise.sigma > 0$")
+# QUAD_BASE under a constant rule: solution_dependent takes no noise.sigma > 0
+NOISY_BASE = QUAD_BASE.replace("schedule.kind = solution_dependent",
+                               "schedule.kind = constant\nschedule.gamma = 0.01")
+
 SHARED_STEP = "\n".join([
     "objective = quadratic",
     "dimension = 10",
@@ -349,6 +355,14 @@ class TestParsing:
         ("schedule.kind = solution_dependent", "schedule.kind = decreasing\nschedule.alpha = 1\n"
          "r0 = 1\ntheorem = CVX-DEC\nschedule.theta_k = 0.5", 11,
          "schedule.theta_k is set, but nothing this config runs reads it$"),
+        # the rule steps by f(z) - f_star, which noise leaves undefined near the optimum
+        ("seeds = 3", "seeds = 3\nnoise.sigma = 0.5", 10, NOISY_DEPENDENT),
+        (QUAD_BASE, "method = smtp_is\nobjective = quadratic\ndimension = 4\ncoord_L = 1,2,3,4\n"
+         "noise.sigma = 0.5\nnoise.k = 2\nschedule.kind = solution_dependent", 5, NOISY_DEPENDENT),
+        ("objective = quadratic\ndimension = 4\ncoord_L = logspace:1,4\ndistribution = sphere\n"
+         "schedule.kind = solution_dependent", "objective = rosenbrock\ndimension = 4\n"
+         "distribution = sphere\nschedule.kind = solution_free\nschedule.t = auto\nepsilon = 1e-6",
+         7, "schedule.t = auto needs mu and L metadata$"),
     ], ids=["jobs", "max_iters", "seeds", "noise.sigma", "dimension", "lqr_size", "distribution",
             "smtp_is_distribution", "repeated_seeds", "negative_seed", "nc_needs_grad_norm", "envelope_max_iters",
             "lqr_grad_norm", "r0", "gamma0", "alpha", "theta", "t", "gaussian_weights",
@@ -364,7 +378,8 @@ class TestParsing:
             "r0_auto_off_quadratic", "lqr_horizon_0", "lqr_d_ctrl", "weights_sum",
             "weights_positive", "is_p_sum", "negative_gamma", "theta_below_2_over_alpha",
             "theta_k_3", "optimal_gamma0_at_minimiser", "default_is_w_off_quadratic",
-            "r0_auto_rotated_basis", "theta_k_under_nc", "theta_k_under_cvx_dec"])
+            "r0_auto_rotated_basis", "theta_k_under_nc", "theta_k_under_cvx_dec",
+            "noisy_solution_dependent", "noisy_is_solution_dependent", "t_auto_off_quadratic"])
     def test_validation_errors_name_their_line(self, old, new, line, message):
         with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
             parse_config(QUAD_BASE.replace(old, new))
@@ -577,7 +592,7 @@ class TestBuilders:
     def test_noisy_budget_counts_oracle_calls(self):
         # noise.k = 4 makes every query 4 oracle calls: f(x0) and 2 per
         # iteration cost 4 + 8 k, so a budget of 40 stops after 5 iterations
-        cfg = parse_config(QUAD_BASE.replace("max_iters = 80", "max_iters = 1000")
+        cfg = parse_config(NOISY_BASE.replace("max_iters = 80", "max_iters = 1000")
                            + "\nnoise.sigma = 0.01\nnoise.k = 4\neval_budget = 40")
         trace, obj = run_once(cfg, seed=0)
         assert trace.stop_reason == "eval_budget"
@@ -587,12 +602,63 @@ class TestBuilders:
         assert (result.iterations, result.evals) == (5, 44)
 
     def test_noise_seeding(self):
-        cfg = parse_config(QUAD_BASE + "\nnoise.sigma = 0.05")
+        cfg = parse_config(NOISY_BASE + "\nnoise.sigma = 0.05")
         a, _ = run_once(cfg, seed=0)
         b, _ = run_once(cfg, seed=0)
         c, _ = run_once(cfg, seed=1)
         assert a.records[-1].f_z_after == b.records[-1].f_z_after
         assert a.records[-1].f_z_after != c.records[-1].f_z_after
+
+    @pytest.mark.parametrize("rule, name, value", [
+        ("fixed_horizon\nschedule.gamma0 = optimal", "gamma0", 0.7544552319288876),
+        ("decreasing\nschedule.alpha = auto\nr0 = auto", "alpha", 0.13219547811388085),
+    ], ids=["gamma0_optimal", "alpha_auto"])
+    def test_derived_stepsize_constants_read_the_noise_free_objective(self, rule, name, value):
+        # one noisy draw of f(x0) made each seed's constant its own; the
+        # noise-free f(x0) is no query of the noisy run, so it leaves its
+        # evals and noise draws alone
+        text = QUAD_BASE.replace("solution_dependent", rule)
+        assert getattr(harness._build_row(parse_config(text), 0)[2].schedule, name) == value
+        noisy = parse_config(text + "\nnoise.sigma = 0.5")
+        for seed in (0, 1, 2):
+            obj, _, parts = harness._build_row(noisy, seed)
+            assert getattr(parts.schedule, name) == value
+            assert obj.eval_counter == 0
+
+    @pytest.mark.parametrize("method, text, t", [
+        ("smtp", "distribution = sphere", 9.973557010035818e-05),
+        ("smtp_is", "is.p = prop_L", 0.00039322075156801876),
+    ])
+    def test_solution_free_t_auto(self, method, text, t, tmp_path, capsys):
+        # t = auto takes the largest probe offset that reaches epsilon
+        # (schedules.solution_free_t_max and its IS form)
+        base = (QUAD_BASE.replace("method = smtp", f"method = {method}")
+                .replace("distribution = sphere", text)
+                .replace("solution_dependent", "solution_free\nschedule.t = auto\nepsilon = 1e-6"))
+        assert harness._build_row(parse_config(base), 0)[2].schedule.t == t
+        # and the SC-FREE envelope holds for it
+        theorem = "IS-SC-FREE" if method == "smtp_is" else "SC-FREE"
+        path = tmp_path / "auto.cfg"
+        path.write_text(base + f"\ntheorem = {theorem}\n")
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "envelope: pass"
+
+    @pytest.mark.parametrize("rule", ["constant\nschedule.gamma = 0.05",
+                                      "solution_free\nschedule.t = 1e-3",
+                                      "fixed_horizon\nschedule.gamma0 = optimal"])
+    def test_identity_basis_equals_the_coordinate_law(self, rule, tmp_path):
+        # orthonormal_weighted over the identity draws the coordinates
+        # coord_weighted draws, as vectors: four seeds make a block of each
+        # kind of law wherever the block takes the rule
+        text = (QUAD_BASE.replace("solution_dependent", rule).replace("seeds = 3", "seeds = 4")
+                + "\nweights = 0.1,0.2,0.3,0.4")
+        traces = []
+        for law in ("coord_weighted", "orthonormal_weighted\nbasis = identity"):
+            cfg = parse_config(text.replace("sphere", law), label="law")
+            out = tmp_path / law[:5]
+            run_experiment(cfg, out_dir=str(out))
+            traces.append([(out / "law" / f"trace_seed{s}.csv").read_bytes() for s in range(4)])
+        assert traces[0] == traces[1]
 
 
 class TestRunExperiment:
@@ -787,6 +853,19 @@ class TestCompare:
         assert rows[0]["n_reached"] == 0
         assert math.isinf(rows[0]["median_evals"])
 
+    def test_table_prints_inf_and_half_medians(self, tmp_path):
+        # four seeds of the probing rule give a median between two evaluation
+        # counts; three iterations reach no target, so every count is inf
+        text = SHARED_STEP.replace("seeds = 5", "seeds = 4").replace("max_iters = 4000", "")
+        probe = parse_config(text.replace("constant\nschedule.gamma = 0.05",
+                                          "solution_free\nschedule.t = 0.1")
+                             + "\nmax_iters = 4000\nmethod = smtp", label="probe")
+        short = parse_config(text + "\nmax_iters = 3\nmethod = smtp", label="short")
+        compare_methods([probe, short], out_dir=str(tmp_path))
+        assert (tmp_path / "compare.csv").read_bytes() == (
+            b"label,n_seeds,n_reached,median_evals,min_evals,max_evals\n"
+            b"probe,4,4,278.5,154,334\nshort,4,0,inf,inf,inf\n")
+
     def test_requires_shared_objective(self):
         a = parse_config(SHARED_STEP + "\nmethod = stp", label="a")
         b = parse_config(SHARED_STEP.replace("dimension = 10", "dimension = 9")
@@ -886,9 +965,8 @@ class TestCli:
         # a noisy run compares fresh draws with one cached noisy f(z): seed 0
         # freezes after its move at k = 590 with a cached gap of 0.80 where the
         # true gap is 4.26
-        noisy = QUAD_BASE.replace("schedule.kind = solution_dependent",
-                                  "schedule.kind = constant\nschedule.gamma = 0.01")
-        noisy = noisy.replace("max_iters = 80", "max_iters = 2000").replace("seeds = 3", "seeds = 0,1")
+        noisy = NOISY_BASE.replace("max_iters = 80", "max_iters = 2000").replace("seeds = 3",
+                                                                                  "seeds = 0,1")
         cfg_path = self._write(tmp_path, "noisy.cfg", noisy + "\nnoise.sigma = 1")
         assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
         text = (tmp_path / "out" / "noisy" / "summary.txt").read_text()
@@ -1100,3 +1178,11 @@ class TestCli:
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, timeout=120)
         assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    # the rate fit, then the descent checks and the envelope, both holding
+    assert capsys.readouterr().out.splitlines()[1:] == ["True", "True"]
