@@ -7,6 +7,8 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threepoint.diagnostics import (
     bound_envelope,
@@ -143,6 +145,27 @@ class TestRateFit:
     def test_rejects_negative_gap(self):
         with pytest.raises(ValueError, match="negative"):
             fit_linear_rate(_synthetic_trace([1.0] * 15), 1.5)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data(), n=st.integers(12, 5000), sigma=st.floats(0.0, 0.5),
+           seed=st.integers(0, 2**32 - 1), default_burn_in=st.booleans())
+    def test_closed_form_matches_polyfit(self, data, n, sigma, seed, default_burn_in):
+        # the closed-form line gives np.polyfit's rate and R^2; rho is kept
+        # where rho^n stays above 1e-300, so no gap underflows to zero
+        rho = data.draw(st.floats(max(0.5, 1e-300 ** (1.0 / n)), 0.99999), label="rho")
+        burn_in = None if default_burn_in else data.draw(st.integers(0, n - 10), label="burn_in")
+        noise = np.exp(sigma * np.random.default_rng(seed).standard_normal(n))
+        gaps = rho ** np.arange(n) * noise
+        fit = fit_linear_rate(_synthetic_trace(gaps.tolist()), 0.0, burn_in)
+        start = n // 10 if burn_in is None else burn_in
+        ks = np.arange(start, n, dtype=float)
+        logs = np.log(gaps[start:])
+        slope, intercept = np.polyfit(ks, logs, 1)
+        ss_tot = np.sum((logs - np.mean(logs)) ** 2)
+        r2 = 1.0 if ss_tot == 0.0 else 1.0 - np.sum((logs - slope * ks - intercept) ** 2) / ss_tot
+        assert fit.n_points == n - start and not fit.hit_zero
+        assert fit.rate == pytest.approx(np.exp(slope), rel=1e-12, abs=0.0)
+        assert fit.r_squared == pytest.approx(r2, rel=0.0, abs=1e-12)
 
 
 class TestVerifyInequalities:

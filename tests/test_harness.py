@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from threepoint import cli, harness, optimizers, render
+from threepoint import cli, diagnostics, harness, optimizers, render
 from threepoint.harness import (
     CSV_HEADER,
     ConfigError,
@@ -96,6 +96,10 @@ FULL_SURFACE = "\n".join([
     "checkpoints = 10,25,50",
     "jobs = 2",
 ])
+
+
+def _summary(run_dir) -> dict:
+    return dict(line.split("=", 1) for line in (run_dir / "summary.txt").read_text().splitlines())
 
 
 class TestParsing:
@@ -757,6 +761,42 @@ class TestRunExperiment:
             harness._write_trace(trace, str(path))
             assert len(rows) == n + 1
             assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+    @pytest.mark.parametrize("iters, rate", [(9, None), (10, 0.97872), (11, 0.97874)])
+    def test_summary_reports_every_rate_the_fit_gives(self, tmp_path, iters, rate):
+        # fit_linear_rate alone decides: 10 and 11 iterations leave 10 and 11
+        # points after the 10% burn-in, 9 iterations too few
+        text = "\n".join(["method = smtp", "beta = 0.5", "objective = quadratic",
+                          "dimension = 10", "coord_L = logspace:1,10", "distribution = sphere",
+                          "schedule.kind = solution_dependent", f"max_iters = {iters}",
+                          "seeds = 1"])
+        cfg = parse_config(text, label="short")
+        run_experiment(cfg, out_dir=str(tmp_path))
+        summary = _summary(tmp_path / "short")
+        trace, obj = run_once(cfg, 0)
+        if rate is None:
+            assert summary["seed0.contraction"] == summary["seed0.r_squared"] == ""
+            with pytest.raises(ValueError, match=">= 10"):
+                diagnostics.fit_linear_rate(trace, obj.smoothness.f_star)
+        else:
+            fit = diagnostics.fit_linear_rate(trace, obj.smoothness.f_star)
+            assert float(summary["seed0.contraction"]) == fit.rate == pytest.approx(rate, abs=5e-6)
+            assert float(summary["seed0.r_squared"]) == fit.r_squared
+
+    def test_written_runs_call_no_lapack(self, tmp_path, monkeypatch):
+        # the rate fit is a closed form: LAPACK's first lstsq call alone
+        # raised a written run's resident peak by about 1.5 MB.  polyfit binds
+        # lstsq at import, so both names are patched
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("a written run called LAPACK")
+
+        monkeypatch.setattr(np, "polyfit", no_lapack)
+        monkeypatch.setattr(np.linalg, "lstsq", no_lapack)
+        for label, seeds in (("block", "1,2,3"), ("alone", "1")):
+            cfg = parse_config(QUAD_BASE.replace("seeds = 3", f"seeds = {seeds}"), label=label)
+            run_experiment(cfg, out_dir=str(tmp_path))
+            summary = _summary(tmp_path / label)
+            assert all(0.0 < float(summary[f"seed{seed}.contraction"]) < 1.0 for seed in cfg.seeds)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = parse_config(QUAD_BASE, label="x")
