@@ -67,7 +67,8 @@ def fit_linear_rate(trace: RunTrace, f_star: float, burn_in: int | None = None) 
     Needs at least 10 post-burn-in points.  A zero gap anywhere after the
     burn-in yields contraction 0 with hit_zero set.
     """
-    gaps = np.concatenate(([trace.f0], np.asarray(trace.f_z))) - f_star
+    gaps = np.concatenate(([trace.f0], trace.f_z), dtype=float)
+    gaps -= f_star
     if burn_in is None:
         burn_in = len(gaps) // 10
     tail = gaps[burn_in:]
@@ -77,15 +78,16 @@ def fit_linear_rate(trace: RunTrace, f_star: float, burn_in: int | None = None) 
         raise ValueError("gap became negative; f_star is not a lower bound")
     if np.any(tail == 0.0):
         return RateFit("linear", 0.0, 1.0, len(tail), hit_zero=True)
-    ks = np.arange(burn_in, len(gaps), dtype=float)
-    logs = np.log(tail)
-    # the centred closed form of the least-squares line: no LAPACK, whose
-    # first call costs a run about 1.5 MB of resident memory
-    kc = ks - ks.mean()
-    dev = logs - logs.mean()
+    # the centred least-squares line, with no LAPACK (1.5 MB resident), in two buffers:
+    # kc the centred ks, tail the logs' deviations then residuals, by the same ufuncs
+    kc = np.arange(burn_in, len(gaps), dtype=float)
+    kc -= kc.mean()
+    dev = np.log(tail, out=tail)
+    dev -= dev.mean()
     slope = np.dot(kc, dev) / np.dot(kc, kc)
-    ss_res = float(np.sum((dev - slope * kc) ** 2))
     ss_tot = float(np.dot(dev, dev))
+    dev -= np.multiply(slope, kc, out=kc)
+    ss_res = float(np.sum(np.square(dev, out=dev)))
     # ss_tot == 0 means a flat series: rho = 1 describes it exactly and any
     # residual is round-off, so report a perfect fit.
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot

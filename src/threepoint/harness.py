@@ -24,9 +24,9 @@ from . import diagnostics, directions, objectives, optimizers, schedules
 ENV_OUT = "THREEPOINT_OUT"
 DEFAULT_OUT = "runs"
 CSV_HEADER = "k,f_z,gamma,branch,evals,grad_norm_D"
-# rows rendered per write: of 512 to 4096 on eight 20,000-row traces, 2048 ran
-# fastest, its peak 0.9 MB below 4096's; smaller chunks saved 0.1 MB more at most
-CSV_CHUNK = 2048
+# rows rendered per write; on quad_run's 8 traces, 1024 rows wrote in 95-114 ms (ru_maxrss
+# 41.09 MB), 2048 in 86-102 ms (41.36 MB) and 4096 rows reached 42.25 MB (CHANGES.md)
+CSV_CHUNK = 1024
 
 METHODS = ("stp", "smtp", "smtp_is")
 
@@ -500,7 +500,7 @@ def _resolve_alpha_theta(cfg, obj, x0, mu_like, norm_constants):
     else:
         alpha = float(cfg.schedule_alpha)
     if cfg.schedule_theta is None or cfg.schedule_theta == "auto":
-        theta = 2.0 / alpha
+        theta = 2.0 / alpha if alpha else 0.0  # Decreasing itself rejects alpha = 0, citing a line
     else:
         theta = float(cfg.schedule_theta)
     return alpha, theta
@@ -810,10 +810,10 @@ def _seed_result(cfg: ExperimentConfig, seed: int, trace, obj, wall: float,
 
 
 def _median(a: np.ndarray) -> float:
-    """np.median of a NaN-free 1-d array, bit for bit, without its numpy.ma NaN check."""
+    """np.median of a NaN-free 1-d array, bit for bit, sorted (np.partition maps more code)."""
     half, odd = divmod(len(a), 2)
-    part = np.partition(a, half if odd else (half - 1, half))
-    return float(part[half] if odd else (part[half - 1] + part[half]) / 2)
+    a = np.sort(a)
+    return float(a[half] if odd else (a[half - 1] + a[half]) / 2)
 
 
 def _process_pool(workers: int):

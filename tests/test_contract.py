@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import fields
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from threepoint import harness, schedules
@@ -57,7 +57,7 @@ POOLS = {
     "schedule.kind": (schedules.SCHEDULE_KINDS, ("warmup",)),
     "schedule.gamma": (("0.01", "1e300"), ("-1",)),
     "schedule.gamma0": (("optimal", "0.05"), ("0", "x")),
-    "schedule.alpha": (("auto", "1", "0.5"), ("-1",)),
+    "schedule.alpha": (("auto", "1", "0.5"), ("-1", "0")),
     "schedule.theta": (("auto", "4"), ("0.5",)),
     "schedule.t": (("auto", "1e-3"), ("-1",)),
     "schedule.theta_k": (("0.5", "1"), ("3",)),
@@ -120,6 +120,9 @@ def configs(draw) -> str:
 @settings(max_examples=1000, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(text=configs())
+# theta = auto is 2 / alpha, so alpha = 0 once failed with a bare ZeroDivisionError
+@example(text="method = smtp\nobjective = quadratic\ndimension = 2\ndistribution = sphere\n"
+              "schedule.kind = decreasing\nschedule.alpha = 0\nmax_iters = 5")
 def test_a_config_that_parses_runs_and_one_that_does_not_cites_a_line(text):
     try:
         cfg = parse_config(text)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threepoint import harness
 from threepoint.diagnostics import (
     bound_envelope,
     fit_linear_rate,
@@ -145,6 +146,30 @@ class TestRateFit:
     def test_rejects_negative_gap(self):
         with pytest.raises(ValueError, match="negative"):
             fit_linear_rate(_synthetic_trace([1.0] * 15), 1.5)
+
+    @pytest.mark.parametrize("seed, steps, burn_in", [(1, 20000, None), (2, 20000, None),
+                                                      (3, 3000, 250)])
+    def test_fit_is_bitwise_the_out_of_place_form(self, seed, steps, burn_in):
+        # the fit works in place with the out-of-place form's ufuncs in its
+        # order, so summary.txt's rate and R^2 keep every bit on quad_run's
+        # traces.  The bits rest on the BLAS dot kernel: on seed 1 the rate is
+        # 0x1.fcd06036d5654p-1 under OpenBLAS's SkylakeX kernel and
+        # 0x1.fcd04677878fep-1 under its Haswell one, so the form is rebuilt here
+        text = "\n".join(["method = smtp", "beta = 0.5", "objective = quadratic", "dimension = 10",
+                          "coord_L = logspace:1,10", "distribution = sphere",
+                          "schedule.kind = solution_dependent", f"max_iters = {steps}"])
+        trace, obj = harness.run_once(harness.parse_config(text), seed)
+        f_star = obj.smoothness.f_star
+        fit = fit_linear_rate(trace, f_star, burn_in)
+        gaps = np.concatenate(([trace.f0], np.asarray(trace.f_z))) - f_star
+        start = len(gaps) // 10 if burn_in is None else burn_in
+        kc = np.arange(start, len(gaps), dtype=float)
+        kc = kc - kc.mean()
+        logs = np.log(gaps[start:])
+        dev = logs - logs.mean()
+        slope = np.dot(kc, dev) / np.dot(kc, kc)
+        r2 = 1.0 - float(np.sum((dev - slope * kc) ** 2)) / float(np.dot(dev, dev))
+        assert (fit.rate.hex(), fit.r_squared.hex()) == (float(np.exp(slope)).hex(), r2.hex())
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(data=st.data(), n=st.integers(12, 5000), sigma=st.floats(0.0, 0.5),

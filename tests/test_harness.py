@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,9 @@ class TestParsing:
         ("schedule.kind = solution_dependent",
          "schedule.kind = decreasing\nschedule.alpha = 1\nschedule.theta = 0.5", 7,
          "schedule.kind = decreasing: theta must be >= 2/alpha$"),
+        # theta = auto is 2 / alpha: alpha = 0 reaches the rule's own check
+        ("schedule.kind = solution_dependent", "schedule.kind = decreasing\nschedule.alpha = 0", 7,
+         "schedule.kind = decreasing: alpha must be > 0$"),
         ("schedule.kind = solution_dependent", "schedule.kind = solution_dependent\n"
          "schedule.theta_k = 3", 7,
          r"schedule.kind = solution_dependent: theta_k must lie in \(0,2\), got 3.0 at k=0$"),
@@ -381,7 +385,7 @@ class TestParsing:
             "is_w_entries", "is_w_solution_free", "basis_spec", "cvx_without_r0", "alpha_auto_without_r0",
             "r0_auto_off_quadratic", "lqr_horizon_0", "lqr_d_ctrl", "weights_sum",
             "weights_positive", "is_p_sum", "negative_gamma", "theta_below_2_over_alpha",
-            "theta_k_3", "optimal_gamma0_at_minimiser", "default_is_w_off_quadratic",
+            "alpha_zero", "theta_k_3", "optimal_gamma0_at_minimiser", "default_is_w_off_quadratic",
             "r0_auto_rotated_basis", "theta_k_under_nc", "theta_k_under_cvx_dec",
             "noisy_solution_dependent", "noisy_is_solution_dependent", "t_auto_off_quadratic"])
     def test_validation_errors_name_their_line(self, old, new, line, message):
@@ -762,6 +766,50 @@ class TestRunExperiment:
             assert len(rows) == n + 1
             assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
 
+    @pytest.mark.parametrize("long_double", [True, False], ids=["long_double", "double"])
+    def test_traces_written_back_to_back_share_no_bytes(self, tmp_path, monkeypatch, long_double):
+        # one process writes four traces in turn, each over more than two
+        # chunks with a partial last one, grad_norm_D set on every other one;
+        # k crosses 999 -> 1000 and evals 9999 -> 10000 inside a chunk.  Each
+        # file must be the plain join of its own columns
+        if not long_double:
+            with np.errstate(over="ignore"):
+                monkeypatch.setattr(render, "_POW10", render._POW10.astype(float))
+        steps = 5003
+        assert steps > 2 * harness.CSV_CHUNK and steps % harness.CSV_CHUNK
+        for i, track in enumerate([True, False, True, False]):
+            text = QUAD_BASE.replace("max_iters = 80", f"max_iters = {steps}")
+            trace, _ = run_once(parse_config(text + f"\ntrack_grad_norm = {str(track).lower()}"), i)
+            grad = trace.grad_norm if track else [None] * steps
+            rows = [CSV_HEADER] + [
+                f"{k},{format(f, '.17g')},{format(g, '.17g')},{optimizers.BRANCHES[b]},{'%d' % e},"
+                f"{harness._format(n)}"
+                for k, (f, g, b, e, n) in enumerate(zip(trace.f_z, trace.gamma, trace.branch,
+                                                        trace.evals, grad))]
+            path = tmp_path / f"trace{i}.csv"
+            harness._write_trace(trace, str(path))
+            assert len(rows) == steps + 1 and trace.evals[-1] > 10**4 > trace.evals[0]
+            assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+    def test_written_tail_works_in_a_small_set(self, tmp_path):
+        # _seed_result writes one 20,000-row trace of quad_run's shape and
+        # summarises it: its traced peak above the trace it holds stays within
+        # a few chunks' cells (about 1 MB when each chunk's cells were copied)
+        text = "\n".join(["method = smtp", "beta = 0.5", "objective = quadratic", "dimension = 10",
+                          "coord_L = logspace:1,10", "distribution = sphere",
+                          "schedule.kind = solution_dependent", "max_iters = 20000"])
+        cfg = parse_config(text)
+        trace, obj = run_once(cfg, 1)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            result, _ = harness._seed_result(cfg, 1, trace, obj, 0.0, str(tmp_path), None)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert result.contraction is not None and (tmp_path / "trace_seed1.csv").exists()
+        assert peak < 512 * 1024
+
     @pytest.mark.parametrize("iters, rate", [(9, None), (10, 0.97872), (11, 0.97874)])
     def test_summary_reports_every_rate_the_fit_gives(self, tmp_path, iters, rate):
         # fit_linear_rate alone decides: 10 and 11 iterations leave 10 and 11
@@ -834,6 +882,25 @@ class TestRunExperiment:
         summary = run_experiment(cfg, write=False)
         assert summary.envelope_ok is True
         assert all(r.envelope_ok for r in summary.seed_results)
+
+    def test_cvx_const_over_fixed_horizon_reads_its_constant_step(self, monkeypatch):
+        # a fixed-horizon rule is the constant gamma0 / sqrt(horizon) over the
+        # run, and CVX-CONST's envelope reads that gamma
+        seen, bound = [], diagnostics.bound_envelope
+
+        def bound_envelope(theorem_id, params, n_iters):
+            seen.append(params)
+            return bound(theorem_id, params, n_iters)
+
+        monkeypatch.setattr(harness.diagnostics, "bound_envelope", bound_envelope)
+        cfg = parse_config(QUAD_BASE.replace("max_iters = 80", "max_iters = 400")
+                           .replace("seeds = 3", "seeds = 0,1,2")
+                           .replace("schedule.kind = solution_dependent",
+                                    "schedule.kind = fixed_horizon\nschedule.gamma0 = 0.02")
+                           + "\nr0 = auto\ntheorem = CVX-CONST")
+        summary = run_experiment(cfg, write=False)
+        assert seen and all(params["gamma"] == 0.02 / math.sqrt(400) for params in seen)
+        assert summary.envelope_ok is True
 
     def test_envelope_fail_detected(self):
         # a near-zero constant step makes no progress, so the running mean of

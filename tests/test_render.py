@@ -37,7 +37,9 @@ def test_floats_are_format_17g_bytes():
     values = bits.view(np.float64)
     values = np.concatenate([values[np.isfinite(values)], _edges(), [np.inf, -np.inf, np.nan]])
     expected = "".join(format(v, ".17g") + "\n" for v in values.tolist()).encode()
-    assert _blob(render.floats(values)) == expected
+    cells = np.empty((len(values), render._WIDTH), np.uint8)
+    render.floats(values, cells)
+    assert _blob(cells) == expected
 
 
 def test_ints_are_percent_d_bytes():
