@@ -25,7 +25,7 @@ ENV_OUT = "THREEPOINT_OUT"
 DEFAULT_OUT = "runs"
 CSV_HEADER = "k,f_z,gamma,branch,evals,grad_norm_D"
 # rows rendered per write; on quad_run's 8 traces, 1024 rows wrote in 95-114 ms (ru_maxrss
-# 41.09 MB), 2048 in 86-102 ms (41.36 MB) and 4096 rows reached 42.25 MB (CHANGES.md)
+# 41.47 MB), 2048 in 86-102 ms (41.98 MB) and 4096 rows reached 42.46 MB (parent 42.11 MB)
 CSV_CHUNK = 1024
 
 METHODS = ("stp", "smtp", "smtp_is")
@@ -810,10 +810,10 @@ def _seed_result(cfg: ExperimentConfig, seed: int, trace, obj, wall: float,
 
 
 def _median(a: np.ndarray) -> float:
-    """np.median of a NaN-free 1-d array, bit for bit, sorted (np.partition maps more code)."""
+    """np.median of a NaN-free 1-d array, bit for bit, without its numpy.ma NaN check."""
     half, odd = divmod(len(a), 2)
-    a = np.sort(a)
-    return float(a[half] if odd else (a[half - 1] + a[half]) / 2)
+    part = np.partition(a, half if odd else (half - 1, half))
+    return float(part[half] if odd else (part[half - 1] + part[half]) / 2)
 
 
 def _process_pool(workers: int):
