@@ -102,6 +102,10 @@ class DistributionConstants:
     basis: np.ndarray | None = None
     exact: bool = True
 
+    def __post_init__(self):  # d_norm_rows and the level radius read no other tag
+        if self.norm_tag not in (L2, L1, WEIGHTED_L1):
+            raise ValueError(f"unknown norm tag {self.norm_tag!r}")
+
 
 def constants(dist: DirectionDistribution) -> DistributionConstants:
     """Closed-form constants for each supported kind."""
@@ -113,11 +117,8 @@ def constants(dist: DirectionDistribution) -> DistributionConstants:
         return DistributionConstants(1.0, math.sqrt(2.0) / math.sqrt(d * math.pi), L2)
     if dist.kind == "coord_uniform":
         return DistributionConstants(1.0, 1.0 / d, L1)
-    if dist.kind == "coord_weighted":
-        return DistributionConstants(1.0, 1.0, WEIGHTED_L1, weights=dist.weights)
-    if dist.kind == "orthonormal_weighted":
-        return DistributionConstants(1.0, 1.0, WEIGHTED_L1, weights=dist.weights, basis=dist.basis)
-    raise ValueError(f"unknown kind {dist.kind!r}")
+    # coord_weighted (no basis) or orthonormal_weighted: DirectionDistribution checked the kind
+    return DistributionConstants(1.0, 1.0, WEIGHTED_L1, weights=dist.weights, basis=dist.basis)
 
 
 def categorical_index(cdf: np.ndarray, u: float) -> int:
@@ -142,9 +143,8 @@ def sample(dist: DirectionDistribution, rng: np.random.Generator) -> np.ndarray:
         s = np.zeros(d)
         s[categorical_index(dist.cdf, rng.random())] = 1.0
         return s
-    if dist.kind == "orthonormal_weighted":
-        return dist.basis[:, categorical_index(dist.cdf, rng.random())].copy()
-    raise ValueError(f"unknown kind {dist.kind!r}")
+    # orthonormal_weighted, the last of KINDS (DirectionDistribution checked the kind)
+    return dist.basis[:, categorical_index(dist.cdf, rng.random())].copy()
 
 
 # a chunk holds at most this many floats (and at most _DRAW_ROWS directions),
@@ -216,10 +216,9 @@ def d_norm_rows(c: DistributionConstants, G: np.ndarray) -> np.ndarray:
         return np.sqrt(np.vecdot(G, G))
     if c.norm_tag == L1:
         return np.sum(np.abs(G), axis=-1)
-    if c.norm_tag == WEIGHTED_L1:
-        comp = G if c.basis is None else np.matmul(c.basis.T[None], G[..., None])[..., 0]
-        return np.vecdot(np.abs(comp), c.weights)
-    raise ValueError(f"unknown norm tag {c.norm_tag!r}")
+    # WEIGHTED_L1, the last tag DistributionConstants admits
+    comp = G if c.basis is None else np.matmul(c.basis.T[None], G[..., None])[..., 0]
+    return np.vecdot(np.abs(comp), c.weights)
 
 
 @dataclass(frozen=True)

@@ -341,8 +341,9 @@ def build_is_vectors(cfg: ExperimentConfig, obj: objectives.Objective):
     coord_L = obj.smoothness.coord_L
     d = obj.dimension
     for name, keyword in (("is_p", "prop_L"), ("is_w", "coord_L")):
-        if coord_L is None and getattr(cfg, name) == keyword:
-            # is.w = coord_L is the default: then method smtp_is is what reads it
+        if coord_L is None and getattr(cfg, name) == keyword and (
+                name == "is_p" or cfg.schedule_kind != "solution_free"):
+            # is.w = coord_L is the default, read by every smtp_is rule bar solution_free's
             raise ConfigError(f"{_line_of(cfg._lines, name) or _line_of(cfg._lines, 'method')}"
                               f"{_key(name)} = {keyword} needs coordinate smoothness metadata")
     if cfg.is_p == "uniform":
@@ -352,7 +353,7 @@ def build_is_vectors(cfg: ExperimentConfig, obj: objectives.Objective):
     else:
         p = _parse_vector(cfg, "is_p", d, law=True)
     if cfg.is_w == "coord_L":
-        w = coord_L.copy()
+        w = None if coord_L is None else coord_L.copy()
     elif cfg.is_w == "ones":
         w = np.ones(d)
     else:
@@ -442,7 +443,7 @@ def build_schedule(cfg: ExperimentConfig, obj: objectives.Objective, x0,
         raise ConfigError(f"{line}schedule.kind = {kind} needs {_key(needed)}")
     info = obj.smoothness
     beta = _beta(cfg)
-    is_mode = w is not None
+    is_mode = p is not None
 
     def need(value, what: str):
         if value is None:
@@ -620,6 +621,7 @@ class _Reads:
         return getattr(self.cfg, name)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in a run: the checks cite the line at fault
 def prepare(cfg: ExperimentConfig) -> tuple[list[int] | None, np.ndarray | None]:
     """Check a config and do what a run does before its first seed: build that
     seed's objective, x0 and run parts, and with a theorem its envelope, all

@@ -322,6 +322,19 @@ def _evals(after_init: int, per_step: int, n: int) -> range:
     return range(after_init + per_step, after_init + per_step * (n + 1), per_step)
 
 
+def _check_run(objective, dist, max_iters: int, epsilon_gap, record_index: bool):
+    """The checks smtp_run and run_block share; returns f_star and if dist is a coordinate law."""
+    if max_iters < 0:
+        raise ValueError("max_iters must be >= 0")
+    f_star = objective.smoothness.f_star
+    if epsilon_gap is not None and f_star is None:
+        raise ValueError("epsilon_gap stopping needs a known f_star")
+    coord = dist.kind in COORD_KINDS
+    if record_index and not coord:
+        raise ValueError("record_index needs a coordinate law")
+    return f_star, coord
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the checks raise on a non-finite value
 def smtp_run(objective, dist: DirectionDistribution, schedule, beta: float, x0, max_iters: int,
              seed: int | None = None, epsilon_gap: float | None = None,
@@ -340,14 +353,7 @@ def smtp_run(objective, dist: DirectionDistribution, schedule, beta: float, x0, 
     default), and with record_index the drawn coordinate, which only a
     coordinate law draws (ValueError otherwise).
     """
-    if max_iters < 0:
-        raise ValueError("max_iters must be >= 0")
-    f_star = objective.smoothness.f_star
-    if epsilon_gap is not None and f_star is None:
-        raise ValueError("epsilon_gap stopping needs a known f_star")
-    coord = dist.kind in COORD_KINDS
-    if record_index and not coord:
-        raise ValueError("record_index needs a coordinate law")
+    f_star, coord = _check_run(objective, dist, max_iters, epsilon_gap, record_index)
     require_unit_law(schedule, dist.kind)
     if norm_constants is None:
         norm_constants = constants(dist)
@@ -528,19 +534,12 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
     Without columns a row records nothing per step, and its trace holds
     its evals, stop and f_last alone (RunTrace): for callers that read no more.
     """
-    if max_iters < 0:
-        raise ValueError("max_iters must be >= 0")
     n, d = len(seeds), dists[0].dim
+    f_star, coord = _check_run(objectives[0], dists[0], max_iters, epsilon_gap, record_index)
     if not all(block_supports(o, r, dist, n) for o, r, dist in zip(objectives, rules, dists)):
         raise ValueError(f"block_supports declines a row of this block of {n} rows")
-    f_star = objectives[0].smoothness.f_star
-    if epsilon_gap is not None and f_star is None:
-        raise ValueError("epsilon_gap stopping needs a known f_star")
-    coord = dists[0].kind in COORD_KINDS
     if any(dist.dim != d or (dist.kind in COORD_KINDS) != coord for dist in dists):
         raise ValueError("the rows of a block share one dimension and a coordinate or vector law")
-    if record_index and not coord:
-        raise ValueError("record_index needs a coordinate law")
     states = [init_state(o, x0, beta) for o in objectives]
     after_init = [o.eval_counter for o in objectives]
     G = None

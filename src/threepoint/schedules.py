@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .directions import UNIT_KINDS, DistributionConstants, L1, L2, WEIGHTED_L1
+from .directions import UNIT_KINDS, DistributionConstants, L1, L2
 
 _UNIT_TOL = 1e-9
 
@@ -396,11 +396,10 @@ def quadratic_level_radius(coord_L, f0_gap: float, c: DistributionConstants) -> 
         raise ValueError("f0_gap must be >= 0")
     if c.norm_tag in (L2, L1):
         return math.sqrt(2.0 * f0_gap / float(np.min(coord_L)))
-    if c.norm_tag == WEIGHTED_L1:
-        if c.basis is not None and not np.allclose(c.basis, np.eye(coord_L.size)):
-            raise ValueError("level radius for a rotated basis is not supported")
-        return float(np.max(np.sqrt(2.0 * f0_gap / coord_L) / c.weights))
-    raise ValueError(f"unknown norm tag {c.norm_tag!r}")
+    # WEIGHTED_L1, the last tag DistributionConstants admits
+    if c.basis is not None and not np.allclose(c.basis, np.eye(coord_L.size)):
+        raise ValueError("level radius for a rotated basis is not supported")
+    return float(np.max(np.sqrt(2.0 * f0_gap / coord_L) / c.weights))
 
 
 class Theorem(NamedTuple):

@@ -16,7 +16,8 @@ from threepoint.diagnostics import (
     fit_linear_rate,
     verify_trace_inequalities,
 )
-from threepoint.objectives import Objective, make_lqr, make_quadratic, make_rosenbrock
+from threepoint.objectives import (Objective, SmoothnessInfo, make_lqr, make_quadratic,
+                                   make_rosenbrock)
 from threepoint.optimizers import (
     PLUS,
     OptimizerState,
@@ -235,6 +236,19 @@ class TestVerifyInequalities:
                              retain_internals=True)
         with pytest.raises(ValueError, match="gradient"):
             verify_trace_inequalities(lqr_trace, lqr)
+
+    @pytest.mark.parametrize("record_index, message", [
+        (True, "importance-sampled trace needs coord_L metadata"),
+        (False, "objective has no smoothness constant L"),
+    ], ids=["coord_L", "L"])
+    def test_requires_the_smoothness_constant_it_reads(self, record_index, message):
+        obj = make_quadratic(np.ones(3))
+        trace = smtp_run(obj, DirectionDistribution("coord_uniform", 3), Constant(0.1), 0.5,
+                         np.ones(3), max_iters=5, seed=0, retain_internals=True,
+                         record_index=record_index)
+        obj.smoothness = SmoothnessInfo()  # a gradient oracle, and no constant
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_trace_inequalities(trace, obj)
 
     def _handmade_trace(self, obj, z, f_after, beta=0.0, gamma=1.0):
         s = np.zeros(obj.dimension)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from threepoint.directions import (
     KINDS,
     DirectionDistribution,
+    DistributionConstants,
     constants,
     categorical_index,
     chunk_rows,
@@ -312,3 +314,21 @@ class TestValidation:
     def test_weighted_kind_needs_weights(self):
         with pytest.raises(ValueError):
             DirectionDistribution("coord_weighted", 2)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DirectionDistribution("sphere", 0), "dim must be >= 1"),
+        (lambda: DirectionDistribution("sphere", 2, weights=np.array([0.5, 0.5])),
+         "sphere does not take weights"),
+        (lambda: DirectionDistribution("orthonormal_weighted", 2, weights=np.array([0.5, 0.5])),
+         "orthonormal_weighted requires a basis"),
+        (lambda: DirectionDistribution("orthonormal_weighted", 2, weights=np.array([0.5, 0.5]),
+                                       basis=np.eye(3)), "basis must have shape (2,2), got (3, 3)"),
+        (lambda: DirectionDistribution("coord_weighted", 2, weights=np.array([0.5, 0.5]),
+                                       basis=np.eye(2)), "coord_weighted does not take a basis"),
+        # the one norm-tag check: d_norm_rows and the level radius trust it
+        (lambda: DistributionConstants(1.0, 1.0, "Linf"), "unknown norm tag 'Linf'"),
+    ], ids=["dim_0", "sphere_weights", "basis_missing", "basis_shape", "coord_weighted_basis",
+            "norm_tag"])
+    def test_constructor_arguments_are_checked(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()

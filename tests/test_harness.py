@@ -371,6 +371,16 @@ class TestParsing:
          "schedule.kind = solution_dependent", "objective = rosenbrock\ndimension = 4\n"
          "distribution = sphere\nschedule.kind = solution_free\nschedule.t = auto\nepsilon = 1e-6",
          7, "schedule.t = auto needs mu and L metadata$"),
+        # solution_free under smtp_is scales by coord_L and reads no is.w
+        (QUAD_BASE, "method = smtp_is\nobjective = rosenbrock\ndimension = 4\n"
+         "schedule.kind = solution_free\nschedule.t = 1e-3", 4,
+         "objective 'rosenbrock' has no coordinate smoothness constants$"),
+        (QUAD_BASE, "method = smtp_is\nobjective = lqr\nhorizon = 3\nd_state = 2\nd_ctrl = 1\n"
+         "schedule.kind = solution_free\nschedule.t = auto\nepsilon = 1e-6", 7,
+         "schedule.t = auto needs mu and coord_L metadata$"),
+        # f(x0) overflows: the envelope is inf, and no numpy warning comes first
+        ("seeds = 3", "seeds = 3\nx0_scale = 1e160\ntheorem = SC-DEP", 11,
+         "envelope must be finite and nonnegative$"),
     ], ids=["jobs", "max_iters", "seeds", "noise.sigma", "dimension", "lqr_size", "distribution",
             "smtp_is_distribution", "repeated_seeds", "negative_seed", "nc_needs_grad_norm", "envelope_max_iters",
             "lqr_grad_norm", "r0", "gamma0", "alpha", "theta", "t", "gaussian_weights",
@@ -387,7 +397,8 @@ class TestParsing:
             "weights_positive", "is_p_sum", "negative_gamma", "theta_below_2_over_alpha",
             "alpha_zero", "theta_k_3", "optimal_gamma0_at_minimiser", "default_is_w_off_quadratic",
             "r0_auto_rotated_basis", "theta_k_under_nc", "theta_k_under_cvx_dec",
-            "noisy_solution_dependent", "noisy_is_solution_dependent", "t_auto_off_quadratic"])
+            "noisy_solution_dependent", "noisy_is_solution_dependent", "t_auto_off_quadratic",
+            "is_solution_free_off_quadratic", "is_t_auto_off_quadratic", "envelope_overflow"])
     def test_validation_errors_name_their_line(self, old, new, line, message):
         with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
             parse_config(QUAD_BASE.replace(old, new))
@@ -1200,6 +1211,18 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
+
+    def test_a_probe_that_overflows_fails_the_run(self, tmp_path, capsys):
+        # solution_free probes f(z + t s) before the candidates: at t = 1e200 the
+        # probe overflows at the first step, which the error names
+        text = ("method = smtp\nobjective = rosenbrock\ndimension = 4\ndistribution = sphere\n"
+                "schedule.kind = solution_free\nschedule.t = 1e200\nmax_iters = 20\nseeds = 2")
+        cfg_path = self._write(tmp_path, "probe.cfg", text)
+        assert cli.main(["validate", "--config", cfg_path]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == ("error: probe seed 0: non-finite objective value inf "
+                                           "at iteration 0, from z with ||z||_2 = 2.0\n")
 
     def test_readme_example_runs(self, tmp_path, capsys):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from threepoint import optimizers
 from threepoint.directions import DirectionDistribution
 from threepoint.objectives import (
     NoiseSpec,
+    Objective,
     coord_L_from_spec,
     make_lqr,
     make_quadratic,
@@ -306,3 +308,14 @@ class TestCoordLSpec:
             coord_L_from_spec("logspace:0,10", 3)
         with pytest.raises(ValueError):
             coord_L_from_spec("logspace:1,2,3", 4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Objective(lambda x: 0.0, 0), "dimension must be >= 1"),
+    (lambda: make_lqr(2, 2, 1).gradient(np.zeros(2)), "objective 'lqr' has no gradient oracle"),
+    (lambda: make_quadratic(np.ones((2, 2))), "coord_L must be a nonempty vector"),
+    (lambda: make_quadratic(np.array([])), "coord_L must be a nonempty vector"),
+], ids=["dimension_0", "no_gradient", "coord_L_matrix", "coord_L_empty"])
+def test_library_arguments_are_checked(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import re
 import sys
 from array import array
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from threepoint.directions import DirectionDistribution, categorical_index, constants, sample
+from threepoint.directions import (KINDS, DirectionDistribution, categorical_index, constants,
+                                   sample)
 from threepoint.objectives import (
     NoiseSpec,
     Objective,
@@ -38,6 +42,7 @@ from threepoint.optimizers import (
 from threepoint.schedules import (
     Constant,
     Decreasing,
+    FixedHorizon,
     ISSolutionFree,
     PerCoordinate,
     SolutionDependent,
@@ -232,6 +237,46 @@ class TestEquivalenceAndDeterminism:
                     np.testing.assert_array_equal(trace.final_state.v, state.v, err_msg=where)
 
 
+# smtp's candidates are z -/+ h s with h = gamma / (1 - beta), and z moves only to
+# one, so beta reaches f_z, branch and evals through h alone: a Constant rule at
+# any beta, and the IS form and fixed_horizon where 1 - beta is a power of two,
+# so that dividing by it is exact in either order
+_STEP_FORMS = st.one_of(
+    st.tuples(st.just("constant"), st.sampled_from(KINDS), st.floats(0.0, 0.99, exclude_max=True)),
+    st.tuples(st.just("per_coordinate"), st.sampled_from(["coord_uniform", "coord_weighted"]),
+              st.sampled_from([0.5, 0.75])),
+    st.tuples(st.just("fixed_horizon"), st.sampled_from(KINDS), st.sampled_from([0.5, 0.75])))
+
+
+def _rule(form: str, gamma: float, w: np.ndarray):
+    if form == "constant":
+        return Constant(gamma)
+    if form == "per_coordinate":
+        return PerCoordinate(Constant(gamma), w)
+    return FixedHorizon(gamma, 50)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=_STEP_FORMS, d=st.integers(1, 6), gamma=st.floats(1e-3, 0.5),
+       seed=st.integers(0, 2**32 - 1), steps=st.integers(0, 200))
+def test_smtp_is_stp_at_the_step_gamma_over_one_minus_beta(case, d, gamma, seed, steps):
+    form, kind, beta = case
+    gen = np.random.default_rng(seed)
+    coord_L = 10.0 ** gen.uniform(0.0, 2.0, d)
+    shift, x0 = gen.standard_normal(d), gen.standard_normal(d)
+    weighted = kind in ("coord_weighted", "orthonormal_weighted")
+    weights = coord_L / coord_L.sum() if weighted else None
+    basis = np.linalg.qr(gen.standard_normal((d, d)))[0] if kind == "orthonormal_weighted" else None
+    dist = DirectionDistribution(kind, d, weights=weights, basis=basis)
+    smtp = smtp_run(make_quadratic(coord_L, shift), dist, _rule(form, gamma, coord_L), beta, x0,
+                    steps, seed)
+    stp = smtp_run(make_quadratic(coord_L, shift), dist,
+                   _rule(form, gamma / (1.0 - beta), coord_L), 0.0, x0, steps, seed)
+    assert smtp.f_z.tobytes() == stp.f_z.tobytes()
+    assert smtp.branch == stp.branch and smtp.evals == stp.evals
+    assert smtp.final_state.z.tobytes() == stp.final_state.z.tobytes()
+
+
 class TestRunLoop:
     def test_monotone_f(self):
         trace = smtp_run(make_rosenbrock(4), DirectionDistribution("sphere", 4),
@@ -269,6 +314,33 @@ class TestRunLoop:
         with pytest.raises(ValueError, match="f_star"):
             smtp_run(obj, SPHERE2, Constant(0.1), 0.0, np.ones(2),
                      max_iters=10, epsilon_gap=0.1)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: init_state(make_quadratic(np.ones(3)), np.ones(2), 0.5),
+         "x0 must have shape (3,), got (2,)"),
+        (lambda: smtp_run(make_quadratic(np.ones(2)), SPHERE2, Constant(0.1), 0.5, np.ones(2), -1),
+         "max_iters must be >= 0"),
+        (lambda: run_block([make_quadratic(np.ones(2))] * 3, [Constant(0.1)] * 3, 0.5, np.ones(2),
+                           -1, [0, 1, 2], None, False, [SPHERE2] * 3, constants(SPHERE2)),
+         "max_iters must be >= 0"),
+        (lambda: run_block([Objective(lambda x: 0.0, 2)] * 3, [Constant(0.1)] * 3, 0.5, np.ones(2),
+                           10, [0, 1, 2], 0.1, False, [SPHERE2] * 3, constants(SPHERE2)),
+         "epsilon_gap stopping needs a known f_star"),
+        (lambda: run_block([make_quadratic(np.ones(2))] * 3, [Constant(0.1)] * 3, 0.5, np.ones(2),
+                           10, [0, 1, 2], None, False,
+                           [SPHERE2, SPHERE2, DirectionDistribution("coord_uniform", 2)],
+                           constants(SPHERE2)),
+         "the rows of a block share one dimension and a coordinate or vector law"),
+        (lambda: run_block([make_quadratic(np.ones(2))] * 3,
+                           [Constant(0.1), PerCoordinate(Constant(0.1), np.ones(2)), Constant(0.1)],
+                           0.5, np.ones(2), 10, [0, 1, 2], None, False,
+                           [DirectionDistribution("coord_uniform", 2)] * 3, constants(SPHERE2)),
+         "the rows of a block share one rule class"),
+    ], ids=["x0_shape", "max_iters", "block_max_iters", "block_epsilon_needs_f_star",
+            "block_laws", "block_rule_classes"])
+    def test_library_arguments_are_checked(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_eval_budget_stop(self):
         obj = make_quadratic(np.ones(3))

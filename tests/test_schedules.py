@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +194,40 @@ class TestRuleValidation:
         with pytest.raises(ValueError, match="positive"):
             is_sum_weighted_L(np.array([1.0, 0.0]), np.array([1.0, 1.0]),
                               np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: SolutionDependent(mu=0.0, L=1.0, mu_d=1.0, f_star=0.0, beta=0.0),
+         "mu, L, mu_d must be > 0"),
+        (lambda: PerCoordinate(Constant(0.1), np.array([1.0, 0.0])), "w must be strictly positive"),
+        (lambda: is_min_ratio(np.array([0.5, 0.5]), np.array([1.0])),
+         "p and w must be vectors of equal length"),
+        (lambda: is_sum_weighted_L(np.array([0.5, 0.5]), np.ones(2), np.ones(3)),
+         "coord_L must match p in length"),
+        (lambda: PerCoordinate(SolutionFree(L=1.0, t=0.1, beta=0.0), np.ones(2)),
+         "a probing rule scales by L_i, not w_i: use ISSolutionFree"),
+        (lambda: ISSolutionDependent(mu=0.0, p=np.array([0.5, 0.5]), w=np.ones(2),
+                                     coord_L=np.ones(2), f_star=0.0, beta=0.0), "mu must be > 0"),
+        (lambda: stepsize(ISSolutionDependent(mu=1.0, p=np.array([0.5, 0.5]), w=np.ones(2),
+                                              coord_L=np.ones(2), f_star=1.0, beta=0.0),
+                          _ctx(f_z=0.5, index=0)), "f_z = 0.5 is below the declared f_star = 1.0"),
+        (lambda: ISSolutionFree(coord_L=np.ones(2), t=0.0, beta=0.0), "t must be > 0"),
+        (lambda: optimal_gamma0(0.0, 1.0, 0.0, 1.0), "L and gamma_d must be > 0"),
+        (lambda: optimal_gamma0(0.0, -1.0, 1.0, 1.0), "f0_gap must be >= 0"),
+        (lambda: solution_free_t_max(0.0, 1.0, 1.0, 1.0), "epsilon, mu_d, mu, L must be > 0"),
+        (lambda: solution_free_t_max_is(1e-3, 0.0, np.array([0.5, 0.5]), np.ones(2)),
+         "epsilon and mu must be > 0"),
+        (lambda: quadratic_level_radius(np.ones(2), -1.0,
+                                        constants(DirectionDistribution("sphere", 2))),
+         "f0_gap must be >= 0"),
+        (lambda: required_iterations("NC", dict(epsilon=0.1, gap=-1.0, L=1.0, gamma_d=1.0,
+                                                mu_d=1.0)), "gap must be >= 0"),
+    ], ids=["solution_dependent_mu", "w_positive", "p_w_lengths", "coord_L_length",
+            "probing_rule_over_w", "is_solution_dependent_mu", "is_below_f_star",
+            "is_solution_free_t", "optimal_gamma0_L", "optimal_gamma0_gap", "t_max",
+            "t_max_is", "level_radius_gap", "required_iterations_gap"])
+    def test_library_arguments_are_checked(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_wrapper_rejects_bad_output(self):
         class Broken:
