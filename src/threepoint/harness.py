@@ -211,6 +211,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         fail("is_w", "schedule.kind = solution_free takes no is.w: its steps scale by coord_L")
     if cfg.max_iters < 0:
         fail("max_iters", "max_iters must be >= 0")
+    if cfg.eval_budget is not None and cfg.eval_budget < 1:
+        fail("eval_budget", "eval_budget must be >= 1")
+    if cfg.epsilon is not None and cfg.epsilon <= 0:
+        fail("epsilon", "epsilon must be > 0")
     if cfg.schedule_kind == "fixed_horizon":
         if cfg.schedule_horizon is None and cfg.max_iters < 1:
             fail("max_iters", "schedule.kind = fixed_horizon takes its horizon from max_iters, "
@@ -655,10 +659,10 @@ def run_block(cfgs, seeds, columns: bool = True
     the rows as one block; each trace equals that row's run_once trace, or
     without columns keeps its evals, stop and f_last alone (RunTrace).
     cfgs holds one config per seed, all with one _block_key.  Raises
-    ValueError for rows the block does not run: with eval_budget or
-    retain_internals, or those optimizers.block_supports declines."""
+    ValueError for rows the block does not run: those whose _block_key is
+    None, or those optimizers.block_supports declines."""
     first = cfgs[0]
-    if first.eval_budget is not None or first.retain_internals:
+    if _block_key(first) is None:
         raise ValueError("a block neither stops on eval_budget nor retains internals")
     objs, x0s, parts = zip(*map(_build_row, cfgs, seeds))
     traces = optimizers.run_block(
@@ -668,51 +672,47 @@ def run_block(cfgs, seeds, columns: bool = True
     return traces, list(objs)
 
 
-def _block_key(cfg: ExperimentConfig) -> tuple:
+def _block_key(cfg: ExperimentConfig) -> tuple | None:
     """What the rows of one block share (optimizers.run_block): the
     objective and x0; beta; a coordinate or a vector law; the rule class
     and whether it is fixed (schedule.kind, and whether smtp_is wraps it);
     the stops and the recording; and, when tracked, the gradient norm's
-    law."""
+    law.  None for a config that never runs as a block: one that stops on
+    eval_budget or retains internals."""
+    if cfg.eval_budget is not None or cfg.retain_internals:
+        return None
     importance = cfg.method == "smtp_is"
     norm = (cfg.distribution, cfg.weights, cfg.basis) if cfg.track_grad_norm else None
     return (_objective_signature(cfg), _beta(cfg), importance, importance or cfg.distribution in
-            directions.COORD_KINDS, cfg.schedule_kind, cfg.max_iters, cfg.eval_budget,
-            cfg.epsilon, cfg.retain_internals, cfg.track_grad_norm, norm)
-
-
-def _block_admits(cfg: ExperimentConfig, seed: int, rows: int) -> bool:
-    """Whether run_block takes rows of cfg's _block_key: no eval_budget, no
-    retained internals, and a row (cfg, seed) block_supports admits in a block
-    of that many rows; the key fixes the objective, the rule class and the
-    kind of law."""
-    if cfg.eval_budget is not None or cfg.retain_internals:
-        return False
-    obj, _, parts = _build_row(cfg, seed)
-    return optimizers.block_supports(obj, parts.schedule, parts.dist, rows)
+            directions.COORD_KINDS, cfg.schedule_kind, cfg.max_iters, cfg.epsilon,
+            cfg.track_grad_norm, norm)
 
 
 def _run_seeds(rows, columns: bool = True) -> list[tuple]:
     """(trace, objective, wall time) of each (config, seed) row, in order.
 
-    Rows with one _block_key run as one block once there are
-    BLOCK_MIN_ROWS of them (the measured crossover) and _block_admits
-    them; the rest go one by one through run_once, in row order.  A block's
-    wall time is shared out by iterations, and without columns its traces
-    keep no per-step record (optimizers.run_block).  A block that fails as
-    a run fails (a ValueError or a non-finite value) is run row by row, so the
-    error is the one a one-seed run raises, for the first row that fails,
-    with that row's config label and seed put in front of its message; if
-    no row fails alone, the block's own error is raised.
+    Rows with one _block_key other than None run as one block once there
+    are BLOCK_MIN_ROWS of them (the measured crossover) and block_supports
+    admits the first in a block of that many rows (the key fixes the
+    objective, the rule class and the kind of law); the rest go one by one
+    through run_once, in row order.  A block's wall time is shared out by
+    iterations, and without columns its traces keep no per-step record
+    (optimizers.run_block).  A block that fails as a run fails (a
+    ValueError or a non-finite value) is run row by row, so the error is
+    the one a one-seed run raises, for the first row that fails, with that
+    row's config label and seed put in front of its message; if no row
+    fails alone, the block's own error is raised.
     """
     runs = [None] * len(rows)
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[tuple | None, list[int]] = {}
     for at, (cfg, _) in enumerate(rows):
         groups.setdefault(_block_key(cfg), []).append(at)
     failed = []  # the errors of blocks whose rows rerun alone
-    for group in groups.values():
-        if len(group) < optimizers.BLOCK_MIN_ROWS or not _block_admits(*rows[group[0]],
-                                                                      len(group)):
+    for key, group in groups.items():
+        if key is None or len(group) < optimizers.BLOCK_MIN_ROWS:
+            continue
+        obj, _, parts = _build_row(*rows[group[0]])
+        if not optimizers.block_supports(obj, parts.schedule, parts.dist, len(group)):
             continue
         t0 = time.perf_counter()
         try:

@@ -396,7 +396,7 @@ def smtp_run(objective, dist: DirectionDistribution, schedule, beta: float, x0, 
         if eval_budget is not None and objective.eval_counter - start_evals >= eval_budget:
             stop_reason = "eval_budget"
             break
-    per_step = (2 + (schedule.needs_probe and not fixed)) * objective.calls_per_value
+    per_step = (2 + schedule.needs_probe) * objective.calls_per_value
     return RunTrace(f_z, gammas, branches, _evals(after_init, per_step, len(f_z)), state, seed, f0,
                     stop_reason, grad_norm, index, z_before, drawn, f_last=state.f_z)
 
@@ -520,12 +520,12 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
     - each row is decided on Python floats by smtp_step's rule and tie
       order, moved with smtp_step's arithmetic, and raises at a drawn
       non-finite value as smtp_step does.
-    A row records f(z) and the branch at the end of each round, and the
-    tracked grad_norm and a SolutionDependent gamma at its start: a vector
-    row's round is one step, so these are its columns, and a coordinate
-    row's runs to a move, so they are expanded over the round's steps when
-    the row finishes.  Under a fixed rule a coordinate row's gamma is G[p]
-    at each draw, filled a chunk ahead, and a vector row's its one stepsize.
+    A row records a round's steps when the round ends: a round of n steps
+    is n - 1 stays at its starting f(z), then its last step, and the tracked
+    grad_norm, taken at its start, n times.  A vector row's round is one
+    step, and a SolutionDependent gamma is recorded at its start.  Under a
+    fixed rule a coordinate row's gamma is G[p] at each draw, filled a chunk
+    ahead, and a vector row's its one stepsize.
     Every step costs the same oracle calls, the method's two, whatever the
     block evaluates, so a row's eval_counter is set when it finishes.  A row
     that stops on epsilon_gap leaves the block and the others go on.  No
@@ -568,13 +568,10 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
     limit = [max_iters] * n
     if epsilon_gap is not None:  # a row already within epsilon stops after its first step
         limit = [min(max_iters, 1) if f - f_star <= epsilon_gap else max_iters for f in F]
-    # a coordinate row's round ends
-    ends = [array(_index_code(max_iters + 1)) if columns else None for _ in seeds]
     # one list per live row: its seed position, steps taken, where it stops,
-    # its draws as the table cells they read, and the appenders of its f_z,
-    # branch, round-end, grad_norm and gamma records (None when not kept)
-    rows = [[r, 0, limit[r], None] + [getattr(c, "append", None)
-                                      for c in (f_col, branch, ends[r], norm, gamma)]
+    # its draws as the table cells they read, and its f_z, branch, grad_norm
+    # and gamma columns (None when not kept)
+    rows = [[r, 0, limit[r], None, f_col, branch, norm, gamma]
             for r, (f_col, gamma, branch, norm, _) in enumerate(cols)]
     evaluate, gradient = objectives[0].fn_batch, objectives[0].gradient_batch  # counted at finish
 
@@ -599,20 +596,7 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
                 del col[k:]
         if gamma is not None and G is not None and not coord:  # a fixed rule's one stepsize
             gamma = array("d", [G.item(r, 0)]) * k
-        if coord and columns:  # a round's records, once for each of its steps
-            last_steps = np.frombuffer(ends[r], ends[r].typecode) - 1
-            spans = np.diff(last_steps, prepend=-1)
-            f_after = np.frombuffer(f_col)
-            f_steps = np.repeat(np.r_[states[r].f_z, f_after][:-1], spans)
-            f_steps[last_steps] = f_after
-            codes = np.full(k, STAY, np.int8)
-            codes[last_steps] = np.frombuffer(branch, np.int8)
-            if grad_norm is not None:
-                grad_norm = array("d", np.repeat(grad_norm, spans).tobytes())
-            f_col, branch = array("d"), array("b")
-            f_col.frombytes(memoryview(f_steps).cast("B"))
-            branch.frombytes(memoryview(codes).cast("B"))
-        rows[p] = ends[r] = cols[r] = None  # frees the records before the other rows finish
+        rows[p] = cols[r] = None  # frees the records before the other rows finish
         reason = "epsilon_gap" if k and epsilon_gap is not None and F[p] - f_star <= epsilon_gap \
             else "max_iters"
         objectives[r].eval_counter = after_init[r] + per_step * k
@@ -640,14 +624,12 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
             offs.reshape(2, n, d * d)[:, :, ::d + 1] = H, -H
     while rows:
         m = len(rows)
-        if track_grad_norm:
-            for row, norm in zip(rows, d_norm_rows(norm_constants, gradient(Z)).tolist()):
-                row[7](norm)
+        norms = d_norm_rows(norm_constants, gradient(Z)).tolist() if track_grad_norm else None
         if dependent:  # exact once a round, as f(z) changes only at moves
             g = step(F)
             if columns:
                 for row, gamma in zip(rows, g):
-                    row[8](gamma)
+                    row[7].append(gamma)
             H = np.divide(g, one_minus_beta)[:, None]
         if coord:  # z - (-h) == z + h and z - 0.0 == z, so these are z -/+ h e_i exactly
             T = (Z[:, None] - offs).reshape(2 * m * d, d)
@@ -668,8 +650,8 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
         checked = not math.isfinite(sum(values))  # finite whenever every value is, bar an overflow
         ended, pick, a, b = [], None, 0, w * m
         for p, row in enumerate(rows):
-            r, k, lim, draws, record_f, record_branch, record_end, _, _ = row
-            f, s = F[p], STAY
+            _, start, lim, draws, f_col, branch, norm, _ = row
+            f, s, k = F[p], STAY, start
             stop = lim if coord else k + 1  # a vector row's table holds its next draw alone
             for i in draws:
                 k += 1
@@ -697,10 +679,13 @@ def run_block(objectives, rules, beta, x0, max_iters, seeds, epsilon_gap, track_
                 if k == stop:
                     break
             if columns:
-                record_f(f)
-                record_branch(s)
-                if coord:
-                    record_end(k)
+                if coord:  # the stays before the round's last step
+                    f_col.extend(repeat(F[p], k - start - 1))
+                    branch.extend(repeat(STAY, k - start - 1))
+                f_col.append(f)
+                branch.append(s)
+                if norm is not None:
+                    norm.extend(repeat(norms[p], k - start))
             row[1] = k
             F[p] = f
             if k == lim:

@@ -33,8 +33,8 @@ POOLS = {
     "beta": (("0", "0.5", "0.9"), ("1",)),
     "seeds": (("1", "2", "3,0"), ("3,3", "0", "-1,0")),
     "max_iters": (("1", "5"), ("0", "-1")),
-    "epsilon": (("0.5", "1e-3"), ()),
-    "eval_budget": (("4", "40"), ()),
+    "epsilon": (("0.5", "1e-3"), ("0", "-1")),
+    "eval_budget": (("4", "40"), ("0", "-1")),
     "track_grad_norm": (("true", "false"), ("maybe",)),
     "retain_internals": (("true", "false"), ()),
     "x0": (("ones", "zeros", "0.5", "1,-2", "0.5,1,1.5,2", "1,2,3,4,5,6"), ("a,b",)),
@@ -123,6 +123,11 @@ def configs(draw) -> str:
 # theta = auto is 2 / alpha, so alpha = 0 once failed with a bare ZeroDivisionError
 @example(text="method = smtp\nobjective = quadratic\ndimension = 2\ndistribution = sphere\n"
               "schedule.kind = decreasing\nschedule.alpha = 0\nmax_iters = 5")
+# a budget that buys no step and a target no gap reaches once ran as if meant
+@example(text="method = smtp\nmax_iters = 5\neval_budget = -1\nobjective = quadratic\n"
+              "dimension = 2\ndistribution = sphere\nschedule.kind = constant\nschedule.gamma = 0.01")
+@example(text="method = smtp\nmax_iters = 5\nepsilon = 0\nobjective = quadratic\n"
+              "dimension = 2\ndistribution = sphere\nschedule.kind = constant\nschedule.gamma = 0.01")
 def test_a_config_that_parses_runs_and_one_that_does_not_cites_a_line(text):
     try:
         cfg = parse_config(text)

@@ -381,6 +381,9 @@ class TestParsing:
         # f(x0) overflows: the envelope is inf, and no numpy warning comes first
         ("seeds = 3", "seeds = 3\nx0_scale = 1e160\ntheorem = SC-DEP", 11,
          "envelope must be finite and nonnegative$"),
+        # a budget that buys no step and a target no gap can reach
+        ("seeds = 3", "seeds = 3\neval_budget = 0", 10, "eval_budget must be >= 1$"),
+        ("seeds = 3", "seeds = 3\nepsilon = 0", 10, "epsilon must be > 0$"),
     ], ids=["jobs", "max_iters", "seeds", "noise.sigma", "dimension", "lqr_size", "distribution",
             "smtp_is_distribution", "repeated_seeds", "negative_seed", "nc_needs_grad_norm", "envelope_max_iters",
             "lqr_grad_norm", "r0", "gamma0", "alpha", "theta", "t", "gaussian_weights",
@@ -398,7 +401,8 @@ class TestParsing:
             "alpha_zero", "theta_k_3", "optimal_gamma0_at_minimiser", "default_is_w_off_quadratic",
             "r0_auto_rotated_basis", "theta_k_under_nc", "theta_k_under_cvx_dec",
             "noisy_solution_dependent", "noisy_is_solution_dependent", "t_auto_off_quadratic",
-            "is_solution_free_off_quadratic", "is_t_auto_off_quadratic", "envelope_overflow"])
+            "is_solution_free_off_quadratic", "is_t_auto_off_quadratic", "envelope_overflow",
+            "eval_budget_0", "epsilon_0"])
     def test_validation_errors_name_their_line(self, old, new, line, message):
         with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
             parse_config(QUAD_BASE.replace(old, new))

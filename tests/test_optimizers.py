@@ -9,7 +9,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threepoint.directions import (KINDS, DirectionDistribution, categorical_index, constants,
@@ -239,26 +239,45 @@ class TestEquivalenceAndDeterminism:
 
 # smtp's candidates are z -/+ h s with h = gamma / (1 - beta), and z moves only to
 # one, so beta reaches f_z, branch and evals through h alone: a Constant rule at
-# any beta, and the IS form and fixed_horizon where 1 - beta is a power of two,
-# so that dividing by it is exact in either order
+# any beta; and where 1 - beta is a power of two, so that scaling by it is exact
+# in either order, the IS form, fixed_horizon, and the rules that scale their
+# gamma by 1 - beta themselves, which step by their beta-0 build's h
+_HALVES = st.sampled_from([0.5, 0.75])
 _STEP_FORMS = st.one_of(
     st.tuples(st.just("constant"), st.sampled_from(KINDS), st.floats(0.0, 0.99, exclude_max=True)),
     st.tuples(st.just("per_coordinate"), st.sampled_from(["coord_uniform", "coord_weighted"]),
-              st.sampled_from([0.5, 0.75])),
-    st.tuples(st.just("fixed_horizon"), st.sampled_from(KINDS), st.sampled_from([0.5, 0.75])))
+              _HALVES),
+    st.tuples(st.just("fixed_horizon"), st.sampled_from(KINDS), _HALVES),
+    st.tuples(st.just("solution_dependent"), st.sampled_from(KINDS), _HALVES),
+    st.tuples(st.just("solution_free"), st.sampled_from([k for k in KINDS if k != "gaussian"]),
+              _HALVES))
+# the forms the block runs, over these laws
+_BLOCK_FORMS = {("constant", "coord_uniform"), ("constant", "sphere"),
+                ("solution_dependent", "sphere")}
 
 
-def _rule(form: str, gamma: float, w: np.ndarray):
-    if form == "constant":
-        return Constant(gamma)
-    if form == "per_coordinate":
-        return PerCoordinate(Constant(gamma), w)
-    return FixedHorizon(gamma, 50)
+def _rules(form: str, gamma: float, beta: float, obj, dist):
+    """The rule smtp runs at beta, and the one stp runs at beta 0 to take the
+    same h: gamma / (1 - beta), or the same constants built at beta 0."""
+    info = obj.smoothness
+    if form == "solution_dependent":  # gamma is theta_k
+        return [SolutionDependent(info.mu, info.L, constants(dist).mu_d, info.f_star, b, gamma)
+                for b in (beta, 0.0)]
+    if form == "solution_free":  # gamma is the probe's t
+        return [SolutionFree(info.L, gamma, b) for b in (beta, 0.0)]
+    make = {"constant": Constant, "fixed_horizon": lambda g: FixedHorizon(g, 50),
+            "per_coordinate": lambda g: PerCoordinate(Constant(g), info.coord_L)}[form]
+    return [make(gamma), make(gamma / (1.0 - beta))]
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=100, deadline=None, database=None)
 @given(case=_STEP_FORMS, d=st.integers(1, 6), gamma=st.floats(1e-3, 0.5),
        seed=st.integers(0, 2**32 - 1), steps=st.integers(0, 200))
+# each block form, which the draws above reach only now and then
+@example(case=("constant", "coord_uniform", 0.3), d=4, gamma=0.05, seed=1, steps=150)
+@example(case=("constant", "sphere", 0.9), d=3, gamma=0.05, seed=2, steps=150)
+@example(case=("solution_dependent", "sphere", 0.5), d=4, gamma=0.5, seed=3, steps=150)
+@example(case=("solution_dependent", "sphere", 0.75), d=2, gamma=1e-3, seed=4, steps=150)
 def test_smtp_is_stp_at_the_step_gamma_over_one_minus_beta(case, d, gamma, seed, steps):
     form, kind, beta = case
     gen = np.random.default_rng(seed)
@@ -268,13 +287,21 @@ def test_smtp_is_stp_at_the_step_gamma_over_one_minus_beta(case, d, gamma, seed,
     weights = coord_L / coord_L.sum() if weighted else None
     basis = np.linalg.qr(gen.standard_normal((d, d)))[0] if kind == "orthonormal_weighted" else None
     dist = DirectionDistribution(kind, d, weights=weights, basis=basis)
-    smtp = smtp_run(make_quadratic(coord_L, shift), dist, _rule(form, gamma, coord_L), beta, x0,
-                    steps, seed)
-    stp = smtp_run(make_quadratic(coord_L, shift), dist,
-                   _rule(form, gamma / (1.0 - beta), coord_L), 0.0, x0, steps, seed)
+    rules = _rules(form, gamma, beta, make_quadratic(coord_L, shift), dist)
+    smtp, stp = (smtp_run(make_quadratic(coord_L, shift), dist, rule, b, x0, steps, seed)
+                 for rule, b in zip(rules, (beta, 0.0)))
     assert smtp.f_z.tobytes() == stp.f_z.tobytes()
     assert smtp.branch == stp.branch and smtp.evals == stp.evals
     assert smtp.final_state.z.tobytes() == stp.final_state.z.tobytes()
+    if (form, kind) in _BLOCK_FORMS:  # and so must the rows of a block
+        seeds = [seed, seed + 1, seed + 2]
+        smtp, stp = (run_block([make_quadratic(coord_L, shift) for _ in seeds], [rule] * 3, b, x0,
+                               steps, seeds, None, False, [dist] * 3, constants(dist))
+                     for rule, b in zip(rules, (beta, 0.0)))
+        for smtp_row, stp_row in zip(smtp, stp):
+            assert smtp_row.f_z.tobytes() == stp_row.f_z.tobytes()
+            assert smtp_row.branch == stp_row.branch and smtp_row.evals == stp_row.evals
+            assert smtp_row.f_last == stp_row.f_last
 
 
 class TestRunLoop:
